@@ -97,16 +97,22 @@ def build_parser():
     return parser
 
 
+def _flag_or_env(args, name, cast):
+    """The flag's value when given (0 included), else the environment's."""
+    value = getattr(args, name)
+    return _env_default(name, cast) if value is None else value
+
+
 def config_from_args(args):
     return RunConfig(
         command=args.command,
         input_path=getattr(args, "poset", None),
-        fmt=args.format or _env_default("format", str),
-        max_n=args.max_n or _env_default("max_n", int),
-        max_m=args.max_m or _env_default("max_m", int),
-        truncation=args.truncation or _env_default("truncation", int),
-        guard_points=args.guard_points or _env_default("guard_points", int),
-        guard_spairs=args.guard_spairs or _env_default("guard_spairs", int),
+        fmt=_flag_or_env(args, "format", str),
+        max_n=_flag_or_env(args, "max_n", int),
+        max_m=_flag_or_env(args, "max_m", int),
+        truncation=_flag_or_env(args, "truncation", int),
+        guard_points=_flag_or_env(args, "guard_points", int),
+        guard_spairs=_flag_or_env(args, "guard_spairs", int),
         max_n_explicit=args.max_n is not None
         or os.environ.get("ENCHAIN_MAX_N") is not None,
         m=getattr(args, "m", 1),

@@ -5,13 +5,17 @@ all signed indicator vectors of antichains; it is n-dimensional, centrally
 symmetric, and its lattice points are exactly those vectors together with
 the origin.  A point x lies in the m-th dilation iff (|x_1|, ..., |x_n|)
 lies in m times the chain polytope, i.e. iff the |x_i| sum to at most m
-along every maximal chain.  Dilation counts therefore enumerate the
-nonnegative points of the dilated chain polytope and weight each by
-2^(number of nonzero coordinates), one sign choice per coordinate.
+along every maximal chain.  Such a point is determined by its level
+ideals I_k = {e : every chain ending at e has |x|-sum <= k}: the nonzero
+coordinates are the minimal elements of the steps I_k - I_{k-1}, each
+with a free sign.  Dilation counts are therefore weighted counts of ideal
+chains I_0 <= ... <= I_m = P, each step I -> J weighing 2^|min(J - I)|,
+computed by the transfer map over J(P) in posets.ideal_chain_count.  The
+same chains record left enriched partitions (psi_map), which is why the
+two counts agree.
 
 Everything is exact; counts are arbitrary-precision integers and the
-Ehrhart polynomial has exact rational coefficients.  Counting is
-deterministic regardless of how the enumeration space is partitioned.
+Ehrhart polynomial has exact rational coefficients.
 """
 
 from dataclasses import dataclass
@@ -27,7 +31,7 @@ from .polynomials import (
     hstar_from_counts,
     interpolate,
 )
-from .posets import antichains, linear_extensions, maximal_chains
+from .posets import antichains, ideal_chain_count, linear_extensions, maximal_chains
 
 MAX_N_DEFAULT = 8
 GUARD_POINTS_DEFAULT = 10**8
@@ -47,40 +51,10 @@ def lattice_points_ep(poset):
     return sorted(points)
 
 
-def _cover_lists(poset):
-    lowers = {e: [] for e in poset.elements()}
-    for a, b in poset.covers():
-        lowers[b].append(a)
-    return lowers
-
-
-def _dp_layers(poset):
-    """Processing order and, per step, the sorted list of already-placed
-    elements whose running chain sum is still needed by a later element."""
-    order = poset.topological_order()
-    pos = {e: t for t, e in enumerate(order)}
-    lowers = _cover_lists(poset)
-    active = []
-    for t in range(len(order)):
-        needed = {
-            c
-            for u in order[t + 1 :]
-            for c in lowers[u]
-            if pos[c] <= t
-        }
-        active.append(tuple(sorted(needed)))
-    return order, lowers, active
-
-
 def count_dilation(poset, m, guard_points=GUARD_POINTS_DEFAULT, max_n=MAX_N_DEFAULT):
-    """|m E_P  cap  Z^n|, exactly.
-
-    Walks the nonnegative points of the dilated chain polytope along a
-    linear extension, tracking for each element the largest chain sum
-    ending there; merging partial walks that agree on the still-needed
-    sums makes the walk polynomial-sized without changing the total.
-    Each point contributes 2^(#nonzero coordinates).
-    """
+    """|m E_P  cap  Z^n|, exactly: the weighted count of ideal chains
+    I_0 <= ... <= I_m = P with I_0 free, each lattice point recorded by
+    its level ideals as in the module docstring."""
     if m < 0:
         raise ValueError("dilation factor must be nonnegative")
     n = poset.n
@@ -88,25 +62,7 @@ def count_dilation(poset, m, guard_points=GUARD_POINTS_DEFAULT, max_n=MAX_N_DEFA
         raise SizeLimit(f"count_dilation guarded at n <= {max_n}")
     if (m + 1) ** n > guard_points:
         raise SizeLimit(f"(m+1)^n = {(m + 1) ** n} exceeds guard {guard_points}")
-    if m == 0:
-        return 1
-    order, lowers, active = _dp_layers(poset)
-    states = {(): 1}
-    prev_active = ()
-    for t, e in enumerate(order):
-        cur_active = active[t]
-        new_states = {}
-        for state, ways in states.items():
-            sums = dict(zip(prev_active, state))
-            base = max((sums[c] for c in lowers[e]), default=0)
-            for g in range(base, m + 1):
-                weight = ways if g == base else 2 * ways
-                sums[e] = g
-                key = tuple(sums[a] for a in cur_active)
-                new_states[key] = new_states.get(key, 0) + weight
-        states = new_states
-        prev_active = cur_active
-    return sum(states.values())
+    return ideal_chain_count(poset, m)
 
 
 def in_chain_polytope(poset, point, m=1):

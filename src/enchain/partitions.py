@@ -23,13 +23,14 @@ from fractions import Fraction
 from math import comb
 
 from .errors import (
+    IdentityViolation,
     InvalidPartition,
     NotNaturallyLabeled,
     PointOutsidePolytope,
     SizeLimit,
 )
 from .polynomials import IntPolynomial, RatPolynomial, interpolate_at
-from .posets import linear_extensions
+from .posets import ideal_chain_count, linear_extensions
 
 PARTITION_GUARD_DEFAULT = 10**8
 
@@ -106,47 +107,19 @@ def enumerate_partitions(poset, m, kind="left", guard=PARTITION_GUARD_DEFAULT):
 def count_partitions(poset, m, kind="left"):
     """Number of partitions with bound m, without materializing them.
 
-    Walks the same choice tree as iter_partitions but merges branches that
-    agree on the absolute values still visible to later elements; a value
-    with absolute value equal to the bound from below admits one sign, a
-    strictly larger one admits two.  Cross-checked against full
-    enumeration in the test suite.
+    A partition is recorded by its level ideals I_k = {e : |f(e)| <= k};
+    an element takes a free sign exactly when it is minimal in its step
+    I_k - I_{k-1}, k >= 1.  So the count is posets.ideal_chain_count, with
+    I_0 free for the left kind and I_0 empty (no zero values) for the
+    enriched kind.  Cross-checked against full enumeration in the test
+    suite.
     """
     _require_natural(poset)
     if m < 0:
         raise ValueError("bound must be nonnegative")
-    n = poset.n
-    lowers = _lower_cover_lists(poset)
-    order = list(poset.elements())
-    needed_after = []
-    for t in range(n):
-        needed = {c for u in order[t + 1 :] for c in lowers[u] if c <= order[t]}
-        needed_after.append(tuple(sorted(needed)))
-    states = {(): 1}
-    prev_active = ()
-    for t, e in enumerate(order):
-        cur_active = needed_after[t]
-        new_states = {}
-        for state, ways in states.items():
-            absvals = dict(zip(prev_active, state))
-            covs = lowers[e]
-            base = max((absvals[c] for c in covs), default=0)
-            minimal = not covs
-            if kind == "left" or not minimal:
-                lo = base
-            else:
-                lo = 1
-            for a in range(lo, m + 1):
-                if a == base and not (kind == "enriched" and minimal):
-                    weight = ways
-                else:
-                    weight = 2 * ways
-                absvals[e] = a
-                key = tuple(absvals[x] for x in cur_active)
-                new_states[key] = new_states.get(key, 0) + weight
-        states = new_states
-        prev_active = cur_active
-    return sum(states.values())
+    if kind not in ("left", "enriched"):
+        raise ValueError(f"unknown kind {kind!r}")
+    return ideal_chain_count(poset, m, from_empty=kind == "enriched")
 
 
 def is_left_partition(poset, f, m=None):
@@ -257,7 +230,11 @@ def peak_polynomials(poset, max_n=10):
         descent=IntPolynomial(des),
         extension_count=len(exts),
     )
-    assert polys.peak(1) == polys.left_peak(1) == polys.descent(1) == len(exts)
+    if not polys.peak(1) == polys.left_peak(1) == polys.descent(1) == len(exts):
+        raise IdentityViolation(
+            f"peak polynomials at 1 ({polys.peak(1)}, {polys.left_peak(1)}, "
+            f"{polys.descent(1)}) != {len(exts)} linear extensions"
+        )
     return polys
 
 
@@ -270,7 +247,8 @@ def order_polynomial(poset, kind="left"):
     nodes = list(range(1, n + 2))
     values = [count_partitions(poset, m, kind) for m in nodes]
     poly = interpolate_at(nodes, values)
-    assert poly.degree == n, f"order polynomial degree {poly.degree} != {n}"
+    if poly.degree != n:
+        raise IdentityViolation(f"order polynomial degree {poly.degree} != {n}")
     return poly
 
 

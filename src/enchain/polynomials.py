@@ -313,11 +313,6 @@ def gamma_expansion(h, n):
     return tuple(gamma)
 
 
-def gamma_polynomial(gamma):
-    """sum_i gamma_i x^i as an IntPolynomial."""
-    return IntPolynomial(gamma)
-
-
 @dataclass(frozen=True)
 class PolyProperties:
     palindromic: bool

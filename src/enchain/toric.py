@@ -373,9 +373,13 @@ def initial_graph(poset):
             )
             edges.add(pair)
     origin = idx_map[SignedVariable((), ())]
-    assert origin == 0
+    if origin != 0:
+        raise IdentityViolation(f"origin variable has index {origin}, not 0")
     for u, v in edges:
-        assert u != v and origin not in (u, v)
+        if u == v or origin in (u, v):
+            raise IdentityViolation(
+                f"initial graph edge ({u}, {v}) is a loop or meets the origin"
+            )
     return len(variables), frozenset(edges)
 
 

@@ -43,7 +43,10 @@ def int_coeffs(poly):
 
 def _count_partitions_checked(poset, m, kind):
     """Partition count; walks the explicit choice tree when the value
-    range is small enough, otherwise the merged walk."""
+    range is small enough, otherwise the ideal-chain kernel.  Only the
+    enumeration branch is independent of count_dilation: past
+    ENUMERATION_THRESHOLD both sides of ehrhart_equals_left_order come
+    from posets.ideal_chain_count, so the kernel is compared with itself."""
     if (2 * m + 1) ** poset.n <= ENUMERATION_THRESHOLD:
         return sum(1 for _ in partitions.iter_partitions(poset, m, kind))
     return partitions.count_partitions(poset, m, kind)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -149,11 +150,24 @@ class TestExitCodes:
     def test_verify_all_guard(self, capsys):
         assert main(["verify-all", "--max-n", "12"]) == 1
 
+    @pytest.mark.parametrize(
+        "flag", ["--max-n", "--max-m", "--truncation", "--guard-points", "--guard-spairs"]
+    )
+    def test_zero_is_rejected(self, capsys, chain2, flag):
+        assert main(["ehrhart", chain2, flag, "0"]) == 1
+        assert "must be positive" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert main(["ehrhart", "/nonexistent/poset"]) == 1
 
 
 class TestVerifyAll:
+    def test_sweep_three_is_byte_identical(self, capsys):
+        code, out = run(capsys, ["verify-all", "--max-n", "3"])
+        assert code == 0
+        expected = Path(__file__).parent / "data" / "verify_all_max_n3.json"
+        assert out.encode() == expected.read_bytes()
+
     def test_sweep_two(self, capsys):
         code, out = run(capsys, ["verify-all", "--max-n", "2"])
         assert code == 0

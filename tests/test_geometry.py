@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enchain.errors import SizeLimit
 from enchain.geometry import (
@@ -16,6 +18,7 @@ from enchain.geometry import (
     membership_oracle,
     volume_and_reflexivity,
 )
+from enchain.partitions import count_partitions, iter_partitions
 from enchain.polynomials import IntPolynomial, RatPolynomial
 from enchain.posets import all_natural_posets, antichains, poset_from_covers
 
@@ -200,3 +203,32 @@ class TestVolume:
     def test_single(self):
         result = volume_and_reflexivity(single)
         assert result.volume == 2 and result.reflexive
+
+
+@st.composite
+def labelled_posets(draw):
+    """A random poset on 6..8 elements under a random labelling."""
+    n = draw(st.integers(6, 8))
+    pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+    relation = draw(st.lists(st.sampled_from(pairs), max_size=2 * n, unique=True))
+    labels = draw(st.permutations(range(1, n + 1)))
+    return poset_from_covers(n, relation).relabeled(labels)
+
+
+class TestIdealChainOracles:
+    """The ideal-chain kernel behind count_dilation and count_partitions
+    against routes that do not use it, beyond the exhaustive small n."""
+
+    @given(labelled_posets())
+    @settings(max_examples=8, deadline=None)
+    def test_random_labelled_posets(self, poset):
+        assert count_dilation(poset, 1) == len(lattice_points_ep(poset))
+        canonical = poset.canonicalized()
+        for m in (0, 1, 2):
+            for kind in ("left", "enriched"):
+                enumerated = sum(1 for _ in iter_partitions(canonical, m, kind))
+                assert count_partitions(canonical, m, kind) == enumerated
+        # both raise IdentityAlarm when the counts disagree with the
+        # linear extensions or the left peak polynomial
+        volume_and_reflexivity(poset)
+        hstar_and_gamma(poset)

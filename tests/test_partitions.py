@@ -2,7 +2,9 @@ from itertools import product
 
 import pytest
 
+from enchain import partitions
 from enchain.errors import (
+    IdentityViolation,
     InvalidPartition,
     NotNaturallyLabeled,
     PointOutsidePolytope,
@@ -81,12 +83,16 @@ class TestEnumeration:
                         )
 
     def test_count_matches_enumeration(self):
-        for n in (1, 2, 3, 4):
+        for n in (1, 2, 3, 4, 5):
             for poset in all_natural_posets(n):
                 for m in (0, 1, 2, 3):
                     for kind in ("left", "enriched"):
                         enumerated = sum(1 for _ in iter_partitions(poset, m, kind))
                         assert count_partitions(poset, m, kind) == enumerated
+
+    def test_count_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown kind"):
+            count_partitions(single, 1, "right")
 
     def test_requires_natural_labeling(self):
         flipped = poset_from_covers(2, [(2, 1)])
@@ -101,6 +107,12 @@ class TestEnumeration:
 class TestOrderPolynomial:
     def test_single_left(self):
         assert order_polynomial(single, "left") == RatPolynomial([1, 2])
+
+    def test_wrong_degree_is_an_alarm(self, monkeypatch):
+        constant = RatPolynomial([1])
+        monkeypatch.setattr(partitions, "interpolate_at", lambda nodes, values: constant)
+        with pytest.raises(IdentityViolation, match="degree 0 != 2"):
+            order_polynomial(chain2, "left")
 
     def test_two_chain_matches_ehrhart(self):
         assert order_polynomial(chain2, "left") == ehrhart_polynomial(chain2)
