@@ -126,13 +126,6 @@ def _canonical_note(poset):
     return poset.canonicalized(), list(poset.natural_relabeling)
 
 
-def _trimmed(values):
-    out = list(values)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def cmd_antichains(poset, cfg):
     chains = posets.antichains(poset)
     return {"n": poset.n, "count": len(chains), "antichains": [list(a) for a in chains]}
@@ -148,7 +141,7 @@ def cmd_ehrhart(poset, cfg):
     return {
         "L": rat_coeffs(data.ehrhart),
         "hstar": int_coeffs(data.hstar),
-        "gamma": _trimmed(data.gamma),
+        "gamma": list(polynomials._trim(data.gamma)),
         "volume": data.volume,
     }
 

@@ -18,12 +18,17 @@ rational weight per antichain found by exact LP feasibility (family (2)
 leads must win by a margin of at least 1), then a fixed graded reverse
 lexicographic tiebreak.  Verification is Buchberger's criterion: every
 S-pair of basis elements with non-coprime leading terms must reduce to
-zero; reduction runs over exact integer coefficients and non-binomial
-intermediates are handled.  A second, cheaper certificate counts standard
-monomials of the initial ideal (multisets supported on independent sets
-of the leading-term graph) and compares them with the dilation counts.
+zero.  Each S-polynomial is a difference of two monomials, and its verdict
+is whether their memoised monomial normal forms are equal.  That is sound
+because rewriting by a binomial keeps the coefficients +-1, each rewrite
+strictly lowers the monomial in the term order, and Buchberger's
+criterion does not depend on the order of the pairs.  A second, cheaper
+certificate counts standard monomials of the initial ideal (multisets
+supported on independent sets of the leading-term graph) and compares
+them with the dilation counts.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -273,34 +278,36 @@ def _remove_pair(mono, pair):
     return tuple(out)
 
 
-def _reduce_to_zero(poly, lead_map, key_fn):
-    """Repeatedly rewrite the largest monomial by any basis element whose
-    (squarefree quadratic) lead divides it; zero means reduction succeeded,
-    an irreducible largest monomial can never cancel later and fails."""
-    while poly:
-        mono = max(poly, key=key_fn)
-        coeff = poly.pop(mono)
-        divisor = None
-        for pair in combinations(sorted(set(mono)), 2):
-            if pair in lead_map:
-                divisor = pair
-                break
+def _normal_form(mono, lead_map, memo):
+    """Standard monomial reached by rewriting mono with the first lead
+    (in sorted pair order) that divides it, until none does.  Every
+    monomial met on the way is memoised with the final result."""
+    chain = []
+    while mono not in memo:
+        chain.append(mono)
+        divisor = next(
+            (p for p in combinations(sorted(set(mono)), 2) if p in lead_map), None
+        )
         if divisor is None:
-            return False
-        rest = _remove_pair(mono, divisor)
-        new = _merge(rest, lead_map[divisor])
-        value = poly.get(new, 0) + coeff
-        if value:
-            poly[new] = value
-        elif new in poly:
-            del poly[new]
-    return True
+            memo[mono] = mono
+            break
+        mono = _merge(_remove_pair(mono, divisor), lead_map[divisor])
+    normal = memo[mono]
+    for seen in chain:
+        memo[seen] = normal
+    return normal
 
 
 def buchberger_verify(binomials, order, guard_spairs=SPAIR_GUARD_DEFAULT):
     """True iff every S-pair with non-coprime leading terms reduces to
-    zero modulo the basis (coprime leads reduce to zero automatically)."""
-    key_fn = order.monomial_key
+    zero modulo the basis (coprime leads reduce to zero automatically).
+
+    The S-polynomial of leads (v, a) and (v, b) is tail_i*b - tail_j*a,
+    and of two equal leads tail_i - tail_j.  Rewriting keeps the
+    coefficients +-1, so it reduces to zero iff both monomials have the
+    same normal form.  Pairs are walked inside each lead variable's
+    group; a pair of equal leads is visited in its first variable's group
+    only.  The guard counts the distinct pairs before any reduction."""
     leads = []
     tails = []
     for b in binomials:
@@ -316,25 +323,29 @@ def buchberger_verify(binomials, order, guard_spairs=SPAIR_GUARD_DEFAULT):
     for g, lead in enumerate(leads):
         for v in lead:
             incidence.setdefault(v, []).append(g)
-    pairs = set()
-    for members in incidence.values():
-        pairs.update(combinations(members, 2))
-    if len(pairs) > guard_spairs:
-        raise SizeLimit(f"{len(pairs)} S-pairs exceed guard {guard_spairs}")
+    # Distinct squarefree quadratic leads share at most one variable, so
+    # only a pair of equal leads sits in two groups.
+    spairs = sum(comb(len(members), 2) for members in incidence.values()) - sum(
+        comb(c, 2) for c in Counter(leads).values()
+    )
+    if spairs > guard_spairs:
+        raise SizeLimit(f"{spairs} S-pairs exceed guard {guard_spairs}")
 
-    for i, j in sorted(pairs):
-        li, lj = leads[i], leads[j]
-        union = tuple(sorted(set(li) | set(lj)))
-        poly = {}
-        m1 = _merge(tails[i], tuple(v for v in union if v not in li))
-        m2 = _merge(tails[j], tuple(v for v in union if v not in lj))
-        if m1 != m2:
-            poly[m1] = 1
-            poly[m2] = poly.get(m2, 0) - 1
-            if not poly[m2]:
-                del poly[m2]
-        if not _reduce_to_zero(poly, lead_map, key_fn):
-            return False
+    memo = {}
+    for v, members in incidence.items():
+        for i, j in combinations(members, 2):
+            li, lj = leads[i], leads[j]
+            if li == lj:
+                if v != li[0]:
+                    continue
+                m1, m2 = tails[i], tails[j]
+            else:
+                a = li[1] if li[0] == v else li[0]
+                b = lj[1] if lj[0] == v else lj[0]
+                m1 = _merge(tails[i], (b,))
+                m2 = _merge(tails[j], (a,))
+            if _normal_form(m1, lead_map, memo) != _normal_form(m2, lead_map, memo):
+                return False
     return True
 
 

@@ -164,6 +164,8 @@ def verify_poset(
             "volume": data.volume,
         }
         row["gamma_left_peak"] = True
+    except SizeLimit as exc:
+        row["gamma_left_peak"] = f"skipped ({exc})"
     except IdentityAlarm as exc:
         alarms.append(f"gamma: {exc}")
         row["gamma_left_peak"] = False
@@ -172,6 +174,8 @@ def verify_poset(
         vol = geometry.volume_and_reflexivity(poset, guard_points=guard_points)
         row["volume_extensions"] = True
         row["reflexive"] = vol.reflexive
+    except SizeLimit as exc:
+        row["volume_extensions"] = f"skipped ({exc})"
     except IdentityAlarm as exc:
         alarms.append(f"volume: {exc}")
         row["volume_extensions"] = False
@@ -244,6 +248,8 @@ def verify_poset(
             grobner["buchberger"] = "pass" if passed else "fail"
             if not passed:
                 alarms.append("buchberger verification failed")
+        except SizeLimit as exc:
+            grobner["buchberger"] = f"skipped ({exc})"
         except IdentityAlarm as exc:
             grobner["buchberger"] = "fail"
             alarms.append(f"groebner: {exc}")

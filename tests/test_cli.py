@@ -162,11 +162,31 @@ class TestExitCodes:
 
 
 class TestVerifyAll:
-    def test_sweep_three_is_byte_identical(self, capsys):
-        code, out = run(capsys, ["verify-all", "--max-n", "3"])
+    @pytest.mark.parametrize("max_n", [3, 4])
+    def test_sweep_is_byte_identical(self, capsys, max_n):
+        code, out = run(capsys, ["verify-all", "--max-n", str(max_n)])
         assert code == 0
-        expected = Path(__file__).parent / "data" / "verify_all_max_n3.json"
+        expected = Path(__file__).parent / "data" / f"verify_all_max_n{max_n}.json"
         assert out.encode() == expected.read_bytes()
+
+    def test_spair_guard_trip_is_a_skip(self, capsys):
+        code, out = run(capsys, ["verify-all", "--max-n", "2", "--guard-spairs", "1"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["summary"] == {"posets": 3, "alarms": 0}
+        verdicts = [row["groebner"]["buchberger"] for row in payload["rows"]]
+        assert "skipped (98 S-pairs exceed guard 1)" in verdicts
+
+    def test_dilation_guard_trip_is_a_skip(self, capsys, tmp_path):
+        path = tmp_path / "chain9.poset"
+        path.write_text("9\n" + "".join(f"{i} < {i + 1}\n" for i in range(1, 9)))
+        code, out = run(capsys, ["verify-all", "--poset", str(path)])
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        reason = "skipped (count_dilation guarded at n <= 8)"
+        assert row["gamma_left_peak"] == reason
+        assert row["volume_extensions"] == reason
+        assert row["alarms"] == []
 
     def test_sweep_two(self, capsys):
         code, out = run(capsys, ["verify-all", "--max-n", "2"])

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from enchain.errors import SizeLimit
@@ -24,6 +26,79 @@ single = poset_from_covers(1, [])
 
 def var_id(poset, antichain, signs):
     return variables_and_map(poset).index(SignedVariable(antichain, signs))
+
+
+def _reduce_to_zero(poly, lead_map, key_fn):
+    """Reference reducer over integer coefficients: repeatedly rewrite
+    the largest monomial by the first basis element whose (squarefree
+    quadratic) lead divides it; zero means reduction succeeded, an
+    irreducible largest monomial can never cancel later and fails."""
+    while poly:
+        mono = max(poly, key=key_fn)
+        coeff = poly.pop(mono)
+        divisor = None
+        for pair in combinations(sorted(set(mono)), 2):
+            if pair in lead_map:
+                divisor = pair
+                break
+        if divisor is None:
+            return False
+        rest = list(mono)
+        rest.remove(divisor[0])
+        rest.remove(divisor[1])
+        new = tuple(sorted(rest + list(lead_map[divisor])))
+        value = poly.get(new, 0) + coeff
+        if value:
+            poly[new] = value
+        elif new in poly:
+            del poly[new]
+    return True
+
+
+def _leads_and_tails(binomials, order):
+    leads = [order.leading(b.lead, b.tail) for b in binomials]
+    tails = [b.tail if lead == b.lead else b.lead for b, lead in zip(binomials, leads)]
+    return leads, tails
+
+
+def _distinct_spairs(binomials, order):
+    """Index pairs of basis elements whose leads share a variable."""
+    leads, _ = _leads_and_tails(binomials, order)
+    incidence = {}
+    for g, lead in enumerate(leads):
+        for v in lead:
+            incidence.setdefault(v, []).append(g)
+    pairs = set()
+    for members in incidence.values():
+        pairs.update(combinations(members, 2))
+    return pairs
+
+
+def reference_buchberger(binomials, order):
+    """Buchberger's criterion by leading-monomial reduction of each
+    S-polynomial, in sorted pair order."""
+    leads, tails = _leads_and_tails(binomials, order)
+    lead_map = {}
+    for lead, tail in zip(leads, tails):
+        lead_map.setdefault(lead, tail)
+    for i, j in sorted(_distinct_spairs(binomials, order)):
+        li, lj = leads[i], leads[j]
+        union = tuple(sorted(set(li) | set(lj)))
+        m1 = tuple(sorted(tails[i] + tuple(v for v in union if v not in li)))
+        m2 = tuple(sorted(tails[j] + tuple(v for v in union if v not in lj)))
+        poly = {m1: 1, m2: -1} if m1 != m2 else {}
+        if not _reduce_to_zero(poly, lead_map, order.monomial_key):
+            return False
+    return True
+
+
+def broken_bases(basis):
+    """Three bases that are no longer the full candidate set."""
+    return {
+        "family_1_dropped": [b for b in basis if b.family != 1],
+        "family_1_only": [b for b in basis if b.family == 1],
+        "every_7th_dropped": [b for k, b in enumerate(basis) if k % 7],
+    }
 
 
 class TestVariables:
@@ -162,6 +237,43 @@ class TestBuchberger:
         basis = generate_groebner_candidates(anti2)
         with pytest.raises(SizeLimit):
             buchberger_verify(basis, construct_order(anti2), guard_spairs=1)
+
+    def test_guard_counts_distinct_pairs(self):
+        for n in (1, 2, 3):
+            for poset in all_natural_posets(n):
+                basis = generate_groebner_candidates(poset)
+                order = construct_order(poset)
+                count = len(_distinct_spairs(basis, order))
+                assert buchberger_verify(basis, order, guard_spairs=count)
+                with pytest.raises(SizeLimit, match=f"^{count} S-pairs"):
+                    buchberger_verify(basis, order, guard_spairs=count - 1)
+
+    def test_matches_reference_up_to_three(self):
+        for n in (1, 2, 3):
+            for poset in all_natural_posets(n):
+                basis = list(generate_groebner_candidates(poset))
+                order = construct_order(poset)
+                bases = {"full": basis, **broken_bases(basis)}
+                for name, candidate in bases.items():
+                    expected = reference_buchberger(candidate, order)
+                    assert buchberger_verify(candidate, order) == expected, (
+                        poset.pairs,
+                        name,
+                    )
+
+    def test_broken_bases_match_reference_at_four(self):
+        verdicts = set()
+        for poset in all_natural_posets(4):
+            basis = list(generate_groebner_candidates(poset))
+            order = construct_order(poset)
+            for name, candidate in broken_bases(basis).items():
+                expected = reference_buchberger(candidate, order)
+                assert buchberger_verify(candidate, order) == expected, (
+                    poset.pairs,
+                    name,
+                )
+                verdicts.add(expected)
+        assert verdicts == {True, False}
 
 
 class TestStandardMonomials:
