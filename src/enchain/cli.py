@@ -207,7 +207,9 @@ def cmd_peaks(poset, cfg):
 
 def cmd_grobner(poset, cfg):
     payload = {"variables": len(toric.variables_and_map(poset))}
-    checks, ok = toric.hilbert_certificate(poset, max_m=3)
+    checks, ok = toric.hilbert_certificate(
+        poset, max_m=3, guard_points=cfg.guard_points
+    )
     payload["hilbert_checks"] = [list(c) for c in checks]
     payload["hilbert_pass"] = ok
     if not ok:
@@ -226,8 +228,8 @@ def cmd_grobner(poset, cfg):
             raise IdentityAlarm("buchberger verification failed")
     else:
         payload["buchberger"] = "skipped"
-    if poset.n <= 5:
-        tri = toric.triangulation_extract(poset, max_n=5)
+    if poset.n <= toric.EXTRACT_MAX_N:
+        tri = toric.triangulation_extract(poset, guard_points=cfg.guard_points)
         payload["triangulation"] = {
             "faces": tri.simplex_count,
             "unimodular": True,
@@ -239,7 +241,7 @@ def cmd_grobner(poset, cfg):
 
 
 def cmd_triangulation(poset, cfg):
-    tri = toric.triangulation_extract(poset, max_n=5)
+    tri = toric.triangulation_extract(poset, guard_points=cfg.guard_points)
     variables = toric.variables_and_map(poset)
     return {
         "simplices": tri.simplex_count,

@@ -1,17 +1,25 @@
 """Toric ideal of the enriched chain polytope and its quadratic basis.
 
 One polynomial-ring variable per lattice point (a signed antichain; the
-empty antichain gives the origin variable).  The monomial map sends a
+empty antichain gives the origin variable), addressed by the bitmasks of
+the elements it signs + and - (_sign_masks).  The monomial map sends a
 variable to the Laurent monomial t^(signed indicator) * s, so a binomial
 lies in the toric ideal iff its two monomials have equal images.
 
-The candidate Groebner basis has two families of quadratic binomials:
+The candidate Groebner basis has two families of quadratic binomials.
+Each family is walked in one place, and the candidates, the LP rows of
+the term order and the leads-only leading-term graph all read that walk:
 
-  (1) two variables sharing an index with opposite signs, minus the pair
-      with that index dropped from both;
-  (2) for incomparable poset ideals I, J and a consistent sign pattern,
-      x_max(I) x_max(J) minus x_max(I union J) x_max(I*J), where I*J is
-      the ideal generated by max(I cap J) restricted to max(I) u max(J).
+  (1) _family_one yields (u, v, e) for variables u < v and each element e
+      they sign oppositely, e ascending: x_u x_v minus the pair with e
+      dropped from both;
+  (2) _ideal_pairs holds (max I, max J, max(I u J), max(I*J)) for each
+      incomparable pair of ideals, in combinations(ideal_lattice) order,
+      where I*J is the ideal generated by max(I cap J) restricted to
+      max(I) u max(J).  _family_two signs each entry by every pattern on
+      max(I) u max(J), the submasks of that support in increasing order:
+      x_max(I) x_max(J) minus x_max(I u J) x_max(I*J).  One pattern covers
+      every index, so a shared index gets consistent signs.
 
 The term order compares total antichain cardinality first, then a
 rational weight per antichain found by exact LP feasibility (family (2)
@@ -44,11 +52,13 @@ from .errors import (
     NonUnimodularSimplex,
     SizeLimit,
 )
-from .geometry import count_dilation, dilation_counts
+from .geometry import GUARD_POINTS_DEFAULT, count_dilation, dilation_counts
 from .polynomials import IntPolynomial, hstar_from_counts
-from .posets import antichains, ideal_lattice, linear_extensions, star
+from .posets import _max_of, antichains, ideal_lattice, linear_extensions, star
 
 SPAIR_GUARD_DEFAULT = 2_000_000
+GUARD_VERTICES = 1024
+EXTRACT_MAX_N = 5
 
 
 @dataclass(frozen=True)
@@ -84,8 +94,67 @@ def variables_and_map(poset):
 
 
 @lru_cache(maxsize=32)
-def _var_index(poset):
-    return {v: i for i, v in enumerate(variables_and_map(poset))}
+def _sign_masks(poset):
+    """Per variable id, the bitmasks (bit e for element e) of the elements
+    it signs + and -, and the map from a (plus, minus) pair to the id."""
+    plus = []
+    minus = []
+    for v in variables_and_map(poset):
+        plus.append(sum(1 << e for e, s in zip(v.antichain, v.signs) if s > 0))
+        minus.append(sum(1 << e for e, s in zip(v.antichain, v.signs) if s < 0))
+    index = {pair: vid for vid, pair in enumerate(zip(plus, minus))}
+    return tuple(plus), tuple(minus), index
+
+
+def _family_one(poset):
+    """(u, v, e) for every pair of variable ids u < v and every element e
+    that the two sign oppositely, e ascending."""
+    plus, minus, _ = _sign_masks(poset)
+    for u, v in combinations(range(len(plus)), 2):
+        opposite = (plus[u] & minus[v]) | (minus[u] & plus[v])
+        while opposite:
+            low = opposite & -opposite
+            yield u, v, low.bit_length() - 1
+            opposite ^= low
+
+
+@lru_cache(maxsize=32)
+def _ideal_pairs(poset):
+    """(max I, max J, max(I union J), max(I*J)) for every incomparable
+    pair of poset ideals, in combinations(ideal_lattice) order."""
+    return tuple(
+        (
+            i.max_elements,
+            j.max_elements,
+            _max_of(poset, i.elements | j.elements),
+            star(poset, i, j).max_elements,
+        )
+        for i, j in combinations(ideal_lattice(poset), 2)
+        if not (i <= j or j <= i)
+    )
+
+
+def _family_two(poset):
+    """For every _ideal_pairs entry, in order, its four antichains as
+    element bitmasks and each sign pattern on the support max I u max J:
+    the submasks of the support in increasing order (bit e set means e
+    is signed +)."""
+    for entry in _ideal_pairs(poset):
+        masks = tuple(sum(1 << e for e in antichain) for antichain in entry)
+        support = masks[0] | masks[1]
+        pattern = 0
+        while True:
+            yield masks, pattern
+            if pattern == support:
+                break
+            pattern = (pattern - support) & support
+
+
+def _signed_pair(index, mask_a, mask_b, pattern):
+    """Sorted ids of two antichains signed + on pattern and - elsewhere."""
+    a = index[(mask_a & pattern, mask_a & ~pattern)]
+    b = index[(mask_b & pattern, mask_b & ~pattern)]
+    return (a, b) if a < b else (b, a)
 
 
 @dataclass(frozen=True)
@@ -112,86 +181,30 @@ def _check_image(binomial, variables, n):
         )
 
 
-def _drop_index(var, index, idx_map):
-    keep = [(e, s) for e, s in zip(var.antichain, var.signs) if e != index]
-    reduced = SignedVariable(tuple(e for e, _ in keep), tuple(s for _, s in keep))
-    return idx_map[reduced]
-
-
-def _sign_patterns(support):
-    for mask in range(1 << len(support)):
-        yield {e: (1 if mask >> i & 1 else -1) for i, e in enumerate(support)}
-
-
-def _signed_id(antichain, pattern, idx_map):
-    return idx_map[SignedVariable(antichain, tuple(pattern[e] for e in antichain))]
-
-
 @lru_cache(maxsize=8)
 def generate_groebner_candidates(poset):
     """Both binomial families, deduplicated, each verified to lie in the
     toric ideal by image equality (an ImageMismatch is an alarm)."""
-    n = poset.n
     variables = variables_and_map(poset)
-    idx_map = _var_index(poset)
+    plus, minus, index = _sign_masks(poset)
     out = []
     seen = set()
 
-    sign_of = [dict(zip(v.antichain, v.signs)) for v in variables]
-    for u, v in combinations(range(len(variables)), 2):
-        common = set(sign_of[u]) & set(sign_of[v])
-        for index in sorted(common):
-            if sign_of[u][index] != sign_of[v][index]:
-                lead = (u, v)
-                tail = tuple(
-                    sorted(
-                        (
-                            _drop_index(variables[u], index, idx_map),
-                            _drop_index(variables[v], index, idx_map),
-                        )
-                    )
-                )
-                key = (lead, tail)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(ToricBinomial(lead, tail, family=1))
+    def add(lead, tail, family):
+        if (lead, tail) not in seen:
+            seen.add((lead, tail))
+            out.append(ToricBinomial(lead, tail, family))
 
-    ideals = ideal_lattice(poset)
-    for ideal_i, ideal_j in combinations(ideals, 2):
-        if ideal_i.elements <= ideal_j.elements or ideal_j.elements <= ideal_i.elements:
-            continue
-        a1, a2 = ideal_i.max_elements, ideal_j.max_elements
-        union = frozenset(ideal_i.elements | ideal_j.elements)
-        max_union = tuple(
-            sorted(
-                e
-                for e in union
-                if not any(poset.less(e, f) for f in union)
-            )
-        )
-        max_star = star(poset, ideal_i, ideal_j).max_elements
-        # One sign pattern covers every index, so an index shared between
-        # the two antichains automatically gets consistent signs.
-        support = sorted(set(a1) | set(a2))
-        for pattern in _sign_patterns(support):
-            lead = tuple(
-                sorted((_signed_id(a1, pattern, idx_map), _signed_id(a2, pattern, idx_map)))
-            )
-            tail = tuple(
-                sorted(
-                    (
-                        _signed_id(max_union, pattern, idx_map),
-                        _signed_id(max_star, pattern, idx_map),
-                    )
-                )
-            )
-            key = (lead, tail)
-            if key not in seen:
-                seen.add(key)
-                out.append(ToricBinomial(lead, tail, family=2))
+    for u, v, e in _family_one(poset):
+        keep = ~(1 << e)
+        tail = tuple(sorted(index[(plus[w] & keep, minus[w] & keep)] for w in (u, v)))
+        add((u, v), tail, 1)
+    for masks, pattern in _family_two(poset):
+        lead = _signed_pair(index, masks[0], masks[1], pattern)
+        add(lead, _signed_pair(index, masks[2], masks[3], pattern), 2)
 
     for binomial in out:
-        _check_image(binomial, variables, n)
+        _check_image(binomial, variables, poset.n)
     return tuple(out)
 
 
@@ -231,19 +244,10 @@ def construct_order(poset):
     columns = {ideal.max_elements: i for i, ideal in enumerate(ideals)}
     rows = []
     seen_rows = set()
-    for ideal_i, ideal_j in combinations(ideals, 2):
-        if ideal_i.elements <= ideal_j.elements or ideal_j.elements <= ideal_i.elements:
-            continue
-        union = ideal_i.elements | ideal_j.elements
-        max_union = tuple(
-            sorted(e for e in union if not any(poset.less(e, f) for f in union))
-        )
-        max_star = star(poset, ideal_i, ideal_j).max_elements
+    for entry in _ideal_pairs(poset):
         row = [Fraction(0)] * len(ideals)
-        row[columns[ideal_i.max_elements]] += 1
-        row[columns[ideal_j.max_elements]] += 1
-        row[columns[max_union]] -= 1
-        row[columns[max_star]] -= 1
+        for antichain, sign in zip(entry, (1, 1, -1, -1)):
+            row[columns[antichain]] += sign
         key = tuple(row)
         if key not in seen_rows:
             seen_rows.add(key)
@@ -354,36 +358,11 @@ def initial_graph(poset):
     """Leading-term graph: one vertex per variable, one edge per intended
     initial monomial (all of which are squarefree, quadratic, and avoid
     the origin variable)."""
-    variables = variables_and_map(poset)
-    idx_map = _var_index(poset)
-    n = poset.n
-    plus = []
-    minus = []
-    for v in variables:
-        p = q = 0
-        for e, s in zip(v.antichain, v.signs):
-            if s > 0:
-                p |= 1 << e
-            else:
-                q |= 1 << e
-        plus.append(p)
-        minus.append(q)
-    edges = set()
-    for u, v in combinations(range(len(variables)), 2):
-        if (plus[u] & minus[v]) or (minus[u] & plus[v]):
-            edges.add((u, v))
-    ideals = ideal_lattice(poset)
-    for ideal_i, ideal_j in combinations(ideals, 2):
-        if ideal_i.elements <= ideal_j.elements or ideal_j.elements <= ideal_i.elements:
-            continue
-        a1, a2 = ideal_i.max_elements, ideal_j.max_elements
-        support = sorted(set(a1) | set(a2))
-        for pattern in _sign_patterns(support):
-            pair = tuple(
-                sorted((_signed_id(a1, pattern, idx_map), _signed_id(a2, pattern, idx_map)))
-            )
-            edges.add(pair)
-    origin = idx_map[SignedVariable((), ())]
+    _, _, index = _sign_masks(poset)
+    edges = {(u, v) for u, v, _ in _family_one(poset)}
+    for masks, pattern in _family_two(poset):
+        edges.add(_signed_pair(index, masks[0], masks[1], pattern))
+    origin = index[(0, 0)]
     if origin != 0:
         raise IdentityViolation(f"origin variable has index {origin}, not 0")
     for u, v in edges:
@@ -391,7 +370,7 @@ def initial_graph(poset):
             raise IdentityViolation(
                 f"initial graph edge ({u}, {v}) is a loop or meets the origin"
             )
-    return len(variables), frozenset(edges)
+    return len(index), frozenset(edges)
 
 
 def _adjacency_masks(vertex_count, edges):
@@ -402,15 +381,15 @@ def _adjacency_masks(vertex_count, edges):
     return adj
 
 
-def standard_monomial_count(poset, m, guard_vertices=1024):
+def standard_monomial_count(poset, m):
     """Number of degree-m monomials outside the initial ideal: multisets
     of size m supported on independent sets of the leading-term graph,
     counted as sum over nonempty independent sets S of C(m-1, |S|-1)."""
     if m == 0:
         return 1
     count, edges = initial_graph(poset)
-    if count > guard_vertices:
-        raise SizeLimit(f"{count} variables exceed guard {guard_vertices}")
+    if count > GUARD_VERTICES:
+        raise SizeLimit(f"{count} variables exceed guard {GUARD_VERTICES}")
     if m > 3:
         raise SizeLimit("standard monomial counts implemented for m <= 3")
     sizes = [0] * (m + 1)
@@ -430,7 +409,7 @@ def standard_monomial_count(poset, m, guard_vertices=1024):
     return sum(sizes[k] * comb(m - 1, k - 1) for k in range(1, m + 1))
 
 
-def hilbert_certificate(poset, max_m=3):
+def hilbert_certificate(poset, max_m=3, guard_points=GUARD_POINTS_DEFAULT):
     """Per-degree comparison of standard monomial counts with the lattice
     point counts of the dilations; equality for every degree certifies
     that the leading-term graph generates the correct initial ideal."""
@@ -438,7 +417,7 @@ def hilbert_certificate(poset, max_m=3):
     ok = True
     for m in range(1, max_m + 1):
         standard = standard_monomial_count(poset, m)
-        points = count_dilation(poset, m)
+        points = count_dilation(poset, m, guard_points=guard_points)
         rows.append((m, standard, points))
         ok = ok and standard == points
     return rows, ok
@@ -491,7 +470,7 @@ class TriangulationData:
     simplex_count: int
 
 
-def triangulation_extract(poset, max_n=5):
+def triangulation_extract(poset, guard_points=GUARD_POINTS_DEFAULT):
     """Faces of the unimodular triangulation induced by the initial ideal:
     independent sets of the leading-term graph.  Checks that every maximal
     face has n+1 vertices including the origin, spans a simplex of
@@ -499,9 +478,9 @@ def triangulation_extract(poset, max_n=5):
     the boundary complex (faces avoiding the origin) has h-polynomial
     equal to h* of the polytope."""
     n = poset.n
-    if n > max_n:
-        raise SizeLimit(f"triangulation extraction guarded at n <= {max_n}")
-    rows, ok = hilbert_certificate(poset, max_m=3)
+    if n > EXTRACT_MAX_N:
+        raise SizeLimit(f"triangulation extraction guarded at n <= {EXTRACT_MAX_N}")
+    rows, ok = hilbert_certificate(poset, max_m=3, guard_points=guard_points)
     if not ok:
         raise IdentityViolation(f"initial ideal certificate failed: {rows}")
     vertex_count, edges = initial_graph(poset)
@@ -537,7 +516,7 @@ def triangulation_extract(poset, max_n=5):
             h_coeffs[i + k] += fi * comb(n - i, k) * (-1) ** k
     boundary_h = IntPolynomial(h_coeffs)
 
-    hstar = hstar_from_counts(dilation_counts(poset, n), n)
+    hstar = hstar_from_counts(dilation_counts(poset, n, guard_points=guard_points), n)
     if boundary_h != hstar:
         raise IdentityViolation(
             f"boundary h-polynomial {boundary_h!r} != h* {hstar!r}"

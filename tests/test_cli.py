@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -27,6 +28,16 @@ def v3(tmp_path):
     path = tmp_path / "v3.poset"
     path.write_text("3\n1 < 3\n2 < 3\n")
     return str(path)
+
+
+DATA = Path(__file__).parent / "data"
+
+# Posets whose grobner and triangulation outputs are stored in tests/data.
+TORIC_POSETS = {
+    "anti4": "4\n",
+    "anti5": "5\n",
+    "bowtie": "5\n1 < 3\n2 < 3\n3 < 4\n3 < 5\n",
+}
 
 
 def run(capsys, argv):
@@ -127,6 +138,20 @@ class TestCommands:
         assert payload["boundary_h"] == [1, 6, 1]
         assert payload["unimodular"] is True
 
+    @pytest.mark.parametrize("name", sorted(TORIC_POSETS))
+    @pytest.mark.parametrize("command", ["grobner", "triangulation"])
+    def test_toric_output_is_byte_identical(self, capsys, tmp_path, command, name):
+        path = tmp_path / f"{name}.poset"
+        path.write_text(TORIC_POSETS[name])
+        code, out = run(capsys, [command, str(path)])
+        assert code == 0
+        digest = DATA / f"{command}_{name}.sha256"
+        if digest.exists():
+            # the 5-antichain triangulation (396 KB) is stored as a digest
+            assert hashlib.sha256(out.encode()).hexdigest() == digest.read_text().strip()
+        else:
+            assert out.encode() == (DATA / f"{command}_{name}.json").read_bytes()
+
     def test_non_natural_input_notes_relabeling(self, capsys, tmp_path):
         path = tmp_path / "rev.poset"
         path.write_text("2\n2 < 1\n")
@@ -157,6 +182,11 @@ class TestExitCodes:
         assert main(["ehrhart", chain2, flag, "0"]) == 1
         assert "must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["grobner", "triangulation"])
+    def test_guard_points_reach_toric_commands(self, capsys, anti2, command):
+        assert main([command, anti2, "--guard-points", "1"]) == 1
+        assert "exceeds guard 1" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert main(["ehrhart", "/nonexistent/poset"]) == 1
 
@@ -166,7 +196,7 @@ class TestVerifyAll:
     def test_sweep_is_byte_identical(self, capsys, max_n):
         code, out = run(capsys, ["verify-all", "--max-n", str(max_n)])
         assert code == 0
-        expected = Path(__file__).parent / "data" / f"verify_all_max_n{max_n}.json"
+        expected = DATA / f"verify_all_max_n{max_n}.json"
         assert out.encode() == expected.read_bytes()
 
     def test_spair_guard_trip_is_a_skip(self, capsys):
@@ -186,7 +216,22 @@ class TestVerifyAll:
         reason = "skipped (count_dilation guarded at n <= 8)"
         assert row["gamma_left_peak"] == reason
         assert row["volume_extensions"] == reason
+        assert row["ehrhart_equals_left_order"] == reason
+        assert row["groebner"]["hilbert_checks"] == reason
         assert row["alarms"] == []
+
+    def test_guard_points_trip_is_a_skip(self, capsys):
+        code, out = run(capsys, ["verify-all", "--max-n", "2", "--guard-points", "1"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["summary"] == {"posets": 3, "alarms": 0}
+        for row in payload["rows"]:
+            reason = f"skipped ((m+1)^n = {2 ** row['poset']['n']} exceeds guard 1)"
+            assert row["gamma_left_peak"] == reason
+            assert row["volume_extensions"] == reason
+            assert row["ehrhart_equals_left_order"] == reason
+            assert row["groebner"]["hilbert_checks"] == reason
+            assert row["triangulation"] == reason
 
     def test_sweep_two(self, capsys):
         code, out = run(capsys, ["verify-all", "--max-n", "2"])

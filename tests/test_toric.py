@@ -1,11 +1,13 @@
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from enchain import linprog
 from enchain.errors import SizeLimit
 from enchain.geometry import count_dilation, lattice_points_ep
 from enchain.polynomials import IntPolynomial
-from enchain.posets import all_natural_posets, poset_from_covers
+from enchain.posets import all_natural_posets, ideal_lattice, poset_from_covers, star
 from enchain.toric import (
     SignedVariable,
     buchberger_verify,
@@ -90,6 +92,137 @@ def reference_buchberger(binomials, order):
         if not _reduce_to_zero(poly, lead_map, order.monomial_key):
             return False
     return True
+
+
+def _drop_index(var, index, idx_map):
+    keep = [(e, s) for e, s in zip(var.antichain, var.signs) if e != index]
+    reduced = SignedVariable(tuple(e for e, _ in keep), tuple(s for _, s in keep))
+    return idx_map[reduced]
+
+
+def _sign_patterns(support):
+    for mask in range(1 << len(support)):
+        yield {e: (1 if mask >> i & 1 else -1) for i, e in enumerate(support)}
+
+
+def _signed_id(antichain, pattern, idx_map):
+    return idx_map[SignedVariable(antichain, tuple(pattern[e] for e in antichain))]
+
+
+def _max_of_union(poset, ideal_i, ideal_j):
+    union = ideal_i.elements | ideal_j.elements
+    return tuple(sorted(e for e in union if not any(poset.less(e, f) for f in union)))
+
+
+def _incomparable_ideal_pairs(poset):
+    for ideal_i, ideal_j in combinations(ideal_lattice(poset), 2):
+        if not (
+            ideal_i.elements <= ideal_j.elements or ideal_j.elements <= ideal_i.elements
+        ):
+            yield ideal_i, ideal_j
+
+
+def reference_candidates(poset):
+    """Both binomial families as [(lead, tail, family)], walked over
+    SignedVariable objects and sign dicts: family (1) by shared indices
+    of opposite sign, family (2) by incomparable ideal pairs and every
+    sign pattern on the union of their maxima."""
+    variables = variables_and_map(poset)
+    idx_map = {v: i for i, v in enumerate(variables)}
+    out = []
+    seen = set()
+
+    def add(lead, tail, family):
+        if (lead, tail) not in seen:
+            seen.add((lead, tail))
+            out.append((lead, tail, family))
+
+    sign_of = [dict(zip(v.antichain, v.signs)) for v in variables]
+    for u, v in combinations(range(len(variables)), 2):
+        for index in sorted(set(sign_of[u]) & set(sign_of[v])):
+            if sign_of[u][index] != sign_of[v][index]:
+                tail = tuple(
+                    sorted(
+                        (
+                            _drop_index(variables[u], index, idx_map),
+                            _drop_index(variables[v], index, idx_map),
+                        )
+                    )
+                )
+                add((u, v), tail, 1)
+    for ideal_i, ideal_j in _incomparable_ideal_pairs(poset):
+        a1, a2 = ideal_i.max_elements, ideal_j.max_elements
+        max_union = _max_of_union(poset, ideal_i, ideal_j)
+        max_star = star(poset, ideal_i, ideal_j).max_elements
+        for pattern in _sign_patterns(sorted(set(a1) | set(a2))):
+            lead = tuple(
+                sorted((_signed_id(a1, pattern, idx_map), _signed_id(a2, pattern, idx_map)))
+            )
+            tail = tuple(
+                sorted(
+                    (
+                        _signed_id(max_union, pattern, idx_map),
+                        _signed_id(max_star, pattern, idx_map),
+                    )
+                )
+            )
+            add(lead, tail, 2)
+    return out
+
+
+def reference_edges(poset):
+    """Leading-term graph edges: pairs of variables with some element of
+    opposite sign (by plus/minus masks), and the signed maxima of every
+    incomparable ideal pair."""
+    variables = variables_and_map(poset)
+    idx_map = {v: i for i, v in enumerate(variables)}
+    plus = []
+    minus = []
+    for v in variables:
+        p = q = 0
+        for e, s in zip(v.antichain, v.signs):
+            if s > 0:
+                p |= 1 << e
+            else:
+                q |= 1 << e
+        plus.append(p)
+        minus.append(q)
+    edges = set()
+    for u, v in combinations(range(len(variables)), 2):
+        if (plus[u] & minus[v]) or (minus[u] & plus[v]):
+            edges.add((u, v))
+    for ideal_i, ideal_j in _incomparable_ideal_pairs(poset):
+        a1, a2 = ideal_i.max_elements, ideal_j.max_elements
+        for pattern in _sign_patterns(sorted(set(a1) | set(a2))):
+            edges.add(
+                tuple(
+                    sorted(
+                        (_signed_id(a1, pattern, idx_map), _signed_id(a2, pattern, idx_map))
+                    )
+                )
+            )
+    return frozenset(edges)
+
+
+def reference_weights(poset):
+    """Antichain weights from the exact LP on one deduplicated margin row
+    per incomparable ideal pair, in pair order."""
+    ideals = ideal_lattice(poset)
+    columns = {ideal.max_elements: i for i, ideal in enumerate(ideals)}
+    rows = []
+    for ideal_i, ideal_j in _incomparable_ideal_pairs(poset):
+        row = [Fraction(0)] * len(ideals)
+        row[columns[ideal_i.max_elements]] += 1
+        row[columns[ideal_j.max_elements]] += 1
+        row[columns[_max_of_union(poset, ideal_i, ideal_j)]] -= 1
+        row[columns[star(poset, ideal_i, ideal_j).max_elements]] -= 1
+        if row not in rows:
+            rows.append(row)
+    if rows:
+        solution = linprog.feasible_point_ge(rows, [Fraction(1)] * len(rows))
+    else:
+        solution = [Fraction(0)] * len(ideals)
+    return {ideal.max_elements: solution[i] for i, ideal in enumerate(ideals)}
 
 
 def broken_bases(basis):
@@ -180,6 +313,12 @@ class TestCandidates:
                             len(variables[v].antichain) for v in b.lead
                         ) == sum(len(variables[v].antichain) for v in b.tail)
 
+    def test_matches_reference(self):
+        cases = [p for n in (1, 2, 3, 4) for p in all_natural_posets(n)]
+        for poset in cases + [poset_from_covers(5, [])]:
+            got = [(b.lead, b.tail, b.family) for b in generate_groebner_candidates(poset)]
+            assert got == reference_candidates(poset), poset.pairs
+
     def test_leads_squarefree_quadratic_no_origin(self):
         for n in (1, 2, 3, 4):
             for poset in all_natural_posets(n):
@@ -207,6 +346,12 @@ class TestOrder:
         assert order.leading(tuple(sorted(pair)), (origin, origin)) == tuple(
             sorted(pair)
         )
+
+    def test_weights_match_reference_lp(self):
+        for n in (1, 2, 3):
+            for poset in all_natural_posets(n):
+                weights = construct_order(poset).antichain_weights
+                assert weights == reference_weights(poset), poset.pairs
 
     def test_leading_terms_agree_small(self):
         for n in (1, 2, 3):
@@ -292,6 +437,13 @@ class TestStandardMonomials:
                 for m, standard, points in rows:
                     assert standard == points == count_dilation(poset, m)
 
+    def test_graph_matches_reference(self):
+        for n in (1, 2, 3, 4, 5):
+            for poset in all_natural_posets(n):
+                count, edges = initial_graph(poset)
+                assert count == len(variables_and_map(poset))
+                assert edges == reference_edges(poset), poset.pairs
+
     def test_graph_matches_candidate_leads(self):
         for n in (1, 2, 3, 4):
             for poset in all_natural_posets(n):
@@ -330,4 +482,4 @@ class TestTriangulation:
 
     def test_guard(self):
         with pytest.raises(SizeLimit):
-            triangulation_extract(poset_from_covers(6, []), max_n=5)
+            triangulation_extract(poset_from_covers(6, []))
