@@ -213,7 +213,7 @@ def cmd_grobner(poset, cfg):
     payload["hilbert_checks"] = [list(c) for c in checks]
     payload["hilbert_pass"] = ok
     if not ok:
-        raise IdentityAlarm(f"hilbert certificate failed: {checks}")
+        raise IdentityAlarm(f"hilbert certificate failed: {list(checks)}")
     if poset.n <= verify.BUCHBERGER_MAX_N:
         basis = toric.generate_groebner_candidates(poset)
         order = toric.construct_order(poset)

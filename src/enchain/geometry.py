@@ -71,13 +71,17 @@ def in_chain_polytope(poset, point, m=1):
     at most m."""
     if any(c < 0 for c in point):
         return False
+    return _chain_sums_within(poset, point, m)
+
+
+def _chain_sums_within(poset, point, m):
     return all(sum(point[e - 1] for e in chain) <= m for chain in maximal_chains(poset))
 
 
 def in_enriched_polytope(poset, point, m=1):
     """Membership of an integer (or rational) point in the m-th dilation of
     the enriched chain polytope, via its absolute values."""
-    return in_chain_polytope(poset, [abs(c) for c in point], m)
+    return _chain_sums_within(poset, list(map(abs, point)), m)
 
 
 def membership_oracle(poset, point, max_antichains=4096):
@@ -85,18 +89,15 @@ def membership_oracle(poset, point, max_antichains=4096):
     the nonnegative rational point is a convex combination of antichain
     indicator vectors, by exact LP feasibility.  Used to validate the
     maximal-chain inequality description on small instances."""
-    n = poset.n
     point = [Fraction(c) for c in point]
     if any(c < 0 for c in point):
         raise ValueError("membership oracle expects a nonnegative point")
     chains = antichains(poset)
     if len(chains) > max_antichains:
         raise SizeLimit(f"membership oracle guarded at {max_antichains} antichains")
-    rows = []
-    for i in range(n):
-        rows.append([Fraction(1) if (i + 1) in a else Fraction(0) for a in chains])
-    rows.append([Fraction(1)] * len(chains))
-    rhs = point + [Fraction(1)]
+    rows = [[1 if e in a else 0 for a in chains] for e in poset.elements()]
+    rows.append([1] * len(chains))
+    rhs = point + [1]
     return linprog.feasible_point_eq(rows, rhs) is not None
 
 

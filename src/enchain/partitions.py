@@ -42,13 +42,6 @@ def _require_natural(poset):
         )
 
 
-def _lower_cover_lists(poset):
-    lowers = [[] for _ in range(poset.n + 1)]
-    for a, b in poset.covers():
-        lowers[b].append(a)
-    return lowers
-
-
 def _value_choices(base, m, kind, minimal):
     """Admissible values for the next element given the largest absolute
     value `base` among its lower covers, smallest absolute value first.
@@ -81,7 +74,7 @@ def iter_partitions(poset, m, kind="left"):
     if m < 0:
         raise ValueError("bound must be nonnegative")
     n = poset.n
-    lowers = _lower_cover_lists(poset)
+    lowers = poset.lower_covers()
     values = [0] * (n + 1)
 
     def backtrack(e):
@@ -145,7 +138,7 @@ def phi_map(poset, f):
     _require_natural(poset)
     if not is_left_partition(poset, f):
         raise InvalidPartition(f"{f} violates the left enriched conditions")
-    lowers = _lower_cover_lists(poset)
+    lowers = poset.lower_covers()
     coords = []
     for i in poset.elements():
         if not lowers[i]:
@@ -158,7 +151,7 @@ def phi_map(poset, f):
 
 def _chain_sums(poset, absvals):
     """Largest chain sum of absolute values ending at each element."""
-    lowers = _lower_cover_lists(poset)
+    lowers = poset.lower_covers()
     sums = [0] * (poset.n + 1)
     for e in poset.topological_order():
         sums[e] = absvals[e - 1] + max((sums[c] for c in lowers[e]), default=0)

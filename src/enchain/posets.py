@@ -22,7 +22,7 @@ LINEAR_EXTENSION_GUARD = 10
 
 
 class Poset:
-    __slots__ = ("n", "pairs", "_below", "_above", "_covers")
+    __slots__ = ("n", "pairs", "_below", "_above", "_covers", "_lowers", "_chains", "_natural")
 
     def __init__(self, n, pairs):
         """Trusted constructor: `pairs` must already be a strict partial
@@ -38,6 +38,9 @@ class Poset:
         self._below = tuple(below)
         self._above = tuple(above)
         self._covers = None
+        self._lowers = None
+        self._chains = None
+        self._natural = None
 
     def less(self, a, b):
         return (a, b) in self.pairs
@@ -47,7 +50,9 @@ class Poset:
 
     @property
     def naturally_labeled(self):
-        return all(a < b for a, b in self.pairs)
+        if self._natural is None:
+            self._natural = all(a < b for a, b in self.pairs)
+        return self._natural
 
     def elements(self):
         return range(1, self.n + 1)
@@ -64,6 +69,15 @@ class Poset:
                     covs.append((a, b))
             self._covers = tuple(sorted(covs))
         return self._covers
+
+    def lower_covers(self):
+        """Per element (index 0 unused), its lower covers ascending."""
+        if self._lowers is None:
+            lowers = [[] for _ in range(self.n + 1)]
+            for a, b in self.covers():
+                lowers[b].append(a)
+            self._lowers = tuple(map(tuple, lowers))
+        return self._lowers
 
     def minimal_elements(self):
         return [i for i in self.elements() if not self._below[i]]
@@ -171,7 +185,14 @@ def antichains(poset):
 
 
 def maximal_chains(poset):
-    """Every maximal chain, each listed bottom to top, exactly once."""
+    """Every maximal chain, each listed bottom to top, exactly once, as a
+    fresh list (the chains are computed once per poset)."""
+    if poset._chains is None:
+        poset._chains = _walk_maximal_chains(poset)
+    return list(poset._chains)
+
+
+def _walk_maximal_chains(poset):
     uppers = {i: [] for i in poset.elements()}
     for a, b in poset.covers():
         uppers[a].append(b)
@@ -191,7 +212,7 @@ def maximal_chains(poset):
 
     for start in sorted(poset.minimal_elements()):
         walk([start])
-    return chains
+    return tuple(chains)
 
 
 def linear_extensions(poset, max_n=LINEAR_EXTENSION_GUARD):

@@ -245,7 +245,7 @@ def construct_order(poset):
     rows = []
     seen_rows = set()
     for entry in _ideal_pairs(poset):
-        row = [Fraction(0)] * len(ideals)
+        row = [0] * len(ideals)
         for antichain, sign in zip(entry, (1, 1, -1, -1)):
             row[columns[antichain]] += sign
         key = tuple(row)
@@ -253,7 +253,7 @@ def construct_order(poset):
             seen_rows.add(key)
             rows.append(row)
     if rows:
-        solution = linprog.feasible_point_ge(rows, [Fraction(1)] * len(rows))
+        solution = linprog.feasible_point_ge(rows, [1] * len(rows))
         if solution is None:
             raise Infeasible("no nonnegative weight vector with unit margins")
         for row in rows:
@@ -409,10 +409,14 @@ def standard_monomial_count(poset, m):
     return sum(sizes[k] * comb(m - 1, k - 1) for k in range(1, m + 1))
 
 
+@lru_cache(maxsize=8)
 def hilbert_certificate(poset, max_m=3, guard_points=GUARD_POINTS_DEFAULT):
     """Per-degree comparison of standard monomial counts with the lattice
     point counts of the dilations; equality for every degree certifies
-    that the leading-term graph generates the correct initial ideal."""
+    that the leading-term graph generates the correct initial ideal.
+    Returns the rows (m, standard, points) as a tuple and the verdict;
+    computed once per (poset, max_m, guard_points), which the Groebner
+    checks and triangulation_extract share."""
     rows = []
     ok = True
     for m in range(1, max_m + 1):
@@ -420,7 +424,7 @@ def hilbert_certificate(poset, max_m=3, guard_points=GUARD_POINTS_DEFAULT):
         points = count_dilation(poset, m, guard_points=guard_points)
         rows.append((m, standard, points))
         ok = ok and standard == points
-    return rows, ok
+    return tuple(rows), ok
 
 
 def _int_det(rows):
@@ -482,7 +486,7 @@ def triangulation_extract(poset, guard_points=GUARD_POINTS_DEFAULT):
         raise SizeLimit(f"triangulation extraction guarded at n <= {EXTRACT_MAX_N}")
     rows, ok = hilbert_certificate(poset, max_m=3, guard_points=guard_points)
     if not ok:
-        raise IdentityViolation(f"initial ideal certificate failed: {rows}")
+        raise IdentityViolation(f"initial ideal certificate failed: {list(rows)}")
     vertex_count, edges = initial_graph(poset)
     variables = variables_and_map(poset)
     adj = _adjacency_masks(vertex_count, edges)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from enchain import toric, verify
 from enchain.cli import main
 from enchain.io import parse_poset, render_tsv
 from enchain.errors import ParseError
@@ -159,6 +160,45 @@ class TestCommands:
         payload = json.loads(out)
         assert code == 0
         assert payload["relabeled_by"] == [2, 1]
+
+
+class TestHilbertCertificateOnce:
+    @pytest.fixture
+    def degrees(self, monkeypatch):
+        """Degrees passed to standard_monomial_count, from a cold cache."""
+        seen = []
+        original = toric.standard_monomial_count
+
+        def record(poset, m):
+            seen.append(m)
+            return original(poset, m)
+
+        monkeypatch.setattr(toric, "standard_monomial_count", record)
+        toric.hilbert_certificate.cache_clear()
+        yield seen
+        toric.hilbert_certificate.cache_clear()
+
+    def test_verify_poset(self, degrees):
+        row = verify.verify_poset(parse_poset("4\n"))
+        assert row["alarms"] == [] and row["triangulation"]["pass"]
+        assert degrees == [1, 2, 3]
+
+    def test_cmd_grobner(self, capsys, tmp_path, degrees):
+        path = tmp_path / "anti4.poset"
+        path.write_text("4\n")
+        code, out = run(capsys, ["grobner", str(path)])
+        assert code == 0 and "boundary_h" in json.loads(out)["triangulation"]
+        assert degrees == [1, 2, 3]
+
+    def test_failed_certificate_still_alarms_triangulation(self, capsys, anti2, monkeypatch):
+        toric.hilbert_certificate.cache_clear()
+        original = toric.standard_monomial_count
+        monkeypatch.setattr(toric, "standard_monomial_count", lambda p, m: original(p, m) + 1)
+        try:
+            assert main(["triangulation", anti2]) == 2
+            assert "initial ideal certificate failed" in capsys.readouterr().err
+        finally:
+            toric.hilbert_certificate.cache_clear()
 
 
 class TestExitCodes:

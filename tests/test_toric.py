@@ -3,7 +3,6 @@ from itertools import combinations
 
 import pytest
 
-from enchain import linprog
 from enchain.errors import SizeLimit
 from enchain.geometry import count_dilation, lattice_points_ep
 from enchain.polynomials import IntPolynomial
@@ -20,6 +19,8 @@ from enchain.toric import (
     triangulation_extract,
     variables_and_map,
 )
+
+from test_linprog import reference_feasible_point_ge
 
 chain2 = poset_from_covers(2, [(1, 2)])
 anti2 = poset_from_covers(2, [])
@@ -205,8 +206,8 @@ def reference_edges(poset):
 
 
 def reference_weights(poset):
-    """Antichain weights from the exact LP on one deduplicated margin row
-    per incomparable ideal pair, in pair order."""
+    """Antichain weights from the Fraction simplex on one deduplicated
+    margin row per incomparable ideal pair, in pair order."""
     ideals = ideal_lattice(poset)
     columns = {ideal.max_elements: i for i, ideal in enumerate(ideals)}
     rows = []
@@ -219,7 +220,7 @@ def reference_weights(poset):
         if row not in rows:
             rows.append(row)
     if rows:
-        solution = linprog.feasible_point_ge(rows, [Fraction(1)] * len(rows))
+        solution = reference_feasible_point_ge(rows, [Fraction(1)] * len(rows))
     else:
         solution = [Fraction(0)] * len(ideals)
     return {ideal.max_elements: solution[i] for i, ideal in enumerate(ideals)}
@@ -348,7 +349,7 @@ class TestOrder:
         )
 
     def test_weights_match_reference_lp(self):
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             for poset in all_natural_posets(n):
                 weights = construct_order(poset).antichain_weights
                 assert weights == reference_weights(poset), poset.pairs
@@ -358,6 +359,23 @@ class TestOrder:
             for poset in all_natural_posets(n):
                 basis = generate_groebner_candidates(poset)
                 assert leading_terms_agree(basis, construct_order(poset))
+
+    def test_five_element_margins(self):
+        # n = 5 lies beyond BUCHBERGER_MAX_N; the order alone is checked.
+        poset = poset_from_covers(5, [(1, 2)])
+        order = construct_order(poset)
+        w = order.antichain_weights
+        assert all(value >= 0 for value in w.values())
+        pairs = list(_incomparable_ideal_pairs(poset))
+        assert pairs
+        for ideal_i, ideal_j in pairs:
+            lead = w[ideal_i.max_elements] + w[ideal_j.max_elements]
+            tail = (
+                w[_max_of_union(poset, ideal_i, ideal_j)]
+                + w[star(poset, ideal_i, ideal_j).max_elements]
+            )
+            assert lead - tail >= 1
+        assert leading_terms_agree(generate_groebner_candidates(poset), order)
 
 
 class TestBuchberger:
