@@ -13,13 +13,20 @@ relation forces equality along the covers in between.
 
 The number of left enriched partitions with bound m equals the number of
 lattice points of the m-th dilate of the enriched chain polytope; phi_map
-and psi_map realize the bijection explicitly.  Peak statistics over linear
-extensions (with the convention that a virtual 0 precedes the first letter
-for *left* peaks) and their generating polynomials live here too.
+and psi_map realize the bijection explicitly.  Partitions are counted two
+ways: count_partitions reads them off ideal chains through the transfer
+kernel that also counts lattice points, and frontier_count walks the
+elements in natural order, keeping only the absolute values that later
+elements still read, which makes it an independent route for the
+verifier.  Peak statistics over linear extensions (with the convention
+that a virtual 0 precedes the first letter for *left* peaks) and their
+generating polynomials live here too; they and the order polynomials are
+memoised per poset value.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .errors import (
@@ -29,7 +36,7 @@ from .errors import (
     PointOutsidePolytope,
     SizeLimit,
 )
-from .polynomials import IntPolynomial, RatPolynomial, interpolate_at
+from .polynomials import IntPolynomial, RatPolynomial, interpolate
 from .posets import ideal_chain_count, linear_extensions
 
 PARTITION_GUARD_DEFAULT = 10**8
@@ -113,6 +120,54 @@ def count_partitions(poset, m, kind="left"):
     if kind not in ("left", "enriched"):
         raise ValueError(f"unknown kind {kind!r}")
     return ideal_chain_count(poset, m, from_empty=kind == "enriched")
+
+
+def frontier_count(poset, m, kind="left", guard=PARTITION_GUARD_DEFAULT):
+    """Number of partitions with bound m, counted straight from the
+    definition by a dynamic programme over the elements in natural order.
+
+    Its state holds |f| of the *live* elements: those already valued that a
+    later element still reads as a lower cover.  An element whose lower
+    covers reach at most `base` takes |f| = base with weight 1 (the sign is
+    forced) and each larger |f| up to m with weight 2; for the enriched
+    kind a minimal element takes |f| in 1..m, each with weight 2.  The DP
+    shares nothing with the ideal lattice or the psi map, so it is an
+    independent route to the counts of posets.ideal_chain_count.  More than
+    `guard` live states at once raise SizeLimit."""
+    _require_natural(poset)
+    if m < 0:
+        raise ValueError("bound must be nonnegative")
+    if kind not in ("left", "enriched"):
+        raise ValueError(f"unknown kind {kind!r}")
+    lowers = poset.lower_covers()
+    last_read = [0] * (poset.n + 1)
+    for e in poset.elements():
+        for c in lowers[e]:
+            last_read[c] = e
+    live = []
+    states = {(): 1}
+    for e in poset.elements():
+        reads = [live.index(c) for c in lowers[e]]
+        keep = [i for i, c in enumerate(live) if last_read[c] > e]
+        by_base = {}
+        for state, count in states.items():
+            key = (tuple(state[i] for i in keep), max((state[i] for i in reads), default=0))
+            by_base[key] = by_base.get(key, 0) + count
+        free_only = kind == "enriched" and not lowers[e]
+        states = {}
+        for (kept, base), count in by_base.items():
+            if not last_read[e]:
+                weight = 2 * (m - base) + (0 if free_only else 1)
+                states[kept] = states.get(kept, 0) + count * weight
+                continue
+            if not free_only:
+                states[kept + (base,)] = states.get(kept + (base,), 0) + count
+            for a in range(base + 1, m + 1):
+                states[kept + (a,)] = states.get(kept + (a,), 0) + 2 * count
+        if len(states) > guard:
+            raise SizeLimit(f"{len(states)} partition DP states exceed guard {guard}")
+        live = [live[i] for i in keep] + ([e] if last_read[e] else [])
+    return sum(states.values())
 
 
 def is_left_partition(poset, f, m=None):
@@ -204,9 +259,14 @@ class PeakPolynomials:
     extension_count: int
 
 
+@lru_cache(maxsize=128)
 def peak_polynomials(poset, max_n=10):
     """Peak, left peak, and descent generating polynomials over all linear
-    extensions.  All three evaluate to the extension count at 1."""
+    extensions.  All three evaluate to the extension count at 1.
+
+    Memoised by the poset's value (n and relation), never by isomorphism
+    class: two labelings of one poset are computed separately, which is
+    what the relabeling-invariance check compares."""
     _require_natural(poset)
     exts = linear_extensions(poset, max_n=max_n)
     n = poset.n
@@ -231,15 +291,15 @@ def peak_polynomials(poset, max_n=10):
     return polys
 
 
+@lru_cache(maxsize=128)
 def order_polynomial(poset, kind="left"):
     """The polynomial agreeing with the partition counts at every bound
     m >= 1, interpolated from the counts at m = 1..n+1 (the counts are
     defined for positive bounds; the value at 0 comes from the
-    interpolant)."""
+    interpolant).  Memoised by the poset's value, like peak_polynomials."""
     n = poset.n
-    nodes = list(range(1, n + 2))
-    values = [count_partitions(poset, m, kind) for m in nodes]
-    poly = interpolate_at(nodes, values)
+    values = [count_partitions(poset, m, kind) for m in range(1, n + 2)]
+    poly = interpolate(values, start=1)
     if poly.degree != n:
         raise IdentityViolation(f"order polynomial degree {poly.degree} != {n}")
     return poly

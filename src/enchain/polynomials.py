@@ -14,7 +14,7 @@ Kruskal-Katona realizability test for f-vectors of simplicial complexes.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from .errors import NegativeHStar, NonInteger, NotPalindromic
 
@@ -252,13 +252,33 @@ def interpolate_at(nodes, values):
     return poly
 
 
-def interpolate(values):
-    """Interpolate values taken at the arguments 0, 1, ..., len-1.
+def interpolate(values, start=0):
+    """Interpolate values taken at the arguments start, start + 1, ...,
+    start + d, where d = len(values) - 1.
+
+    Newton's forward differences D_k of the values give
+    d! p(x) = sum_k D_k (d!/k!) (x - start) ... (x - start - k + 1),
+    so integer values stay integers until one division by d! at the end.
+    interpolate_at, over exact rationals, is the oracle for this route.
 
     >>> interpolate([1, 3, 5]).coeffs
     (Fraction(1, 1), Fraction(2, 1))
     """
-    return interpolate_at(list(range(len(values))), values)
+    d = len(values) - 1
+    scale = factorial(max(d, 0))
+    diffs = list(values)
+    coeffs = [0] * len(values)
+    basis = [1]
+    for k in range(len(values)):
+        weight = diffs[0] * (scale // factorial(k))
+        for i, b in enumerate(basis):
+            coeffs[i] += weight * b
+        node = start + k
+        basis = [0] + basis
+        for i in range(len(basis) - 1):
+            basis[i] -= node * basis[i + 1]
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return RatPolynomial([Fraction(c) / scale for c in coeffs])
 
 
 def hstar_from_counts(counts, n):

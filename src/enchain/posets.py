@@ -3,6 +3,10 @@
 A poset is stored as its full strict order relation, transitively closed;
 cover relations are derived on demand because membership tests dominate.
 Instances are immutable and hashable, safe to share between threads.
+Facts derived from a poset (covers, maximal chains, the ideal-chain
+counts) are computed once and kept, each in a slot or a bounded memo keyed
+by the poset's value; an entry is only ever filled or replaced whole, so
+no caller can see a value change.
 
 A poset is *naturally labeled* when i < j as integers whenever i precedes j
 in the order.  Operations on enriched partitions require natural labeling;
@@ -306,6 +310,42 @@ def _ideal_transfer(poset):
     return tuple(rows)
 
 
+class _ChainCounts:
+    """The ideal-chain counts of one poset for m = 0, 1, ..., computed by
+    one transfer pass that later calls resume rather than restart.
+
+    The pass state is one immutable pair (counts, weights at the last m),
+    replaced by a single assignment when it grows, so a concurrent caller
+    reads either the old prefix or the new one, and both are correct.  Two
+    callers growing it at once may keep the shorter prefix; that only
+    costs a later recomputation."""
+
+    __slots__ = ("rows", "state")
+
+    def __init__(self, rows, weights):
+        self.rows = rows
+        self.state = ((weights[-1],), weights)
+
+    def upto(self, m):
+        counts, weights = self.state
+        if m >= len(counts):
+            counts = list(counts)
+            for _ in range(len(counts), m + 1):
+                weights = [sum(weights[i] << k for i, k in row) for row in self.rows]
+                counts.append(weights[-1])
+            counts = tuple(counts)
+            self.state = (counts, weights)
+        return counts
+
+
+@lru_cache(maxsize=64)
+def _chain_counts(poset, from_empty):
+    rows = _ideal_transfer(poset)
+    if from_empty:
+        return _ChainCounts(rows, [1] + [0] * (len(rows) - 1))
+    return _ChainCounts(rows, [1] * len(rows))
+
+
 def ideal_chain_count(poset, m, from_empty=False):
     """Weighted number of ideal chains I_0 <= I_1 <= ... <= I_m = P in which
     each step I -> J weighs 2^|min(J - I)|; I_0 is any ideal, or only the
@@ -317,15 +357,13 @@ def ideal_chain_count(poset, m, from_empty=False):
     lower cover leaves a free sign exactly on the minimal elements of each
     I_k - I_{k-1}, k >= 1.  So this counts the left enriched partitions
     with bound m, and with from_empty (no zero values) the enriched ones
-    (Stanley's transfer map, with Stembridge's sign rule)."""
-    rows = _ideal_transfer(poset)
-    if from_empty:
-        weights = [1] + [0] * (len(rows) - 1)
-    else:
-        weights = [1] * len(rows)
-    for _ in range(m):
-        weights = [sum(weights[i] << k for i, k in row) for row in rows]
-    return weights[-1]
+    (Stanley's transfer map, with Stembridge's sign rule).
+
+    The counts for every bound up to m come from one transfer pass, kept
+    per (poset, from_empty) so a later, larger m resumes where it ended."""
+    if m < 0:
+        raise ValueError("bound must be nonnegative")
+    return _chain_counts(poset, from_empty).upto(m)[m]
 
 
 def star(poset, ideal_i, ideal_j):

@@ -20,8 +20,6 @@ from math import factorial
 from . import gamma_complex, geometry, partitions, posets, toric
 from .errors import IdentityAlarm, SizeLimit
 
-ENUMERATION_THRESHOLD = 200_000
-
 BUCHBERGER_MAX_N = 4
 TRIANGULATION_MAX_N = 4
 BIJECTION_MAX_N = 4
@@ -41,15 +39,11 @@ def int_coeffs(poly):
     return list(poly.coeffs)
 
 
-def _count_partitions_checked(poset, m, kind):
-    """Partition count; walks the explicit choice tree when the value
-    range is small enough, otherwise the ideal-chain kernel.  Only the
-    enumeration branch is independent of count_dilation: past
-    ENUMERATION_THRESHOLD both sides of ehrhart_equals_left_order come
-    from posets.ideal_chain_count, so the kernel is compared with itself."""
-    if (2 * m + 1) ** poset.n <= ENUMERATION_THRESHOLD:
-        return sum(1 for _ in partitions.iter_partitions(poset, m, kind))
-    return partitions.count_partitions(poset, m, kind)
+def _count_partitions_checked(poset, m, kind, guard_points):
+    """Partition count by the frontier DP over the definition, which
+    shares no code with the ideal-chain kernel behind count_dilation, so
+    ehrhart_equals_left_order always compares two independent routes."""
+    return partitions.frontier_count(poset, m, kind, guard=guard_points)
 
 
 def _bijection_roundtrip(poset, max_m):
@@ -184,11 +178,11 @@ def verify_poset(
     for m in range(1, max_m + 1):
         try:
             left = geometry.count_dilation(poset, m, guard_points=guard_points)
+            right = _count_partitions_checked(canonical, m, "left", guard_points)
         except SizeLimit as exc:
             if counts["pass"]:  # a mismatch below the trip stays a failure
                 counts = f"skipped ({exc})"
             break
-        right = _count_partitions_checked(canonical, m, "left")
         if left != right:
             counts["pass"] = False
             alarms.append(f"count mismatch at m={m}: {left} != {right}")

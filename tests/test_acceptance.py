@@ -54,7 +54,8 @@ def test_criterion_01_counts_equal_partitions():
             partition_count = sum(
                 1 for _ in partitions.iter_partitions(poset, m, "left")
             )
-            if dilation != partition_count:
+            frontier = partitions.frontier_count(poset, m, "left")
+            if not dilation == partition_count == frontier:
                 ok = False
     report(1, "lattice point count = left enriched partition count, n<=5 m<=4", ok)
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from enchain import toric, verify
+from enchain import geometry, posets, toric, verify
 from enchain.cli import main
 from enchain.io import parse_poset, render_tsv
 from enchain.errors import ParseError
@@ -272,6 +272,27 @@ class TestVerifyAll:
             assert row["ehrhart_equals_left_order"] == reason
             assert row["groebner"]["hilbert_checks"] == reason
             assert row["triangulation"] == reason
+
+    def test_partition_guard_trip_is_a_skip(self, capsys, monkeypatch):
+        # (m+1)^n bounds the DP's live states, so count_dilation always trips
+        # first; lift its guard to reach the partition side of the loop
+        unguarded = lambda poset, m, guard_points=None: posets.ideal_chain_count(poset, m)
+        monkeypatch.setattr(geometry, "count_dilation", unguarded)
+        code, out = run(capsys, ["verify-all", "--max-n", "2", "--guard-points", "1"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["summary"] == {"posets": 3, "alarms": 0}
+        verdicts = [row["ehrhart_equals_left_order"] for row in payload["rows"]]
+        skipped = "skipped (2 partition DP states exceed guard 1)"
+        assert verdicts == [{"max_m": 4, "pass": True}] * 2 + [skipped]  # 1, anti2, chain2
+
+    def test_partition_guard_trip_keeps_a_mismatch(self, monkeypatch):
+        # the 2-chain's DP holds m + 1 states, so guard 2 trips at m = 2
+        wrong = lambda poset, m, guard_points=None: posets.ideal_chain_count(poset, m) + (m == 1)
+        monkeypatch.setattr(geometry, "count_dilation", wrong)
+        row = verify.verify_poset(parse_poset("2\n1 < 2\n"), guard_points=2)
+        assert row["ehrhart_equals_left_order"] == {"max_m": 4, "pass": False}
+        assert "count mismatch at m=1: 6 != 5" in row["alarms"]
 
     def test_sweep_two(self, capsys):
         code, out = run(capsys, ["verify-all", "--max-n", "2"])

@@ -1,8 +1,11 @@
+import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from enchain import partitions
+from enchain import partitions, posets, verify
 from enchain.errors import (
     IdentityViolation,
     InvalidPartition,
@@ -16,6 +19,7 @@ from enchain.partitions import (
     descent_count,
     enriched_relation_report,
     enumerate_partitions,
+    frontier_count,
     is_left_partition,
     iter_partitions,
     left_peak_positions,
@@ -104,13 +108,65 @@ class TestEnumeration:
             enumerate_partitions(poset_from_covers(8, []), 10, "left", guard=100)
 
 
+@st.composite
+def natural_posets(draw, min_n, max_n):
+    """A random naturally labeled poset, from relations i < j with i < j."""
+    n = draw(st.integers(min_n, max_n))
+    pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+    relation = draw(st.lists(st.sampled_from(pairs), max_size=2 * n, unique=True))
+    return poset_from_covers(n, relation)
+
+
+class TestFrontierCount:
+    """The frontier DP against enumeration and against the ideal-chain
+    kernel; criterion 1 of the acceptance suite adds the left kind at
+    n <= 5, m = 1..4."""
+
+    def test_matches_enumeration(self):
+        for n in (1, 2, 3, 4, 5):
+            for poset in all_natural_posets(n):
+                assert frontier_count(poset, 0, "left") == 1
+                for m in range(5):
+                    enumerated = sum(1 for _ in iter_partitions(poset, m, "enriched"))
+                    assert frontier_count(poset, m, "enriched") == enumerated
+
+    @given(natural_posets(7, 9), st.integers(0, 2))
+    @settings(max_examples=20, deadline=None)
+    def test_random_larger_posets(self, poset, m):
+        m = min(m, 1) if poset.n == 9 else m
+        for kind in ("left", "enriched"):
+            enumerated = sum(1 for _ in iter_partitions(poset, m, kind))
+            assert frontier_count(poset, m, kind) == enumerated
+
+    def test_six_element_sample_matches_kernel(self):
+        for poset in random.Random(6).sample(all_natural_posets(6), 150):
+            for m in range(6):
+                for kind in ("left", "enriched"):
+                    assert frontier_count(poset, m, kind) == count_partitions(poset, m, kind)
+
+    def test_guard_counts_live_states(self):
+        # after element 1 of the 2-chain, |f(1)| takes 0..m: m + 1 states
+        assert frontier_count(chain2, 2, "left", guard=3) == count_partitions(chain2, 2)
+        with pytest.raises(SizeLimit, match="3 partition DP states exceed guard 2"):
+            frontier_count(chain2, 2, "left", guard=2)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="unknown kind"):
+            frontier_count(single, 1, "right")
+        with pytest.raises(ValueError, match="nonnegative"):
+            frontier_count(single, -1)
+        with pytest.raises(NotNaturallyLabeled):
+            frontier_count(poset_from_covers(2, [(2, 1)]), 1)
+
+
 class TestOrderPolynomial:
     def test_single_left(self):
         assert order_polynomial(single, "left") == RatPolynomial([1, 2])
 
     def test_wrong_degree_is_an_alarm(self, monkeypatch):
         constant = RatPolynomial([1])
-        monkeypatch.setattr(partitions, "interpolate_at", lambda nodes, values: constant)
+        order_polynomial.cache_clear()
+        monkeypatch.setattr(partitions, "interpolate", lambda values, start: constant)
         with pytest.raises(IdentityViolation, match="degree 0 != 2"):
             order_polynomial(chain2, "left")
 
@@ -241,3 +297,57 @@ class TestCountsMatchDilations:
                     assert count_partitions(poset, m, "left") == count_dilation(
                         poset, m
                     )
+
+
+class TestMemo:
+    """order_polynomial, peak_polynomials and the ideal-chain counts are
+    memoised by the poset's value, never by isomorphism class."""
+
+    # two natural labelings of one poset: a 2-chain and an isolated point
+    first = poset_from_covers(3, [(1, 2)])
+    second = poset_from_covers(3, [(2, 3)])
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        memos = (order_polynomial, peak_polynomials, posets._chain_counts)
+        for memo in memos:
+            memo.cache_clear()
+        yield
+        for memo in memos:
+            memo.cache_clear()
+
+    def recorder(self, monkeypatch, module, name):
+        seen = []
+        original = getattr(module, name)
+
+        def record(poset, *args, **kwargs):
+            seen.append(poset)
+            return original(poset, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, record)
+        return seen
+
+    def test_each_labeling_is_computed(self, monkeypatch):
+        counted = self.recorder(monkeypatch, partitions, "count_partitions")
+        extended = self.recorder(monkeypatch, partitions, "linear_extensions")
+        transfers = self.recorder(monkeypatch, posets, "_ideal_transfer")
+        for poset in (self.first, self.second, self.first):
+            order_polynomial(poset, "left")
+            peak_polynomials(poset)
+        assert order_polynomial(self.first, "left") == order_polynomial(self.second, "left")
+        assert set(counted) == {self.first, self.second} and len(counted) == 2 * 4
+        assert extended == [self.first, self.second]
+        assert transfers == [self.first, self.second]
+
+    def test_labeling_dependent_fault_is_caught(self, monkeypatch):
+        assert verify._comparability_invariance(self.first)
+        for memo in (order_polynomial, peak_polynomials):
+            memo.cache_clear()
+        original = partitions.linear_extensions
+
+        def faulty(poset, **kwargs):
+            exts = original(poset, **kwargs)
+            return exts[:-1] if poset.less(1, 2) else exts
+
+        monkeypatch.setattr(partitions, "linear_extensions", faulty)
+        assert not verify._comparability_invariance(self.first)

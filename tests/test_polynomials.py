@@ -48,6 +48,12 @@ class TestInterpolate:
         poly = interpolate_at([1, 2, 3], [3, 5, 7])
         assert poly == RatPolynomial([1, 2])
 
+    @given(st.lists(st.integers(-(10**9), 10**9), max_size=11), st.sampled_from([0, 1]))
+    def test_integer_route_matches_rational_oracle(self, values, start):
+        # the Ehrhart polynomial's nodes are 0..n, the order polynomial's 1..n+1
+        nodes = list(range(start, start + len(values)))
+        assert interpolate(values, start) == interpolate_at(nodes, values)
+
     @given(st.lists(st.integers(-30, 30), min_size=1, max_size=7))
     def test_roundtrip(self, coeffs):
         poly = RatPolynomial(coeffs)
