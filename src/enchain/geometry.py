@@ -12,17 +12,15 @@ with a free sign.  Dilation counts are therefore weighted counts of ideal
 chains I_0 <= ... <= I_m = P, each step I -> J weighing 2^|min(J - I)|,
 computed by the transfer map over J(P) in posets.ideal_chain_count.  The
 same chains record left enriched partitions (psi_map), which is why the
-two counts agree.
+two counts agree.  dilation_points lists the points themselves, straight
+from the maximal-chain inequalities.
 
 Everything is exact; counts are arbitrary-precision integers and the
 Ehrhart polynomial has exact rational coefficients.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
 
-from . import linprog
 from .errors import GammaNegative, IdentityViolation, SizeLimit
 from .polynomials import (
     IntPolynomial,
@@ -31,24 +29,46 @@ from .polynomials import (
     hstar_from_counts,
     interpolate,
 )
-from .posets import antichains, ideal_chain_count, linear_extensions, maximal_chains
+from .posets import ideal_chain_count, linear_extensions, maximal_chains
 
 MAX_N_DEFAULT = 8
 GUARD_POINTS_DEFAULT = 10**8
 
 
-def lattice_points_ep(poset):
-    """All lattice points of the enriched chain polytope: every signed
-    antichain indicator vector plus the origin, sorted."""
+def dilation_points(poset, m):
+    """Yield the lattice points of m E_P in lexicographic order.
+
+    Backtracks over coordinates 1..n, keeping the running |x|-sum along
+    every maximal chain; coordinate e is offered only the values with
+    |x_e| <= m minus the largest running sum through e, so every branch
+    ends in a point and every point is reached.  Membership is read off
+    the maximal chains alone, independently of psi_map's cover DP."""
+    if m < 0:
+        raise ValueError("dilation factor must be nonnegative")
     n = poset.n
-    points = []
-    for chain in antichains(poset):
-        for signs in product((1, -1), repeat=len(chain)):
-            coords = [0] * n
-            for e, s in zip(chain, signs):
-                coords[e - 1] = s
-            points.append(tuple(coords))
-    return sorted(points)
+    chains = maximal_chains(poset)
+    through = [[] for _ in range(n + 1)]
+    for c, chain in enumerate(chains):
+        for e in chain:
+            through[e].append(c)
+    sums = [0] * len(chains)
+    point = [0] * n
+
+    def place(e):
+        mine = through[e]
+        room = m - max(sums[c] for c in mine)
+        for v in range(-room, room + 1):
+            point[e - 1] = v
+            if e == n:
+                yield tuple(point)
+                continue
+            for c in mine:
+                sums[c] += abs(v)
+            yield from place(e + 1)
+            for c in mine:
+                sums[c] -= abs(v)
+
+    yield from place(1)
 
 
 def count_dilation(poset, m, guard_points=GUARD_POINTS_DEFAULT, max_n=MAX_N_DEFAULT):
@@ -82,23 +102,6 @@ def in_enriched_polytope(poset, point, m=1):
     """Membership of an integer (or rational) point in the m-th dilation of
     the enriched chain polytope, via its absolute values."""
     return _chain_sums_within(poset, list(map(abs, point)), m)
-
-
-def membership_oracle(poset, point, max_antichains=4096):
-    """Independent membership test for the chain polytope: decide whether
-    the nonnegative rational point is a convex combination of antichain
-    indicator vectors, by exact LP feasibility.  Used to validate the
-    maximal-chain inequality description on small instances."""
-    point = [Fraction(c) for c in point]
-    if any(c < 0 for c in point):
-        raise ValueError("membership oracle expects a nonnegative point")
-    chains = antichains(poset)
-    if len(chains) > max_antichains:
-        raise SizeLimit(f"membership oracle guarded at {max_antichains} antichains")
-    rows = [[1 if e in a else 0 for a in chains] for e in poset.elements()]
-    rows.append([1] * len(chains))
-    rhs = point + [1]
-    return linprog.feasible_point_eq(rows, rhs) is not None
 
 
 def dilation_counts(poset, max_m, **kwargs):

@@ -311,7 +311,13 @@ def buchberger_verify(binomials, order, guard_spairs=SPAIR_GUARD_DEFAULT):
     coefficients +-1, so it reduces to zero iff both monomials have the
     same normal form.  Pairs are walked inside each lead variable's
     group; a pair of equal leads is visited in its first variable's group
-    only.  The guard counts the distinct pairs before any reduction."""
+    only.  The guard counts the distinct pairs before any reduction.
+
+    Each tail is rewritten to its normal form once, before the walk:
+    tail_i*b rewrites to NF(tail_i)*b, so both monomials of an S-pair
+    still reach a common normal form exactly when the basis is a
+    Groebner basis.  Each cubic monomial is looked up in the memo before
+    it is rewritten."""
     leads = []
     tails = []
     for b in binomials:
@@ -336,21 +342,34 @@ def buchberger_verify(binomials, order, guard_spairs=SPAIR_GUARD_DEFAULT):
         raise SizeLimit(f"{spairs} S-pairs exceed guard {guard_spairs}")
 
     memo = {}
+    tails = [_normal_form(tail, lead_map, memo) for tail in tails]
     for v, members in incidence.items():
-        for i, j in combinations(members, 2):
-            li, lj = leads[i], leads[j]
+        others = [
+            (g, leads[g], leads[g][1] if leads[g][0] == v else leads[g][0])
+            for g in members
+        ]
+        for (i, li, a), (j, lj, b) in combinations(others, 2):
             if li == lj:
-                if v != li[0]:
-                    continue
-                m1, m2 = tails[i], tails[j]
-            else:
-                a = li[1] if li[0] == v else li[0]
-                b = lj[1] if lj[0] == v else lj[0]
-                m1 = _merge(tails[i], (b,))
-                m2 = _merge(tails[j], (a,))
-            if _normal_form(m1, lead_map, memo) != _normal_form(m2, lead_map, memo):
+                if v == li[0] and tails[i] != tails[j]:
+                    return False
+                continue
+            m1 = _insert(tails[i], b)
+            m2 = _insert(tails[j], a)
+            n1 = memo.get(m1) or _normal_form(m1, lead_map, memo)
+            n2 = memo.get(m2) or _normal_form(m2, lead_map, memo)
+            if n1 != n2:
                 return False
     return True
+
+
+def _insert(pair, x):
+    """The sorted cubic monomial pair * x, for a sorted pair."""
+    p, q = pair
+    if x <= p:
+        return (x, p, q)
+    if x <= q:
+        return (p, x, q)
+    return (p, q, x)
 
 
 @lru_cache(maxsize=8)

@@ -14,11 +14,11 @@ Rows are plain dicts with JSON-friendly values and a deterministic layout.
 """
 
 from fractions import Fraction
-from itertools import islice, permutations, product
+from itertools import islice, permutations
 from math import factorial
 
 from . import gamma_complex, geometry, partitions, posets, toric
-from .errors import IdentityAlarm, SizeLimit
+from .errors import IdentityAlarm, PointOutsidePolytope, SizeLimit
 
 BUCHBERGER_MAX_N = 4
 TRIANGULATION_MAX_N = 4
@@ -46,31 +46,45 @@ def _count_partitions_checked(poset, m, kind, guard_points):
     return partitions.frontier_count(poset, m, kind, guard=guard_points)
 
 
-def _bijection_roundtrip(poset, max_m):
-    """Exhaustive two-way roundtrip of the partition/lattice-point maps,
-    with sign and absolute-value preservation."""
-    n = poset.n
+def _bijection_failure(poset, max_m):
+    """The first failure of the phi/psi bijection between left enriched
+    partitions with bound m and the lattice points of m E_P, m = 1..max_m,
+    as a message naming m and the offending partition or point; None if
+    there is none.
+
+    For each partition f, phi(f) must be a lattice point, keep the signs
+    of f with |phi(f)_i| <= |f_i|, and satisfy psi(phi(f)) = f.  That
+    makes phi injective with its image inside the lattice points, so the
+    image has as many elements as there are lattice points exactly when
+    phi is onto.  Then every lattice point is phi(f) for exactly one
+    checked f, and psi inverts phi on it: the roundtrip from the points'
+    side needs no second pass.  The points come from
+    geometry.dilation_points (maximal-chain sums), not from psi_map."""
     for m in range(1, max_m + 1):
+        points = set(geometry.dilation_points(poset, m))
+        images = set()
         for f in partitions.iter_partitions(poset, m, "left"):
             x = partitions.phi_map(poset, f)
-            if not geometry.in_enriched_polytope(poset, x, m):
-                return False
-            if any((a >= 0) != (b >= 0) for a, b in zip(f, x)):
-                return False
-            back = partitions.psi_map(poset, x, m)
+            if x not in points:
+                return f"at m={m}: phi(f) = {x} is not a lattice point, f = {f}"
+            if any((a >= 0) != (b >= 0) or abs(a) < abs(b) for a, b in zip(f, x)):
+                return f"at m={m}: phi(f) = {x} breaks the signs or bounds of f = {f}"
+            try:
+                back = partitions.psi_map(poset, x, m)
+            except PointOutsidePolytope:
+                return f"at m={m}: psi rejects phi(f) = {x}, f = {f}"
             if back != f:
-                return False
-        for point in product(range(-m, m + 1), repeat=n):
-            if not geometry.in_enriched_polytope(poset, point, m):
-                continue
-            f = partitions.psi_map(poset, point, m)
-            if not partitions.is_left_partition(poset, f, m):
-                return False
-            if any(abs(a) < abs(b) for a, b in zip(f, point)):
-                return False
-            if partitions.phi_map(poset, f) != point:
-                return False
-    return True
+                return f"at m={m}: psi(phi(f)) = {back} != f = {f}"
+            images.add(x)
+        if len(images) != len(points):
+            missing = min(points - images)
+            return f"at m={m}: lattice point {missing} is phi of no partition"
+    return None
+
+
+def _bijection_roundtrip(poset, max_m):
+    """True iff _bijection_failure finds nothing."""
+    return _bijection_failure(poset, max_m) is None
 
 
 def _relabelings(n, limit=12):
@@ -208,11 +222,10 @@ def verify_poset(
     else:
         row["narrow_left_peak_equals_descent"] = None
 
+    bijection = None
     if n <= BIJECTION_MAX_N:
-        row["bijection_roundtrip"] = {
-            "max_m": min(3, max_m),
-            "pass": _bijection_roundtrip(canonical, min(3, max_m)),
-        }
+        bijection = _bijection_failure(canonical, min(3, max_m))
+        row["bijection_roundtrip"] = {"max_m": min(3, max_m), "pass": bijection is None}
     else:
         row["bijection_roundtrip"] = "skipped"
 
@@ -295,8 +308,8 @@ def verify_poset(
         alarms.append("comparability invariance failed")
     if row.get("narrow_left_peak_equals_descent") is False:
         alarms.append("narrow poset descent identity failed")
-    if isinstance(row.get("bijection_roundtrip"), dict) and not row["bijection_roundtrip"]["pass"]:
-        alarms.append("bijection roundtrip failed")
+    if bijection is not None:
+        alarms.append(f"bijection roundtrip failed {bijection}")
 
     row["alarms"] = alarms
     return row

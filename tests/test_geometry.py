@@ -10,17 +10,19 @@ from enchain.geometry import (
     EhrhartData,
     count_dilation,
     dilation_counts,
+    dilation_points,
     ehrhart_polynomial,
     hstar_and_gamma,
     in_chain_polytope,
     in_enriched_polytope,
-    lattice_points_ep,
-    membership_oracle,
     volume_and_reflexivity,
 )
 from enchain.partitions import count_partitions, iter_partitions
 from enchain.polynomials import IntPolynomial, RatPolynomial
 from enchain.posets import all_natural_posets, antichains, poset_from_covers
+
+from oracles import lattice_points_ep, membership_oracle
+from test_partitions import natural_posets
 
 chain2 = poset_from_covers(2, [(1, 2)])
 anti2 = poset_from_covers(2, [])
@@ -63,6 +65,50 @@ class TestLatticePoints:
                     if in_enriched_polytope(poset, p, 1)
                 }
                 assert points == box
+
+
+def box_filter(poset, m):
+    """Lattice points of the m-th dilation by scanning the box [-m, m]^n."""
+    return [
+        p
+        for p in product(range(-m, m + 1), repeat=poset.n)
+        if in_enriched_polytope(poset, p, m)
+    ]
+
+
+class TestDilationPoints:
+    def test_matches_box_filter_in_order(self):
+        for n in range(1, 5):
+            for poset in all_natural_posets(n):
+                for m in range(4):
+                    assert list(dilation_points(poset, m)) == box_filter(poset, m)
+
+    def test_unit_dilation_is_signed_antichains(self):
+        for n in range(1, 6):
+            for poset in all_natural_posets(n):
+                assert list(dilation_points(poset, 1)) == lattice_points_ep(poset)
+
+    def test_length_is_count_dilation(self):
+        for n in range(1, 6):
+            for poset in all_natural_posets(n):
+                for m in range(3):
+                    assert sum(1 for _ in dilation_points(poset, m)) == count_dilation(
+                        poset, m
+                    )
+
+    def test_non_natural_labelling(self):
+        flipped = poset_from_covers(3, [(3, 1), (3, 2)])
+        for m in range(3):
+            assert list(dilation_points(flipped, m)) == box_filter(flipped, m)
+
+    def test_negative_dilation(self):
+        with pytest.raises(ValueError):
+            list(dilation_points(V, -1))
+
+    @given(natural_posets(5, 6), st.integers(0, 2))
+    @settings(max_examples=15, deadline=None)
+    def test_random_posets_match_box_filter(self, poset, m):
+        assert list(dilation_points(poset, m)) == box_filter(poset, m)
 
 
 class TestCounting:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enchain import partitions, posets, verify
+from enchain import geometry, partitions, posets, verify
 from enchain.errors import (
     IdentityViolation,
     InvalidPartition,
@@ -211,6 +211,82 @@ class TestBijection:
                             f = psi_map(poset, point, m)
                             assert is_left_partition(poset, f, m)
                             assert phi_map(poset, f) == point
+
+
+class TestBijectionRoundtrip:
+    """verify._bijection_roundtrip passes on every small natural poset and
+    fails under each way of breaking one side of the bijection."""
+
+    def test_passes_up_to_four(self):
+        for n in range(1, 5):
+            for poset in all_natural_posets(n):
+                assert verify._bijection_roundtrip(poset, 3)
+
+    def test_phi_merging_two_partitions(self, monkeypatch):
+        original = phi_map
+
+        def merging(poset, f):
+            return original(poset, (0, 0) if f == (0, 1) else f)
+
+        monkeypatch.setattr(partitions, "phi_map", merging)
+        assert not verify._bijection_roundtrip(chain2, 2)
+
+    def test_psi_flipping_a_sign(self, monkeypatch):
+        self.flip_psi(monkeypatch)
+        assert not verify._bijection_roundtrip(chain2, 2)
+
+    def test_psi_rejecting_a_point(self, monkeypatch):
+        def rejecting(poset, point, m):
+            raise PointOutsidePolytope(f"{point} rejected")
+
+        monkeypatch.setattr(partitions, "psi_map", rejecting)
+        assert verify._bijection_failure(chain2, 2) == (
+            "at m=1: psi rejects phi(f) = (0, 0), f = (0, 0)"
+        )
+
+    def test_points_missing_one(self, monkeypatch):
+        original = geometry.dilation_points
+
+        def dropping(poset, m):
+            return [x for x in original(poset, m) if x != (1, 0)]
+
+        monkeypatch.setattr(geometry, "dilation_points", dropping)
+        assert not verify._bijection_roundtrip(chain2, 2)
+
+    def test_points_with_one_extra(self, monkeypatch):
+        original = geometry.dilation_points
+
+        def adding(poset, m):
+            return list(original(poset, m)) + [(m, m)]
+
+        monkeypatch.setattr(geometry, "dilation_points", adding)
+        assert not verify._bijection_roundtrip(chain2, 2)
+        assert verify._bijection_failure(chain2, 2) == (
+            "at m=1: lattice point (1, 1) is phi of no partition"
+        )
+
+    def test_alarm_names_m_and_partition(self, monkeypatch):
+        self.flip_psi(monkeypatch)
+        row = verify.verify_poset(chain2)
+        assert row["bijection_roundtrip"] == {"max_m": 3, "pass": False}
+        assert row["alarms"] == [
+            "bijection roundtrip failed at m=1: psi(phi(f)) = (0, -1) != f = (0, 1)"
+        ]
+
+    @staticmethod
+    def flip_psi(monkeypatch):
+        """psi with the sign of its first nonzero coordinate flipped."""
+        original = psi_map
+
+        def flipping(poset, point, m):
+            f = list(original(poset, point, m))
+            for i, v in enumerate(f):
+                if v:
+                    f[i] = -v
+                    break
+            return tuple(f)
+
+        monkeypatch.setattr(partitions, "psi_map", flipping)
 
 
 class TestPeakStatistics:

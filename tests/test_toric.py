@@ -4,11 +4,12 @@ from itertools import combinations
 import pytest
 
 from enchain.errors import SizeLimit
-from enchain.geometry import count_dilation, lattice_points_ep
+from enchain.geometry import count_dilation
 from enchain.polynomials import IntPolynomial
 from enchain.posets import all_natural_posets, ideal_lattice, poset_from_covers, star
 from enchain.toric import (
     SignedVariable,
+    ToricBinomial,
     buchberger_verify,
     construct_order,
     generate_groebner_candidates,
@@ -20,6 +21,7 @@ from enchain.toric import (
     variables_and_map,
 )
 
+from oracles import lattice_points_ep
 from test_linprog import reference_feasible_point_ge
 
 chain2 = poset_from_covers(2, [(1, 2)])
@@ -395,6 +397,18 @@ class TestBuchberger:
             reduced = basis[:drop] + basis[drop + 1 :]
             broken.append(not buchberger_verify(reduced, order))
         assert any(broken)
+
+    def test_equal_leads_with_distinct_standard_tails_fail(self):
+        # x1 x2 - x0^2 is the basis of the one-element poset; a second
+        # binomial x1 x2 - x0 x1 leaves an S-pair x0^2 - x0 x1 of two
+        # standard monomials, which only the equal-lead branch compares
+        basis = list(generate_groebner_candidates(single))
+        order = construct_order(single)
+        assert [(b.lead, b.tail) for b in basis] == [((1, 2), (0, 0))]
+        broken = basis + [ToricBinomial((1, 2), (0, 1), 1)]
+        assert leading_terms_agree(broken, order)
+        assert not reference_buchberger(broken, order)
+        assert not buchberger_verify(broken, order)
 
     def test_guard(self):
         basis = generate_groebner_candidates(anti2)
