@@ -40,6 +40,14 @@ TORIC_POSETS = {
     "bowtie": "5\n1 < 3\n2 < 3\n3 < 4\n3 < 5\n",
 }
 
+# Posets whose complex outputs are stored in tests/data; relabeled4 is not
+# naturally labelled, so its output carries relabeled_by.
+COMPLEX_POSETS = {
+    "anti4": "4\n",
+    "relabeled4": "4\n4 < 1\n",
+    "anti6": "6\n",
+}
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -152,6 +160,19 @@ class TestCommands:
             assert hashlib.sha256(out.encode()).hexdigest() == digest.read_text().strip()
         else:
             assert out.encode() == (DATA / f"{command}_{name}.json").read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(COMPLEX_POSETS))
+    def test_complex_output_is_byte_identical(self, capsys, tmp_path, name):
+        path = tmp_path / f"{name}.poset"
+        path.write_text(COMPLEX_POSETS[name])
+        code, out = run(capsys, ["complex", str(path)])
+        assert code == 0
+        digest = DATA / f"complex_{name}.sha256"
+        if digest.exists():
+            # the 6-antichain complex (412 KB) is stored as a digest
+            assert hashlib.sha256(out.encode()).hexdigest() == digest.read_text().strip()
+        else:
+            assert out.encode() == (DATA / f"complex_{name}.json").read_bytes()
 
     def test_non_natural_input_notes_relabeling(self, capsys, tmp_path):
         path = tmp_path / "rev.poset"
