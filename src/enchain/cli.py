@@ -225,7 +225,10 @@ def cmd_grobner(poset, cfg):
         payload["leading_terms"] = agree
         payload["buchberger"] = "pass" if passed else "fail"
         if not passed:
-            raise IdentityAlarm("buchberger verification failed")
+            raise IdentityAlarm(
+                f"buchberger verification failed: basis size {len(basis)}, "
+                f"leading terms agree: {agree}"
+            )
     else:
         payload["buchberger"] = "skipped"
     if poset.n <= toric.EXTRACT_MAX_N:
@@ -257,20 +260,20 @@ def cmd_triangulation(poset, cfg):
 def cmd_complex(poset, cfg):
     canonical, relabeling = _canonical_note(poset)
     complex_ = gamma_complex.build_complex(canonical)
+    texts = [v.text() for v in complex_.vertices]
     payload = {
         "f": list(complex_.f_vector),
         "identity": "pass",
         "kruskal_katona": "pass" if complex_.kruskal_katona else "fail",
-        "vertices": [v.text() for v in complex_.vertices],
-        "edges": [
-            [complex_.vertices[a].text(), complex_.vertices[b].text()]
-            for a, b in complex_.edges
-        ],
+        "vertices": texts,
+        "edges": [[texts[a], texts[b]] for a, b in complex_.edges],
     }
     if relabeling:
         payload["relabeled_by"] = relabeling
     if not complex_.kruskal_katona:
-        raise IdentityAlarm("complex f-vector fails Kruskal-Katona")
+        raise IdentityAlarm(
+            f"complex f-vector {list(complex_.f_vector)} fails Kruskal-Katona"
+        )
     return payload
 
 

@@ -5,17 +5,8 @@ position, each bar colored 0..3, so a permutation with k left peaks has
 4^k decorations.  Within each block between bars the word decomposes as a
 strictly decreasing part (the grave) followed by a strictly increasing
 part (the acute); the split used everywhere is the shortest nonempty
-decreasing prefix with increasing remainder, the one convention stable
-under the merges below (see grave_acute).  A word that admits no such
-split raises MalformedResult.
-
-Removing bar i reorders the two adjacent blocks w_i w_{i+1} as
-grave(w_i) + sort(acute(w_i) + w_{i+1}), uniformly for every block
-including the first.  When the result's remaining bars no longer sit at
-its left peaks (which happens whenever the first block's head is not the
-minimum of the merged letters), the reduction raises MalformedResult
-rather than silently re-barring, and sweeps report how often that
-happens.
+decreasing prefix with increasing remainder (see grave_acute).  A word
+that admits no such split raises MalformedResult.
 
 Vertices of the complex are the one-bar decorated linear extensions; two
 vertices are adjacent exactly when splicing them yields a valid two-bar
@@ -25,7 +16,7 @@ bars to a k-set of vertices, one per bar.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from typing import NamedTuple
 
 from .errors import IdentityViolation, MalformedResult, SizeLimit
 from .partitions import left_peak_positions, peak_polynomials
@@ -45,7 +36,8 @@ def grave_acute(block):
     ascends).  Minimality matters: it is the unique convention stable
     under the bar-removal merge, because the merged-in letters always
     start below the decreasing part's last letter, so recomputing the
-    split returns the same decreasing part."""
+    split returns the same decreasing part (cover_reduce in the test
+    oracles is that merge)."""
     if not block:
         return (), ()
     j = len(block) - 1
@@ -92,36 +84,43 @@ class DecoratedPermutation:
         return (self.word, self.bars) < (other.word, other.bars)
 
 
-def decorate(word):
-    """All 4^(left peak count) decorations of a permutation."""
-    positions = left_peak_positions(word)
-    return [
-        DecoratedPermutation(tuple(word), tuple(zip(positions, colors)))
-        for colors in product(COLORS, repeat=len(positions))
-    ]
+class _VertexKey(NamedTuple):
+    """The per-vertex half of adjacency, computed once per vertex."""
+
+    vertex: DecoratedPermutation
+    position: int  # the bar position p
+    prefix: tuple  # word[:p]
+    letters: frozenset  # the letters of word[:p]
+    grave: tuple  # grave_acute(word[p:])
+    acute: tuple
 
 
-def cover_reduce(decorated, bar_index):
-    """Remove the bar_index-th bar (1-based) and reorder the two blocks it
-    separated; MalformedResult if the remaining bars miss a left peak of
-    the new word."""
-    if not 1 <= bar_index <= decorated.bar_count():
-        raise ValueError(f"bar index {bar_index} out of range")
-    blocks = decorated.blocks()
-    i = bar_index - 1
-    grave, acute = grave_acute(blocks[i])
-    merged = grave + tuple(sorted(acute + blocks[i + 1]))
-    word = sum(blocks[:i], ()) + merged + sum(blocks[i + 2 :], ())
-    bars = decorated.bars[:i] + decorated.bars[i + 1 :]
-    return DecoratedPermutation(word, bars)
+def _vertex_key(vertex):
+    if vertex.bar_count() != 1:
+        raise ValueError("vertex adjacency is defined for one-bar elements")
+    p = vertex.bars[0][0]
+    prefix = vertex.word[:p]
+    grave, acute = grave_acute(vertex.word[p:])
+    return _VertexKey(vertex, p, prefix, frozenset(prefix), grave, acute)
 
 
-def s_p(poset):
-    """All decorated linear extensions."""
-    out = []
-    for w in linear_extensions(poset):
-        out.extend(decorate(w))
-    return out
+def _spliced_adjacent(ku, kv):
+    """The pair half of vertex_adjacent, for keys with
+    ku.position < kv.position."""
+    u, v = ku.vertex, kv.vertex
+    bridge = tuple(sorted(kv.letters.intersection(ku.acute)))
+    word = ku.prefix + ku.grave + bridge + kv.grave + kv.acute
+    if sorted(word) != list(range(1, len(u.word) + 1)):
+        return False
+    bars = (
+        (ku.position, u.bars[0][1]),
+        (ku.position + len(ku.grave) + len(bridge), v.bars[0][1]),
+    )
+    try:
+        composite = DecoratedPermutation(word, bars)
+    except MalformedResult:
+        return False
+    return phi_face_map(composite) == [u, v]
 
 
 def vertex_adjacent(u, v):
@@ -132,26 +131,12 @@ def vertex_adjacent(u, v):
     tail.  The pair is adjacent when the composite is a valid two-bar
     decorated permutation whose face map returns exactly this pair, so an
     edge is precisely the image of a two-bar element."""
-    if u.bar_count() != 1 or v.bar_count() != 1:
-        raise ValueError("vertex adjacency is defined for one-bar elements")
-    pu, cu = u.bars[0]
-    pv, cv = v.bars[0]
-    if pu == pv:
+    ku, kv = _vertex_key(u), _vertex_key(v)
+    if ku.position == kv.position:
         return False
-    if pu > pv:
-        u, v, pu, cu, pv, cv = v, u, pv, cv, pu, cu
-    u_grave, u_acute = grave_acute(u.word[pu:])
-    v_grave, v_acute = grave_acute(v.word[pv:])
-    bridge = tuple(sorted(set(u_acute) & set(v.word[:pv])))
-    word = u.word[:pu] + u_grave + bridge + v_grave + v_acute
-    if sorted(word) != list(range(1, len(u.word) + 1)):
-        return False
-    bars = ((pu, cu), (pu + len(u_grave) + len(bridge), cv))
-    try:
-        composite = DecoratedPermutation(word, bars)
-    except MalformedResult:
-        return False
-    return phi_face_map(composite) == [u, v]
+    if ku.position > kv.position:
+        ku, kv = kv, ku
+    return _spliced_adjacent(ku, kv)
 
 
 def _clique_counts(adj, vertex_count, max_size):
@@ -188,7 +173,17 @@ def build_complex(poset, max_n=COMPLEX_GUARD_N):
     """The flag complex on one-bar decorated linear extensions, with its
     f-polynomial checked against the left peak polynomial evaluated at 4x
     (vertices differing only in bar color are distinct, which accounts for
-    the factor 4^size on each face)."""
+    the factor 4^size on each face).
+
+    Adjacency is decided on the color-0 vertices, one key each.  Two
+    filters skip pairs before the splice, and both are necessary
+    conditions only: the bar positions differ (vertex_adjacent rejects
+    equal ones), and u's bar, grave and bridge fill exactly the letters
+    before v's bar, pu + |grave_u| + |bridge| == pv, without which the
+    spliced word has the wrong length to be a permutation.  What decides
+    is the pair test that vertex_adjacent makes: the spliced word is a
+    permutation, it carries valid bars, and its face map returns the
+    pair."""
     n = poset.n
     if n > max_n:
         raise SizeLimit(f"complex construction guarded at n <= {max_n}")
@@ -201,11 +196,24 @@ def build_complex(poset, max_n=COMPLEX_GUARD_N):
     underlying.sort()
 
     m = len(underlying)
+    keys = [_vertex_key(base) for base in underlying]
+    by_position = {}
+    for b, key in enumerate(keys):
+        by_position.setdefault(key.position, []).append(b)
     adj = [0] * m
-    for a, b in combinations(range(m), 2):
-        if vertex_adjacent(underlying[a], underlying[b]):
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
+    pairs = []
+    for a, ku in enumerate(keys):
+        reach = ku.position + len(ku.grave)  # pv - |bridge|, and |bridge| >= 0
+        for pv in range(reach, n):
+            for b in by_position.get(pv, ()):
+                kv = keys[b]
+                if reach + len(kv.letters.intersection(ku.acute)) != pv:
+                    continue
+                if _spliced_adjacent(ku, kv):
+                    adj[a] |= 1 << b
+                    adj[b] |= 1 << a
+                    pairs.append((a, b) if a < b else (b, a))
+    pairs.sort()
 
     gamma_length = n // 2 + 1  # face sizes run 0 .. n//2
     plain = _clique_counts(adj, m, gamma_length)
@@ -225,12 +233,9 @@ def build_complex(poset, max_n=COMPLEX_GUARD_N):
         p, _ = base.bars[0]
         for c in COLORS:
             vertices.append(DecoratedPermutation(base.word, ((p, c),)))
-    edges = []
-    for a, b in combinations(range(m), 2):
-        if adj[a] >> b & 1:
-            for ca in COLORS:
-                for cb in COLORS:
-                    edges.append((a * 4 + ca, b * 4 + cb))
+    edges = [
+        (a * 4 + ca, b * 4 + cb) for a, b in pairs for ca in COLORS for cb in COLORS
+    ]
     return GammaComplex(
         vertices=tuple(vertices),
         edges=tuple(edges),
@@ -253,72 +258,3 @@ def phi_face_map(decorated):
         right = tuple(sorted(word[pos + len(grave) :]))
         vertices.append(DecoratedPermutation(left + grave + right, ((pos, color),)))
     return vertices
-
-
-@dataclass(frozen=True)
-class IsoReport:
-    element_count: int
-    face_count: int
-    bijective: bool
-    grade_preserving: bool
-    covers_consistent: bool
-    malformed_covers: int
-    total_covers: int
-
-
-def iso_check(poset, max_n=5):
-    """Exhaustively verify that phi is a grade-preserving bijection from
-    the decorated linear extensions onto the faces of the complex, and
-    that removing a bar matches deleting the corresponding vertex from the
-    face whenever the removal is well formed (malformed removals are
-    counted, not hidden)."""
-    if poset.n > max_n:
-        raise SizeLimit(f"iso check guarded at n <= {max_n}")
-    elements = s_p(poset)
-    complex_ = build_complex(poset)
-    faces = {frozenset()}
-    for v in complex_.vertices:
-        faces.add(frozenset([v]))
-    for a, b in complex_.edges:
-        faces.add(frozenset([complex_.vertices[a], complex_.vertices[b]]))
-
-    images = {}
-    grade_ok = True
-    for d in elements:
-        img = phi_face_map(d)
-        images[d] = img
-        if len(img) != d.bar_count():
-            grade_ok = False
-    image_sets = [frozenset(img) for img in images.values()]
-    bijective = (
-        len(set(image_sets)) == len(elements) and set(image_sets) == faces
-    )
-
-    malformed = 0
-    total = 0
-    covers_ok = True
-    element_set = set(elements)
-    for d in elements:
-        for i in range(1, d.bar_count() + 1):
-            total += 1
-            try:
-                reduced = cover_reduce(d, i)
-            except MalformedResult:
-                malformed += 1
-                continue
-            if reduced not in element_set:
-                covers_ok = False
-                continue
-            expected = set(images[d])
-            expected.discard(images[d][i - 1])
-            if set(images[reduced]) != expected:
-                covers_ok = False
-    return IsoReport(
-        element_count=len(elements),
-        face_count=len(faces),
-        bijective=bijective,
-        grade_preserving=grade_ok,
-        covers_consistent=covers_ok,
-        malformed_covers=malformed,
-        total_covers=total,
-    )

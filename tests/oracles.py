@@ -1,17 +1,27 @@
 """Brute-force oracles that only the tests use.
 
-Each one decides a fact about the enriched chain polytope from its
-definition, by a route the library does not take: the lattice points of
-E_P as signed antichain indicator vectors, and chain-polytope membership
-as exact LP feasibility over the antichain vertices.
+Each one decides a fact from its definition, by a route the library does
+not take: the lattice points of E_P as signed antichain indicator vectors,
+chain-polytope membership as exact LP feasibility over the antichain
+vertices, and the face map of the gamma complex as a bijection from all
+decorated linear extensions, bar removal included.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 from enchain import linprog
-from enchain.errors import SizeLimit
-from enchain.posets import antichains
+from enchain.errors import MalformedResult, SizeLimit
+from enchain.gamma_complex import (
+    COLORS,
+    DecoratedPermutation,
+    build_complex,
+    grave_acute,
+    phi_face_map,
+)
+from enchain.partitions import left_peak_positions
+from enchain.posets import antichains, linear_extensions
 
 
 def lattice_points_ep(poset):
@@ -43,3 +53,112 @@ def membership_oracle(poset, point, max_antichains=4096):
     rows.append([1] * len(chains))
     rhs = point + [1]
     return linprog.feasible_point_eq(rows, rhs) is not None
+
+
+def decorate(word):
+    """All 4^(left peak count) decorations of a permutation."""
+    positions = left_peak_positions(word)
+    return [
+        DecoratedPermutation(tuple(word), tuple(zip(positions, colors)))
+        for colors in product(COLORS, repeat=len(positions))
+    ]
+
+
+def cover_reduce(decorated, bar_index):
+    """Remove the bar_index-th bar (1-based) and reorder the two blocks it
+    separated as grave(w_i) + sort(acute(w_i) + w_{i+1}), uniformly for
+    every block including the first.  When the result's remaining bars
+    no longer sit at its left peaks (whenever the first block's head is
+    not the minimum of the merged letters), raise MalformedResult rather
+    than silently re-barring; iso_check counts how often that happens."""
+    if not 1 <= bar_index <= decorated.bar_count():
+        raise ValueError(f"bar index {bar_index} out of range")
+    blocks = decorated.blocks()
+    i = bar_index - 1
+    grave, acute = grave_acute(blocks[i])
+    merged = grave + tuple(sorted(acute + blocks[i + 1]))
+    word = sum(blocks[:i], ()) + merged + sum(blocks[i + 2 :], ())
+    bars = decorated.bars[:i] + decorated.bars[i + 1 :]
+    return DecoratedPermutation(word, bars)
+
+
+def s_p(poset):
+    """All decorated linear extensions."""
+    out = []
+    for w in linear_extensions(poset):
+        out.extend(decorate(w))
+    return out
+
+
+@dataclass(frozen=True)
+class IsoReport:
+    element_count: int
+    face_count: int
+    bijective: bool
+    grade_preserving: bool
+    covers_consistent: bool
+    malformed_covers: int
+    total_covers: int
+
+
+def iso_check(poset, max_n=5):
+    """Exhaustively verify that phi is a grade-preserving bijection from
+    the decorated linear extensions onto the faces of the complex, and
+    that removing a bar matches deleting the corresponding vertex from the
+    face whenever the removal is well formed (malformed removals are
+    counted, not hidden).
+
+    The faces are built from the vertices and edges only, so of size at
+    most 2.  That is every face only while n <= 5, where face sizes run
+    0 .. n // 2 <= 2; the guard must not be raised past 5 without
+    building faces from cliques of every size."""
+    if poset.n > max_n:
+        raise SizeLimit(f"iso check guarded at n <= {max_n}")
+    elements = s_p(poset)
+    complex_ = build_complex(poset)
+    faces = {frozenset()}
+    for v in complex_.vertices:
+        faces.add(frozenset([v]))
+    for a, b in complex_.edges:
+        faces.add(frozenset([complex_.vertices[a], complex_.vertices[b]]))
+
+    images = {}
+    grade_ok = True
+    for d in elements:
+        img = phi_face_map(d)
+        images[d] = img
+        if len(img) != d.bar_count():
+            grade_ok = False
+    image_sets = [frozenset(img) for img in images.values()]
+    bijective = (
+        len(set(image_sets)) == len(elements) and set(image_sets) == faces
+    )
+
+    malformed = 0
+    total = 0
+    covers_ok = True
+    element_set = set(elements)
+    for d in elements:
+        for i in range(1, d.bar_count() + 1):
+            total += 1
+            try:
+                reduced = cover_reduce(d, i)
+            except MalformedResult:
+                malformed += 1
+                continue
+            if reduced not in element_set:
+                covers_ok = False
+                continue
+            expected = set(images[d])
+            expected.discard(images[d][i - 1])
+            if set(images[reduced]) != expected:
+                covers_ok = False
+    return IsoReport(
+        element_count=len(elements),
+        face_count=len(faces),
+        bijective=bijective,
+        grade_preserving=grade_ok,
+        covers_consistent=covers_ok,
+        malformed_covers=malformed,
+        total_covers=total,
+    )

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from enchain import geometry, posets, toric, verify
+from enchain import gamma_complex, geometry, posets, toric, verify
 from enchain.cli import main
 from enchain.io import parse_poset, render_tsv
 from enchain.errors import ParseError
@@ -220,6 +220,26 @@ class TestHilbertCertificateOnce:
             assert "initial ideal certificate failed" in capsys.readouterr().err
         finally:
             toric.hilbert_certificate.cache_clear()
+
+
+class TestAlarmsNameTheirValues:
+    def test_complex_kruskal_katona(self, capsys, anti2, monkeypatch):
+        monkeypatch.setattr(gamma_complex, "kruskal_katona_check", lambda f: False)
+        assert main(["complex", anti2]) == 2
+        err = capsys.readouterr().err
+        assert "alarm: complex f-vector [1, 4] fails Kruskal-Katona" in err
+
+    def test_buchberger(self, capsys, chain2, monkeypatch):
+        monkeypatch.setattr(toric, "buchberger_verify", lambda *a, **k: False)
+        assert main(["grobner", chain2]) == 2
+        err = capsys.readouterr().err
+        assert "buchberger verification failed: basis size 2, leading terms agree: True" in err
+
+    def test_buchberger_leading_terms(self, capsys, chain2, monkeypatch):
+        monkeypatch.setattr(toric, "leading_terms_agree", lambda basis, order: False)
+        assert main(["grobner", chain2]) == 2
+        err = capsys.readouterr().err
+        assert "buchberger verification failed: basis size 2, leading terms agree: False" in err
 
 
 class TestExitCodes:

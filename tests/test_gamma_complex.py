@@ -1,22 +1,21 @@
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enchain.errors import MalformedResult, SizeLimit
 from enchain.gamma_complex import (
     DecoratedPermutation,
     build_complex,
-    cover_reduce,
-    decorate,
     grave_acute,
-    iso_check,
     phi_face_map,
-    s_p,
     vertex_adjacent,
 )
 from enchain.partitions import peak_polynomials
 from enchain.polynomials import IntPolynomial
 from enchain.posets import all_natural_posets, linear_extensions, poset_from_covers
+from oracles import cover_reduce, decorate, iso_check, s_p
 
 anti2 = poset_from_covers(2, [])
 anti3 = poset_from_covers(3, [])
@@ -186,6 +185,49 @@ class TestComplex:
     def test_guard(self):
         with pytest.raises(SizeLimit):
             build_complex(poset_from_covers(7, []), max_n=6)
+
+
+def pair_scan_edges(complex_):
+    """The edges of the complex from vertex_adjacent on every pair of
+    color-0 vertices, expanded over the colors in build_complex's order."""
+    bases = complex_.vertices[::4]
+    return tuple(
+        (a * 4 + ca, b * 4 + cb)
+        for a, b in combinations(range(len(bases)), 2)
+        if vertex_adjacent(bases[a], bases[b])
+        for ca in range(4)
+        for cb in range(4)
+    )
+
+
+@st.composite
+def labelled_six_posets(draw):
+    """A random poset on 6 elements under a random labelling."""
+    pairs = list(combinations(range(1, 7), 2))
+    relation = draw(st.lists(st.sampled_from(pairs), max_size=12, unique=True))
+    labels = draw(st.permutations(range(1, 7)))
+    return poset_from_covers(6, relation).relabeled(labels)
+
+
+class TestPairLoop:
+    """build_complex walks only pairs that pass its position and length
+    filters; a scan of every pair through vertex_adjacent is its oracle."""
+
+    def test_every_natural_poset_up_to_five(self):
+        for n in (1, 2, 3, 4, 5):
+            for poset in all_natural_posets(n):
+                complex_ = build_complex(poset)
+                assert complex_.edges == pair_scan_edges(complex_)
+
+    def test_six_antichain(self):
+        complex_ = build_complex(poset_from_covers(6, []))
+        assert complex_.edges == pair_scan_edges(complex_)
+
+    @given(labelled_six_posets())
+    @settings(max_examples=30, deadline=None)
+    def test_random_labelled_six_posets(self, poset):
+        complex_ = build_complex(poset.canonicalized())
+        assert complex_.edges == pair_scan_edges(complex_)
 
 
 class TestPhi:
