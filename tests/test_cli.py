@@ -55,6 +55,17 @@ def run(capsys, argv):
     return code, out
 
 
+def assert_matches_golden(out, stem):
+    """Compare output with tests/data/<stem>.json byte for byte, or with
+    the SHA-256 digest in <stem>.sha256 where the output is large (the
+    5-antichain triangulation, 396 KB; the 6-antichain complex, 412 KB)."""
+    digest = DATA / f"{stem}.sha256"
+    if digest.exists():
+        assert hashlib.sha256(out.encode()).hexdigest() == digest.read_text().strip()
+    else:
+        assert out.encode() == (DATA / f"{stem}.json").read_bytes()
+
+
 class TestParsing:
     def test_text_format(self):
         poset = parse_poset("3\n1 < 3\n2 < 3\n")
@@ -154,12 +165,7 @@ class TestCommands:
         path.write_text(TORIC_POSETS[name])
         code, out = run(capsys, [command, str(path)])
         assert code == 0
-        digest = DATA / f"{command}_{name}.sha256"
-        if digest.exists():
-            # the 5-antichain triangulation (396 KB) is stored as a digest
-            assert hashlib.sha256(out.encode()).hexdigest() == digest.read_text().strip()
-        else:
-            assert out.encode() == (DATA / f"{command}_{name}.json").read_bytes()
+        assert_matches_golden(out, f"{command}_{name}")
 
     @pytest.mark.parametrize("name", sorted(COMPLEX_POSETS))
     def test_complex_output_is_byte_identical(self, capsys, tmp_path, name):
@@ -167,12 +173,7 @@ class TestCommands:
         path.write_text(COMPLEX_POSETS[name])
         code, out = run(capsys, ["complex", str(path)])
         assert code == 0
-        digest = DATA / f"complex_{name}.sha256"
-        if digest.exists():
-            # the 6-antichain complex (412 KB) is stored as a digest
-            assert hashlib.sha256(out.encode()).hexdigest() == digest.read_text().strip()
-        else:
-            assert out.encode() == (DATA / f"complex_{name}.json").read_bytes()
+        assert_matches_golden(out, f"complex_{name}")
 
     def test_non_natural_input_notes_relabeling(self, capsys, tmp_path):
         path = tmp_path / "rev.poset"
