@@ -213,7 +213,7 @@ def cmd_grobner(poset, cfg):
     payload["hilbert_checks"] = [list(c) for c in checks]
     payload["hilbert_pass"] = ok
     if not ok:
-        raise IdentityAlarm(f"hilbert certificate failed: {list(checks)}")
+        raise IdentityAlarm(verify.hilbert_alarm(checks))
     if poset.n <= verify.BUCHBERGER_MAX_N:
         basis = toric.generate_groebner_candidates(poset)
         order = toric.construct_order(poset)
@@ -225,10 +225,7 @@ def cmd_grobner(poset, cfg):
         payload["leading_terms"] = agree
         payload["buchberger"] = "pass" if passed else "fail"
         if not passed:
-            raise IdentityAlarm(
-                f"buchberger verification failed: basis size {len(basis)}, "
-                f"leading terms agree: {agree}"
-            )
+            raise IdentityAlarm(verify.buchberger_alarm(len(basis), agree))
     else:
         payload["buchberger"] = "skipped"
     if poset.n <= toric.EXTRACT_MAX_N:

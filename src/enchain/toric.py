@@ -30,10 +30,13 @@ zero.  Each S-polynomial is a difference of two monomials, and its verdict
 is whether their memoised monomial normal forms are equal.  That is sound
 because rewriting by a binomial keeps the coefficients +-1, each rewrite
 strictly lowers the monomial in the term order, and Buchberger's
-criterion does not depend on the order of the pairs.  A second, cheaper
-certificate counts standard monomials of the initial ideal (multisets
-supported on independent sets of the leading-term graph) and compares
-them with the dilation counts.
+criterion does not depend on the order of the pairs.  Pairs are checked
+per lcm class (Gebauer and Moeller's chain criterion): elements of equal
+lead need one tail once their tails agree, and when three leads divide
+one cubic lcm, S(i, j) = S(i, k) + S(k, j), so two checks cover the
+class.  A second, cheaper certificate counts standard monomials of the
+initial ideal (multisets supported on independent sets of the
+leading-term graph) and compares them with the dilation counts.
 """
 
 from collections import Counter
@@ -271,31 +274,29 @@ def leading_terms_agree(binomials, order):
     return all(order.leading(b.lead, b.tail) == b.lead for b in binomials)
 
 
-def _merge(mono_a, mono_b):
-    return tuple(sorted(mono_a + mono_b))
-
-
-def _remove_pair(mono, pair):
-    out = list(mono)
-    out.remove(pair[0])
-    out.remove(pair[1])
-    return tuple(out)
-
-
 def _normal_form(mono, lead_map, memo):
-    """Standard monomial reached by rewriting mono with the first lead
-    (in sorted pair order) that divides it, until none does.  Every
-    monomial met on the way is memoised with the final result."""
+    """Standard monomial reached from a sorted monomial of degree 2 or 3
+    by rewriting with the first lead that divides it, until none does:
+    (a, b), (a, c), (b, c), the order of combinations(sorted(set(mono)),
+    2) as no lead is a square.  Every monomial met is memoised."""
     chain = []
     while mono not in memo:
         chain.append(mono)
-        divisor = next(
-            (p for p in combinations(sorted(set(mono)), 2) if p in lead_map), None
-        )
-        if divisor is None:
+        if len(mono) == 2:
+            # a standard monomial is memoised as its own normal form
+            mono = lead_map.get(mono) or memo.setdefault(mono, mono)
+            continue
+        a, b, c = mono
+        tail, x = lead_map.get((a, b)), c
+        if tail is None:
+            tail, x = lead_map.get((a, c)), b
+            if tail is None:
+                tail, x = lead_map.get((b, c)), a
+        if tail is None:
             memo[mono] = mono
-            break
-        mono = _merge(_remove_pair(mono, divisor), lead_map[divisor])
+            continue
+        p, q = tail
+        mono = (x, p, q) if x <= p else (p, x, q) if x <= q else (p, q, x)
     normal = memo[mono]
     for seen in chain:
         memo[seen] = normal
@@ -305,71 +306,69 @@ def _normal_form(mono, lead_map, memo):
 def buchberger_verify(binomials, order, guard_spairs=SPAIR_GUARD_DEFAULT):
     """True iff every S-pair with non-coprime leading terms reduces to
     zero modulo the basis (coprime leads reduce to zero automatically).
-
-    The S-polynomial of leads (v, a) and (v, b) is tail_i*b - tail_j*a,
-    and of two equal leads tail_i - tail_j.  Rewriting keeps the
-    coefficients +-1, so it reduces to zero iff both monomials have the
-    same normal form.  Pairs are walked inside each lead variable's
-    group; a pair of equal leads is visited in its first variable's group
-    only.  The guard counts the distinct pairs before any reduction.
-
-    Each tail is rewritten to its normal form once, before the walk:
-    tail_i*b rewrites to NF(tail_i)*b, so both monomials of an S-pair
-    still reach a common normal form exactly when the basis is a
-    Groebner basis.  Each cubic monomial is looked up in the memo before
-    it is rewritten."""
-    leads = []
-    tails = []
+    A lead that is not a sorted pair of distinct variables (possible only
+    when leading_terms_agree is False) raises IdentityViolation.  The
+    guard counts the index pairs whose leads share a variable, before
+    any reduction.  Tails are normalised once, as tail*x rewrites to
+    NF(tail)*x; the comments below say why one tail per lead and one
+    check per lcm suffice."""
+    pairs, lead_map = [], {}
     for b in binomials:
         lead = order.leading(b.lead, b.tail)
         tail = b.tail if lead == b.lead else b.lead
-        leads.append(lead)
-        tails.append(tail)
-    lead_map = {}
-    for lead, tail in zip(leads, tails):
+        if not lead[0] < lead[1]:
+            raise IdentityViolation(f"lead {lead} of {b} is not squarefree")
+        pairs.append((lead, tail))
         lead_map.setdefault(lead, tail)
-
-    incidence = {}
-    for g, lead in enumerate(leads):
-        for v in lead:
-            incidence.setdefault(v, []).append(g)
     # Distinct squarefree quadratic leads share at most one variable, so
-    # only a pair of equal leads sits in two groups.
-    spairs = sum(comb(len(members), 2) for members in incidence.values()) - sum(
-        comb(c, 2) for c in Counter(leads).values()
+    # only a pair of equal leads meets at two variables.
+    degree = Counter(v for lead, _ in pairs for v in lead)
+    spairs = sum(comb(d, 2) for d in degree.values()) - sum(
+        comb(c, 2) for c in Counter(lead for lead, _ in pairs).values()
     )
     if spairs > guard_spairs:
         raise SizeLimit(f"{spairs} S-pairs exceed guard {guard_spairs}")
 
     memo = {}
-    tails = [_normal_form(tail, lead_map, memo) for tail in tails]
-    for v, members in incidence.items():
-        others = [
-            (g, leads[g], leads[g][1] if leads[g][0] == v else leads[g][0])
-            for g in members
-        ]
-        for (i, li, a), (j, lj, b) in combinations(others, 2):
-            if li == lj:
-                if v == li[0] and tails[i] != tails[j]:
+    memo_get = memo.get
+    # The S-pair of two equal leads is the difference of their tails.
+    # Once those agree, one tail stands for them all: for i, i' of equal
+    # lead and L = lcm(lead, lead_j), S(i', j) = (L/lead)*S(i', i) + S(i, j).
+    reduced = {}
+    for lead, tail in pairs:
+        normal = memo_get(tail) or _normal_form(tail, lead_map, memo)
+        if reduced.setdefault(lead, normal) != normal:
+            return False
+    neighbours = {}
+    for (u, v), tail in reduced.items():
+        neighbours.setdefault(u, []).append((v, tail))
+        neighbours.setdefault(v, []).append((u, tail))
+    for c, others in neighbours.items():
+        others.sort()
+        for k, (x, tail_x) in enumerate(others):
+            for y, tail_y in others[k + 1 :]:
+                # Leads cx, cy have lcm L = cxy, and the S-pair of leads i, j
+                # dividing L is r_i - r_j, r_i being L rewritten by lead i.
+                # If xy is a lead k too, S(i, j) = S(i, k) + S(k, j): two
+                # checks, made from the triangle's smallest vertex.
+                tail_xy = reduced.get((x, y))
+                if tail_xy is not None and x < c:
+                    continue
+                # the sorted cubics tail_x * y and tail_y * x, inline and
+                # memo first, as this loop is where the time goes
+                p, q = tail_x
+                m1 = (y, p, q) if y <= p else (p, y, q) if y <= q else (p, q, y)
+                p, q = tail_y
+                m2 = (x, p, q) if x <= p else (p, x, q) if x <= q else (p, q, x)
+                n1 = memo_get(m1) or _normal_form(m1, lead_map, memo)
+                if n1 != (memo_get(m2) or _normal_form(m2, lead_map, memo)):
                     return False
-                continue
-            m1 = _insert(tails[i], b)
-            m2 = _insert(tails[j], a)
-            n1 = memo.get(m1) or _normal_form(m1, lead_map, memo)
-            n2 = memo.get(m2) or _normal_form(m2, lead_map, memo)
-            if n1 != n2:
-                return False
+                if tail_xy is not None:
+                    p, q = tail_xy
+                    m3 = (c, p, q) if c <= p else (p, c, q) if c <= q else (p, q, c)
+                    if n1 != _normal_form(m3, lead_map, memo):
+                        return False
     return True
-
-
-def _insert(pair, x):
-    """The sorted cubic monomial pair * x, for a sorted pair."""
-    p, q = pair
-    if x <= p:
-        return (x, p, q)
-    if x <= q:
-        return (p, x, q)
-    return (p, q, x)
 
 
 @lru_cache(maxsize=8)

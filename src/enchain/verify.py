@@ -141,6 +141,19 @@ def _comparability_invariance(poset):
     return True
 
 
+def hilbert_alarm(rows):
+    """Alarm text naming the (m, standard, points) rows of the certificate."""
+    return f"hilbert certificate failed: {list(rows)}"
+
+
+def buchberger_alarm(basis_size, agree):
+    """Alarm text naming the basis size and the leading-term verdict."""
+    return (
+        f"buchberger verification failed: basis size {basis_size}, "
+        f"leading terms agree: {agree}"
+    )
+
+
 def verify_poset(
     poset,
     max_m=4,
@@ -242,7 +255,7 @@ def verify_poset(
         grobner["hilbert_checks"] = [list(c) for c in checks]
         grobner["hilbert_pass"] = ok
         if not ok:
-            alarms.append("hilbert certificate failed")
+            alarms.append(hilbert_alarm(checks))
     except SizeLimit as exc:
         grobner["hilbert_checks"] = f"skipped ({exc})"
     if n <= BUCHBERGER_MAX_N:
@@ -258,7 +271,7 @@ def verify_poset(
             grobner["leading_terms"] = agree
             grobner["buchberger"] = "pass" if passed else "fail"
             if not passed:
-                alarms.append("buchberger verification failed")
+                alarms.append(buchberger_alarm(len(basis), agree))
         except SizeLimit as exc:
             grobner["buchberger"] = f"skipped ({exc})"
         except IdentityAlarm as exc:

@@ -3,13 +3,14 @@
 Each one decides a fact from its definition, by a route the library does
 not take: the lattice points of E_P as signed antichain indicator vectors,
 chain-polytope membership as exact LP feasibility over the antichain
-vertices, and the face map of the gamma complex as a bijection from all
-decorated linear extensions, bar removal included.
+vertices, the face map of the gamma complex as a bijection from all
+decorated linear extensions, bar removal included, and monomial normal
+forms by the generic rewriting rule for any degree.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from enchain import linprog
 from enchain.errors import MalformedResult, SizeLimit
@@ -36,6 +37,24 @@ def lattice_points_ep(poset):
                 coords[e - 1] = s
             points.append(tuple(coords))
     return sorted(points)
+
+
+def normal_form_oracle(mono, lead_map):
+    """Standard monomial reached by rewriting the sorted monomial mono
+    with the first lead (in sorted pair order) that divides it, until
+    none does: combinations of the distinct variables, the removal of
+    the lead and a full re-sort at every step, for monomials of any
+    degree and with no memo."""
+    while True:
+        divisor = next(
+            (p for p in combinations(sorted(set(mono)), 2) if p in lead_map), None
+        )
+        if divisor is None:
+            return mono
+        rest = list(mono)
+        rest.remove(divisor[0])
+        rest.remove(divisor[1])
+        mono = tuple(sorted(rest + list(lead_map[divisor])))
 
 
 def membership_oracle(poset, point, max_antichains=4096):

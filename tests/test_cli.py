@@ -242,6 +242,35 @@ class TestAlarmsNameTheirValues:
         err = capsys.readouterr().err
         assert "buchberger verification failed: basis size 2, leading terms agree: False" in err
 
+    def verify_all_alarms(self, capsys, path):
+        code, out = run(capsys, ["verify-all", "--poset", path])
+        assert code == 2
+        return json.loads(out)["rows"][0]["alarms"]
+
+    def test_verify_all_hilbert(self, capsys, chain2, monkeypatch):
+        original = toric.standard_monomial_count
+        monkeypatch.setattr(toric, "standard_monomial_count", lambda p, m: original(p, m) + 1)
+        toric.hilbert_certificate.cache_clear()
+        expected = "hilbert certificate failed: [(1, 6, 5), (2, 14, 13), (3, 26, 25)]"
+        try:
+            assert expected in self.verify_all_alarms(capsys, chain2)
+            assert main(["grobner", chain2]) == 2
+            assert f"alarm: {expected}" in capsys.readouterr().err
+        finally:
+            toric.hilbert_certificate.cache_clear()
+
+    def test_verify_all_buchberger(self, capsys, chain2, monkeypatch):
+        monkeypatch.setattr(toric, "buchberger_verify", lambda *a, **k: False)
+        assert self.verify_all_alarms(capsys, chain2) == [
+            "buchberger verification failed: basis size 2, leading terms agree: True"
+        ]
+
+    def test_verify_all_buchberger_leading_terms(self, capsys, chain2, monkeypatch):
+        monkeypatch.setattr(toric, "leading_terms_agree", lambda basis, order: False)
+        assert self.verify_all_alarms(capsys, chain2) == [
+            "buchberger verification failed: basis size 2, leading terms agree: False"
+        ]
+
 
 class TestExitCodes:
     def test_parse_error(self, capsys, tmp_path):

@@ -1,9 +1,12 @@
+import random
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from enchain.errors import SizeLimit
+from enchain import toric
+from enchain.errors import IdentityViolation, SizeLimit
 from enchain.geometry import count_dilation
 from enchain.polynomials import IntPolynomial
 from enchain.posets import all_natural_posets, ideal_lattice, poset_from_covers, star
@@ -21,7 +24,7 @@ from enchain.toric import (
     variables_and_map,
 )
 
-from oracles import lattice_points_ep
+from oracles import lattice_points_ep, normal_form_oracle
 from test_linprog import reference_feasible_point_ge
 
 chain2 = poset_from_covers(2, [(1, 2)])
@@ -235,6 +238,39 @@ def broken_bases(basis):
         "family_1_only": [b for b in basis if b.family == 1],
         "every_7th_dropped": [b for k, b in enumerate(basis) if k % 7],
     }
+
+
+def duplicate_leads(poset, basis, order, same_image):
+    """Binomials that repeat the lead of a basis element with another tail
+    below it in the order, taken from the monomials the basis mentions:
+    tails with the lead's image (the basis stays a Groebner basis) if
+    same_image, else any."""
+    variables = variables_and_map(poset)
+    monomials = {m for b in basis for m in (b.lead, b.tail)}
+    key = {m: order.monomial_key(m) for m in monomials}
+    image = {
+        m: tuple(map(sum, zip(*(variables[v].image(poset.n) for v in m))))
+        for m in monomials
+    }
+    return [
+        ToricBinomial(b.lead, m, b.family)
+        for b in basis
+        for m in sorted(monomials)
+        if m != b.tail
+        and key[m] < key[b.lead]
+        and (not same_image or image[m] == image[b.lead])
+    ]
+
+
+class LexOrder:
+    """Lexicographic order on monomials of one degree, x0 < x1 < ...: the
+    part of TermOrder that buchberger_verify and reference_buchberger read."""
+
+    def monomial_key(self, mono):
+        return tuple(sorted(mono, reverse=True))
+
+    def leading(self, m1, m2):
+        return m1 if self.monomial_key(m1) >= self.monomial_key(m2) else m2
 
 
 class TestVariables:
@@ -451,6 +487,110 @@ class TestBuchberger:
                 )
                 verdicts.add(expected)
         assert verdicts == {True, False}
+
+    def test_random_sub_bases_with_duplicate_leads_match_reference(self):
+        # Random sub-bases of the n <= 3 candidate sets, some with extra
+        # binomials that repeat a lead with another tail: the equal-lead
+        # collapse and the lcm walk against the pair-by-pair reference.
+        rng = random.Random(2018)
+        posets = [p for n in (1, 2, 3) for p in all_natural_posets(n)]
+        seen = Counter()
+        for _ in range(150):
+            poset = rng.choice(posets)
+            basis = list(generate_groebner_candidates(poset))
+            order = construct_order(poset)
+            drop = rng.choice((0.0, 0.0, 0.02, 0.2))
+            candidate = [b for b in basis if rng.random() >= drop]
+            pool = duplicate_leads(poset, basis, order, rng.random() < 0.7)
+            duplicates = rng.randrange(4) if pool else 0
+            for _ in range(duplicates):
+                extra = rng.choice(pool)
+                candidate.insert(rng.randrange(len(candidate) + 1), extra)
+            expected = reference_buchberger(candidate, order)
+            assert buchberger_verify(candidate, order) == expected, (
+                poset.pairs,
+                candidate,
+            )
+            seen[expected, duplicates > 0] += 1
+        assert set(seen) == {(v, d) for v in (True, False) for d in (True, False)}
+
+    def test_wrong_tail_on_one_lead_of_a_triangle_fails(self):
+        # Leads 12, 13, 23 divide one cubic lcm and form its only class.
+        # With x2 x3 -> x0^2 all three rewrites of x1 x2 x3 reach x0^2 x1;
+        # with x2 x3 -> x1^2 only the rewrite by 23 (x1^3) differs, so only
+        # the third check of the triangle can see it.
+        order = LexOrder()
+        good = [
+            ToricBinomial((1, 2), (0, 1), 1),
+            ToricBinomial((1, 3), (0, 1), 1),
+            ToricBinomial((2, 3), (0, 0), 1),
+        ]
+        bad = good[:2] + [ToricBinomial((2, 3), (1, 1), 1)]
+        assert leading_terms_agree(bad, order)
+        assert reference_buchberger(good, order) and buchberger_verify(good, order)
+        assert not reference_buchberger(bad, order)
+        assert not buchberger_verify(bad, order)
+        for rotated in (bad[1:] + bad[:1], bad[2:] + bad[:2]):
+            assert not buchberger_verify(rotated, order)
+
+    def test_square_lead_raises(self):
+        # x0 x1 - x2^2 on the one-element poset: the order ranks x2^2 (two
+        # signed elements) above x0 x1, so the lead has a repeated variable.
+        order = construct_order(single)
+        basis = [ToricBinomial((0, 1), (2, 2), 1)]
+        assert not leading_terms_agree(basis, order)
+        with pytest.raises(IdentityViolation, match=r"^lead \(2, 2\) of "):
+            buchberger_verify(basis, order)
+        full = list(generate_groebner_candidates(single))
+        with pytest.raises(IdentityViolation, match=r"^lead \(2, 2\) of "):
+            buchberger_verify(full + basis, order)
+
+
+class TestNormalFormKernel:
+    def test_matches_generic_rule_up_to_three(self, monkeypatch):
+        # Every monomial buchberger_verify normalises is memoised with its
+        # normal form; the oracle recomputes each one from scratch.
+        calls = []
+        kernel = toric._normal_form
+
+        def record(mono, lead_map, memo):
+            calls.append((lead_map, memo))
+            return kernel(mono, lead_map, memo)
+
+        monkeypatch.setattr(toric, "_normal_form", record)
+        degrees = Counter()
+        for n in (1, 2, 3):
+            for poset in all_natural_posets(n):
+                basis = list(generate_groebner_candidates(poset))
+                order = construct_order(poset)
+                for candidate in (basis, *broken_bases(basis).values()):
+                    calls.clear()
+                    buchberger_verify(candidate, order)
+                    if not calls:
+                        continue
+                    lead_map, memo = calls[0]
+                    assert all(call[1] is memo for call in calls)
+                    for mono, normal in memo.items():
+                        assert normal == normal_form_oracle(mono, lead_map), mono
+                        degrees[len(mono)] += 1
+        assert set(degrees) == {2, 3} and degrees[3] > 1000
+
+    def test_every_cubic_matches_generic_rule_up_to_three(self):
+        # On the broken bases a normal form depends on which divisor is
+        # rewritten first, so this pins the sorted-pair divisor order.
+        for n in (1, 2, 3):
+            for poset in all_natural_posets(n):
+                basis = list(generate_groebner_candidates(poset))
+                count = len(variables_and_map(poset))
+                cubics = list(combinations_with_replacement(range(count), 3))
+                for candidate in (basis, *broken_bases(basis).values()):
+                    lead_map = {}
+                    for b in candidate:
+                        lead_map.setdefault(b.lead, b.tail)
+                    memo = {}
+                    for mono in cubics:
+                        expected = normal_form_oracle(mono, lead_map)
+                        assert toric._normal_form(mono, lead_map, memo) == expected, mono
 
 
 class TestStandardMonomials:
