@@ -85,39 +85,16 @@ def count_dilation(poset, m, guard_points=GUARD_POINTS_DEFAULT, max_n=MAX_N_DEFA
     return ideal_chain_count(poset, m)
 
 
-def in_chain_polytope(poset, point, m=1):
-    """Membership of a nonnegative rational point in m * (chain polytope),
-    by the maximal-chain inequalities: sums along every maximal chain are
-    at most m."""
-    if any(c < 0 for c in point):
-        return False
-    return _chain_sums_within(poset, point, m)
-
-
-def _chain_sums_within(poset, point, m):
-    return all(sum(point[e - 1] for e in chain) <= m for chain in maximal_chains(poset))
-
-
 def in_enriched_polytope(poset, point, m=1):
     """Membership of an integer (or rational) point in the m-th dilation of
-    the enriched chain polytope, via its absolute values."""
-    return _chain_sums_within(poset, list(map(abs, point)), m)
+    the enriched chain polytope: the |x_e| sum to at most m along every
+    maximal chain."""
+    absolute = [abs(c) for c in point]
+    return all(sum(absolute[e - 1] for e in chain) <= m for chain in maximal_chains(poset))
 
 
 def dilation_counts(poset, max_m, **kwargs):
     return [count_dilation(poset, m, **kwargs) for m in range(max_m + 1)]
-
-
-def ehrhart_polynomial(poset, **kwargs):
-    """Lattice point enumerator of the enriched chain polytope, interpolated
-    from the counts at dilations 0..n; degree exactly n, constant term 1."""
-    n = poset.n
-    poly = interpolate(dilation_counts(poset, n, **kwargs))
-    if poly.degree != n or poly.leading <= 0:
-        raise IdentityViolation(f"Ehrhart polynomial degenerate: {poly!r}")
-    if poly(0) != 1:
-        raise IdentityViolation("Ehrhart polynomial has constant term != 1")
-    return poly
 
 
 @dataclass(frozen=True)

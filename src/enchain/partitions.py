@@ -260,7 +260,7 @@ class PeakPolynomials:
 
 
 @lru_cache(maxsize=128)
-def peak_polynomials(poset, max_n=10):
+def peak_polynomials(poset):
     """Peak, left peak, and descent generating polynomials over all linear
     extensions.  All three evaluate to the extension count at 1.
 
@@ -268,7 +268,7 @@ def peak_polynomials(poset, max_n=10):
     class: two labelings of one poset are computed separately, which is
     what the relabeling-invariance check compares."""
     _require_natural(poset)
-    exts = linear_extensions(poset, max_n=max_n)
+    exts = linear_extensions(poset)
     n = poset.n
     pk = [0] * (n + 1)
     pkl = [0] * (n + 1)

@@ -206,11 +206,6 @@ class RatPolynomial:
     def is_integral(self):
         return all(c.denominator == 1 for c in self.coeffs)
 
-    def as_int(self):
-        if not self.is_integral():
-            raise NonInteger(f"non-integer coefficients in {self!r}")
-        return IntPolynomial([int(c) for c in self.coeffs])
-
 
 def poly_divmod(num, den):
     """Quotient and remainder over QQ; deg(remainder) < deg(den)."""
@@ -304,11 +299,6 @@ def hstar_from_counts(counts, n):
             raise NegativeHStar(f"h*_{j} = {hj} < 0")
         coeffs.append(hj)
     return IntPolynomial(coeffs)
-
-
-def one_plus_x_power(k):
-    """(1 + x)^k."""
-    return IntPolynomial([comb(k, i) for i in range(k + 1)])
 
 
 def gamma_expansion(h, n):

@@ -49,9 +49,6 @@ class Poset:
     def less(self, a, b):
         return (a, b) in self.pairs
 
-    def comparable(self, a, b):
-        return (a, b) in self.pairs or (b, a) in self.pairs
-
     @property
     def naturally_labeled(self):
         if self._natural is None:

@@ -405,11 +405,13 @@ def standard_monomial_count(poset, m):
     counted as sum over nonempty independent sets S of C(m-1, |S|-1)."""
     if m == 0:
         return 1
-    count, edges = initial_graph(poset)
+    # one variable per signed antichain, counted before the graph, whose work is count^2
+    count = sum(2 ** len(a) for a in antichains(poset))
     if count > GUARD_VERTICES:
         raise SizeLimit(f"{count} variables exceed guard {GUARD_VERTICES}")
     if m > 3:
         raise SizeLimit("standard monomial counts implemented for m <= 3")
+    _, edges = initial_graph(poset)
     sizes = [0] * (m + 1)
     sizes[1] = count
     if m >= 2:

@@ -13,6 +13,7 @@ polynomials (reported exactly as computed, never assumed).
 Rows are plain dicts with JSON-friendly values and a deterministic layout.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import islice, permutations
 from math import factorial
@@ -37,13 +38,6 @@ def rat_coeffs(poly):
 
 def int_coeffs(poly):
     return list(poly.coeffs)
-
-
-def _count_partitions_checked(poset, m, kind, guard_points):
-    """Partition count by the frontier DP over the definition, which
-    shares no code with the ideal-chain kernel behind count_dilation, so
-    ehrhart_equals_left_order always compares two independent routes."""
-    return partitions.frontier_count(poset, m, kind, guard=guard_points)
 
 
 def _bijection_failure(poset, max_m):
@@ -80,11 +74,6 @@ def _bijection_failure(poset, max_m):
             missing = min(points - images)
             return f"at m={m}: lattice point {missing} is phi of no partition"
     return None
-
-
-def _bijection_roundtrip(poset, max_m):
-    """True iff _bijection_failure finds nothing."""
-    return _bijection_failure(poset, max_m) is None
 
 
 def _relabelings(n, limit=12):
@@ -154,6 +143,21 @@ def buchberger_alarm(basis_size, agree):
     )
 
 
+@contextmanager
+def _guarded(section, key, failed, label, alarms):
+    """Run one check of a row.  A tripped guard records section[key] as
+    "skipped (<reason>)"; an IdentityAlarm records section[key] as
+    `failed` and adds the alarm "<label>: <exc>".  Either way the row goes
+    on to its next check."""
+    try:
+        yield
+    except SizeLimit as exc:
+        section[key] = f"skipped ({exc})"
+    except IdentityAlarm as exc:
+        alarms.append(f"{label}: {exc}")
+        section[key] = failed
+
+
 def verify_poset(
     poset,
     max_m=4,
@@ -161,8 +165,11 @@ def verify_poset(
     guard_points=geometry.GUARD_POINTS_DEFAULT,
     guard_spairs=toric.SPAIR_GUARD_DEFAULT,
 ):
-    """Full identity battery for one poset; alarms are collected into the
-    row instead of aborting the sweep."""
+    """Full identity battery for one poset.  Every check runs under
+    _guarded, so a tripped guard makes that check read "skipped (<reason>)"
+    and an alarm raised inside it is collected into the row; a check past
+    its n cap reads "skipped".  Each check adds its own alarms, in check
+    order, where it computes its verdict; the sweep is never aborted."""
     n = poset.n
     canonical = poset.canonicalized()
     alarms = []
@@ -176,7 +183,7 @@ def verify_poset(
         }
     }
 
-    try:
+    with _guarded(row, "gamma_left_peak", False, "gamma", alarms):
         data = geometry.hstar_and_gamma(poset, guard_points=guard_points)
         row["ehrhart"] = {
             "L": rat_coeffs(data.ehrhart),
@@ -185,104 +192,95 @@ def verify_poset(
             "volume": data.volume,
         }
         row["gamma_left_peak"] = True
-    except SizeLimit as exc:
-        row["gamma_left_peak"] = f"skipped ({exc})"
-    except IdentityAlarm as exc:
-        alarms.append(f"gamma: {exc}")
-        row["gamma_left_peak"] = False
 
-    try:
+    with _guarded(row, "volume_extensions", False, "volume", alarms):
         vol = geometry.volume_and_reflexivity(poset, guard_points=guard_points)
         row["volume_extensions"] = True
         row["reflexive"] = vol.reflexive
-    except SizeLimit as exc:
-        row["volume_extensions"] = f"skipped ({exc})"
-    except IdentityAlarm as exc:
-        alarms.append(f"volume: {exc}")
-        row["volume_extensions"] = False
 
-    counts = {"max_m": max_m, "pass": True}
-    for m in range(1, max_m + 1):
-        try:
-            left = geometry.count_dilation(poset, m, guard_points=guard_points)
-            right = _count_partitions_checked(canonical, m, "left", guard_points)
-        except SizeLimit as exc:
-            if counts["pass"]:  # a mismatch below the trip stays a failure
-                counts = f"skipped ({exc})"
-            break
-        if left != right:
-            counts["pass"] = False
-            alarms.append(f"count mismatch at m={m}: {left} != {right}")
-    row["ehrhart_equals_left_order"] = counts
+    counts = row["ehrhart_equals_left_order"] = {"max_m": max_m, "pass": True}
+    with _guarded(row, "ehrhart_equals_left_order", False, "counts", alarms):
+        for m in range(1, max_m + 1):
+            try:
+                left = geometry.count_dilation(poset, m, guard_points=guard_points)
+                # the frontier DP shares no code with the ideal-chain kernel
+                # behind count_dilation, so the two routes are independent
+                right = partitions.frontier_count(canonical, m, "left", guard=guard_points)
+            except SizeLimit:
+                if counts["pass"]:
+                    raise
+                break  # a mismatch below the trip stays a failure
+            if left != right:
+                counts["pass"] = False
+                alarms.append(f"count mismatch at m={m}: {left} != {right}")
+        if not counts["pass"]:
+            alarms.append("ehrhart_equals_left_order failed")
 
-    row["series_identity"] = {
-        "truncation": truncation,
-        "pass": partitions.series_identity_check(canonical, truncation),
-    }
+    with _guarded(row, "series_identity", False, "series", alarms):
+        passed = partitions.series_identity_check(canonical, truncation)
+        row["series_identity"] = {"truncation": truncation, "pass": passed}
+        if not passed:
+            alarms.append("series_identity failed")
 
-    relation = partitions.enriched_relation_report(canonical)
-    row["enriched_relation"] = {
-        "left_order": rat_coeffs(relation.left_order),
-        "enriched_order": rat_coeffs(relation.enriched_order),
-        "halved_difference": rat_coeffs(relation.halved_difference),
-        "holds": relation.holds,
-    }
+    with _guarded(row, "enriched_relation", False, "enriched relation", alarms):
+        relation = partitions.enriched_relation_report(canonical)
+        row["enriched_relation"] = {
+            "left_order": rat_coeffs(relation.left_order),
+            "enriched_order": rat_coeffs(relation.enriched_order),
+            "halved_difference": rat_coeffs(relation.halved_difference),
+            "holds": relation.holds,
+        }
 
-    predicates = posets.poset_predicates(poset)
-    if predicates.narrow:
-        peaks = partitions.peak_polynomials(canonical)
-        row["narrow_left_peak_equals_descent"] = peaks.left_peak == peaks.descent
-    else:
-        row["narrow_left_peak_equals_descent"] = None
+    narrow = "narrow_left_peak_equals_descent"
+    row[narrow] = None
+    with _guarded(row, narrow, False, "narrow", alarms):
+        if posets.poset_predicates(poset).narrow:
+            peaks = partitions.peak_polynomials(canonical)
+            row[narrow] = peaks.left_peak == peaks.descent
+            if not row[narrow]:
+                alarms.append("narrow poset descent identity failed")
 
-    bijection = None
     if n <= BIJECTION_MAX_N:
-        bijection = _bijection_failure(canonical, min(3, max_m))
-        row["bijection_roundtrip"] = {"max_m": min(3, max_m), "pass": bijection is None}
+        with _guarded(row, "bijection_roundtrip", False, "bijection", alarms):
+            failure = _bijection_failure(canonical, min(3, max_m))
+            row["bijection_roundtrip"] = {"max_m": min(3, max_m), "pass": failure is None}
+            if failure is not None:
+                alarms.append(f"bijection roundtrip failed {failure}")
     else:
         row["bijection_roundtrip"] = "skipped"
 
     if n <= INVARIANCE_MAX_N:
-        row["comparability_invariance"] = _comparability_invariance(poset)
+        with _guarded(row, "comparability_invariance", False, "invariance", alarms):
+            row["comparability_invariance"] = _comparability_invariance(poset)
+            if not row["comparability_invariance"]:
+                alarms.append("comparability invariance failed")
     else:
         row["comparability_invariance"] = "skipped"
 
-    grobner = {}
-    try:
-        checks, ok = toric.hilbert_certificate(
-            poset, max_m=3, guard_points=guard_points
-        )
+    grobner = row["groebner"] = {}
+    with _guarded(grobner, "hilbert_checks", False, "hilbert", alarms):
+        checks, ok = toric.hilbert_certificate(poset, max_m=3, guard_points=guard_points)
         grobner["hilbert_checks"] = [list(c) for c in checks]
         grobner["hilbert_pass"] = ok
         if not ok:
             alarms.append(hilbert_alarm(checks))
-    except SizeLimit as exc:
-        grobner["hilbert_checks"] = f"skipped ({exc})"
     if n <= BUCHBERGER_MAX_N:
-        try:
+        with _guarded(grobner, "buchberger", "fail", "groebner", alarms):
             basis = toric.generate_groebner_candidates(poset)
             order = toric.construct_order(poset)
             agree = toric.leading_terms_agree(basis, order)
-            passed = agree and toric.buchberger_verify(
-                basis, order, guard_spairs=guard_spairs
-            )
+            passed = agree and toric.buchberger_verify(basis, order, guard_spairs=guard_spairs)
             grobner["variables"] = len(toric.variables_and_map(poset))
             grobner["basis_size"] = len(basis)
             grobner["leading_terms"] = agree
             grobner["buchberger"] = "pass" if passed else "fail"
             if not passed:
                 alarms.append(buchberger_alarm(len(basis), agree))
-        except SizeLimit as exc:
-            grobner["buchberger"] = f"skipped ({exc})"
-        except IdentityAlarm as exc:
-            grobner["buchberger"] = "fail"
-            alarms.append(f"groebner: {exc}")
     else:
         grobner["buchberger"] = "skipped"
-    row["groebner"] = grobner
 
     if n <= TRIANGULATION_MAX_N:
-        try:
+        with _guarded(row, "triangulation", {"pass": False}, "triangulation", alarms):
             tri = toric.triangulation_extract(poset, guard_points=guard_points)
             row["triangulation"] = {
                 "simplices": tri.simplex_count,
@@ -290,16 +288,11 @@ def verify_poset(
                 "boundary_h": int_coeffs(tri.boundary_h),
                 "pass": True,
             }
-        except SizeLimit as exc:
-            row["triangulation"] = f"skipped ({exc})"
-        except IdentityAlarm as exc:
-            alarms.append(f"triangulation: {exc}")
-            row["triangulation"] = {"pass": False}
     else:
         row["triangulation"] = "skipped"
 
     if n <= COMPLEX_MAX_N:
-        try:
+        with _guarded(row, "complex", {"identity": False}, "complex", alarms):
             complex_ = gamma_complex.build_complex(canonical)
             row["complex"] = {
                 "f_vector": list(complex_.f_vector),
@@ -308,21 +301,8 @@ def verify_poset(
             }
             if not complex_.kruskal_katona:
                 alarms.append("f-vector fails Kruskal-Katona")
-        except IdentityAlarm as exc:
-            alarms.append(f"complex: {exc}")
-            row["complex"] = {"identity": False}
     else:
         row["complex"] = "skipped"
-
-    for key in ("ehrhart_equals_left_order", "series_identity"):
-        if isinstance(row.get(key), dict) and row[key].get("pass") is False:
-            alarms.append(f"{key} failed")
-    if row.get("comparability_invariance") is False:
-        alarms.append("comparability invariance failed")
-    if row.get("narrow_left_peak_equals_descent") is False:
-        alarms.append("narrow poset descent identity failed")
-    if bijection is not None:
-        alarms.append(f"bijection roundtrip failed {bijection}")
 
     row["alarms"] = alarms
     return row

@@ -5,15 +5,19 @@ not take: the lattice points of E_P as signed antichain indicator vectors,
 chain-polytope membership as exact LP feasibility over the antichain
 vertices, the face map of the gamma complex as a bijection from all
 decorated linear extensions, bar removal included, and monomial normal
-forms by the generic rewriting rule for any degree.
+forms by the generic rewriting rule for any degree.  Beside them live
+three helpers that only the tests call: chain-polytope membership by the
+maximal-chain inequalities, the Ehrhart polynomial interpolated from the
+dilation counts, and (1 + x)^k.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 from enchain import linprog
-from enchain.errors import MalformedResult, SizeLimit
+from enchain.errors import IdentityViolation, MalformedResult, SizeLimit
 from enchain.gamma_complex import (
     COLORS,
     DecoratedPermutation,
@@ -21,8 +25,10 @@ from enchain.gamma_complex import (
     grave_acute,
     phi_face_map,
 )
+from enchain.geometry import dilation_counts
 from enchain.partitions import left_peak_positions
-from enchain.posets import antichains, linear_extensions
+from enchain.polynomials import IntPolynomial, interpolate
+from enchain.posets import antichains, linear_extensions, maximal_chains
 
 
 def lattice_points_ep(poset):
@@ -72,6 +78,32 @@ def membership_oracle(poset, point, max_antichains=4096):
     rows.append([1] * len(chains))
     rhs = point + [1]
     return linprog.feasible_point_eq(rows, rhs) is not None
+
+
+def in_chain_polytope(poset, point, m=1):
+    """Membership of a nonnegative rational point in m * (chain polytope),
+    by the maximal-chain inequalities: sums along every maximal chain are
+    at most m."""
+    if any(c < 0 for c in point):
+        return False
+    return all(sum(point[e - 1] for e in chain) <= m for chain in maximal_chains(poset))
+
+
+def ehrhart_polynomial(poset):
+    """Lattice point enumerator of the enriched chain polytope, interpolated
+    from the counts at dilations 0..n; degree exactly n, constant term 1."""
+    n = poset.n
+    poly = interpolate(dilation_counts(poset, n))
+    if poly.degree != n or poly.leading <= 0:
+        raise IdentityViolation(f"Ehrhart polynomial degenerate: {poly!r}")
+    if poly(0) != 1:
+        raise IdentityViolation("Ehrhart polynomial has constant term != 1")
+    return poly
+
+
+def one_plus_x_power(k):
+    """(1 + x)^k."""
+    return IntPolynomial([comb(k, i) for i in range(k + 1)])
 
 
 def decorate(word):

@@ -4,10 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from enchain import gamma_complex, geometry, posets, toric, verify
+from enchain import gamma_complex, geometry, partitions, posets, toric, verify
 from enchain.cli import main
 from enchain.io import parse_poset, render_tsv
-from enchain.errors import ParseError
+from enchain.errors import IdentityViolation, ParseError
 
 
 @pytest.fixture
@@ -364,6 +364,40 @@ class TestVerifyAll:
         row = verify.verify_poset(parse_poset("2\n1 < 2\n"), guard_points=2)
         assert row["ehrhart_equals_left_order"] == {"max_m": 4, "pass": False}
         assert "count mismatch at m=1: 6 != 5" in row["alarms"]
+
+    def test_chain_past_the_extension_guard_gets_a_row(self, capsys, tmp_path):
+        path = tmp_path / "chain11.poset"
+        path.write_text("11\n" + "".join(f"{i} < {i + 1}\n" for i in range(1, 11)))
+        code, out = run(capsys, ["verify-all", "--poset", str(path)])
+        assert code == 0
+        (row,) = json.loads(out)["rows"]
+        reason = "skipped (linear extension enumeration guarded at n <= 10)"
+        assert row["series_identity"] == reason
+        assert row["narrow_left_peak_equals_descent"] == reason
+        assert row["complex"] == "skipped" and row["alarms"] == []
+
+    def test_hilbert_vertex_guard_is_a_skip(self, capsys, tmp_path):
+        path = tmp_path / "anti8.poset"
+        path.write_text("8\n")
+        code, out = run(capsys, ["verify-all", "--poset", str(path)])
+        assert code == 0
+        (row,) = json.loads(out)["rows"]
+        assert row["groebner"]["hilbert_checks"] == "skipped (6561 variables exceed guard 1024)"
+        assert row["gamma_left_peak"] is True and row["alarms"] == []
+
+    def test_alarm_in_a_formerly_unguarded_check(self, capsys, chain2, monkeypatch):
+        def violated(poset, truncation):
+            raise IdentityViolation("series coefficient 3 != 4")
+
+        monkeypatch.setattr(partitions, "series_identity_check", violated)
+        code, out = run(capsys, ["verify-all", "--poset", chain2])
+        assert code == 2
+        (row,) = json.loads(out)["rows"]
+        assert row["series_identity"] is False
+        assert row["alarms"] == ["series: series coefficient 3 != 4"]
+        # the checks after it still ran
+        assert row["enriched_relation"]["holds"] is False
+        assert row["complex"]["identity"] is True
 
     def test_sweep_two(self, capsys):
         code, out = run(capsys, ["verify-all", "--max-n", "2"])

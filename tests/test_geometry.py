@@ -11,9 +11,7 @@ from enchain.geometry import (
     count_dilation,
     dilation_counts,
     dilation_points,
-    ehrhart_polynomial,
     hstar_and_gamma,
-    in_chain_polytope,
     in_enriched_polytope,
     volume_and_reflexivity,
 )
@@ -21,7 +19,7 @@ from enchain.partitions import count_partitions, iter_partitions
 from enchain.polynomials import IntPolynomial, RatPolynomial
 from enchain.posets import all_natural_posets, antichains, poset_from_covers
 
-from oracles import lattice_points_ep, membership_oracle
+from oracles import ehrhart_polynomial, in_chain_polytope, lattice_points_ep, membership_oracle
 from test_partitions import natural_posets
 
 chain2 = poset_from_covers(2, [(1, 2)])

@@ -16,10 +16,11 @@ from enchain.polynomials import (
     interpolate,
     interpolate_at,
     kruskal_katona_check,
-    one_plus_x_power,
     polynomial_properties,
     real_root_count,
 )
+
+from oracles import one_plus_x_power
 
 
 def cross_polytope_count(m):

@@ -601,6 +601,14 @@ class TestStandardMonomials:
     def test_two_antichain_degree_one(self):
         assert standard_monomial_count(anti2, 1) == 9
 
+    def test_vertex_guard_trips_before_the_graph(self, monkeypatch):
+        def unreachable(poset):
+            raise AssertionError("initial_graph built past the vertex guard")
+
+        monkeypatch.setattr(toric, "initial_graph", unreachable)
+        with pytest.raises(SizeLimit, match="^2187 variables exceed guard 1024$"):
+            standard_monomial_count(poset_from_covers(7, []), 1)
+
     def test_certificate(self):
         for n in (1, 2, 3):
             for poset in all_natural_posets(n):
