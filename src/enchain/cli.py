@@ -48,6 +48,8 @@ class RunConfig:
         for guard in ("max_n", "max_m", "truncation", "guard_points", "guard_spairs"):
             if getattr(self, guard) <= 0:
                 raise GuardExceeded(f"{guard} must be positive")
+        if self.m < 0:
+            raise GuardExceeded("m must be nonnegative")
 
 
 def _env_default(name, cast):
@@ -268,9 +270,7 @@ def cmd_complex(poset, cfg):
     if relabeling:
         payload["relabeled_by"] = relabeling
     if not complex_.kruskal_katona:
-        raise IdentityAlarm(
-            f"complex f-vector {list(complex_.f_vector)} fails Kruskal-Katona"
-        )
+        raise IdentityAlarm(verify.kruskal_katona_alarm(complex_.f_vector))
     return payload
 
 

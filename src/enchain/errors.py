@@ -82,7 +82,7 @@ class ImageMismatch(IdentityAlarm):
 
 
 class Infeasible(IdentityAlarm):
-    """The weight-vector feasibility program has no solution."""
+    """The closed-form term-order weights miss their proven margin."""
 
 
 class NonUnimodularSimplex(IdentityAlarm):

@@ -203,9 +203,6 @@ class RatPolynomial:
             result = RatPolynomial(shifted)
         return result
 
-    def is_integral(self):
-        return all(c.denominator == 1 for c in self.coeffs)
-
 
 def poly_divmod(num, den):
     """Quotient and remainder over QQ; deg(remainder) < deg(den)."""

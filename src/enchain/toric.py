@@ -7,8 +7,9 @@ variable to the Laurent monomial t^(signed indicator) * s, so a binomial
 lies in the toric ideal iff its two monomials have equal images.
 
 The candidate Groebner basis has two families of quadratic binomials.
-Each family is walked in one place, and the candidates, the LP rows of
-the term order and the leads-only leading-term graph all read that walk:
+Each family is walked in one place, and the candidates, the margin
+check of the term order and the leads-only leading-term graph all read
+that walk:
 
   (1) _family_one yields (u, v, e) for variables u < v and each element e
       they sign oppositely, e ascending: x_u x_v minus the pair with e
@@ -21,14 +22,15 @@ the term order and the leads-only leading-term graph all read that walk:
       x_max(I) x_max(J) minus x_max(I u J) x_max(I*J).  One pattern covers
       every index, so a shared index gets consistent signs.
 
-The term order compares total antichain cardinality first, then a
-rational weight per antichain found by exact LP feasibility (family (2)
-leads must win by a margin of at least 1), then a fixed graded reverse
-lexicographic tiebreak.  Verification is Buchberger's criterion: every
-S-pair of basis elements with non-coprime leading terms must reduce to
-zero.  Each S-polynomial is a difference of two monomials, and its verdict
-is whether their memoised monomial normal forms are equal.  That is sound
-because rewriting by a binomial keeps the coefficients +-1, each rewrite
+The term order compares weight sums first, a variable weighing
+w(I) = 2n|I| - |I|^2 for the ideal I its antichain generates (a closed
+form under which every intended lead wins; construct_order gives the
+proof), then breaks ties by graded reverse lexicographic order.
+Verification is Buchberger's criterion: every S-pair of basis elements
+with non-coprime leading terms must reduce to zero.  Each S-polynomial
+is a difference of two monomials, and its verdict is whether their
+memoised monomial normal forms are equal.  That is sound because
+rewriting by a binomial keeps the coefficients +-1, each rewrite
 strictly lowers the monomial in the term order, and Buchberger's
 criterion does not depend on the order of the pairs.  Pairs are checked
 per lcm class (Gebauer and Moeller's chain criterion): elements of equal
@@ -41,12 +43,10 @@ leading-term graph) and compares them with the dilation counts.
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 
-from . import linprog
 from .errors import (
     FaceCountMismatch,
     IdentityViolation,
@@ -167,104 +167,82 @@ class ToricBinomial:
     family: int
 
 
-def _image_of(mono, variables, n):
-    coords = [0] * n
-    for vid in mono:
-        for e, s in zip(variables[vid].antichain, variables[vid].signs):
-            coords[e - 1] += s
-    return tuple(coords)
-
-
-def _check_image(binomial, variables, n):
-    left = _image_of(binomial.lead, variables, n)
-    right = _image_of(binomial.tail, variables, n)
-    if left != right:
-        raise ImageMismatch(
-            f"binomial {binomial} maps to {left} vs {right}"
-        )
-
-
 @lru_cache(maxsize=8)
 def generate_groebner_candidates(poset):
-    """Both binomial families, deduplicated, each verified to lie in the
-    toric ideal by image equality (an ImageMismatch is an alarm)."""
-    variables = variables_and_map(poset)
+    """Both binomial families, deduplicated (a binomial keeps the first
+    family that gives it), each verified to lie in the toric ideal by
+    image equality (an ImageMismatch is an alarm)."""
     plus, minus, index = _sign_masks(poset)
-    out = []
-    seen = set()
-
-    def add(lead, tail, family):
-        if (lead, tail) not in seen:
-            seen.add((lead, tail))
-            out.append(ToricBinomial(lead, tail, family))
-
+    family_of = {}
     for u, v, e in _family_one(poset):
         keep = ~(1 << e)
         tail = tuple(sorted(index[(plus[w] & keep, minus[w] & keep)] for w in (u, v)))
-        add((u, v), tail, 1)
+        family_of.setdefault(((u, v), tail), 1)
     for masks, pattern in _family_two(poset):
         lead = _signed_pair(index, masks[0], masks[1], pattern)
-        add(lead, _signed_pair(index, masks[2], masks[3], pattern), 2)
+        family_of.setdefault((lead, _signed_pair(index, masks[2], masks[3], pattern)), 2)
 
-    for binomial in out:
-        _check_image(binomial, variables, poset.n)
-    return tuple(out)
+    out = tuple(ToricBinomial(lead, tail, f) for (lead, tail), f in family_of.items())
+    images = [v.image(poset.n) for v in variables_and_map(poset)]
+    for b in out:
+        left, right = (tuple(map(sum, zip(images[x], images[y]))) for x, y in (b.lead, b.tail))
+        if left != right:
+            raise ImageMismatch(f"binomial {b} maps to {left} vs {right}")
+    return out
 
 
 class TermOrder:
-    """Total monomial order: total antichain cardinality, then the
-    LP-certified antichain weights, then graded reverse lexicographic on
-    the fixed variable order."""
+    """Total monomial order: the sum of the antichain weights, then graded
+    reverse lexicographic on the fixed variable order."""
 
     def __init__(self, poset, antichain_weights):
-        variables = variables_and_map(poset)
-        denom = lcm(*[w.denominator for w in antichain_weights.values()], 1)
-        self.w_card = tuple(len(v.antichain) for v in variables)
-        self.w_poset = tuple(
-            int(antichain_weights[v.antichain] * denom) for v in variables
+        self.weights = tuple(
+            antichain_weights[v.antichain] for v in variables_and_map(poset)
         )
         self.antichain_weights = dict(antichain_weights)
 
     def monomial_key(self, mono):
         """Sort key: larger key means larger monomial."""
         return (
-            sum(self.w_card[v] for v in mono),
-            sum(self.w_poset[v] for v in mono),
+            sum(self.weights[v] for v in mono),
             len(mono),
             tuple(-v for v in sorted(mono, reverse=True)),
         )
 
     def leading(self, m1, m2):
-        return m1 if self.monomial_key(m1) >= self.monomial_key(m2) else m2
+        """The larger monomial, by weight sums alone unless they tie."""
+        k1, k2 = (sum(self.weights[v] for v in m) for m in (m1, m2))
+        if k1 == k2:
+            k1, k2 = self.monomial_key(m1), self.monomial_key(m2)
+        return m1 if k1 >= k2 else m2
+
+
+def _ideal_weight(n, size):
+    """w(I) = 2n|I| - |I|^2 for an ideal of `size` elements."""
+    return 2 * n * size - size * size
 
 
 def construct_order(poset):
-    """Find nonnegative antichain weights making every family-(2) lead win
-    by margin >= 1, by exact rational LP feasibility, and package them
-    into a term order.  The program is always expected to be feasible;
-    infeasibility is raised as an alarm."""
-    ideals = ideal_lattice(poset)
-    columns = {ideal.max_elements: i for i, ideal in enumerate(ideals)}
-    rows = []
-    seen_rows = set()
+    """The term order weighting the variables of antichain A by w(I), I
+    the ideal that A generates, and a check that every family-(2) lead
+    wins by its proven margin of 2 (a shortfall raises Infeasible).
+
+    Family (1): dropping e from an antichain drops e from its ideal, and
+    w(k) = 2nk - k^2 rises strictly on 0..n, so each lead variable
+    outweighs the tail variable it becomes.  Family (2): for incomparable ideals I, J let
+    a = |I - J|, b = |J - I|, c = |I cap J| and k = c - |I*J| >= 0, as
+    I*J lies in I cap J.  The linear terms of w(I) + w(J) - w(I u J) -
+    w(I*J) leave 2nk and the squares leave 2ab - 2ck + k^2, so the margin
+    is 2ab + k(2n - 2c + k) >= 2, since a, b >= 1 and c <= n."""
+    n = poset.n
+    weights = {
+        ideal.max_elements: _ideal_weight(n, len(ideal.elements))
+        for ideal in ideal_lattice(poset)
+    }
     for entry in _ideal_pairs(poset):
-        row = [0] * len(ideals)
-        for antichain, sign in zip(entry, (1, 1, -1, -1)):
-            row[columns[antichain]] += sign
-        key = tuple(row)
-        if key not in seen_rows:
-            seen_rows.add(key)
-            rows.append(row)
-    if rows:
-        solution = linprog.feasible_point_ge(rows, [1] * len(rows))
-        if solution is None:
-            raise Infeasible("no nonnegative weight vector with unit margins")
-        for row in rows:
-            if sum(c * w for c, w in zip(row, solution)) < 1:
-                raise Infeasible("weight vector fails a margin constraint")
-    else:
-        solution = [Fraction(0)] * len(ideals)
-    weights = {ideal.max_elements: solution[i] for i, ideal in enumerate(ideals)}
+        w_i, w_j, w_union, w_star = (weights[a] for a in entry)
+        if w_i + w_j - w_union - w_star < 2:
+            raise Infeasible(f"ideal pair {entry} misses the margin of 2")
     return TermOrder(poset, weights)
 
 

@@ -143,6 +143,11 @@ def buchberger_alarm(basis_size, agree):
     )
 
 
+def kruskal_katona_alarm(f_vector):
+    """Alarm text naming the complex f-vector that fails Kruskal-Katona."""
+    return f"complex f-vector {list(f_vector)} fails Kruskal-Katona"
+
+
 @contextmanager
 def _guarded(section, key, failed, label, alarms):
     """Run one check of a row.  A tripped guard records section[key] as
@@ -300,7 +305,7 @@ def verify_poset(
                 "kruskal_katona": complex_.kruskal_katona,
             }
             if not complex_.kruskal_katona:
-                alarms.append("f-vector fails Kruskal-Katona")
+                alarms.append(kruskal_katona_alarm(complex_.f_vector))
     else:
         row["complex"] = "skipped"
 

@@ -230,6 +230,12 @@ class TestAlarmsNameTheirValues:
         err = capsys.readouterr().err
         assert "alarm: complex f-vector [1, 4] fails Kruskal-Katona" in err
 
+    def test_verify_poset_kruskal_katona(self, monkeypatch):
+        monkeypatch.setattr(gamma_complex, "kruskal_katona_check", lambda f: False)
+        row = verify.verify_poset(parse_poset("2\n"))
+        assert row["complex"]["kruskal_katona"] is False
+        assert "complex f-vector [1, 4] fails Kruskal-Katona" in row["alarms"]
+
     def test_buchberger(self, capsys, chain2, monkeypatch):
         monkeypatch.setattr(toric, "buchberger_verify", lambda *a, **k: False)
         assert main(["grobner", chain2]) == 2
@@ -300,6 +306,13 @@ class TestExitCodes:
 
     def test_missing_file(self, capsys):
         assert main(["ehrhart", "/nonexistent/poset"]) == 1
+
+    def test_negative_partition_bound_is_rejected(self, capsys, chain2):
+        assert main(["partitions", chain2, "--m", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        code, out = run(capsys, ["partitions", chain2, "--m", "0"])
+        assert code == 0 and json.loads(out)["count"] == 1
 
 
 class TestVerifyAll:

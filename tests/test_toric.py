@@ -1,12 +1,11 @@
 import random
 from collections import Counter
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from enchain import toric
-from enchain.errors import IdentityViolation, SizeLimit
+from enchain import toric, verify
+from enchain.errors import IdentityViolation, Infeasible, SizeLimit
 from enchain.geometry import count_dilation
 from enchain.polynomials import IntPolynomial
 from enchain.posets import all_natural_posets, ideal_lattice, poset_from_covers, star
@@ -25,7 +24,6 @@ from enchain.toric import (
 )
 
 from oracles import lattice_points_ep, normal_form_oracle
-from test_linprog import reference_feasible_point_ge
 
 chain2 = poset_from_covers(2, [(1, 2)])
 anti2 = poset_from_covers(2, [])
@@ -210,27 +208,6 @@ def reference_edges(poset):
     return frozenset(edges)
 
 
-def reference_weights(poset):
-    """Antichain weights from the Fraction simplex on one deduplicated
-    margin row per incomparable ideal pair, in pair order."""
-    ideals = ideal_lattice(poset)
-    columns = {ideal.max_elements: i for i, ideal in enumerate(ideals)}
-    rows = []
-    for ideal_i, ideal_j in _incomparable_ideal_pairs(poset):
-        row = [Fraction(0)] * len(ideals)
-        row[columns[ideal_i.max_elements]] += 1
-        row[columns[ideal_j.max_elements]] += 1
-        row[columns[_max_of_union(poset, ideal_i, ideal_j)]] -= 1
-        row[columns[star(poset, ideal_i, ideal_j).max_elements]] -= 1
-        if row not in rows:
-            rows.append(row)
-    if rows:
-        solution = reference_feasible_point_ge(rows, [Fraction(1)] * len(rows))
-    else:
-        solution = [Fraction(0)] * len(ideals)
-    return {ideal.max_elements: solution[i] for i, ideal in enumerate(ideals)}
-
-
 def broken_bases(basis):
     """Three bases that are no longer the full candidate set."""
     return {
@@ -374,9 +351,10 @@ class TestOrder:
         assert w[(1,)] + w[(2,)] >= 1 + w[(1, 2)] + w[()]
         assert all(value >= 0 for value in w.values())
 
-    def test_two_chain_zero_weights(self):
+    def test_two_chain_closed_form_weights(self):
+        # w(I) = 2n|I| - |I|^2 with n = 2 on the ideals {}, {1}, {1, 2}
         order = construct_order(chain2)
-        assert all(value == 0 for value in order.antichain_weights.values())
+        assert order.antichain_weights == {(): 0, (1,): 3, (2,): 4}
 
     def test_cardinality_beats_origin(self):
         order = construct_order(chain2)
@@ -386,14 +364,44 @@ class TestOrder:
             sorted(pair)
         )
 
-    def test_weights_match_reference_lp(self):
-        for n in (1, 2, 3, 4):
+    def test_closed_form_meets_every_margin(self):
+        # Each margin row of the walk over incomparable ideal pairs equals
+        # 2ab + k(2n - 2c + k) >= 2, with a = |I - J|, b = |J - I|,
+        # c = |I cap J| and k = c - |I*J|.  The bound 2 is met, though not
+        # on every poset: on 1 < 2, 1 < 3 the one row has I*J empty (k = 1),
+        # so its margin is 7.
+        margins = []
+        for n in (1, 2, 3, 4, 5):
             for poset in all_natural_posets(n):
-                weights = construct_order(poset).antichain_weights
-                assert weights == reference_weights(poset), poset.pairs
+                w = construct_order(poset).antichain_weights
+                for ideal_i, ideal_j in _incomparable_ideal_pairs(poset):
+                    product = star(poset, ideal_i, ideal_j)
+                    margin = (
+                        w[ideal_i.max_elements]
+                        + w[ideal_j.max_elements]
+                        - w[_max_of_union(poset, ideal_i, ideal_j)]
+                        - w[product.max_elements]
+                    )
+                    a = len(ideal_i.elements - ideal_j.elements)
+                    b = len(ideal_j.elements - ideal_i.elements)
+                    c = len(ideal_i.elements & ideal_j.elements)
+                    k = c - len(product.elements)
+                    assert margin == 2 * a * b + k * (2 * n - 2 * c + k) >= 2
+                    margins.append(margin)
+        assert min(margins) == 2
+
+    def test_margin_shortfall_is_an_alarm(self, monkeypatch):
+        # Weights linear in |I| leave the margin of a pair whose meet is
+        # its star at 0, so the re-check must refuse them.
+        monkeypatch.setattr(toric, "_ideal_weight", lambda n, size: size)
+        with pytest.raises(Infeasible):
+            construct_order(anti2)
+        row = verify.verify_poset(anti2)
+        assert row["groebner"]["buchberger"] == "fail"
+        assert any(alarm.startswith("groebner: ") for alarm in row["alarms"])
 
     def test_leading_terms_agree_small(self):
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             for poset in all_natural_posets(n):
                 basis = generate_groebner_candidates(poset)
                 assert leading_terms_agree(basis, construct_order(poset))
