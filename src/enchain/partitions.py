@@ -321,18 +321,25 @@ def series_rhs_coefficient(w_left, n, m):
     return total
 
 
-def series_identity_check(poset, truncation):
+def series_identity_failure(poset, truncation):
     """Compare the generating function of left enriched partition counts
     with its closed form in terms of the left peak polynomial, coefficient
-    by coefficient up to the truncation order."""
+    by coefficient up to the truncation order: None if they agree, else a
+    message naming the first m and the two coefficients."""
     _require_natural(poset)
     n = poset.n
     w_left = peak_polynomials(poset).left_peak
     for m in range(truncation + 1):
         lhs = count_partitions(poset, m, "left")
-        if lhs != series_rhs_coefficient(w_left, n, m):
-            return False
-    return True
+        rhs = series_rhs_coefficient(w_left, n, m)
+        if lhs != rhs:
+            return f"at m={m}: {lhs} left partitions != series coefficient {rhs}"
+    return None
+
+
+def series_identity_check(poset, truncation):
+    """True iff series_identity_failure finds no disagreement."""
+    return series_identity_failure(poset, truncation) is None
 
 
 @dataclass(frozen=True)

@@ -259,7 +259,8 @@ def _down_closure(poset, subset):
 
 
 def _max_of(poset, subset):
-    return tuple(sorted(e for e in subset if not any(poset.less(e, f) for f in subset)))
+    mask = sum(1 << e for e in subset)
+    return tuple(sorted(e for e in subset if not poset._above[e] & mask))
 
 
 def make_ideal(poset, elements):
@@ -289,7 +290,8 @@ def ideal_lattice(poset):
 def _ideal_transfer(poset):
     """Transfer map over J(P): for each ideal J, in ideal_lattice order,
     the pairs (index of I, k) over ideals I contained in J, where k is
-    the number of minimal elements of J minus I."""
+    the number of minimal elements of J minus I, found among the set bits
+    of the difference alone."""
     masks = [sum(1 << e for e in ideal.elements) for ideal in ideal_lattice(poset)]
     below = poset._below
     rows = []
@@ -298,10 +300,13 @@ def _ideal_transfer(poset):
         for index, lower in enumerate(masks):
             if lower & ~upper:
                 continue
-            diff = upper & ~lower
-            minimal = sum(
-                1 for e in poset.elements() if diff >> e & 1 and not below[e] & diff
-            )
+            diff = rest = upper & ~lower
+            minimal = 0
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if not below[low.bit_length() - 1] & diff:
+                    minimal += 1
             row.append((index, minimal))
         rows.append(tuple(row))
     return tuple(rows)

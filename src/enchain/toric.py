@@ -7,13 +7,14 @@ variable to the Laurent monomial t^(signed indicator) * s, so a binomial
 lies in the toric ideal iff its two monomials have equal images.
 
 The candidate Groebner basis has two families of quadratic binomials.
-Each family is walked in one place, and the candidates, the margin
+Each family is defined in one place, and the candidates, the margin
 check of the term order and the leads-only leading-term graph all read
-that walk:
+it:
 
   (1) _family_one yields (u, v, e) for variables u < v and each element e
       they sign oppositely, e ascending: x_u x_v minus the pair with e
-      dropped from both;
+      dropped from both.  The leading-term graph takes the same leads
+      per element, as (variables signing e +) x (variables signing e -);
   (2) _ideal_pairs holds (max I, max J, max(I u J), max(I*J)) for each
       incomparable pair of ideals, in combinations(ideal_lattice) order,
       where I*J is the ideal generated by max(I cap J) restricted to
@@ -36,12 +37,13 @@ criterion does not depend on the order of the pairs.  Pairs are checked
 per lcm class (Gebauer and Moeller's chain criterion): elements of equal
 lead need one tail once their tails agree, and when three leads divide
 one cubic lcm, S(i, j) = S(i, k) + S(k, j), so two checks cover the
-class.  A second, cheaper certificate counts standard monomials of the
-initial ideal (multisets supported on independent sets of the
-leading-term graph) and compares them with the dilation counts.
+class, and the guard counts those classes before any is checked.  A
+second, cheaper certificate counts standard monomials of the initial
+ideal (multisets supported on independent sets of the leading-term
+graph, which is held as one neighbour bitset per variable) and compares
+them with the dilation counts.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -286,10 +288,11 @@ def buchberger_verify(binomials, order, guard_spairs=SPAIR_GUARD_DEFAULT):
     zero modulo the basis (coprime leads reduce to zero automatically).
     A lead that is not a sorted pair of distinct variables (possible only
     when leading_terms_agree is False) raises IdentityViolation.  The
-    guard counts the index pairs whose leads share a variable, before
-    any reduction.  Tails are normalised once, as tail*x rewrites to
-    NF(tail)*x; the comments below say why one tail per lead and one
-    check per lcm suffice."""
+    guard counts the cubic lcm classes that the walk below checks, one
+    per pair of distinct leads at a shared variable less two per triangle
+    of leads, before any reduction.  Tails are normalised once, as tail*x
+    rewrites to NF(tail)*x; the comments below say why one tail per lead
+    and one check per lcm suffice."""
     pairs, lead_map = [], {}
     for b in binomials:
         lead = order.leading(b.lead, b.tail)
@@ -298,14 +301,18 @@ def buchberger_verify(binomials, order, guard_spairs=SPAIR_GUARD_DEFAULT):
             raise IdentityViolation(f"lead {lead} of {b} is not squarefree")
         pairs.append((lead, tail))
         lead_map.setdefault(lead, tail)
-    # Distinct squarefree quadratic leads share at most one variable, so
-    # only a pair of equal leads meets at two variables.
-    degree = Counter(v for lead, _ in pairs for v in lead)
-    spairs = sum(comb(d, 2) for d in degree.values()) - sum(
-        comb(c, 2) for c in Counter(lead for lead, _ in pairs).values()
-    )
-    if spairs > guard_spairs:
-        raise SizeLimit(f"{spairs} S-pairs exceed guard {guard_spairs}")
+    # Distinct squarefree quadratic leads cx, cy meet at one variable c
+    # and have the cubic lcm cxy, reached once from c, or, when xy is a
+    # lead too, once from the triangle's three vertices together.
+    adjacent = {}
+    for u, v in lead_map:
+        adjacent[u] = adjacent.get(u, 0) | 1 << v
+        adjacent[v] = adjacent.get(v, 0) | 1 << u
+    wedges = sum(comb(mask.bit_count(), 2) for mask in adjacent.values())
+    triangles = sum((adjacent[u] & adjacent[v]).bit_count() for u, v in lead_map) // 3
+    classes = wedges - 2 * triangles
+    if classes > guard_spairs:
+        raise SizeLimit(f"{classes} S-pair lcm classes exceed guard {guard_spairs}")
 
     memo = {}
     memo_get = memo.get
@@ -349,38 +356,66 @@ def buchberger_verify(binomials, order, guard_spairs=SPAIR_GUARD_DEFAULT):
     return True
 
 
+def _bits(mask):
+    """The positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @lru_cache(maxsize=8)
 def initial_graph(poset):
     """Leading-term graph: one vertex per variable, one edge per intended
     initial monomial (all of which are squarefree, quadratic, and avoid
-    the origin variable)."""
-    _, _, index = _sign_masks(poset)
-    edges = {(u, v) for u, v, _ in _family_one(poset)}
-    for masks, pattern in _family_two(poset):
-        edges.add(_signed_pair(index, masks[0], masks[1], pattern))
+    the origin variable), as (vertex count, adjacency) with adjacency[u]
+    the bitset of the neighbours of u.
+
+    Family (1) joins u and v when they sign some element e oppositely, so
+    u gains every variable signing e - for each e it signs +, and every
+    variable signing e + for each e it signs -: per-element bitsets, not
+    a walk over pairs.  Family (2) adds the lead of every _family_two
+    entry."""
+    plus, minus, index = _sign_masks(poset)
     origin = index[(0, 0)]
     if origin != 0:
         raise IdentityViolation(f"origin variable has index {origin}, not 0")
-    for u, v in edges:
-        if u == v or origin in (u, v):
-            raise IdentityViolation(
-                f"initial graph edge ({u}, {v}) is a loop or meets the origin"
-            )
-    return len(index), frozenset(edges)
-
-
-def _adjacency_masks(vertex_count, edges):
-    adj = [0] * vertex_count
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
+    signs_plus = [0] * (poset.n + 1)
+    signs_minus = [0] * (poset.n + 1)
+    for u, (p, q) in enumerate(zip(plus, minus)):
+        for e in _bits(p):
+            signs_plus[e] |= 1 << u
+        for e in _bits(q):
+            signs_minus[e] |= 1 << u
+    adjacency = []
+    for p, q in zip(plus, minus):
+        row = 0
+        for e in _bits(p):
+            row |= signs_minus[e]
+        for e in _bits(q):
+            row |= signs_plus[e]
+        adjacency.append(row)
+    for masks, pattern in _family_two(poset):
+        u, v = _signed_pair(index, masks[0], masks[1], pattern)
+        adjacency[u] |= 1 << v
+        adjacency[v] |= 1 << u
+    if adjacency[0]:
+        v = next(_bits(adjacency[0]))
+        raise IdentityViolation(f"initial graph edge (0, {v}) meets the origin")
+    for u, row in enumerate(adjacency):
+        if row >> u & 1:
+            raise IdentityViolation(f"initial graph has a loop at vertex {u}")
+    return len(index), tuple(adjacency)
 
 
 def standard_monomial_count(poset, m):
     """Number of degree-m monomials outside the initial ideal: multisets
     of size m supported on independent sets of the leading-term graph,
-    counted as sum over nonempty independent sets S of C(m-1, |S|-1)."""
+    counted as sum over nonempty independent sets S of C(m-1, |S|-1).
+    Independent pairs are the pairs minus the edges (half the adjacency
+    popcounts); independent triples u < v < w are, for each u and each
+    bit v of free (the non-neighbours of u above u), the bits of free
+    above v outside adjacency[v]."""
     if m == 0:
         return 1
     # one variable per signed antichain, counted before the graph, whose work is count^2
@@ -389,20 +424,19 @@ def standard_monomial_count(poset, m):
         raise SizeLimit(f"{count} variables exceed guard {GUARD_VERTICES}")
     if m > 3:
         raise SizeLimit("standard monomial counts implemented for m <= 3")
-    _, edges = initial_graph(poset)
+    _, adjacency = initial_graph(poset)
     sizes = [0] * (m + 1)
     sizes[1] = count
     if m >= 2:
-        sizes[2] = comb(count, 2) - len(edges)
+        sizes[2] = comb(count, 2) - sum(row.bit_count() for row in adjacency) // 2
     if m >= 3:
-        adj = _adjacency_masks(count, edges)
-        full = (1 << count) - 1
         triples = 0
-        for u in range(count):
-            for v in range(u + 1, count):
-                if not adj[u] >> v & 1:
-                    above = full >> (v + 1) << (v + 1)
-                    triples += ((~adj[u] & ~adj[v]) & above).bit_count()
+        for u, row in enumerate(adjacency):
+            free = ~row >> (u + 1) << (u + 1) & ((1 << count) - 1)
+            while free:
+                low = free & -free
+                free ^= low  # now the bits of free above v
+                triples += (free & ~adjacency[low.bit_length() - 1]).bit_count()
         sizes[3] = triples
     return sum(sizes[k] * comb(m - 1, k - 1) for k in range(1, m + 1))
 
@@ -485,10 +519,9 @@ def triangulation_extract(poset, guard_points=GUARD_POINTS_DEFAULT):
     rows, ok = hilbert_certificate(poset, max_m=3, guard_points=guard_points)
     if not ok:
         raise IdentityViolation(f"initial ideal certificate failed: {list(rows)}")
-    vertex_count, edges = initial_graph(poset)
+    vertex_count, adjacency = initial_graph(poset)
     variables = variables_and_map(poset)
-    adj = _adjacency_masks(vertex_count, edges)
-    faces = _independent_sets(adj, vertex_count)
+    faces = _independent_sets(adjacency, vertex_count)
 
     maximal = [f for f, is_max in faces if is_max]
     for face in maximal:

@@ -85,8 +85,10 @@ def _relabelings(n, limit=12):
     return list(islice(everything, 0, None, max(1, factorial(n) // limit)))
 
 
-def _comparability_invariance(poset):
-    """Two halves, both exhaustively checkable facts.
+def _comparability_failure(poset):
+    """Two halves, both exhaustively checkable facts; None if both hold,
+    else a message naming the orientation or relabeling, the quantity
+    that differed and its two values.
 
     Reorienting the comparability graph (keeping it identical as a labeled
     graph) leaves the polytope untouched, so dilation counts and h* must
@@ -99,35 +101,35 @@ def _comparability_invariance(poset):
     are canonicalized, interior peaks included.
     """
     n = poset.n
-    base_counts = [geometry.count_dilation(poset, m) for m in range(1, n + 1)]
-    base_peaks = partitions.peak_polynomials(poset.canonicalized())
-    base_order = partitions.order_polynomial(poset.canonicalized(), "left")
-    for other in posets.comparability_orientations(poset):
-        counts = [geometry.count_dilation(other, m) for m in range(1, n + 1)]
-        if counts != base_counts:
-            return False
-        canon = other.canonicalized()
+
+    def quantities(counted, canon, with_peak):
+        # dilation counts first, as a mismatch there needs nothing else
+        yield "dilation counts", [geometry.count_dilation(counted, m) for m in range(1, n + 1)]
         peaks = partitions.peak_polynomials(canon)
-        if (
-            peaks.left_peak != base_peaks.left_peak
-            or peaks.descent != base_peaks.descent
-            or partitions.order_polynomial(canon, "left") != base_order
-        ):
-            return False
+        if with_peak:
+            yield "peak polynomial", peaks.peak
+        yield "left peak polynomial", peaks.left_peak
+        yield "descent polynomial", peaks.descent
+        yield "left order polynomial", partitions.order_polynomial(canon, "left")
+
+    base = dict(quantities(poset, poset.canonicalized(), True))
+    cases = [
+        (f"orientation {sorted(other.pairs)}", other, other.canonicalized(), False)
+        for other in posets.comparability_orientations(poset)
+    ]
     for sigma in _relabelings(n):
         canon = poset.relabeled(sigma).canonicalized()
-        counts = [geometry.count_dilation(canon, m) for m in range(1, n + 1)]
-        if counts != base_counts:
-            return False
-        peaks = partitions.peak_polynomials(canon)
-        if (
-            peaks.peak != base_peaks.peak
-            or peaks.left_peak != base_peaks.left_peak
-            or peaks.descent != base_peaks.descent
-            or partitions.order_polynomial(canon, "left") != base_order
-        ):
-            return False
-    return True
+        cases.append((f"relabeling {sigma}", canon, canon, True))
+    for name, counted, canon, with_peak in cases:
+        for quantity, value in quantities(counted, canon, with_peak):
+            if value != base[quantity]:
+                return f"{name}: {quantity} {value} != {base[quantity]}"
+    return None
+
+
+def _comparability_invariance(poset):
+    """True iff _comparability_failure finds no difference."""
+    return _comparability_failure(poset) is None
 
 
 def hilbert_alarm(rows):
@@ -225,7 +227,8 @@ def verify_poset(
         passed = partitions.series_identity_check(canonical, truncation)
         row["series_identity"] = {"truncation": truncation, "pass": passed}
         if not passed:
-            alarms.append("series_identity failed")
+            failure = partitions.series_identity_failure(canonical, truncation)
+            alarms.append(f"series_identity failed {failure}")
 
     with _guarded(row, "enriched_relation", False, "enriched relation", alarms):
         relation = partitions.enriched_relation_report(canonical)
@@ -243,7 +246,10 @@ def verify_poset(
             peaks = partitions.peak_polynomials(canonical)
             row[narrow] = peaks.left_peak == peaks.descent
             if not row[narrow]:
-                alarms.append("narrow poset descent identity failed")
+                alarms.append(
+                    "narrow poset descent identity failed: left peak polynomial "
+                    f"{peaks.left_peak} != descent polynomial {peaks.descent}"
+                )
 
     if n <= BIJECTION_MAX_N:
         with _guarded(row, "bijection_roundtrip", False, "bijection", alarms):
@@ -256,9 +262,10 @@ def verify_poset(
 
     if n <= INVARIANCE_MAX_N:
         with _guarded(row, "comparability_invariance", False, "invariance", alarms):
-            row["comparability_invariance"] = _comparability_invariance(poset)
-            if not row["comparability_invariance"]:
-                alarms.append("comparability invariance failed")
+            failure = _comparability_failure(poset)
+            row["comparability_invariance"] = failure is None
+            if failure is not None:
+                alarms.append(f"comparability invariance failed at {failure}")
     else:
         row["comparability_invariance"] = "skipped"
 

@@ -5,10 +5,15 @@ not take: the lattice points of E_P as signed antichain indicator vectors,
 chain-polytope membership as exact LP feasibility over the antichain
 vertices, the face map of the gamma complex as a bijection from all
 decorated linear extensions, bar removal included, and monomial normal
-forms by the generic rewriting rule for any degree.  Beside them live
-three helpers that only the tests call: chain-polytope membership by the
-maximal-chain inequalities, the Ehrhart polynomial interpolated from the
-dilation counts, and (1 + x)^k.
+forms by the generic rewriting rule for any degree.  The library's
+bitset kernels keep their former scans here: the leading-term graph by a
+walk over every pair of variables, its degree-3 standard monomials by a
+double loop over non-edges, and the ideal transfer by a scan of every
+element for the minimal ones.  Beside them live five helpers that only
+the tests call: chain-polytope membership by the maximal-chain
+inequalities, the Ehrhart polynomial interpolated from the dilation
+counts, (1 + x)^k, the edge set of an adjacency bitset list, and a
+Hypothesis strategy for randomly labelled 6-element posets.
 """
 
 from dataclasses import dataclass
@@ -16,7 +21,9 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
-from enchain import linprog
+from hypothesis import strategies as st
+
+from enchain import linprog, toric
 from enchain.errors import IdentityViolation, MalformedResult, SizeLimit
 from enchain.gamma_complex import (
     COLORS,
@@ -28,7 +35,13 @@ from enchain.gamma_complex import (
 from enchain.geometry import dilation_counts
 from enchain.partitions import left_peak_positions
 from enchain.polynomials import IntPolynomial, interpolate
-from enchain.posets import antichains, linear_extensions, maximal_chains
+from enchain.posets import (
+    antichains,
+    ideal_lattice,
+    linear_extensions,
+    maximal_chains,
+    poset_from_covers,
+)
 
 
 def lattice_points_ep(poset):
@@ -61,6 +74,89 @@ def normal_form_oracle(mono, lead_map):
         rest.remove(divisor[0])
         rest.remove(divisor[1])
         mono = tuple(sorted(rest + list(lead_map[divisor])))
+
+
+@st.composite
+def labelled_six_posets(draw):
+    """A random poset on 6 elements under a random labelling."""
+    pairs = list(combinations(range(1, 7), 2))
+    relation = draw(st.lists(st.sampled_from(pairs), max_size=12, unique=True))
+    labels = draw(st.permutations(range(1, 7)))
+    return poset_from_covers(6, relation).relabeled(labels)
+
+
+def edge_set(adjacency):
+    """The edges (u, v), u <= v, of a graph given as one neighbour bitset
+    per vertex, loops included; a bitset list that is not symmetric
+    raises ValueError."""
+    edges = set()
+    for u, row in enumerate(adjacency):
+        for v in range(row.bit_length()):
+            if row >> v & 1:
+                if not adjacency[v] >> u & 1:
+                    raise ValueError(f"{v} is a neighbour of {u}, not {u} of {v}")
+                edges.add((min(u, v), max(u, v)))
+    return frozenset(edges)
+
+
+def initial_graph_oracle(poset):
+    """The leading-term graph as (vertex count, edge set): family (1) by a
+    scan of every pair of variables for an element they sign oppositely,
+    family (2) by the library's walk of the signed ideal pairs."""
+    plus, minus, index = toric._sign_masks(poset)
+    edges = {
+        (u, v)
+        for u, v in combinations(range(len(plus)), 2)
+        if plus[u] & minus[v] or minus[u] & plus[v]
+    }
+    for masks, pattern in toric._family_two(poset):
+        edges.add(toric._signed_pair(index, masks[0], masks[1], pattern))
+    return len(index), frozenset(edges)
+
+
+def standard_monomial_oracle(poset):
+    """Degree-1, 2 and 3 standard monomial counts from
+    initial_graph_oracle: the independent pairs are the pairs minus the
+    edges, the triples come from a double loop over the non-edges u < v
+    counting the common non-neighbours above v, and a monomial of degree
+    m on an independent set S is one of C(m-1, |S|-1)."""
+    count, edges = initial_graph_oracle(poset)
+    adj = [0] * count
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    full = (1 << count) - 1
+    triples = 0
+    for u in range(count):
+        for v in range(u + 1, count):
+            if not adj[u] >> v & 1:
+                above = full >> (v + 1) << (v + 1)
+                triples += ((~adj[u] & ~adj[v]) & above).bit_count()
+    sizes = (count, comb(count, 2) - len(edges), triples)
+    return tuple(
+        sum(sizes[k - 1] * comb(m - 1, k - 1) for k in range(1, m + 1)) for m in (1, 2, 3)
+    )
+
+
+def ideal_transfer_oracle(poset):
+    """The rows of posets._ideal_transfer, with the minimal elements of
+    each difference J - I found by a scan of every element."""
+    masks = [sum(1 << e for e in ideal.elements) for ideal in ideal_lattice(poset)]
+    rows = []
+    for upper in masks:
+        row = []
+        for index, lower in enumerate(masks):
+            if lower & ~upper:
+                continue
+            diff = upper & ~lower
+            minimal = sum(
+                1
+                for e in poset.elements()
+                if diff >> e & 1 and not poset.below_mask(e) & diff
+            )
+            row.append((index, minimal))
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def membership_oracle(poset, point, max_antichains=4096):

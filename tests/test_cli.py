@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from enchain import gamma_complex, geometry, partitions, posets, toric, verify
 from enchain.cli import main
 from enchain.io import parse_poset, render_tsv
+from enchain.polynomials import IntPolynomial
 from enchain.errors import IdentityViolation, ParseError
 
 
@@ -323,13 +325,23 @@ class TestVerifyAll:
         expected = DATA / f"verify_all_max_n{max_n}.json"
         assert out.encode() == expected.read_bytes()
 
+    def test_sweep_five_is_byte_identical(self, capsys):
+        # the 955,562-byte report is pinned by its digest, taken before the
+        # leading-term graph and the ideal transfer moved to bitsets
+        code, out = run(capsys, ["verify-all", "--max-n", "5"])
+        assert code == 0
+        assert len(out.encode()) == 955_562
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "291e2e65f62b1ac61a3eb8f6ea1b80ee5c858981191054c79d6ec6b7c0f86d13"
+        )
+
     def test_spair_guard_trip_is_a_skip(self, capsys):
         code, out = run(capsys, ["verify-all", "--max-n", "2", "--guard-spairs", "1"])
         assert code == 0
         payload = json.loads(out)
         assert payload["summary"] == {"posets": 3, "alarms": 0}
         verdicts = [row["groebner"]["buchberger"] for row in payload["rows"]]
-        assert "skipped (98 S-pairs exceed guard 1)" in verdicts
+        assert "skipped (48 S-pair lcm classes exceed guard 1)" in verdicts
 
     def test_dilation_guard_trip_is_a_skip(self, capsys, tmp_path):
         path = tmp_path / "chain9.poset"
@@ -411,6 +423,57 @@ class TestVerifyAll:
         # the checks after it still ran
         assert row["enriched_relation"]["holds"] is False
         assert row["complex"]["identity"] is True
+
+    def test_series_alarm_names_both_coefficients(self, capsys, chain2, monkeypatch):
+        original = partitions.series_rhs_coefficient
+
+        def shifted(w_left, n, m):
+            return original(w_left, n, m) + (m == 2)
+
+        monkeypatch.setattr(partitions, "series_rhs_coefficient", shifted)
+        code, out = run(capsys, ["verify-all", "--poset", chain2])
+        assert code == 2
+        (row,) = json.loads(out)["rows"]
+        assert row["series_identity"] == {"truncation": 8, "pass": False}
+        chain = parse_poset("2\n1 < 2\n")
+        count = partitions.count_partitions(chain, 2, "left")
+        assert row["alarms"] == [
+            f"series_identity failed at m=2: {count} left partitions "
+            f"!= series coefficient {count + 1}"
+        ]
+
+    def test_narrow_alarm_names_both_polynomials(self, capsys, chain2, monkeypatch):
+        original = partitions.peak_polynomials
+
+        def shifted(poset):
+            peaks = original(poset)
+            return replace(peaks, descent=peaks.descent + IntPolynomial([0, 1]))
+
+        monkeypatch.setattr(partitions, "peak_polynomials", shifted)
+        code, out = run(capsys, ["verify-all", "--poset", chain2])
+        assert code == 2
+        (row,) = json.loads(out)["rows"]
+        assert row["narrow_left_peak_equals_descent"] is False
+        assert row["alarms"] == [
+            "narrow poset descent identity failed: left peak polynomial "
+            "IntPolynomial([1]) != descent polynomial IntPolynomial([1, 1])"
+        ]
+
+    def test_invariance_alarm_names_the_orientation(self, capsys, chain2, monkeypatch):
+        original = geometry.count_dilation
+
+        def reversed_differs(poset, m, **kwargs):
+            return original(poset, m, **kwargs) + poset.less(2, 1)
+
+        monkeypatch.setattr(geometry, "count_dilation", reversed_differs)
+        code, out = run(capsys, ["verify-all", "--poset", chain2])
+        assert code == 2
+        (row,) = json.loads(out)["rows"]
+        assert row["comparability_invariance"] is False
+        assert row["alarms"] == [
+            "comparability invariance failed at orientation [(2, 1)]: "
+            "dilation counts [6, 14] != [5, 13]"
+        ]
 
     def test_sweep_two(self, capsys):
         code, out = run(capsys, ["verify-all", "--max-n", "2"])

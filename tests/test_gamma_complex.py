@@ -2,7 +2,6 @@ from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from enchain.errors import MalformedResult, SizeLimit
 from enchain.gamma_complex import (
@@ -15,7 +14,7 @@ from enchain.gamma_complex import (
 from enchain.partitions import peak_polynomials
 from enchain.polynomials import IntPolynomial
 from enchain.posets import all_natural_posets, linear_extensions, poset_from_covers
-from oracles import cover_reduce, decorate, iso_check, s_p
+from oracles import cover_reduce, decorate, iso_check, labelled_six_posets, s_p
 
 anti2 = poset_from_covers(2, [])
 anti3 = poset_from_covers(3, [])
@@ -198,15 +197,6 @@ def pair_scan_edges(complex_):
         for ca in range(4)
         for cb in range(4)
     )
-
-
-@st.composite
-def labelled_six_posets(draw):
-    """A random poset on 6 elements under a random labelling."""
-    pairs = list(combinations(range(1, 7), 2))
-    relation = draw(st.lists(st.sampled_from(pairs), max_size=12, unique=True))
-    labels = draw(st.permutations(range(1, 7)))
-    return poset_from_covers(6, relation).relabeled(labels)
 
 
 class TestPairLoop:

@@ -1,7 +1,9 @@
 from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import example, given, settings
 
+from enchain import posets
 from enchain.errors import CycleDetected, LabelOutOfRange, NotAnIdeal, SizeLimit
 from enchain.posets import (
     Poset,
@@ -16,6 +18,8 @@ from enchain.posets import (
     poset_predicates,
     star,
 )
+
+from oracles import ideal_transfer_oracle, labelled_six_posets
 
 
 def chain(n):
@@ -166,6 +170,22 @@ class TestIdeals:
                     (i.max_elements for i in ideals), key=lambda a: (len(a), a)
                 )
                 assert maxima == antichains(poset)
+
+
+class TestIdealTransfer:
+    """_ideal_transfer, which finds minimal elements among the bits of
+    each difference, against a scan of every element."""
+
+    def test_every_natural_poset_up_to_five(self):
+        for n in (1, 2, 3, 4, 5):
+            for poset in all_natural_posets(n):
+                assert posets._ideal_transfer(poset) == ideal_transfer_oracle(poset)
+
+    @given(labelled_six_posets())
+    @example(antichain(6))
+    @settings(max_examples=10, deadline=None)
+    def test_random_six_element_posets(self, poset):
+        assert posets._ideal_transfer(poset) == ideal_transfer_oracle(poset)
 
 
 class TestPredicates:

@@ -3,6 +3,7 @@ from collections import Counter
 from itertools import combinations, combinations_with_replacement
 
 import pytest
+from hypothesis import example, given, settings
 
 from enchain import toric, verify
 from enchain.errors import IdentityViolation, Infeasible, SizeLimit
@@ -23,7 +24,14 @@ from enchain.toric import (
     variables_and_map,
 )
 
-from oracles import lattice_points_ep, normal_form_oracle
+from oracles import (
+    edge_set,
+    initial_graph_oracle,
+    labelled_six_posets,
+    lattice_points_ep,
+    normal_form_oracle,
+    standard_monomial_oracle,
+)
 
 chain2 = poset_from_covers(2, [(1, 2)])
 anti2 = poset_from_covers(2, [])
@@ -78,6 +86,16 @@ def _distinct_spairs(binomials, order):
     for members in incidence.values():
         pairs.update(combinations(members, 2))
     return pairs
+
+
+def _lcm_classes(binomials, order):
+    """The distinct lcms of two distinct leads that share a variable."""
+    leads = set(_leads_and_tails(binomials, order)[0])
+    return {
+        tuple(sorted(set(a) | set(b)))
+        for a, b in combinations(leads, 2)
+        if set(a) & set(b)
+    }
 
 
 def reference_buchberger(binomials, order):
@@ -464,9 +482,9 @@ class TestBuchberger:
             for poset in all_natural_posets(n):
                 basis = generate_groebner_candidates(poset)
                 order = construct_order(poset)
-                count = len(_distinct_spairs(basis, order))
+                count = len(_lcm_classes(basis, order))
                 assert buchberger_verify(basis, order, guard_spairs=count)
-                with pytest.raises(SizeLimit, match=f"^{count} S-pairs"):
+                with pytest.raises(SizeLimit, match=f"^{count} S-pair lcm classes"):
                     buchberger_verify(basis, order, guard_spairs=count - 1)
 
     def test_matches_reference_up_to_three(self):
@@ -628,16 +646,39 @@ class TestStandardMonomials:
     def test_graph_matches_reference(self):
         for n in (1, 2, 3, 4, 5):
             for poset in all_natural_posets(n):
-                count, edges = initial_graph(poset)
+                count, adjacency = initial_graph(poset)
                 assert count == len(variables_and_map(poset))
-                assert edges == reference_edges(poset), poset.pairs
+                assert edge_set(adjacency) == reference_edges(poset), poset.pairs
 
     def test_graph_matches_candidate_leads(self):
         for n in (1, 2, 3, 4):
             for poset in all_natural_posets(n):
-                _, edges = initial_graph(poset)
+                _, adjacency = initial_graph(poset)
                 leads = {b.lead for b in generate_groebner_candidates(poset)}
-                assert edges == leads
+                assert edge_set(adjacency) == leads
+
+
+class TestBitsetKernels:
+    """initial_graph and standard_monomial_count against the pair scan
+    and the double loop over non-edges that they replaced."""
+
+    @staticmethod
+    def assert_matches_oracles(poset):
+        count, adjacency = initial_graph(poset)
+        assert (count, edge_set(adjacency)) == initial_graph_oracle(poset), poset.pairs
+        counts = tuple(standard_monomial_count(poset, m) for m in (1, 2, 3))
+        assert counts == standard_monomial_oracle(poset), poset.pairs
+
+    def test_every_natural_poset_up_to_five(self):
+        for n in (1, 2, 3, 4, 5):
+            for poset in all_natural_posets(n):
+                self.assert_matches_oracles(poset)
+
+    @given(labelled_six_posets())
+    @example(poset_from_covers(6, []))
+    @settings(max_examples=10, deadline=None)
+    def test_random_six_element_posets(self, poset):
+        self.assert_matches_oracles(poset)
 
 
 class TestTriangulation:
