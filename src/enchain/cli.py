@@ -259,7 +259,11 @@ def cmd_triangulation(poset, cfg):
 def cmd_complex(poset, cfg):
     canonical, relabeling = _canonical_note(poset)
     complex_ = gamma_complex.build_complex(canonical)
-    texts = [v.text() for v in complex_.vertices]
+    # vertices come four to a word, colors 0..3: render the word once
+    texts = []
+    for base in complex_.vertices[:: len(gamma_complex.COLORS)]:
+        head, tail = base.text().split("|^0")
+        texts.extend(f"{head}|^{c}{tail}" for c in gamma_complex.COLORS)
     payload = {
         "f": list(complex_.f_vector),
         "identity": "pass",

@@ -83,6 +83,19 @@ class DecoratedPermutation:
     def __lt__(self, other):
         return (self.word, self.bars) < (other.word, other.bars)
 
+    def recolored(self, color):
+        """This one-bar element with its bar in `color`.  The word and the
+        bar position were validated when self was built, so only the color
+        is checked and the left peaks are not recomputed."""
+        if self.bar_count() != 1:
+            raise ValueError("recoloring is defined for one-bar elements")
+        if color not in COLORS:
+            raise MalformedResult(f"bar colors must lie in 0..3: {color}")
+        out = object.__new__(DecoratedPermutation)
+        object.__setattr__(out, "word", self.word)
+        object.__setattr__(out, "bars", ((self.bars[0][0], color),))
+        return out
+
 
 class _VertexKey(NamedTuple):
     """The per-vertex half of adjacency, computed once per vertex."""
@@ -162,7 +175,7 @@ def _clique_counts(adj, vertex_count, max_size):
 
 @dataclass(frozen=True)
 class GammaComplex:
-    vertices: tuple  # one-bar DecoratedPermutation, sorted
+    vertices: tuple  # one-bar DecoratedPermutation, sorted: four per word, colors 0..3
     edges: tuple  # index pairs into vertices
     f_vector: tuple  # (1, f_0, f_1, ...) by face size
     f_polynomial: IntPolynomial
@@ -228,11 +241,7 @@ def build_complex(poset, max_n=COMPLEX_GUARD_N):
             f"{expected!r} (faces beyond gamma length: {overflow})"
         )
 
-    vertices = []
-    for base in underlying:
-        p, _ = base.bars[0]
-        for c in COLORS:
-            vertices.append(DecoratedPermutation(base.word, ((p, c),)))
+    vertices = [base.recolored(c) if c else base for base in underlying for c in COLORS]
     edges = [
         (a * 4 + ca, b * 4 + cb) for a, b in pairs for ca in COLORS for cb in COLORS
     ]

@@ -12,8 +12,9 @@ values are weakly increasing along chains, so an equality across a longer
 relation forces equality along the covers in between.
 
 The number of left enriched partitions with bound m equals the number of
-lattice points of the m-th dilate of the enriched chain polytope; phi_map
-and psi_map realize the bijection explicitly.  Partitions are counted two
+lattice points of the m-th dilate of the enriched chain polytope;
+roundtrip_maps realizes the bijection explicitly as one pair of closures
+per poset, which phi_map and psi_map wrap.  Partitions are counted two
 ways: count_partitions reads them off ideal chains through the transfer
 kernel that also counts lattice points, and frontier_count walks the
 elements in natural order, keeping only the absolute values that later
@@ -170,61 +171,94 @@ def frontier_count(poset, m, kind="left", guard=PARTITION_GUARD_DEFAULT):
     return sum(states.values())
 
 
+@lru_cache(maxsize=128)
+def roundtrip_maps(poset):
+    """The phi/psi bijection of a naturally labeled poset as a pair of
+    closures (phi, psi) over 0-based lower covers read once, memoised by
+    the poset's value.
+
+    phi(f) is the lattice point of a left enriched partition f: a minimal
+    element keeps its value, any other element i gets the least
+    |f(i)| - |f(j)| over its lower covers j, signed like f(i).  It is None
+    when f has the wrong length or breaks a condition along a cover, which
+    is enough (see the module docstring).
+
+    psi(x) is the pair (partition, top) for an integer vector x of length
+    n: element i gets the largest sum of |x_j| along chains ending at i,
+    signed like x_i, and top is the largest of those sums, so x lies in
+    the m-th dilation exactly when top <= m.  Natural labels list every
+    lower cover before its element, so one pass in label order suffices."""
+    _require_natural(poset)
+    n = poset.n
+    lowers = poset.lower_covers()
+    covers = [tuple(j - 1 for j in lowers[i]) for i in poset.elements()]
+
+    def phi(f):
+        if len(f) != n:
+            return None
+        coords = []
+        for i, covs in enumerate(covers):
+            v = f[i]
+            if not covs:
+                coords.append(v)
+                continue
+            # the largest |f| below i decides both conditions at once
+            base = max([abs(f[j]) for j in covs])
+            if v >= 0:
+                if v < base:
+                    return None
+                coords.append(v - base)
+            else:
+                if -v <= base:
+                    return None
+                coords.append(v + base)
+        return tuple(coords)
+
+    def psi(x):
+        sums = []
+        out = []
+        top = 0
+        for i, covs in enumerate(covers):
+            v = x[i]
+            s = (v if v >= 0 else -v) + (max([sums[j] for j in covs]) if covs else 0)
+            sums.append(s)
+            out.append(s if v >= 0 else -s)
+            if s > top:
+                top = s
+        return tuple(out), top
+
+    return phi, psi
+
+
 def is_left_partition(poset, f, m=None):
-    """Check the two defining conditions along every order relation."""
-    if len(f) != poset.n:
-        return False
+    """Whether f is a left enriched partition of the naturally labeled
+    poset (with every |f(e)| <= m, if m is given), decided along the
+    covers by the roundtrip kernel."""
     if m is not None and any(abs(v) > m for v in f):
         return False
-    for a, b in poset.pairs:
-        fa, fb = f[a - 1], f[b - 1]
-        if abs(fa) > abs(fb):
-            return False
-        if abs(fa) == abs(fb) and fb < 0:
-            return False
-    return True
+    return roundtrip_maps(poset)[0](f) is not None
 
 
 def phi_map(poset, f):
     """Lattice point of the dilated enriched chain polytope attached to a
-    left enriched partition: minimal elements keep their value, any other
-    element i gets min over lower covers j of |f(i)| - |f(j)|, signed like
-    f(i)."""
+    left enriched partition (the phi of roundtrip_maps)."""
     _require_natural(poset)
-    if not is_left_partition(poset, f):
+    x = roundtrip_maps(poset)[0](f)
+    if x is None:
         raise InvalidPartition(f"{f} violates the left enriched conditions")
-    lowers = poset.lower_covers()
-    coords = []
-    for i in poset.elements():
-        if not lowers[i]:
-            coords.append(f[i - 1])
-        else:
-            d = min(abs(f[i - 1]) - abs(f[j - 1]) for j in lowers[i])
-            coords.append(d if f[i - 1] >= 0 else -d)
-    return tuple(coords)
-
-
-def _chain_sums(poset, absvals):
-    """Largest chain sum of absolute values ending at each element."""
-    lowers = poset.lower_covers()
-    sums = [0] * (poset.n + 1)
-    for e in poset.topological_order():
-        sums[e] = absvals[e - 1] + max((sums[c] for c in lowers[e]), default=0)
-    return sums
+    return x
 
 
 def psi_map(poset, point, m):
-    """Left enriched partition attached to a lattice point: element i gets
-    the largest sum of |x_j| along chains ending at i, signed like x_i."""
+    """Left enriched partition attached to a lattice point of the m-th
+    dilation (the psi of roundtrip_maps)."""
     _require_natural(poset)
     if len(point) != poset.n or any(not isinstance(c, int) for c in point):
         raise PointOutsidePolytope(f"{point} is not an integer vector of length n")
-    sums = _chain_sums(poset, [abs(c) for c in point])
-    if max(sums) > m:
+    f, top = roundtrip_maps(poset)[1](point)
+    if top > m:
         raise PointOutsidePolytope(f"{point} lies outside the {m}-th dilation")
-    return tuple(
-        sums[i] if point[i - 1] >= 0 else -sums[i] for i in poset.elements()
-    )
+    return f
 
 
 def left_peak_positions(word):

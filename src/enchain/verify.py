@@ -19,7 +19,7 @@ from itertools import islice, permutations
 from math import factorial
 
 from . import gamma_complex, geometry, partitions, posets, toric
-from .errors import IdentityAlarm, PointOutsidePolytope, SizeLimit
+from .errors import IdentityAlarm, SizeLimit
 
 BUCHBERGER_MAX_N = 4
 TRIANGULATION_MAX_N = 4
@@ -46,26 +46,31 @@ def _bijection_failure(poset, max_m):
     as a message naming m and the offending partition or point; None if
     there is none.
 
-    For each partition f, phi(f) must be a lattice point, keep the signs
-    of f with |phi(f)_i| <= |f_i|, and satisfy psi(phi(f)) = f.  That
-    makes phi injective with its image inside the lattice points, so the
-    image has as many elements as there are lattice points exactly when
-    phi is onto.  Then every lattice point is phi(f) for exactly one
-    checked f, and psi inverts phi on it: the roundtrip from the points'
-    side needs no second pass.  The points come from
-    geometry.dilation_points (maximal-chain sums), not from psi_map."""
+    For each partition f, phi(f) must exist (f keeps the left enriched
+    conditions), be a lattice point, keep the signs of f with
+    |phi(f)_i| <= |f_i|, and satisfy psi(phi(f)) = f.  That makes phi
+    injective with its image inside the lattice points, so the image has
+    as many elements as there are lattice points exactly when phi is
+    onto.  Then every lattice point is phi(f) for exactly one checked f,
+    and psi inverts phi on it: the roundtrip from the points' side needs
+    no second pass.  phi and psi come once per poset from
+    partitions.roundtrip_maps; the points come from
+    geometry.dilation_points (maximal-chain sums), not from psi."""
+    phi, psi = partitions.roundtrip_maps(poset)
     for m in range(1, max_m + 1):
         points = set(geometry.dilation_points(poset, m))
         images = set()
         for f in partitions.iter_partitions(poset, m, "left"):
-            x = partitions.phi_map(poset, f)
+            x = phi(f)
+            if x is None:
+                return f"at m={m}: f = {f} breaks the left enriched conditions"
             if x not in points:
                 return f"at m={m}: phi(f) = {x} is not a lattice point, f = {f}"
-            if any((a >= 0) != (b >= 0) or abs(a) < abs(b) for a, b in zip(f, x)):
-                return f"at m={m}: phi(f) = {x} breaks the signs or bounds of f = {f}"
-            try:
-                back = partitions.psi_map(poset, x, m)
-            except PointOutsidePolytope:
+            for a, b in zip(f, x):
+                if (a >= 0) != (b >= 0) or abs(a) < abs(b):
+                    return f"at m={m}: phi(f) = {x} breaks the signs or bounds of f = {f}"
+            back, top = psi(x)
+            if top > m:
                 return f"at m={m}: psi rejects phi(f) = {x}, f = {f}"
             if back != f:
                 return f"at m={m}: psi(phi(f)) = {back} != f = {f}"

@@ -9,11 +9,14 @@ forms by the generic rewriting rule for any degree.  The library's
 bitset kernels keep their former scans here: the leading-term graph by a
 walk over every pair of variables, its degree-3 standard monomials by a
 double loop over non-edges, and the ideal transfer by a scan of every
-element for the minimal ones.  Beside them live five helpers that only
-the tests call: chain-polytope membership by the maximal-chain
-inequalities, the Ehrhart polynomial interpolated from the dilation
-counts, (1 + x)^k, the edge set of an adjacency bitset list, and a
-Hypothesis strategy for randomly labelled 6-element posets.
+element for the minimal ones.  The phi/psi roundtrip kernel keeps the
+former bodies of phi_map and psi_map here, with the left enriched
+conditions checked on every relation rather than along the covers.
+Beside them live five helpers that only the tests call: chain-polytope
+membership by the maximal-chain inequalities, the Ehrhart polynomial
+interpolated from the dilation counts, (1 + x)^k, the edge set of an
+adjacency bitset list, and a Hypothesis strategy for randomly labelled
+6-element posets.
 """
 
 from dataclasses import dataclass
@@ -24,7 +27,13 @@ from math import comb
 from hypothesis import strategies as st
 
 from enchain import linprog, toric
-from enchain.errors import IdentityViolation, MalformedResult, SizeLimit
+from enchain.errors import (
+    IdentityViolation,
+    InvalidPartition,
+    MalformedResult,
+    PointOutsidePolytope,
+    SizeLimit,
+)
 from enchain.gamma_complex import (
     COLORS,
     DecoratedPermutation,
@@ -157,6 +166,55 @@ def ideal_transfer_oracle(poset):
             row.append((index, minimal))
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def left_partition_oracle(poset, f, m=None):
+    """Whether f is a left enriched partition (with bound m, if given),
+    by the two defining conditions along every order relation."""
+    if len(f) != poset.n:
+        return False
+    if m is not None and any(abs(v) > m for v in f):
+        return False
+    for a, b in poset.pairs:
+        fa, fb = f[a - 1], f[b - 1]
+        if abs(fa) > abs(fb):
+            return False
+        if abs(fa) == abs(fb) and fb < 0:
+            return False
+    return True
+
+
+def phi_map_oracle(poset, f):
+    """partitions.phi_map before the roundtrip kernel: validate f on every
+    relation, then give each non-minimal element i the least
+    |f(i)| - |f(j)| over its lower covers j, signed like f(i)."""
+    if not left_partition_oracle(poset, f):
+        raise InvalidPartition(f"{f} violates the left enriched conditions")
+    lowers = poset.lower_covers()
+    coords = []
+    for i in poset.elements():
+        if not lowers[i]:
+            coords.append(f[i - 1])
+        else:
+            d = min(abs(f[i - 1]) - abs(f[j - 1]) for j in lowers[i])
+            coords.append(d if f[i - 1] >= 0 else -d)
+    return tuple(coords)
+
+
+def psi_map_oracle(poset, point, m):
+    """partitions.psi_map before the roundtrip kernel: the largest chain
+    sums of |x| in topological order, signed like x."""
+    if len(point) != poset.n or any(not isinstance(c, int) for c in point):
+        raise PointOutsidePolytope(f"{point} is not an integer vector of length n")
+    lowers = poset.lower_covers()
+    sums = [0] * (poset.n + 1)
+    for e in poset.topological_order():
+        sums[e] = abs(point[e - 1]) + max((sums[c] for c in lowers[e]), default=0)
+    if max(sums) > m:
+        raise PointOutsidePolytope(f"{point} lies outside the {m}-th dilation")
+    return tuple(
+        sums[i] if point[i - 1] >= 0 else -sums[i] for i in poset.elements()
+    )
 
 
 def membership_oracle(poset, point, max_antichains=4096):

@@ -185,6 +185,27 @@ class TestComplex:
         with pytest.raises(SizeLimit):
             build_complex(poset_from_covers(7, []), max_n=6)
 
+    def test_recolored_vertices_equal_fresh_ones(self):
+        """The vertices, recolored from their color-0 word, equal (and hash
+        like) vertices built and validated from scratch, colors 0..3 in
+        order for each word."""
+        posets = [p for n in range(1, 6) for p in all_natural_posets(n)]
+        for poset in posets + [poset_from_covers(6, [])]:
+            vertices = build_complex(poset).vertices
+            for k, vertex in enumerate(vertices):
+                fresh = DecoratedPermutation(vertex.word, vertex.bars)
+                assert vertex == fresh and hash(vertex) == hash(fresh)
+                assert vertex.bars[0][1] == k % 4
+                assert vertex.word == vertices[k - k % 4].word
+
+    def test_recoloring_checks_color_and_bar_count(self):
+        vertex = DecoratedPermutation((2, 1), ((1, 0),))
+        assert vertex.recolored(3) == DecoratedPermutation((2, 1), ((1, 3),))
+        with pytest.raises(MalformedResult):
+            vertex.recolored(4)
+        with pytest.raises(ValueError):
+            DecoratedPermutation((1, 2), ()).recolored(1)
+
 
 def pair_scan_edges(complex_):
     """The edges of the complex from vertex_adjacent on every pair of

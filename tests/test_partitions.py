@@ -34,7 +34,12 @@ from enchain.partitions import (
 from enchain.polynomials import IntPolynomial, RatPolynomial
 from enchain.posets import all_natural_posets, poset_from_covers, poset_predicates
 
-from oracles import ehrhart_polynomial
+from oracles import (
+    ehrhart_polynomial,
+    left_partition_oracle,
+    phi_map_oracle,
+    psi_map_oracle,
+)
 
 single = poset_from_covers(1, [])
 chain2 = poset_from_covers(2, [(1, 2)])
@@ -211,8 +216,41 @@ class TestBijection:
                     for point in product(range(-m, m + 1), repeat=n):
                         if in_enriched_polytope(poset, point, m):
                             f = psi_map(poset, point, m)
-                            assert is_left_partition(poset, f, m)
+                            assert left_partition_oracle(poset, f, m)
                             assert phi_map(poset, f) == point
+
+    def test_maps_match_oracles_on_every_vector(self):
+        """On every vector of {-m..m}^n, n <= 4, m <= 2: phi_map raises
+        exactly when the all-relations oracle rejects the vector, psi_map
+        exactly when the polytope membership test does, and otherwise
+        both return what their former bodies did."""
+        for n in range(1, 5):
+            for poset in all_natural_posets(n):
+                for m in range(3):
+                    for v in product(range(-m, m + 1), repeat=n):
+                        valid = left_partition_oracle(poset, v)
+                        assert is_left_partition(poset, v, m) == valid
+                        if valid:
+                            assert phi_map(poset, v) == phi_map_oracle(poset, v)
+                        else:
+                            with pytest.raises(InvalidPartition):
+                                phi_map(poset, v)
+                        if in_enriched_polytope(poset, v, m):
+                            assert psi_map(poset, v, m) == psi_map_oracle(poset, v, m)
+                        else:
+                            with pytest.raises(PointOutsidePolytope):
+                                psi_map(poset, v, m)
+
+    def test_maps_reject_malformed_input(self):
+        assert not is_left_partition(chain2, (0,))
+        with pytest.raises(InvalidPartition):
+            phi_map(chain2, (0, 0, 0))
+        with pytest.raises(PointOutsidePolytope):
+            psi_map(chain2, (0,), 1)
+        with pytest.raises(PointOutsidePolytope):
+            psi_map(chain2, (0, 0.5), 1)
+        with pytest.raises(NotNaturallyLabeled):
+            phi_map(poset_from_covers(2, [(2, 1)]), (0, 0))
 
 
 class TestBijectionRoundtrip:
@@ -225,12 +263,10 @@ class TestBijectionRoundtrip:
                 assert verify._bijection_failure(poset, 3) is None
 
     def test_phi_merging_two_partitions(self, monkeypatch):
-        original = phi_map
+        def merging(phi, psi):
+            return (lambda f: phi((0, 0) if f == (0, 1) else f)), psi
 
-        def merging(poset, f):
-            return original(poset, (0, 0) if f == (0, 1) else f)
-
-        monkeypatch.setattr(partitions, "phi_map", merging)
+        self.patch_maps(monkeypatch, merging)
         assert verify._bijection_failure(chain2, 2) is not None
 
     def test_psi_flipping_a_sign(self, monkeypatch):
@@ -238,10 +274,11 @@ class TestBijectionRoundtrip:
         assert verify._bijection_failure(chain2, 2) is not None
 
     def test_psi_rejecting_a_point(self, monkeypatch):
-        def rejecting(poset, point, m):
-            raise PointOutsidePolytope(f"{point} rejected")
+        def rejecting(phi, psi):
+            # a largest chain sum beyond every bound: no dilation holds x
+            return phi, lambda x: (psi(x)[0], float("inf"))
 
-        monkeypatch.setattr(partitions, "psi_map", rejecting)
+        self.patch_maps(monkeypatch, rejecting)
         assert verify._bijection_failure(chain2, 2) == (
             "at m=1: psi rejects phi(f) = (0, 0), f = (0, 0)"
         )
@@ -274,20 +311,50 @@ class TestBijectionRoundtrip:
             "bijection roundtrip failed at m=1: psi(phi(f)) = (0, -1) != f = (0, 1)"
         ]
 
+    def test_invalid_partition_is_a_failed_row(self, monkeypatch):
+        """A partition breaking the conditions fails the check and the row
+        carries on; it used to raise InvalidPartition out of the sweep."""
+
+        def invalid(poset, m, kind="left"):
+            yield (1, -1)  # equal magnitudes need f(2) >= 0
+
+        monkeypatch.setattr(partitions, "iter_partitions", invalid)
+        assert verify._bijection_failure(chain2, 2) == (
+            "at m=1: f = (1, -1) breaks the left enriched conditions"
+        )
+        row = verify.verify_poset(chain2)
+        assert row["bijection_roundtrip"] == {"max_m": 3, "pass": False}
+        assert row["alarms"] == [
+            "bijection roundtrip failed at m=1: f = (1, -1) breaks the left "
+            "enriched conditions"
+        ]
+
     @staticmethod
-    def flip_psi(monkeypatch):
+    def patch_maps(monkeypatch, breaking):
+        """Replace partitions.roundtrip_maps by breaking(phi, psi) applied
+        to the kernel's own pair."""
+        original = partitions.roundtrip_maps
+        monkeypatch.setattr(
+            partitions, "roundtrip_maps", lambda poset: breaking(*original(poset))
+        )
+
+    @classmethod
+    def flip_psi(cls, monkeypatch):
         """psi with the sign of its first nonzero coordinate flipped."""
-        original = psi_map
 
-        def flipping(poset, point, m):
-            f = list(original(poset, point, m))
-            for i, v in enumerate(f):
-                if v:
-                    f[i] = -v
-                    break
-            return tuple(f)
+        def flipping(phi, psi):
+            def flipped(x):
+                f, top = psi(x)
+                f = list(f)
+                for i, v in enumerate(f):
+                    if v:
+                        f[i] = -v
+                        break
+                return tuple(f), top
 
-        monkeypatch.setattr(partitions, "psi_map", flipping)
+            return phi, flipped
+
+        cls.patch_maps(monkeypatch, flipping)
 
 
 class TestPeakStatistics:
