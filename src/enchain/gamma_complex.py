@@ -182,7 +182,7 @@ class GammaComplex:
     kruskal_katona: bool
 
 
-def build_complex(poset, max_n=COMPLEX_GUARD_N):
+def build_complex(poset):
     """The flag complex on one-bar decorated linear extensions, with its
     f-polynomial checked against the left peak polynomial evaluated at 4x
     (vertices differing only in bar color are distinct, which accounts for
@@ -198,8 +198,8 @@ def build_complex(poset, max_n=COMPLEX_GUARD_N):
     permutation, it carries valid bars, and its face map returns the
     pair."""
     n = poset.n
-    if n > max_n:
-        raise SizeLimit(f"complex construction guarded at n <= {max_n}")
+    if n > COMPLEX_GUARD_N:
+        raise SizeLimit(f"complex construction guarded at n <= {COMPLEX_GUARD_N}")
     extensions = linear_extensions(poset)
     underlying = []
     for w in extensions:

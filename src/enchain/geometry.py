@@ -42,7 +42,9 @@ def dilation_points(poset, m):
     every maximal chain; coordinate e is offered only the values with
     |x_e| <= m minus the largest running sum through e, so every branch
     ends in a point and every point is reached.  Membership is read off
-    the maximal chains alone, independently of psi_map's cover DP."""
+    the maximal chains alone, independently of psi_map's cover DP.  One
+    frame walks the tree: stack[e - 1] holds the values coordinate e has
+    left."""
     if m < 0:
         raise ValueError("dilation factor must be nonnegative")
     n = poset.n
@@ -54,32 +56,37 @@ def dilation_points(poset, m):
     sums = [0] * len(chains)
     point = [0] * n
 
-    def place(e):
-        mine = through[e]
-        room = m - max(sums[c] for c in mine)
-        for v in range(-room, room + 1):
+    def choices(e):
+        room = m - max(sums[c] for c in through[e])
+        return iter(range(-room, room + 1))
+
+    stack = [choices(1)]
+    while stack:
+        e = len(stack)
+        for v in stack[-1]:
             point[e - 1] = v
             if e == n:
                 yield tuple(point)
-                continue
-            for c in mine:
-                sums[c] += abs(v)
-            yield from place(e + 1)
-            for c in mine:
-                sums[c] -= abs(v)
+            else:
+                for c in through[e]:
+                    sums[c] += abs(v)
+                stack.append(choices(e + 1))
+                break
+        else:
+            stack.pop()  # back at coordinate e - 1, if any: take it off its chains
+            for c in through[e - 1]:
+                sums[c] -= abs(point[e - 2])
 
-    yield from place(1)
 
-
-def count_dilation(poset, m, guard_points=GUARD_POINTS_DEFAULT, max_n=MAX_N_DEFAULT):
+def count_dilation(poset, m, guard_points=GUARD_POINTS_DEFAULT):
     """|m E_P  cap  Z^n|, exactly: the weighted count of ideal chains
     I_0 <= ... <= I_m = P with I_0 free, each lattice point recorded by
     its level ideals as in the module docstring."""
     if m < 0:
         raise ValueError("dilation factor must be nonnegative")
     n = poset.n
-    if n > max_n:
-        raise SizeLimit(f"count_dilation guarded at n <= {max_n}")
+    if n > MAX_N_DEFAULT:
+        raise SizeLimit(f"count_dilation guarded at n <= {MAX_N_DEFAULT}")
     if (m + 1) ** n > guard_points:
         raise SizeLimit(f"(m+1)^n = {(m + 1) ** n} exceeds guard {guard_points}")
     return ideal_chain_count(poset, m)

@@ -50,52 +50,44 @@ def _require_natural(poset):
         )
 
 
-def _value_choices(base, m, kind, minimal):
-    """Admissible values for the next element given the largest absolute
-    value `base` among its lower covers, smallest absolute value first.
-
-    Matching `base` exactly forces the nonnegative sign (condition (ii));
-    a strictly larger absolute value is free to take either sign.  For the
-    enriched kind a minimal element must avoid 0."""
-    out = []
-    if kind == "left":
-        out.append(base)
-        start = base + 1
-    elif kind == "enriched":
-        if minimal:
-            start = 1
-        else:
-            out.append(base)
-            start = base + 1
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    for b in range(start, m + 1):
-        out.append(b)
-        out.append(-b)
-    return out
-
-
 def iter_partitions(poset, m, kind="left"):
     """Yield every partition with bound m as a tuple indexed by element,
-    by backtracking along the natural order so constraints propagate."""
+    by backtracking along the natural order so constraints propagate.
+
+    Element e takes the largest absolute value `base` among its lower
+    covers with the nonnegative sign (condition (ii)), or any larger
+    absolute value up to m with either sign, smallest first; for the
+    enriched kind a minimal element avoids 0.  One frame walks the tree:
+    stack[e - 1] holds the values element e has left to try."""
     _require_natural(poset)
     if m < 0:
         raise ValueError("bound must be nonnegative")
+    if kind not in ("left", "enriched"):
+        raise ValueError(f"unknown kind {kind!r}")
     n = poset.n
     lowers = poset.lower_covers()
     values = [0] * (n + 1)
 
-    def backtrack(e):
-        if e > n:
-            yield tuple(values[1:])
-            return
+    def choices(e):
         covs = lowers[e]
         base = max((abs(values[c]) for c in covs), default=0)
-        for v in _value_choices(base, m, kind, minimal=not covs):
-            values[e] = v
-            yield from backtrack(e + 1)
+        out = [] if kind == "enriched" and not covs else [base]
+        for b in range(base + 1, m + 1):
+            out += (b, -b)
+        return iter(out)
 
-    yield from backtrack(1)
+    stack = [choices(1)]
+    while stack:
+        e = len(stack)
+        for v in stack[-1]:
+            values[e] = v
+            if e == n:
+                yield tuple(values[1:])
+            else:
+                stack.append(choices(e + 1))
+                break
+        else:
+            stack.pop()
 
 
 def enumerate_partitions(poset, m, kind="left", guard=PARTITION_GUARD_DEFAULT):

@@ -3,10 +3,10 @@
 A poset is stored as its full strict order relation, transitively closed;
 cover relations are derived on demand because membership tests dominate.
 Instances are immutable and hashable, safe to share between threads.
-Facts derived from a poset (covers, maximal chains, the ideal-chain
-counts) are computed once and kept, each in a slot or a bounded memo keyed
-by the poset's value; an entry is only ever filled or replaced whole, so
-no caller can see a value change.
+Facts derived from a poset (covers, maximal chains, the ideal table, the
+ideal-chain counts) are computed once and kept, each in a slot or a
+bounded memo keyed by the poset's value; an entry is only ever filled or
+replaced whole, so no caller can see a value change.
 
 A poset is *naturally labeled* when i < j as integers whenever i precedes j
 in the order.  Operations on enriched partitions require natural labeling;
@@ -57,9 +57,6 @@ class Poset:
 
     def elements(self):
         return range(1, self.n + 1)
-
-    def below_mask(self, b):
-        return self._below[b]
 
     def covers(self):
         """Cover pairs (a, b): a precedes b with nothing in between."""
@@ -216,11 +213,11 @@ def _walk_maximal_chains(poset):
     return tuple(chains)
 
 
-def linear_extensions(poset, max_n=LINEAR_EXTENSION_GUARD):
+def linear_extensions(poset):
     """All linear extensions as permutations of 1..n, lexicographically."""
     n = poset.n
-    if n > max_n:
-        raise SizeLimit(f"linear extension enumeration guarded at n <= {max_n}")
+    if n > LINEAR_EXTENSION_GUARD:
+        raise SizeLimit(f"linear extension enumeration guarded at n <= {LINEAR_EXTENSION_GUARD}")
     below = poset._below
     out = []
     perm = []
@@ -250,40 +247,63 @@ class PosetIdeal:
         return self.elements <= other.elements
 
 
-def _down_closure(poset, subset):
-    mask = 0
-    for e in subset:
-        mask |= 1 << e
-        mask |= poset.below_mask(e)
-    return frozenset(i for i in poset.elements() if mask >> i & 1)
+def _bits(mask):
+    """The positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _max_of(poset, subset):
-    mask = sum(1 << e for e in subset)
-    return tuple(sorted(e for e in subset if not poset._above[e] & mask))
+def _down(poset, mask):
+    """The mask with every element below one of its bits added."""
+    for e in _bits(mask):
+        mask |= poset._below[e]
+    return mask
+
+
+@lru_cache(maxsize=32)
+def _ideal_table(poset):
+    """Every ideal as element mask -> maxima mask (read-only), in
+    ideal_lattice order: the down-closure of each antichain, the family
+    checked closed under union and intersection; no other code builds ideals."""
+    rows = []
+    for a in antichains(poset):
+        maxima = sum(1 << e for e in a)
+        rows.append((_down(poset, maxima), maxima))
+    rows.sort(key=lambda row: (row[0].bit_count(), tuple(_bits(row[0]))))
+    table = dict(rows)
+    for i, j in combinations(table, 2):
+        if i | j not in table or i & j not in table:
+            raise NotAnIdeal("ideal family not closed under union/intersection")
+    return table
+
+
+def _view(elements, maxima):
+    return PosetIdeal(frozenset(_bits(elements)), tuple(_bits(maxima)))
+
+
+def _ideal_mask(poset, elements):
+    """The element mask of a down-closed set of labels in 1..n."""
+    elements = frozenset(elements)
+    if not all(1 <= e <= poset.n for e in elements):
+        raise LabelOutOfRange(f"label outside 1..{poset.n} in {sorted(elements)}")
+    mask = sum(1 << e for e in elements)
+    for e in elements:
+        for i in _bits(poset._below[e] & ~mask):
+            raise NotAnIdeal(f"{sorted(elements)} is not down-closed ({i} < {e})")
+    return mask
 
 
 def make_ideal(poset, elements):
-    elements = frozenset(elements)
-    for e in elements:
-        for i in poset.elements():
-            if poset.less(i, e) and i not in elements:
-                raise NotAnIdeal(f"{sorted(elements)} is not down-closed ({i} < {e})")
-    return PosetIdeal(elements, _max_of(poset, elements))
+    mask = _ideal_mask(poset, elements)
+    return _view(mask, _ideal_table(poset)[mask])
 
 
 def ideal_lattice(poset):
     """All poset ideals (one per antichain of maxima), with union and
-    intersection closure verified."""
-    ideals = []
-    for a in antichains(poset):
-        ideals.append(PosetIdeal(_down_closure(poset, a), a))
-    seen = {i.elements for i in ideals}
-    for i, j in combinations(ideals, 2):
-        if i.elements | j.elements not in seen or i.elements & j.elements not in seen:
-            raise NotAnIdeal("ideal family not closed under union/intersection")
-    ideals.sort(key=lambda i: (len(i.elements), tuple(sorted(i.elements))))
-    return ideals
+    intersection closure verified, as a fresh list."""
+    return [_view(*row) for row in _ideal_table(poset).items()]
 
 
 @lru_cache(maxsize=32)
@@ -292,7 +312,7 @@ def _ideal_transfer(poset):
     the pairs (index of I, k) over ideals I contained in J, where k is
     the number of minimal elements of J minus I, found among the set bits
     of the difference alone."""
-    masks = [sum(1 << e for e in ideal.elements) for ideal in ideal_lattice(poset)]
+    masks = list(_ideal_table(poset))
     below = poset._below
     rows = []
     for upper in masks:
@@ -369,17 +389,12 @@ def ideal_chain_count(poset, m, from_empty=False):
 
 
 def star(poset, ideal_i, ideal_j):
-    """The ideal generated by max(I cap J) restricted to max(I) cup max(J)."""
-    if not isinstance(ideal_i, PosetIdeal):
-        ideal_i = make_ideal(poset, ideal_i)
-    if not isinstance(ideal_j, PosetIdeal):
-        ideal_j = make_ideal(poset, ideal_j)
-    meet = ideal_i.elements & ideal_j.elements
-    generators = set(_max_of(poset, meet)) & (
-        set(ideal_i.max_elements) | set(ideal_j.max_elements)
-    )
-    elements = _down_closure(poset, generators)
-    return PosetIdeal(elements, _max_of(poset, elements))
+    """The ideal generated by max(I cap J) restricted to max(I) cup max(J);
+    a subset of an antichain generates the ideal whose maxima it is."""
+    table = _ideal_table(poset)
+    i, j = (_ideal_mask(poset, getattr(x, "elements", x)) for x in (ideal_i, ideal_j))
+    generators = table[i & j] & (table[i] | table[j])
+    return _view(_down(poset, generators), generators)
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,14 @@ it:
       they sign oppositely, e ascending: x_u x_v minus the pair with e
       dropped from both.  The leading-term graph takes the same leads
       per element, as (variables signing e +) x (variables signing e -);
-  (2) _ideal_pairs holds (max I, max J, max(I u J), max(I*J)) for each
-      incomparable pair of ideals, in combinations(ideal_lattice) order,
-      where I*J is the ideal generated by max(I cap J) restricted to
-      max(I) u max(J).  _family_two signs each entry by every pattern on
-      max(I) u max(J), the submasks of that support in increasing order:
-      x_max(I) x_max(J) minus x_max(I u J) x_max(I*J).  One pattern covers
-      every index, so a shared index gets consistent signs.
+  (2) _ideal_pairs holds (max I, max J, max(I u J), max(I*J)) as masks
+      read off the ideal table, one row per incomparable pair of ideals in
+      combinations(ideal_lattice) order, where I*J is the ideal generated
+      by max(I cap J) restricted to max(I) u max(J).  _family_two signs
+      each entry by every pattern on max(I) u max(J), the submasks of that
+      support in increasing order: x_max(I) x_max(J) minus
+      x_max(I u J) x_max(I*J).  One pattern covers every index, so a
+      shared index gets consistent signs.
 
 The term order compares weight sums first, a variable weighing
 w(I) = 2n|I| - |I|^2 for the ideal I its antichain generates (a closed
@@ -59,7 +60,7 @@ from .errors import (
 )
 from .geometry import GUARD_POINTS_DEFAULT, count_dilation, dilation_counts
 from .polynomials import IntPolynomial, hstar_from_counts
-from .posets import _max_of, antichains, ideal_lattice, linear_extensions, star
+from .posets import _bits, _ideal_table, antichains, linear_extensions
 
 SPAIR_GUARD_DEFAULT = 2_000_000
 GUARD_VERTICES = 1024
@@ -116,36 +117,29 @@ def _family_one(poset):
     that the two sign oppositely, e ascending."""
     plus, minus, _ = _sign_masks(poset)
     for u, v in combinations(range(len(plus)), 2):
-        opposite = (plus[u] & minus[v]) | (minus[u] & plus[v])
-        while opposite:
-            low = opposite & -opposite
-            yield u, v, low.bit_length() - 1
-            opposite ^= low
+        for e in _bits((plus[u] & minus[v]) | (minus[u] & plus[v])):
+            yield u, v, e
 
 
 @lru_cache(maxsize=32)
 def _ideal_pairs(poset):
-    """(max I, max J, max(I union J), max(I*J)) for every incomparable
-    pair of poset ideals, in combinations(ideal_lattice) order."""
+    """(max I, max J, max(I union J), max(I*J)) as element bitmasks for
+    every incomparable pair of poset ideals, in combinations(ideal_lattice)
+    order.  max(I*J) is max(I cap J) & (max I | max J), as a subset of an
+    antichain generates the ideal whose maxima it is."""
+    maxima = _ideal_table(poset)
     return tuple(
-        (
-            i.max_elements,
-            j.max_elements,
-            _max_of(poset, i.elements | j.elements),
-            star(poset, i, j).max_elements,
-        )
-        for i, j in combinations(ideal_lattice(poset), 2)
-        if not (i <= j or j <= i)
+        (max_i, max_j, maxima[i | j], maxima[i & j] & (max_i | max_j))
+        for (i, max_i), (j, max_j) in combinations(maxima.items(), 2)
+        if i & ~j and j & ~i
     )
 
 
 def _family_two(poset):
-    """For every _ideal_pairs entry, in order, its four antichains as
-    element bitmasks and each sign pattern on the support max I u max J:
-    the submasks of the support in increasing order (bit e set means e
-    is signed +)."""
-    for entry in _ideal_pairs(poset):
-        masks = tuple(sum(1 << e for e in antichain) for antichain in entry)
+    """For every _ideal_pairs entry, in order, its four antichain masks
+    and each sign pattern on the support max I u max J: the submasks of
+    the support in increasing order (bit e set means e is signed +)."""
+    for masks in _ideal_pairs(poset):
         support = masks[0] | masks[1]
         pattern = 0
         while True:
@@ -236,16 +230,14 @@ def construct_order(poset):
     I*J lies in I cap J.  The linear terms of w(I) + w(J) - w(I u J) -
     w(I*J) leave 2nk and the squares leave 2ab - 2ck + k^2, so the margin
     is 2ab + k(2n - 2c + k) >= 2, since a, b >= 1 and c <= n."""
-    n = poset.n
-    weights = {
-        ideal.max_elements: _ideal_weight(n, len(ideal.elements))
-        for ideal in ideal_lattice(poset)
-    }
+    table = _ideal_table(poset)
+    weights = {maxima: _ideal_weight(poset.n, i.bit_count()) for i, maxima in table.items()}
     for entry in _ideal_pairs(poset):
         w_i, w_j, w_union, w_star = (weights[a] for a in entry)
         if w_i + w_j - w_union - w_star < 2:
-            raise Infeasible(f"ideal pair {entry} misses the margin of 2")
-    return TermOrder(poset, weights)
+            pair = tuple(tuple(_bits(a)) for a in entry)
+            raise Infeasible(f"ideal pair {pair} misses the margin of 2")
+    return TermOrder(poset, {tuple(_bits(a)): w for a, w in weights.items()})
 
 
 def leading_terms_agree(binomials, order):
@@ -356,14 +348,6 @@ def buchberger_verify(binomials, order, guard_spairs=SPAIR_GUARD_DEFAULT):
     return True
 
 
-def _bits(mask):
-    """The positions of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 @lru_cache(maxsize=8)
 def initial_graph(poset):
     """Leading-term graph: one vertex per variable, one edge per intended
@@ -419,7 +403,7 @@ def standard_monomial_count(poset, m):
     if m == 0:
         return 1
     # one variable per signed antichain, counted before the graph, whose work is count^2
-    count = sum(2 ** len(a) for a in antichains(poset))
+    count = sum(1 << maxima.bit_count() for maxima in _ideal_table(poset).values())
     if count > GUARD_VERTICES:
         raise SizeLimit(f"{count} variables exceed guard {GUARD_VERTICES}")
     if m > 3:

@@ -9,7 +9,10 @@ forms by the generic rewriting rule for any degree.  The library's
 bitset kernels keep their former scans here: the leading-term graph by a
 walk over every pair of variables, its degree-3 standard monomials by a
 double loop over non-edges, and the ideal transfer by a scan of every
-element for the minimal ones.  The phi/psi roundtrip kernel keeps the
+element for the minimal ones.  The ideal table keeps its frozenset
+predecessors here: the ideal lattice by down-closure of each antichain,
+the star operation and the maxima of a union, and the rows of
+toric._ideal_pairs built from them.  The phi/psi roundtrip kernel keeps the
 former bodies of phi_map and psi_map here, with the left enriched
 conditions checked on every relation rather than along the covers.
 Beside them live five helpers that only the tests call: chain-polytope
@@ -31,6 +34,7 @@ from enchain.errors import (
     IdentityViolation,
     InvalidPartition,
     MalformedResult,
+    NotAnIdeal,
     PointOutsidePolytope,
     SizeLimit,
 )
@@ -45,8 +49,8 @@ from enchain.geometry import dilation_counts
 from enchain.partitions import left_peak_positions
 from enchain.polynomials import IntPolynomial, interpolate
 from enchain.posets import (
+    PosetIdeal,
     antichains,
-    ideal_lattice,
     linear_extensions,
     maximal_chains,
     poset_from_covers,
@@ -147,10 +151,78 @@ def standard_monomial_oracle(poset):
     )
 
 
+def _down_closure(poset, subset):
+    """The elements below or in subset, as a frozenset, by the order
+    relation."""
+    return frozenset(
+        i for i in poset.elements() if i in subset or any(poset.less(i, e) for e in subset)
+    )
+
+
+def max_of(poset, subset):
+    """The maximal elements of a set of labels, ascending, by a scan of
+    every pair."""
+    return tuple(sorted(e for e in subset if not any(poset.less(e, f) for f in subset)))
+
+
+def ideal_lattice_oracle(poset):
+    """posets.ideal_lattice as frozensets: the down-closure of every
+    antichain, the family checked closed under union and intersection,
+    sorted by size and then by sorted elements."""
+    ideals = [PosetIdeal(_down_closure(poset, a), a) for a in antichains(poset)]
+    seen = {i.elements for i in ideals}
+    for i, j in combinations(ideals, 2):
+        if i.elements | j.elements not in seen or i.elements & j.elements not in seen:
+            raise NotAnIdeal("ideal family not closed under union/intersection")
+    ideals.sort(key=lambda i: (len(i.elements), tuple(sorted(i.elements))))
+    return ideals
+
+
+def star_oracle(poset, ideal_i, ideal_j):
+    """posets.star on two PosetIdeals: the down-closure of the maxima of
+    I cap J that are maxima of I or of J."""
+    generators = set(max_of(poset, ideal_i.elements & ideal_j.elements)) & (
+        set(ideal_i.max_elements) | set(ideal_j.max_elements)
+    )
+    elements = _down_closure(poset, generators)
+    return PosetIdeal(elements, max_of(poset, elements))
+
+
+def max_of_union(poset, ideal_i, ideal_j):
+    return max_of(poset, ideal_i.elements | ideal_j.elements)
+
+
+def incomparable_ideal_pairs(poset):
+    """The pairs of ideal_lattice_oracle, in combinations order, of which
+    neither contains the other."""
+    for ideal_i, ideal_j in combinations(ideal_lattice_oracle(poset), 2):
+        if not (
+            ideal_i.elements <= ideal_j.elements or ideal_j.elements <= ideal_i.elements
+        ):
+            yield ideal_i, ideal_j
+
+
+def ideal_pairs_oracle(poset):
+    """The rows of toric._ideal_pairs from the frozenset oracles: the
+    antichains max I, max J, max(I u J) and max(I*J) as element masks."""
+    return tuple(
+        tuple(
+            sum(1 << e for e in antichain)
+            for antichain in (
+                ideal_i.max_elements,
+                ideal_j.max_elements,
+                max_of_union(poset, ideal_i, ideal_j),
+                star_oracle(poset, ideal_i, ideal_j).max_elements,
+            )
+        )
+        for ideal_i, ideal_j in incomparable_ideal_pairs(poset)
+    )
+
+
 def ideal_transfer_oracle(poset):
     """The rows of posets._ideal_transfer, with the minimal elements of
     each difference J - I found by a scan of every element."""
-    masks = [sum(1 << e for e in ideal.elements) for ideal in ideal_lattice(poset)]
+    masks = [sum(1 << e for e in ideal.elements) for ideal in ideal_lattice_oracle(poset)]
     rows = []
     for upper in masks:
         row = []
@@ -158,11 +230,8 @@ def ideal_transfer_oracle(poset):
             if lower & ~upper:
                 continue
             diff = upper & ~lower
-            minimal = sum(
-                1
-                for e in poset.elements()
-                if diff >> e & 1 and not poset.below_mask(e) & diff
-            )
+            inside = [e for e in poset.elements() if diff >> e & 1]
+            minimal = sum(1 for e in inside if not any(poset.less(i, e) for i in inside))
             row.append((index, minimal))
         rows.append(tuple(row))
     return tuple(rows)

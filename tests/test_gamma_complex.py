@@ -183,7 +183,7 @@ class TestComplex:
 
     def test_guard(self):
         with pytest.raises(SizeLimit):
-            build_complex(poset_from_covers(7, []), max_n=6)
+            build_complex(poset_from_covers(7, []))
 
     def test_recolored_vertices_equal_fresh_ones(self):
         """The vertices, recolored from their color-0 word, equal (and hash

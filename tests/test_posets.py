@@ -19,7 +19,12 @@ from enchain.posets import (
     star,
 )
 
-from oracles import ideal_transfer_oracle, labelled_six_posets
+from oracles import (
+    ideal_lattice_oracle,
+    ideal_transfer_oracle,
+    labelled_six_posets,
+    star_oracle,
+)
 
 
 def chain(n):
@@ -146,6 +151,23 @@ class TestIdeals:
         with pytest.raises(NotAnIdeal):
             make_ideal(chain(2), {2})
 
+    def test_label_above_n(self):
+        with pytest.raises(LabelOutOfRange):
+            make_ideal(chain(2), {5})
+
+    def test_label_zero(self):
+        with pytest.raises(LabelOutOfRange):
+            make_ideal(chain(2), {0})
+
+    def test_star_label_zero(self):
+        with pytest.raises(LabelOutOfRange):
+            star(chain(2), {0}, {1})
+
+    def test_lattice_matches_oracle(self):
+        for n in range(1, 7):
+            for poset in all_natural_posets(n):
+                assert ideal_lattice(poset) == ideal_lattice_oracle(poset), poset.pairs
+
     def test_star_of_nested_is_smaller(self):
         for n in range(1, 6):
             for poset in all_natural_posets(n):
@@ -170,6 +192,28 @@ class TestIdeals:
                     (i.max_elements for i in ideals), key=lambda a: (len(a), a)
                 )
                 assert maxima == antichains(poset)
+
+
+class TestStar:
+    """star, read off the ideal table, against the frozenset down-closure
+    of the maxima it keeps, on every ordered pair of ideals."""
+
+    @staticmethod
+    def assert_matches_oracle(poset):
+        ideals = ideal_lattice_oracle(poset)
+        for i, j in product(ideals, repeat=2):
+            assert star(poset, i, j) == star_oracle(poset, i, j), (poset.pairs, i, j)
+
+    def test_every_natural_poset_up_to_five(self):
+        for n in (1, 2, 3, 4, 5):
+            for poset in all_natural_posets(n):
+                self.assert_matches_oracle(poset)
+
+    @given(labelled_six_posets())
+    @example(antichain(6))
+    @settings(max_examples=10, deadline=None)
+    def test_random_six_element_posets(self, poset):
+        self.assert_matches_oracle(poset)
 
 
 class TestIdealTransfer:

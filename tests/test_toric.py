@@ -9,7 +9,7 @@ from enchain import toric, verify
 from enchain.errors import IdentityViolation, Infeasible, SizeLimit
 from enchain.geometry import count_dilation
 from enchain.polynomials import IntPolynomial
-from enchain.posets import all_natural_posets, ideal_lattice, poset_from_covers, star
+from enchain.posets import all_natural_posets, poset_from_covers
 from enchain.toric import (
     SignedVariable,
     ToricBinomial,
@@ -26,11 +26,15 @@ from enchain.toric import (
 
 from oracles import (
     edge_set,
+    ideal_pairs_oracle,
+    incomparable_ideal_pairs,
     initial_graph_oracle,
     labelled_six_posets,
     lattice_points_ep,
+    max_of_union,
     normal_form_oracle,
     standard_monomial_oracle,
+    star_oracle,
 )
 
 chain2 = poset_from_covers(2, [(1, 2)])
@@ -131,19 +135,6 @@ def _signed_id(antichain, pattern, idx_map):
     return idx_map[SignedVariable(antichain, tuple(pattern[e] for e in antichain))]
 
 
-def _max_of_union(poset, ideal_i, ideal_j):
-    union = ideal_i.elements | ideal_j.elements
-    return tuple(sorted(e for e in union if not any(poset.less(e, f) for f in union)))
-
-
-def _incomparable_ideal_pairs(poset):
-    for ideal_i, ideal_j in combinations(ideal_lattice(poset), 2):
-        if not (
-            ideal_i.elements <= ideal_j.elements or ideal_j.elements <= ideal_i.elements
-        ):
-            yield ideal_i, ideal_j
-
-
 def reference_candidates(poset):
     """Both binomial families as [(lead, tail, family)], walked over
     SignedVariable objects and sign dicts: family (1) by shared indices
@@ -172,10 +163,10 @@ def reference_candidates(poset):
                     )
                 )
                 add((u, v), tail, 1)
-    for ideal_i, ideal_j in _incomparable_ideal_pairs(poset):
+    for ideal_i, ideal_j in incomparable_ideal_pairs(poset):
         a1, a2 = ideal_i.max_elements, ideal_j.max_elements
-        max_union = _max_of_union(poset, ideal_i, ideal_j)
-        max_star = star(poset, ideal_i, ideal_j).max_elements
+        max_union = max_of_union(poset, ideal_i, ideal_j)
+        max_star = star_oracle(poset, ideal_i, ideal_j).max_elements
         for pattern in _sign_patterns(sorted(set(a1) | set(a2))):
             lead = tuple(
                 sorted((_signed_id(a1, pattern, idx_map), _signed_id(a2, pattern, idx_map)))
@@ -213,7 +204,7 @@ def reference_edges(poset):
     for u, v in combinations(range(len(variables)), 2):
         if (plus[u] & minus[v]) or (minus[u] & plus[v]):
             edges.add((u, v))
-    for ideal_i, ideal_j in _incomparable_ideal_pairs(poset):
+    for ideal_i, ideal_j in incomparable_ideal_pairs(poset):
         a1, a2 = ideal_i.max_elements, ideal_j.max_elements
         for pattern in _sign_patterns(sorted(set(a1) | set(a2))):
             edges.add(
@@ -392,12 +383,12 @@ class TestOrder:
         for n in (1, 2, 3, 4, 5):
             for poset in all_natural_posets(n):
                 w = construct_order(poset).antichain_weights
-                for ideal_i, ideal_j in _incomparable_ideal_pairs(poset):
-                    product = star(poset, ideal_i, ideal_j)
+                for ideal_i, ideal_j in incomparable_ideal_pairs(poset):
+                    product = star_oracle(poset, ideal_i, ideal_j)
                     margin = (
                         w[ideal_i.max_elements]
                         + w[ideal_j.max_elements]
-                        - w[_max_of_union(poset, ideal_i, ideal_j)]
+                        - w[max_of_union(poset, ideal_i, ideal_j)]
                         - w[product.max_elements]
                     )
                     a = len(ideal_i.elements - ideal_j.elements)
@@ -430,13 +421,13 @@ class TestOrder:
         order = construct_order(poset)
         w = order.antichain_weights
         assert all(value >= 0 for value in w.values())
-        pairs = list(_incomparable_ideal_pairs(poset))
+        pairs = list(incomparable_ideal_pairs(poset))
         assert pairs
         for ideal_i, ideal_j in pairs:
             lead = w[ideal_i.max_elements] + w[ideal_j.max_elements]
             tail = (
-                w[_max_of_union(poset, ideal_i, ideal_j)]
-                + w[star(poset, ideal_i, ideal_j).max_elements]
+                w[max_of_union(poset, ideal_i, ideal_j)]
+                + w[star_oracle(poset, ideal_i, ideal_j).max_elements]
             )
             assert lead - tail >= 1
         assert leading_terms_agree(generate_groebner_candidates(poset), order)
@@ -679,6 +670,22 @@ class TestBitsetKernels:
     @settings(max_examples=10, deadline=None)
     def test_random_six_element_posets(self, poset):
         self.assert_matches_oracles(poset)
+
+
+class TestIdealPairs:
+    """_ideal_pairs, four lookups in the ideal table per row, against the
+    rows built from the frozenset star and maxima of a union."""
+
+    def test_every_natural_poset_up_to_five(self):
+        for n in (1, 2, 3, 4, 5):
+            for poset in all_natural_posets(n):
+                assert toric._ideal_pairs(poset) == ideal_pairs_oracle(poset), poset.pairs
+
+    @given(labelled_six_posets())
+    @example(poset_from_covers(6, []))
+    @settings(max_examples=10, deadline=None)
+    def test_random_six_element_posets(self, poset):
+        assert toric._ideal_pairs(poset) == ideal_pairs_oracle(poset)
 
 
 class TestTriangulation:
