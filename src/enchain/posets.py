@@ -19,6 +19,7 @@ depend only on the comparability graph.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from types import MappingProxyType
 
 from .errors import CycleDetected, LabelOutOfRange, NotAnIdeal, SizeLimit
 
@@ -264,7 +265,7 @@ def _down(poset, mask):
 
 @lru_cache(maxsize=32)
 def _ideal_table(poset):
-    """Every ideal as element mask -> maxima mask (read-only), in
+    """Every ideal as element mask -> maxima mask, read-only, in
     ideal_lattice order: the down-closure of each antichain, the family
     checked closed under union and intersection; no other code builds ideals."""
     rows = []
@@ -276,7 +277,7 @@ def _ideal_table(poset):
     for i, j in combinations(table, 2):
         if i | j not in table or i & j not in table:
             raise NotAnIdeal("ideal family not closed under union/intersection")
-    return table
+    return MappingProxyType(table)
 
 
 def _view(elements, maxima):
