@@ -50,6 +50,16 @@ COMPLEX_POSETS = {
     "anti6": "6\n",
 }
 
+# Posets whose outputs of the plain JSON commands are stored in tests/data;
+# relabeled3 is not naturally labelled, so the payloads that canonicalize
+# carry relabeled_by.
+JSON_POSETS = {
+    "chain2": "2\n1 < 2\n",
+    "v3": "3\n1 < 3\n2 < 3\n",
+    "relabeled3": "3\n3 < 1\n3 < 2\n",
+}
+JSON_COMMANDS = ("antichains", "extensions", "ehrhart", "hstar", "gamma", "peaks", "partitions")
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -176,6 +186,23 @@ class TestCommands:
         code, out = run(capsys, ["complex", str(path)])
         assert code == 0
         assert_matches_golden(out, f"complex_{name}")
+
+    @pytest.mark.parametrize("name", sorted(JSON_POSETS))
+    @pytest.mark.parametrize("command", JSON_COMMANDS)
+    def test_json_output_is_byte_identical(self, capsys, tmp_path, command, name):
+        path = tmp_path / f"{name}.poset"
+        path.write_text(JSON_POSETS[name])
+        code, out = run(capsys, [command, str(path)])
+        assert code == 0
+        assert_matches_golden(out, f"{command}_{name}")
+
+    def test_omitted_partitions_output_is_byte_identical(self, capsys, tmp_path):
+        # 9^4 = 6561 partitions, past the 5000 that are listed
+        path = tmp_path / "anti4.poset"
+        path.write_text("4\n")
+        code, out = run(capsys, ["partitions", str(path), "--m", "4"])
+        assert code == 0 and json.loads(out)["partitions"] == "omitted"
+        assert_matches_golden(out, "partitions_omitted")
 
     def test_non_natural_input_notes_relabeling(self, capsys, tmp_path):
         path = tmp_path / "rev.poset"
