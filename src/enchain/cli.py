@@ -45,6 +45,10 @@ class RunConfig:
     kind: str = "left"
 
     def __post_init__(self):
+        if self.fmt not in RENDERERS:
+            raise InputError(
+                f"unknown format {self.fmt!r}; expected one of {', '.join(RENDERERS)}"
+            )
         for guard in ("max_n", "max_m", "truncation", "guard_points", "guard_spairs"):
             if getattr(self, guard) <= 0:
                 raise GuardExceeded(f"{guard} must be positive")

@@ -12,16 +12,17 @@ Vertices of the complex are the one-bar decorated linear extensions; two
 vertices are adjacent exactly when splicing them yields a valid two-bar
 decorated permutation mapping back to the pair under the face map; faces
 are the cliques.  The face map phi sends a decorated permutation with k
-bars to a k-set of vertices, one per bar.
+bars to a k-set of vertices, one per bar.  The pair test runs on words:
+it finds the spliced word's left peaks once and compares the face map's
+words with the pair's, so no decorated permutation is built per pair.
 """
 
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import IdentityViolation, MalformedResult, SizeLimit
-from .partitions import left_peak_positions, peak_polynomials
+from .partitions import extension_peaks, left_peak_positions, peak_polynomials
 from .polynomials import IntPolynomial, kruskal_katona_check
-from .posets import linear_extensions
 
 COMPLEX_GUARD_N = 6
 COLORS = range(4)
@@ -84,17 +85,23 @@ class DecoratedPermutation:
         return (self.word, self.bars) < (other.word, other.bars)
 
     def recolored(self, color):
-        """This one-bar element with its bar in `color`.  The word and the
-        bar position were validated when self was built, so only the color
-        is checked and the left peaks are not recomputed."""
+        """This one-bar element with its bar in `color`.  The bar of self
+        already sits at the word's left peak, so only the color is checked
+        and the left peaks are not recomputed."""
         if self.bar_count() != 1:
             raise ValueError("recoloring is defined for one-bar elements")
         if color not in COLORS:
             raise MalformedResult(f"bar colors must lie in 0..3: {color}")
-        out = object.__new__(DecoratedPermutation)
-        object.__setattr__(out, "word", self.word)
-        object.__setattr__(out, "bars", ((self.bars[0][0], color),))
-        return out
+        return _trusted(self.word, ((self.bars[0][0], color),))
+
+
+def _trusted(word, bars):
+    """A DecoratedPermutation whose bars are known to sit at the word's
+    left peaks with valid colors, built without recomputing the peaks."""
+    out = object.__new__(DecoratedPermutation)
+    object.__setattr__(out, "word", word)
+    object.__setattr__(out, "bars", bars)
+    return out
 
 
 class _VertexKey(NamedTuple):
@@ -119,21 +126,29 @@ def _vertex_key(vertex):
 
 def _spliced_adjacent(ku, kv):
     """The pair half of vertex_adjacent, for keys with
-    ku.position < kv.position."""
-    u, v = ku.vertex, kv.vertex
+    ku.position < kv.position, decided on words.
+
+    The spliced word must be a permutation whose left peaks are exactly
+    the two bar positions, and for each bar the face map's word
+    sorted(left) + grave + sorted(right) and bar position must be the
+    vertex's own.  The bar colors are the vertices' by construction, and
+    a face-map vertex equal to u or v is valid because u and v are."""
+    u_word = ku.vertex.word
+    n = len(u_word)
     bridge = tuple(sorted(kv.letters.intersection(ku.acute)))
     word = ku.prefix + ku.grave + bridge + kv.grave + kv.acute
-    if sorted(word) != list(range(1, len(u.word) + 1)):
+    if sorted(word) != list(range(1, n + 1)):
         return False
-    bars = (
-        (ku.position, u.bars[0][1]),
-        (ku.position + len(ku.grave) + len(bridge), v.bars[0][1]),
-    )
-    try:
-        composite = DecoratedPermutation(word, bars)
-    except MalformedResult:
+    first, second = ku.position, ku.position + len(ku.grave) + len(bridge)
+    # second == kv.position also follows from the word comparison below
+    if second != kv.position or left_peak_positions(word) != [first, second]:
         return False
-    return phi_face_map(composite) == [u, v]
+    for pos, end, target in ((first, second, u_word), (second, n, kv.vertex.word)):
+        grave, _ = grave_acute(word[pos:end])
+        face = tuple(sorted(word[:pos])) + grave + tuple(sorted(word[pos + len(grave) :]))
+        if face != target:
+            return False
+    return True
 
 
 def vertex_adjacent(u, v):
@@ -194,19 +209,22 @@ def build_complex(poset):
     equal ones), and u's bar, grave and bridge fill exactly the letters
     before v's bar, pu + |grave_u| + |bridge| == pv, without which the
     spliced word has the wrong length to be a permutation.  What decides
-    is the pair test that vertex_adjacent makes: the spliced word is a
-    permutation, it carries valid bars, and its face map returns the
-    pair."""
+    is the pair test that vertex_adjacent makes, on words: the spliced
+    word is a permutation, its left peaks are the two bar positions, and
+    the face map's word and bar position for each bar are the pair's.
+
+    The words and their left peaks come from partitions.extension_peaks,
+    the walk that peak_polynomials reads too, in lexicographic order, so
+    each color-0 vertex is built once from its known peak and the
+    vertices come out sorted."""
     n = poset.n
     if n > COMPLEX_GUARD_N:
         raise SizeLimit(f"complex construction guarded at n <= {COMPLEX_GUARD_N}")
-    extensions = linear_extensions(poset)
-    underlying = []
-    for w in extensions:
-        peaks = left_peak_positions(w)
-        if len(peaks) == 1:
-            underlying.append(DecoratedPermutation(w, ((peaks[0], 0),)))
-    underlying.sort()
+    underlying = [
+        _trusted(w, ((peaks[0], 0),))
+        for w, peaks in extension_peaks(poset)
+        if len(peaks) == 1
+    ]
 
     m = len(underlying)
     keys = [_vertex_key(base) for base in underlying]

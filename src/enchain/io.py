@@ -15,6 +15,7 @@ byte-deterministic for a fixed input and configuration.
 
 import json
 import re
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import ParseError
 from .posets import poset_from_covers
@@ -63,7 +64,60 @@ def load_poset(path):
 
 
 def render_json(payload):
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """The payload as json.dumps(payload, sort_keys=True, indent=2) + "\\n"
+    would write it, byte for byte, for the types reports are made of:
+    dicts with str keys, lists, tuples, str, int, bool and None; anything
+    else raises TypeError.  json turns off its C encoder whenever it
+    indents, so this writer collects the pieces in one list itself."""
+    pieces = []
+    _write_json(payload, "\n", pieces)
+    pieces.append("\n")
+    return "".join(pieces)
+
+
+def _write_json(value, newline, pieces):
+    """Append the pieces of value, whose own line starts with `newline`
+    (a newline and the indentation), to pieces."""
+    if isinstance(value, str):
+        pieces.append(_quote(value))
+    elif value is None:
+        pieces.append("null")
+    elif value is True:
+        pieces.append("true")
+    elif value is False:
+        pieces.append("false")
+    elif isinstance(value, int):
+        pieces.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            pieces.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            if isinstance(item, str):
+                pieces.append(separator + _quote(item))
+            else:
+                pieces.append(separator)
+                _write_json(item, inner, pieces)
+            separator = "," + inner
+        pieces.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            pieces.append("{}")
+            return
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            pieces.append(separator + _quote(key) + ": ")
+            _write_json(value[key], inner, pieces)
+            separator = "," + inner
+        pieces.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _flatten(payload, prefix=""):

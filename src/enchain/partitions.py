@@ -22,7 +22,9 @@ elements still read, which makes it an independent route for the
 verifier.  Peak statistics over linear extensions (with the convention
 that a virtual 0 precedes the first letter for *left* peaks) and their
 generating polynomials live here too; they and the order polynomials are
-memoised per poset value.
+memoised per poset value.  Each linear extension's left peaks are found
+once, in extension_peaks, which both peak_polynomials and the gamma
+complex read.
 """
 
 from dataclasses import dataclass
@@ -285,6 +287,17 @@ class PeakPolynomials:
     extension_count: int
 
 
+@lru_cache(maxsize=4)
+def extension_peaks(poset):
+    """Every linear extension with its left peak positions, as pairs
+    (word, positions) in the lexicographic order of the words.
+
+    Memoised by the poset's value, never by isomorphism class, and kept
+    small: its readers, peak_polynomials and gamma_complex.build_complex,
+    ask for one poset back to back."""
+    return tuple((w, tuple(left_peak_positions(w))) for w in linear_extensions(poset))
+
+
 @lru_cache(maxsize=128)
 def peak_polynomials(poset):
     """Peak, left peak, and descent generating polynomials over all linear
@@ -294,14 +307,14 @@ def peak_polynomials(poset):
     class: two labelings of one poset are computed separately, which is
     what the relabeling-invariance check compares."""
     _require_natural(poset)
-    exts = linear_extensions(poset)
+    exts = extension_peaks(poset)
     n = poset.n
     pk = [0] * (n + 1)
     pkl = [0] * (n + 1)
     des = [0] * (n + 1)
-    for w in exts:
+    for w, left_peaks in exts:
         pk[len(peak_positions(w))] += 1
-        pkl[len(left_peak_positions(w))] += 1
+        pkl[len(left_peaks)] += 1
         des[descent_count(w)] += 1
     polys = PeakPolynomials(
         peak=IntPolynomial(pk),

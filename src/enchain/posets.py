@@ -311,26 +311,29 @@ def ideal_lattice(poset):
 def _ideal_transfer(poset):
     """Transfer map over J(P): for each ideal J, in ideal_lattice order,
     the pairs (index of I, k) over ideals I contained in J, where k is
-    the number of minimal elements of J minus I, found among the set bits
-    of the difference alone."""
+    the number of minimal elements of J minus I.
+
+    An element x of J - I is minimal there exactly when everything below
+    x lies in I, since J is down-closed.  So min(J - I) is front(I) & J,
+    where front(I) holds the elements outside I whose whole down-set is
+    in I, found once per ideal.  The table lists ideals by size, so every
+    I contained in J comes no later than J."""
     masks = list(_ideal_table(poset))
-    below = poset._below
-    rows = []
-    for upper in masks:
-        row = []
-        for index, lower in enumerate(masks):
-            if lower & ~upper:
-                continue
-            diff = rest = upper & ~lower
-            minimal = 0
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if not below[low.bit_length() - 1] & diff:
-                    minimal += 1
-            row.append((index, minimal))
-        rows.append(tuple(row))
-    return tuple(rows)
+    below = [(e, poset._below[e]) for e in poset.elements()]
+    indexed = [
+        (index, ideal, sum(1 << e for e, down in below if not (ideal >> e & 1 or down & ~ideal)))
+        for index, ideal in enumerate(masks)
+    ]
+    return tuple(
+        tuple(
+            [
+                (index, (front & upper).bit_count())
+                for index, lower, front in indexed[: j + 1]
+                if lower | upper == upper
+            ]
+        )
+        for j, upper in enumerate(masks)
+    )
 
 
 class _ChainCounts:

@@ -14,7 +14,10 @@ predecessors here: the ideal lattice by down-closure of each antichain,
 the star operation and the maxima of a union, and the rows of
 toric._ideal_pairs built from them.  The phi/psi roundtrip kernel keeps the
 former bodies of phi_map and psi_map here, with the left enriched
-conditions checked on every relation rather than along the covers.
+conditions checked on every relation rather than along the covers.  The
+gamma complex's word-level pair test keeps its object-level predecessor
+here: the two-bar decorated permutation built and validated, and its
+face map compared with the pair.
 Beside them live five helpers that only the tests call: chain-polytope
 membership by the maximal-chain inequalities, the Ehrhart polynomial
 interpolated from the dilation counts, (1 + x)^k, the edge set of an
@@ -354,6 +357,34 @@ def cover_reduce(decorated, bar_index):
     word = sum(blocks[:i], ()) + merged + sum(blocks[i + 2 :], ())
     bars = decorated.bars[:i] + decorated.bars[i + 1 :]
     return DecoratedPermutation(word, bars)
+
+
+def spliced_adjacent_oracle(u, v):
+    """vertex_adjacent by the object-level splice: order the one-bar
+    vertices by bar position (equal positions are never adjacent), splice
+    u's prefix and grave with the letters shared by its acute and v's
+    prefix, then v's tail; build the two-bar DecoratedPermutation, which
+    checks its bars against the left peaks, and compare its face map with
+    the pair.  The face map raises MalformedResult when one of its
+    vertices is not a valid one-bar element."""
+    if u.bar_count() != 1 or v.bar_count() != 1:
+        raise ValueError("vertex adjacency is defined for one-bar elements")
+    if u.bars[0][0] == v.bars[0][0]:
+        return False
+    if u.bars[0][0] > v.bars[0][0]:
+        u, v = v, u
+    (pu, cu), (pv, cv) = u.bars[0], v.bars[0]
+    grave, acute = grave_acute(u.word[pu:])
+    bridge = tuple(sorted(set(v.word[:pv]).intersection(acute)))
+    word = u.word[:pu] + grave + bridge + sum(grave_acute(v.word[pv:]), ())
+    if sorted(word) != list(range(1, len(u.word) + 1)):
+        return False
+    bars = ((pu, cu), (pu + len(grave) + len(bridge), cv))
+    try:
+        composite = DecoratedPermutation(word, bars)
+    except MalformedResult:
+        return False
+    return phi_face_map(composite) == [u, v]
 
 
 def s_p(poset):

@@ -1,13 +1,16 @@
 import hashlib
 import json
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enchain import gamma_complex, geometry, partitions, posets, toric, verify
 from enchain.cli import main
-from enchain.io import parse_poset, render_tsv
+from enchain.io import parse_poset, render_json, render_tsv
 from enchain.polynomials import IntPolynomial
 from enchain.errors import IdentityViolation, ParseError
 
@@ -333,6 +336,21 @@ class TestExitCodes:
         assert main([command, anti2, "--guard-points", "1"]) == 1
         assert "exceeds guard 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["ehrhart", "verify-all"])
+    def test_unknown_format_is_rejected_before_any_work(
+        self, capsys, chain2, monkeypatch, command
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the run started its work")
+
+        monkeypatch.setattr(geometry, "hstar_and_gamma", no_work)
+        monkeypatch.setattr(verify, "verify_poset", no_work)
+        monkeypatch.setenv("ENCHAIN_FORMAT", "xml")
+        argv = [command, chain2] if command == "ehrhart" else [command, "--poset", chain2]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown format 'xml'") and "Traceback" not in err
+
     def test_missing_file(self, capsys):
         assert main(["ehrhart", "/nonexistent/poset"]) == 1
 
@@ -554,3 +572,44 @@ class TestRendering:
     def test_tsv_flattens_nested(self):
         rendered = render_tsv({"a": {"b": [1, 2]}, "c": 3})
         assert rendered == "a.b\t[1, 2]\nc\t3\n"
+
+
+# Strings with quotes, backslashes, control, non-ASCII and astral characters.
+JSON_TEXT = st.text(st.characters(), max_size=6) | st.sampled_from(
+    ["", '"', "\\", "\x00\x1f\x7f", "\n\t\r\b\f", "é\u2028", "\U0001f600"]
+)
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**30), max_value=10**30)
+    | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestRenderJson:
+    """render_json writes what json.dumps(sort_keys=True, indent=2) does."""
+
+    @given(JSON_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps(self, payload):
+        assert render_json(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    def test_empty_containers_and_nesting(self):
+        payload = {"a": [], "b": {}, "c": ((), [{}]), "d": [[1, [True, None]], "x"]}
+        assert render_json(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("value", [{1, 2}, Fraction(1, 2), 0.5])
+    def test_other_types_raise(self, value):
+        # a float is out of scope here, although json would write it
+        for payload in (value, [value], {"key": value}):
+            with pytest.raises(TypeError):
+                render_json(payload)
+
+    def test_non_string_key_raises(self):
+        with pytest.raises(TypeError):
+            render_json({1: 2})

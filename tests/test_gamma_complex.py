@@ -3,6 +3,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings
 
+from enchain import gamma_complex
 from enchain.errors import MalformedResult, SizeLimit
 from enchain.gamma_complex import (
     DecoratedPermutation,
@@ -14,7 +15,14 @@ from enchain.gamma_complex import (
 from enchain.partitions import peak_polynomials
 from enchain.polynomials import IntPolynomial
 from enchain.posets import all_natural_posets, linear_extensions, poset_from_covers
-from oracles import cover_reduce, decorate, iso_check, labelled_six_posets, s_p
+from oracles import (
+    cover_reduce,
+    decorate,
+    iso_check,
+    labelled_six_posets,
+    s_p,
+    spliced_adjacent_oracle,
+)
 
 anti2 = poset_from_covers(2, [])
 anti3 = poset_from_covers(3, [])
@@ -198,6 +206,20 @@ class TestComplex:
                 assert vertex.bars[0][1] == k % 4
                 assert vertex.word == vertices[k - k % 4].word
 
+    def test_no_decorated_permutation_is_validated_per_pair(self, monkeypatch):
+        """build_complex takes the left peaks from the extension walk and
+        decides pairs on words: it neither validates a DecoratedPermutation
+        nor calls the face map."""
+        expected = build_complex(anti4)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("build_complex validated or mapped an object")
+
+        monkeypatch.setattr(gamma_complex, "phi_face_map", forbidden)
+        monkeypatch.setattr(DecoratedPermutation, "__post_init__", forbidden)
+        assert build_complex(anti4) == expected
+        assert build_complex(poset_from_covers(6, [])).f_vector == (1, 716, 7664, 3904)
+
     def test_recoloring_checks_color_and_bar_count(self):
         vertex = DecoratedPermutation((2, 1), ((1, 0),))
         assert vertex.recolored(3) == DecoratedPermutation((2, 1), ((1, 3),))
@@ -239,6 +261,36 @@ class TestPairLoop:
     def test_random_labelled_six_posets(self, poset):
         complex_ = build_complex(poset.canonicalized())
         assert complex_.edges == pair_scan_edges(complex_)
+
+
+def assert_pair_tests_agree(poset):
+    """vertex_adjacent, which decides on words, against the object-level
+    splice on every ordered pair of color-0 one-bar decorated extensions,
+    built by decorate rather than by build_complex."""
+    bases = [
+        d
+        for w in linear_extensions(poset)
+        for d in decorate(w)
+        if d.bar_count() == 1 and d.bars[0][1] == 0
+    ]
+    for u in bases:
+        for v in bases:
+            assert vertex_adjacent(u, v) == spliced_adjacent_oracle(u, v), (u, v)
+
+
+class TestWordPairTest:
+    def test_every_natural_poset_up_to_five(self):
+        for n in (1, 2, 3, 4, 5):
+            for poset in all_natural_posets(n):
+                assert_pair_tests_agree(poset)
+
+    def test_six_antichain(self):
+        assert_pair_tests_agree(poset_from_covers(6, []))
+
+    @given(labelled_six_posets())
+    @settings(max_examples=30, deadline=None)
+    def test_random_labelled_six_posets(self, poset):
+        assert_pair_tests_agree(poset.canonicalized())
 
 
 class TestPhi:

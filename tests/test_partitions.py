@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enchain import geometry, partitions, posets, verify
+from enchain import gamma_complex, geometry, partitions, posets, verify
 from enchain.errors import (
     IdentityViolation,
     InvalidPartition,
@@ -19,6 +19,7 @@ from enchain.partitions import (
     descent_count,
     enriched_relation_report,
     enumerate_partitions,
+    extension_peaks,
     frontier_count,
     is_left_partition,
     iter_partitions,
@@ -444,8 +445,9 @@ class TestCountsMatchDilations:
 
 
 class TestMemo:
-    """order_polynomial, peak_polynomials and the ideal-chain counts are
-    memoised by the poset's value, never by isomorphism class."""
+    """order_polynomial, peak_polynomials, extension_peaks and the
+    ideal-chain counts are memoised by the poset's value, never by
+    isomorphism class."""
 
     # two natural labelings of one poset: a 2-chain and an isolated point
     first = poset_from_covers(3, [(1, 2)])
@@ -453,7 +455,7 @@ class TestMemo:
 
     @pytest.fixture(autouse=True)
     def cold(self):
-        memos = (order_polynomial, peak_polynomials, posets._chain_counts)
+        memos = (order_polynomial, peak_polynomials, extension_peaks, posets._chain_counts)
         for memo in memos:
             memo.cache_clear()
         yield
@@ -483,9 +485,21 @@ class TestMemo:
         assert extended == [self.first, self.second]
         assert transfers == [self.first, self.second]
 
+    def test_one_extension_walk_serves_complex_and_peaks(self, monkeypatch):
+        extended = self.recorder(monkeypatch, partitions, "linear_extensions")
+        for poset in (self.first, self.second):
+            complex_ = gamma_complex.build_complex(poset)
+            assert complex_.f_polynomial == peak_polynomials(poset).left_peak.scale_powers(4)
+        assert extended == [self.first, self.second]
+        words = [w for w, _ in extension_peaks(self.first)]
+        assert words == posets.linear_extensions(self.first)
+        assert all(
+            list(peaks) == left_peak_positions(w) for w, peaks in extension_peaks(self.first)
+        )
+
     def test_labeling_dependent_fault_is_caught(self, monkeypatch):
         assert verify._comparability_invariance(self.first)
-        for memo in (order_polynomial, peak_polynomials):
+        for memo in (order_polynomial, peak_polynomials, extension_peaks):
             memo.cache_clear()
         original = partitions.linear_extensions
 
