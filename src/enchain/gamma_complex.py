@@ -11,10 +11,12 @@ that admits no such split raises MalformedResult.
 Vertices of the complex are the one-bar decorated linear extensions; two
 vertices are adjacent exactly when splicing them yields a valid two-bar
 decorated permutation mapping back to the pair under the face map; faces
-are the cliques.  The face map phi sends a decorated permutation with k
-bars to a k-set of vertices, one per bar.  The pair test runs on words:
-it finds the spliced word's left peaks once and compares the face map's
-words with the pair's, so no decorated permutation is built per pair.
+are the cliques, counted by posets._flag_faces, the flag-complex kernel
+that the toric triangulation shares.  The face map phi sends a decorated
+permutation with k bars to a k-set of vertices, one per bar.  The pair
+test runs on words: it finds the spliced word's left peaks once and
+compares the face map's words with the pair's, so no decorated
+permutation is built per pair.
 """
 
 from dataclasses import dataclass
@@ -23,6 +25,7 @@ from typing import NamedTuple
 from .errors import IdentityViolation, MalformedResult, SizeLimit
 from .partitions import extension_peaks, left_peak_positions, peak_polynomials
 from .polynomials import IntPolynomial, kruskal_katona_check
+from .posets import _bits, _flag_faces
 
 COMPLEX_GUARD_N = 6
 COLORS = range(4)
@@ -167,27 +170,6 @@ def vertex_adjacent(u, v):
     return _spliced_adjacent(ku, kv)
 
 
-def _clique_counts(adj, vertex_count, max_size):
-    """Number of cliques of each size up to max_size (size 0 counts the
-    empty clique)."""
-    counts = [0] * (max_size + 1)
-    counts[0] = 1
-
-    def extend(size, candidates, start):
-        if size == max_size:
-            return
-        v = start
-        while v < vertex_count:
-            if candidates >> v & 1:
-                counts[size + 1] += 1
-                extend(size + 1, candidates & adj[v], v + 1)
-            v += 1
-
-    full = (1 << vertex_count) - 1
-    extend(0, full, 0)
-    return counts
-
-
 @dataclass(frozen=True)
 class GammaComplex:
     vertices: tuple  # one-bar DecoratedPermutation, sorted: four per word, colors 0..3
@@ -226,13 +208,11 @@ def build_complex(poset):
         if len(peaks) == 1
     ]
 
-    m = len(underlying)
     keys = [_vertex_key(base) for base in underlying]
     by_position = {}
     for b, key in enumerate(keys):
         by_position.setdefault(key.position, []).append(b)
-    adj = [0] * m
-    pairs = []
+    adj = [0] * len(keys)
     for a, ku in enumerate(keys):
         reach = ku.position + len(ku.grave)  # pv - |bridge|, and |bridge| >= 0
         for pv in range(reach, n):
@@ -243,11 +223,9 @@ def build_complex(poset):
                 if _spliced_adjacent(ku, kv):
                     adj[a] |= 1 << b
                     adj[b] |= 1 << a
-                    pairs.append((a, b) if a < b else (b, a))
-    pairs.sort()
 
     gamma_length = n // 2 + 1  # face sizes run 0 .. n//2
-    plain = _clique_counts(adj, m, gamma_length)
+    plain, _ = _flag_faces(adj, gamma_length)
     overflow = plain[gamma_length]
     f_vector = tuple(plain[k] * 4**k for k in range(gamma_length))
     f_polynomial = IntPolynomial(f_vector)
@@ -260,9 +238,8 @@ def build_complex(poset):
         )
 
     vertices = [base.recolored(c) if c else base for base in underlying for c in COLORS]
-    edges = [
-        (a * 4 + ca, b * 4 + cb) for a, b in pairs for ca in COLORS for cb in COLORS
-    ]
+    pairs = [(a, b) for a, row in enumerate(adj) for b in _bits(row >> a << a)]
+    edges = [(a * 4 + ca, b * 4 + cb) for a, b in pairs for ca in COLORS for cb in COLORS]
     return GammaComplex(
         vertices=tuple(vertices),
         edges=tuple(edges),

@@ -42,7 +42,9 @@ class, and the guard counts those classes before any is checked.  A
 second, cheaper certificate counts standard monomials of the initial
 ideal (multisets supported on independent sets of the leading-term
 graph, which is held as one neighbour bitset per variable) and compares
-them with the dilation counts.
+them with the dilation counts.  Those sets, and the faces of the
+triangulation, are read from the complement graph by posets._flag_faces,
+the flag-complex kernel that gamma_complex shares.
 """
 
 from dataclasses import dataclass
@@ -60,7 +62,7 @@ from .errors import (
 )
 from .geometry import GUARD_POINTS_DEFAULT, count_dilation, dilation_counts
 from .polynomials import IntPolynomial, hstar_from_counts
-from .posets import _bits, _ideal_table, antichains, linear_extensions
+from .posets import _bits, _flag_faces, _ideal_table, antichains
 
 SPAIR_GUARD_DEFAULT = 2_000_000
 GUARD_VERTICES = 1024
@@ -395,11 +397,9 @@ def initial_graph(poset):
 def standard_monomial_count(poset, m):
     """Number of degree-m monomials outside the initial ideal: multisets
     of size m supported on independent sets of the leading-term graph,
-    counted as sum over nonempty independent sets S of C(m-1, |S|-1).
-    Independent pairs are the pairs minus the edges (half the adjacency
-    popcounts); independent triples u < v < w are, for each u and each
-    bit v of free (the non-neighbours of u above u), the bits of free
-    above v outside adjacency[v]."""
+    counted as sum over nonempty independent sets S of C(m-1, |S|-1),
+    with the sizes |S| <= m read from the flag-face kernel on the
+    complement graph."""
     if m == 0:
         return 1
     # one variable per signed antichain, counted before the graph, whose work is count^2
@@ -409,19 +409,8 @@ def standard_monomial_count(poset, m):
     if m > 3:
         raise SizeLimit("standard monomial counts implemented for m <= 3")
     _, adjacency = initial_graph(poset)
-    sizes = [0] * (m + 1)
-    sizes[1] = count
-    if m >= 2:
-        sizes[2] = comb(count, 2) - sum(row.bit_count() for row in adjacency) // 2
-    if m >= 3:
-        triples = 0
-        for u, row in enumerate(adjacency):
-            free = ~row >> (u + 1) << (u + 1) & ((1 << count) - 1)
-            while free:
-                low = free & -free
-                free ^= low  # now the bits of free above v
-                triples += (free & ~adjacency[low.bit_length() - 1]).bit_count()
-        sizes[3] = triples
+    full = (1 << count) - 1
+    sizes, _ = _flag_faces([full ^ row ^ (1 << u) for u, row in enumerate(adjacency)], m)
     return sum(sizes[k] * comb(m - 1, k - 1) for k in range(1, m + 1))
 
 
@@ -463,25 +452,6 @@ def _int_det(rows):
     return sign * m[n - 1][n - 1]
 
 
-def _independent_sets(adj, vertex_count):
-    """All independent sets as sorted tuples (the flag face enumeration),
-    plus a maximality flag per set."""
-    full = (1 << vertex_count) - 1
-    out = []
-
-    def extend(current, mask, blocked, start):
-        addable = ~blocked & ~mask & full
-        out.append((tuple(current), addable == 0))
-        for v in range(start, vertex_count):
-            if not blocked >> v & 1:
-                current.append(v)
-                extend(current, mask | 1 << v, blocked | adj[v], v + 1)
-                current.pop()
-
-    extend([], 0, 0, 0)
-    return out
-
-
 @dataclass(frozen=True)
 class TriangulationData:
     maximal_faces: tuple
@@ -492,11 +462,14 @@ class TriangulationData:
 
 def triangulation_extract(poset, guard_points=GUARD_POINTS_DEFAULT):
     """Faces of the unimodular triangulation induced by the initial ideal:
-    independent sets of the leading-term graph.  Checks that every maximal
-    face has n+1 vertices including the origin, spans a simplex of
-    determinant +-1, that there are 2^n * #extensions of them, and that
-    the boundary complex (faces avoiding the origin) has h-polynomial
-    equal to h* of the polytope."""
+    independent sets of the leading-term graph.  Its origin is isolated,
+    so the boundary faces (those avoiding it) are the independent sets of
+    the other variables, and each maximal face is a maximal boundary face
+    plus the origin.  Checks that no boundary face exceeds n vertices, that
+    every maximal face has n+1 and determinant +-1, that there are
+    2^n * #extensions of them, and that the boundary h-polynomial is h*."""
+    from .partitions import peak_polynomials
+
     n = poset.n
     if n > EXTRACT_MAX_N:
         raise SizeLimit(f"triangulation extraction guarded at n <= {EXTRACT_MAX_N}")
@@ -505,29 +478,25 @@ def triangulation_extract(poset, guard_points=GUARD_POINTS_DEFAULT):
         raise IdentityViolation(f"initial ideal certificate failed: {list(rows)}")
     vertex_count, adjacency = initial_graph(poset)
     variables = variables_and_map(poset)
-    faces = _independent_sets(adjacency, vertex_count)
+    full = (1 << vertex_count) - 1
+    # vertex u >= 1 of the leading-term graph is vertex u - 1 here
+    boundary = [(full ^ row ^ (1 << u)) >> 1 for u, row in enumerate(adjacency)][1:]
+    counts, boundary_maximal = _flag_faces(boundary, n + 1)
+    if counts[n + 1]:
+        raise FaceCountMismatch(f"{counts[n + 1]} boundary faces larger than n")
 
-    maximal = [f for f, is_max in faces if is_max]
+    maximal = [(0, *(v + 1 for v in _bits(face))) for face in boundary_maximal]
     for face in maximal:
-        if len(face) != n + 1 or 0 not in face:
-            raise FaceCountMismatch(
-                f"maximal face {face} does not have n+1 vertices with the origin"
-            )
-        det = _int_det([variables[v].image(n) for v in face if v != 0])
+        if len(face) != n + 1:
+            raise FaceCountMismatch(f"maximal face {face} does not have n+1 vertices")
+        det = _int_det([variables[v].image(n) for v in face[1:]])
         if det not in (1, -1):
             raise NonUnimodularSimplex(f"face {face} has determinant {det}")
-    expected = 2**n * len(linear_extensions(poset))
+    expected = 2**n * peak_polynomials(poset.canonicalized()).extension_count
     if len(maximal) != expected:
         raise FaceCountMismatch(f"{len(maximal)} maximal faces, expected {expected}")
 
-    f_vector = [0] * (n + 1)
-    for face, _ in faces:
-        if 0 in face:
-            continue
-        if len(face) > n:
-            raise FaceCountMismatch(f"boundary face {face} larger than n")
-        f_vector[len(face)] += 1
-
+    f_vector = counts[: n + 1]
     h_coeffs = [0] * (n + 1)
     for i, fi in enumerate(f_vector):
         # f_{i-1} x^i (1-x)^(n-i)

@@ -9,10 +9,14 @@ forms by the generic rewriting rule for any degree.  The library's
 bitset kernels keep their former scans here: the leading-term graph by a
 walk over every pair of variables, its degree-3 standard monomials by a
 double loop over non-edges, and the ideal transfer by a scan of every
-element for the minimal ones.  The ideal table keeps its frozenset
-predecessors here: the ideal lattice by down-closure of each antichain,
-the star operation and the maxima of a union, and the rows of
-toric._ideal_pairs built from them.  The phi/psi roundtrip kernel keeps the
+element for the minimal ones.  The flag-face kernel behind the Hilbert
+certificate, the triangulation and the gamma complex keeps its three
+predecessors: the pair and triple loops of the standard monomial count,
+the independent-set recursion that built a tuple per face, and the
+clique counts that scanned every vertex bit.  The ideal table keeps its
+frozenset predecessors here: the ideal lattice by down-closure of each
+antichain, the star operation and the maxima of a union, and the rows
+of toric._ideal_pairs built from them.  The phi/psi roundtrip kernel keeps the
 former bodies of phi_map and psi_map here, with the left enriched
 conditions checked on every relation rather than along the covers.  The
 gamma complex's word-level pair test keeps its object-level predecessor
@@ -152,6 +156,69 @@ def standard_monomial_oracle(poset):
     return tuple(
         sum(sizes[k - 1] * comb(m - 1, k - 1) for k in range(1, m + 1)) for m in (1, 2, 3)
     )
+
+
+def standard_sizes_oracle(count, adjacency, m):
+    """The independent sets of sizes 0..m of a graph on count vertices,
+    by the loops that toric.standard_monomial_count used before the
+    flag-face kernel: the pairs minus the edges (half the adjacency
+    popcounts), and the triples u < v < w as, for each u and each bit v
+    of free (the non-neighbours of u above u), the bits of free above v
+    outside adjacency[v].  Size 0 is left at 0, as it was."""
+    sizes = [0] * (m + 1)
+    sizes[1] = count
+    if m >= 2:
+        sizes[2] = comb(count, 2) - sum(row.bit_count() for row in adjacency) // 2
+    if m >= 3:
+        triples = 0
+        for u, row in enumerate(adjacency):
+            free = ~row >> (u + 1) << (u + 1) & ((1 << count) - 1)
+            while free:
+                low = free & -free
+                free ^= low  # now the bits of free above v
+                triples += (free & ~adjacency[low.bit_length() - 1]).bit_count()
+        sizes[3] = triples
+    return sizes
+
+
+def independent_sets_oracle(adj, vertex_count):
+    """All independent sets as sorted tuples (the flag face enumeration),
+    plus a maximality flag per set."""
+    full = (1 << vertex_count) - 1
+    out = []
+
+    def extend(current, mask, blocked, start):
+        addable = ~blocked & ~mask & full
+        out.append((tuple(current), addable == 0))
+        for v in range(start, vertex_count):
+            if not blocked >> v & 1:
+                current.append(v)
+                extend(current, mask | 1 << v, blocked | adj[v], v + 1)
+                current.pop()
+
+    extend([], 0, 0, 0)
+    return out
+
+
+def clique_counts_oracle(adj, vertex_count, max_size):
+    """Number of cliques of each size up to max_size (size 0 counts the
+    empty clique)."""
+    counts = [0] * (max_size + 1)
+    counts[0] = 1
+
+    def extend(size, candidates, start):
+        if size == max_size:
+            return
+        v = start
+        while v < vertex_count:
+            if candidates >> v & 1:
+                counts[size + 1] += 1
+                extend(size + 1, candidates & adj[v], v + 1)
+            v += 1
+
+    full = (1 << vertex_count) - 1
+    extend(0, full, 0)
+    return counts
 
 
 def _down_closure(poset, subset):

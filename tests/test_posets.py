@@ -167,6 +167,9 @@ class TestIdeals:
         for n in range(1, 7):
             for poset in all_natural_posets(n):
                 assert ideal_lattice(poset) == ideal_lattice_oracle(poset), poset.pairs
+        # 1,024 ideals, where the table's closure under union and intersection
+        # rests on its construction and the oracle checks it
+        assert ideal_lattice(antichain(10)) == ideal_lattice_oracle(antichain(10))
 
     def test_star_of_nested_is_smaller(self):
         for n in range(1, 6):
