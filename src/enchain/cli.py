@@ -56,16 +56,6 @@ class RunConfig:
             raise GuardExceeded("m must be nonnegative")
 
 
-def _env_default(name, cast):
-    value = os.environ.get(f"ENCHAIN_{name.upper()}")
-    if value is None:
-        return DEFAULTS[name]
-    try:
-        return cast(value)
-    except ValueError:
-        raise GuardExceeded(f"bad ENCHAIN_{name.upper()} value {value!r}") from None
-
-
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "tsv", "text"), default=None)
@@ -80,33 +70,30 @@ def build_parser():
         description="Exact computations on enriched chain polytopes of posets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    simple = (
-        "antichains",
-        "extensions",
-        "ehrhart",
-        "hstar",
-        "gamma",
-        "peaks",
-        "grobner",
-        "triangulation",
-        "complex",
-    )
-    for name in simple:
+    for name, command in COMMANDS.items():
         p = sub.add_parser(name, parents=[common])
         p.add_argument("poset", help="poset file (text or JSON format)")
-    p = sub.add_parser("partitions", parents=[common])
-    p.add_argument("poset")
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--kind", choices=("left", "enriched"), default="left")
+        if command is cmd_partitions:
+            p.add_argument("--m", type=int, default=1)
+            p.add_argument("--kind", choices=("left", "enriched"), default="left")
     p = sub.add_parser("verify-all", parents=[common])
     p.add_argument("--poset", default=None, help="verify a single poset file")
     return parser
 
 
 def _flag_or_env(args, name, cast):
-    """The flag's value when given (0 included), else the environment's."""
+    """The flag's value when given (0 included), else the environment's,
+    else the default."""
     value = getattr(args, name)
-    return _env_default(name, cast) if value is None else value
+    if value is not None:
+        return value
+    value = os.environ.get(f"ENCHAIN_{name.upper()}")
+    if value is None:
+        return DEFAULTS[name]
+    try:
+        return cast(value)
+    except ValueError:
+        raise GuardExceeded(f"bad ENCHAIN_{name.upper()} value {value!r}") from None
 
 
 def config_from_args(args):
@@ -323,9 +310,10 @@ def run_command(cfg):
     if cfg.command == "verify-all":
         return cmd_verify_all(cfg)
     poset = load_poset(cfg.input_path)
-    if poset.n > cfg.max_n and cfg.command not in ("antichains", "extensions"):
+    command = COMMANDS[cfg.command]
+    if poset.n > cfg.max_n and command not in (cmd_antichains, cmd_extensions):
         raise GuardExceeded(f"poset has n={poset.n} > max-n={cfg.max_n}")
-    return COMMANDS[cfg.command](poset, cfg), 0
+    return command(poset, cfg), 0
 
 
 def main(argv=None):

@@ -7,7 +7,8 @@ the first line and one cover relation per line after it:
     1 < 3
     2 < 3
 
-The structured format is a JSON object {"n": ..., "covers": [[a, b], ...]}.
+The structured format is a JSON object {"n": ..., "covers": [[a, b], ...]}
+whose numbers are all JSON integers.
 Reports render as canonical JSON (sorted keys, two-space indent), or as
 TSV / plain text projections of the flattened key paths; all three are
 byte-deterministic for a fixed input and configuration.
@@ -33,8 +34,8 @@ def parse_poset(text):
         if not isinstance(obj, dict) or "n" not in obj or "covers" not in obj:
             raise ParseError("JSON poset needs 'n' and 'covers' fields")
         try:
-            covers = [(int(a), int(b)) for a, b in obj["covers"]]
-            return poset_from_covers(int(obj["n"]), covers)
+            covers = [(_json_int(a), _json_int(b)) for a, b in obj["covers"]]
+            return poset_from_covers(_json_int(obj["n"]), covers)
         except (TypeError, ValueError) as exc:
             raise ParseError(f"malformed JSON poset: {exc}") from exc
     lines = [ln.strip() for ln in text.splitlines()]
@@ -52,6 +53,14 @@ def parse_poset(text):
             raise ParseError(f"malformed cover line {line!r} (expected 'a < b')")
         covers.append((int(match.group(1)), int(match.group(2))))
     return poset_from_covers(n, covers)
+
+
+def _json_int(value):
+    """A JSON integer as is; a float, bool, string or anything else is an
+    error rather than a number to truncate."""
+    if type(value) is not int:
+        raise ParseError(f"JSON poset numbers must be integers, got {json.dumps(value)}")
+    return value
 
 
 def load_poset(path):

@@ -52,6 +52,15 @@ def _require_natural(poset):
         )
 
 
+def _check_partition_args(poset, m, kind):
+    """The checks every partition enumeration and count makes first."""
+    _require_natural(poset)
+    if m < 0:
+        raise ValueError("bound must be nonnegative")
+    if kind not in ("left", "enriched"):
+        raise ValueError(f"unknown kind {kind!r}")
+
+
 def iter_partitions(poset, m, kind="left"):
     """Yield every partition with bound m as a tuple indexed by element,
     by backtracking along the natural order so constraints propagate.
@@ -61,11 +70,7 @@ def iter_partitions(poset, m, kind="left"):
     absolute value up to m with either sign, smallest first; for the
     enriched kind a minimal element avoids 0.  One frame walks the tree:
     stack[e - 1] holds the values element e has left to try."""
-    _require_natural(poset)
-    if m < 0:
-        raise ValueError("bound must be nonnegative")
-    if kind not in ("left", "enriched"):
-        raise ValueError(f"unknown kind {kind!r}")
+    _check_partition_args(poset, m, kind)
     n = poset.n
     lowers = poset.lower_covers()
     values = [0] * (n + 1)
@@ -109,11 +114,7 @@ def count_partitions(poset, m, kind="left"):
     enriched kind.  Cross-checked against full enumeration in the test
     suite.
     """
-    _require_natural(poset)
-    if m < 0:
-        raise ValueError("bound must be nonnegative")
-    if kind not in ("left", "enriched"):
-        raise ValueError(f"unknown kind {kind!r}")
+    _check_partition_args(poset, m, kind)
     return ideal_chain_count(poset, m, from_empty=kind == "enriched")
 
 
@@ -129,11 +130,7 @@ def frontier_count(poset, m, kind="left", guard=PARTITION_GUARD_DEFAULT):
     shares nothing with the ideal lattice or the psi map, so it is an
     independent route to the counts of posets.ideal_chain_count.  More than
     `guard` live states at once raise SizeLimit."""
-    _require_natural(poset)
-    if m < 0:
-        raise ValueError("bound must be nonnegative")
-    if kind not in ("left", "enriched"):
-        raise ValueError(f"unknown kind {kind!r}")
+    _check_partition_args(poset, m, kind)
     lowers = poset.lower_covers()
     last_read = [0] * (poset.n + 1)
     for e in poset.elements():

@@ -1,8 +1,9 @@
 """Exact dense polynomials over ZZ and QQ, plus shape predicates.
 
 Coefficients are stored ascending by degree with trailing zeros trimmed,
-so ``IntPolynomial([1, 2, 1])`` is 1 + 2x + x^2.  All arithmetic is exact:
-integer coefficients are Python ints, rational ones are
+so ``IntPolynomial([1, 2, 1])`` is 1 + 2x + x^2.  Both rings take their
+arithmetic from one private base class, `_Polynomial`.  All arithmetic is
+exact: integer coefficients are Python ints, rational ones are
 ``fractions.Fraction``.  Nothing in this module touches floating point,
 and no tolerance parameter exists anywhere.
 
@@ -26,23 +27,13 @@ def _trim(coeffs):
     return tuple(coeffs[:end])
 
 
-class IntPolynomial:
-    """Dense polynomial with arbitrary-precision integer coefficients.
-
-    >>> IntPolynomial([1, 2, 1]).degree
-    2
-    >>> IntPolynomial([1, 2, 1])(3)
-    16
-    """
+class _Polynomial:
+    """The arithmetic both coefficient rings share.  A subclass sets
+    `_zero`, the zero of its ring, and an __init__ that checks or coerces
+    the coefficients; every result is built with type(self), and equality
+    and hash never mix the two rings."""
 
     __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        coeffs = list(coeffs)
-        for c in coeffs:
-            if not isinstance(c, int):
-                raise TypeError(f"integer coefficient expected, got {c!r}")
-        self.coeffs = _trim(coeffs)
 
     @property
     def degree(self):
@@ -54,19 +45,16 @@ class IntPolynomial:
         return not self.coeffs
 
     def __call__(self, x):
-        result = 0
+        result = self._zero
         for c in reversed(self.coeffs):
             result = result * x + c
         return result
 
     def __eq__(self, other):
-        return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
+        return type(other) is type(self) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(("IntPolynomial", self.coeffs))
-
-    def __repr__(self):
-        return f"IntPolynomial({list(self.coeffs)})"
+        return hash((type(self).__name__, self.coeffs))
 
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
@@ -75,28 +63,51 @@ class IntPolynomial:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return IntPolynomial(out)
+        return type(self)(out)
 
     def __neg__(self):
-        return IntPolynomial([-c for c in self.coeffs])
+        return type(self)([-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPolynomial([c * other for c in self.coeffs])
-        out = [0] * (len(self.coeffs) + len(other.coeffs))
+        if isinstance(other, (int, Fraction)):
+            return type(self)([c * other for c in self.coeffs])
+        out = [self._zero] * (len(self.coeffs) + len(other.coeffs))
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return IntPolynomial(out)
+        return type(self)(out)
 
     __rmul__ = __mul__
 
     def coefficient(self, k):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else self._zero
+
+
+class IntPolynomial(_Polynomial):
+    """Dense polynomial with arbitrary-precision integer coefficients.
+
+    >>> IntPolynomial([1, 2, 1]).degree
+    2
+    >>> IntPolynomial([1, 2, 1])(3)
+    16
+    """
+
+    __slots__ = ()
+    _zero = 0
+
+    def __init__(self, coeffs=()):
+        coeffs = list(coeffs)
+        for c in coeffs:
+            if not isinstance(c, int):
+                raise TypeError(f"integer coefficient expected, got {c!r}")
+        self.coeffs = _trim(coeffs)
+
+    def __repr__(self):
+        return f"IntPolynomial({list(self.coeffs)})"
 
     def is_palindromic(self, n):
         """True iff x^n * p(1/x) == p(x), i.e. coefficients 0..n read the
@@ -115,66 +126,17 @@ class IntPolynomial:
         return RatPolynomial(self.coeffs)
 
 
-class RatPolynomial:
+class RatPolynomial(_Polynomial):
     """Dense polynomial with exact rational coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    _zero = Fraction(0)
 
     def __init__(self, coeffs=()):
         self.coeffs = _trim([Fraction(c) for c in coeffs])
 
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
-    def __call__(self, x):
-        result = Fraction(0)
-        for c in reversed(self.coeffs):
-            result = result * x + c
-        return result
-
-    def __eq__(self, other):
-        return isinstance(other, RatPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(("RatPolynomial", self.coeffs))
-
     def __repr__(self):
         return f"RatPolynomial({[str(c) for c in self.coeffs]})"
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RatPolynomial(out)
-
-    def __neg__(self):
-        return RatPolynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatPolynomial([c * other for c in self.coeffs])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return RatPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def coefficient(self, k):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
 
     @property
     def leading(self):

@@ -398,20 +398,29 @@ def standard_monomial_count(poset, m):
     """Number of degree-m monomials outside the initial ideal: multisets
     of size m supported on independent sets of the leading-term graph,
     counted as sum over nonempty independent sets S of C(m-1, |S|-1),
-    with the sizes |S| <= m read from the flag-face kernel on the
-    complement graph."""
+    with the sizes |S| <= m read from _independent_sizes, which applies
+    the vertex guard before it builds the graph."""
     if m == 0:
         return 1
+    sizes = _independent_sizes(poset)
+    if m > 3:
+        raise SizeLimit("standard monomial counts implemented for m <= 3")
+    return sum(sizes[k] * comb(m - 1, k - 1) for k in range(1, m + 1))
+
+
+@lru_cache(maxsize=8)
+def _independent_sizes(poset):
+    """The numbers of independent sets of sizes 0..3 in the leading-term
+    graph, read from the flag-face kernel on its complement once per
+    poset for all three degrees standard_monomial_count serves."""
     # one variable per signed antichain, counted before the graph, whose work is count^2
     count = sum(1 << maxima.bit_count() for maxima in _ideal_table(poset).values())
     if count > GUARD_VERTICES:
         raise SizeLimit(f"{count} variables exceed guard {GUARD_VERTICES}")
-    if m > 3:
-        raise SizeLimit("standard monomial counts implemented for m <= 3")
     _, adjacency = initial_graph(poset)
     full = (1 << count) - 1
-    sizes, _ = _flag_faces([full ^ row ^ (1 << u) for u, row in enumerate(adjacency)], m)
-    return sum(sizes[k] * comb(m - 1, k - 1) for k in range(1, m + 1))
+    sizes, _ = _flag_faces([full ^ row ^ (1 << u) for u, row in enumerate(adjacency)], 3)
+    return tuple(sizes)
 
 
 @lru_cache(maxsize=8)

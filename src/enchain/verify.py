@@ -25,7 +25,6 @@ BUCHBERGER_MAX_N = 4
 TRIANGULATION_MAX_N = 4
 BIJECTION_MAX_N = 4
 INVARIANCE_MAX_N = 5
-COMPLEX_MAX_N = 6
 
 
 def rat_coeffs(poly):
@@ -308,7 +307,7 @@ def verify_poset(
     else:
         row["triangulation"] = "skipped"
 
-    if n <= COMPLEX_MAX_N:
+    if n <= gamma_complex.COMPLEX_GUARD_N:
         with _guarded(row, "complex", {"identity": False}, "complex", alarms):
             complex_ = gamma_complex.build_complex(canonical)
             row["complex"] = {

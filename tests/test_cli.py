@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enchain import gamma_complex, geometry, partitions, posets, toric, verify
-from enchain.cli import main
+from enchain.cli import COMMANDS, main
 from enchain.io import parse_poset, render_json, render_tsv
 from enchain.polynomials import IntPolynomial
 from enchain.errors import IdentityViolation, ParseError
@@ -101,6 +102,28 @@ class TestParsing:
     def test_empty(self):
         with pytest.raises(ParseError):
             parse_poset("\n\n")
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ('{"n": 2.7, "covers": []}', "2.7"),
+            ('{"n": 2.0, "covers": []}', "2.0"),
+            ('{"n": true, "covers": []}', "true"),
+            ('{"n": "2", "covers": []}', '"2"'),
+            ('{"n": 3, "covers": [[1.9, 3]]}', "1.9"),
+            ('{"n": 3, "covers": [[1, false]]}', "false"),
+            ('{"n": 3, "covers": [["1", 3]]}', '"1"'),
+        ],
+    )
+    def test_json_numbers_must_be_integers(self, text, value):
+        with pytest.raises(ParseError, match=f"must be integers, got {re.escape(value)}$"):
+            parse_poset(text)
+
+    def test_json_float_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "float.json"
+        path.write_text('{"n": 2.7, "covers": []}')
+        assert main(["antichains", str(path)]) == 1
+        assert "got 2.7" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -308,6 +331,18 @@ class TestAlarmsNameTheirValues:
         assert self.verify_all_alarms(capsys, chain2) == [
             "buchberger verification failed: basis size 2, leading terms agree: False"
         ]
+
+
+class TestParser:
+    @pytest.mark.parametrize("name", [*COMMANDS, "verify-all"])
+    def test_help_lists_the_flags_of_each_command(self, capsys, name):
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--guard-points" in out
+        assert bool(re.search(r"--m\b", out)) == (name == "partitions")
+        assert ("--kind" in out) == (name == "partitions")
 
 
 class TestExitCodes:

@@ -33,6 +33,68 @@ def cross_polytope_count(m):
     )
 
 
+@pytest.mark.parametrize("poly", [IntPolynomial, RatPolynomial])
+class TestSharedArithmetic:
+    """The arithmetic both coefficient rings share, run over each."""
+
+    def test_sums_and_differences(self, poly):
+        p, q = poly([1, 2]), poly([3, 0, 5])
+        assert p + q == q + p == poly([4, 2, 5])
+        assert q - p == poly([2, -2, 5])
+        assert p - q == poly([-2, 2, -5])
+        assert -p == poly([-1, -2])
+        assert p - p == poly() and (p - p).is_zero
+
+    def test_products(self, poly):
+        p, q = poly([1, 1]), poly([1, -1])
+        assert p * q == q * p == poly([1, 0, -1])
+        assert p * 3 == 3 * p == poly([3, 3])
+        assert p * 0 == 0 * p == poly()
+        assert p * poly() == poly() * p == poly()
+
+    def test_evaluation(self, poly):
+        ring = int if poly is IntPolynomial else Fraction
+        value = poly([1, 2, 1])(3)
+        assert value == 16 and type(value) is ring
+        zero = poly()(5)
+        assert zero == 0 and type(zero) is ring
+
+    def test_coefficients_and_trimming(self, poly):
+        ring = int if poly is IntPolynomial else Fraction
+        p = poly([1, 2, 0, 0])
+        assert p.coeffs == (1, 2) and p.degree == 1
+        assert p.coefficient(1) == 2
+        assert p.coefficient(5) == 0 and type(p.coefficient(5)) is ring
+        assert p.coefficient(-1) == 0
+        assert poly([0, 0]).is_zero and poly([0, 0]).degree == -1
+        assert poly([0, 0]) == poly()
+
+
+def test_rational_scalars_on_both_sides():
+    p = RatPolynomial([2, 4])
+    assert p * Fraction(1, 2) == Fraction(1, 2) * p == RatPolynomial([1, 2])
+
+
+def test_equality_and_hash_are_type_strict():
+    assert IntPolynomial([1]) != RatPolynomial([1])
+    assert RatPolynomial([1]) != IntPolynomial([1])
+    assert IntPolynomial([1]) != (1,)
+    assert hash(IntPolynomial([1, 2])) == hash(IntPolynomial([1, 2]))
+    assert hash(RatPolynomial([1, 2])) == hash(RatPolynomial([Fraction(2, 2), 2]))
+    assert len({IntPolynomial([1]), RatPolynomial([1])}) == 2
+
+
+def test_reprs():
+    assert repr(IntPolynomial([1, 0, -2, 0])) == "IntPolynomial([1, 0, -2])"
+    assert repr(RatPolynomial([Fraction(1, 2), 3])) == "RatPolynomial(['1/2', '3'])"
+    assert repr(IntPolynomial()) == "IntPolynomial([])"
+
+
+def test_integer_ring_rejects_fractions():
+    with pytest.raises(TypeError, match="integer coefficient expected"):
+        IntPolynomial([Fraction(1, 2)])
+
+
 class TestInterpolate:
     def test_line(self):
         assert interpolate([1, 3, 5]) == RatPolynomial([1, 2])

@@ -630,6 +630,21 @@ class TestStandardMonomials:
         with pytest.raises(SizeLimit, match="^2187 variables exceed guard 1024$"):
             standard_monomial_count(poset_from_covers(7, []), 1)
 
+    def test_one_face_walk_serves_every_degree(self, monkeypatch):
+        bounds = []
+        original = toric._flag_faces
+
+        def record(adjacency, bound):
+            bounds.append(bound)
+            return original(adjacency, bound)
+
+        monkeypatch.setattr(toric, "_flag_faces", record)
+        toric._independent_sizes.cache_clear()
+        poset = poset_from_covers(3, [(1, 3)])
+        counts = [standard_monomial_count(poset, m) for m in (1, 2, 3)]
+        assert bounds == [3]
+        assert counts == [count_dilation(poset, m) for m in (1, 2, 3)]
+
     def test_certificate(self):
         for n in (1, 2, 3):
             for poset in all_natural_posets(n):
