@@ -10,9 +10,12 @@ ideals I_k = {e : every chain ending at e has |x|-sum <= k}: the nonzero
 coordinates are the minimal elements of the steps I_k - I_{k-1}, each
 with a free sign.  Dilation counts are therefore weighted counts of ideal
 chains I_0 <= ... <= I_m = P, each step I -> J weighing 2^|min(J - I)|,
-computed by the transfer map over J(P) in posets.ideal_chain_count.  The
-same chains record left enriched partitions (psi_map), which is why the
-two counts agree.  dilation_points lists the points themselves, straight
+computed by the transfer map over J(P) in posets.ideal_chain_count.  As
+2^|min(J - I)| = #{K : I <= K <= J, K - I inside max K}, a transfer step
+is w[K] += w[K - e] over the cover edges of J(P), e in max K, per element
+in reverse linear-extension order (summing over subsets of max K), then
+in linear-extension order (summing over all K <= J).  The same chains
+record left enriched partitions (psi_map), which is why the two agree.  dilation_points lists the points themselves, straight
 from the maximal-chain inequalities.
 
 Everything is exact; counts are arbitrary-precision integers and the

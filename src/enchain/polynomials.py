@@ -29,11 +29,19 @@ def _trim(coeffs):
 
 class _Polynomial:
     """The arithmetic both coefficient rings share.  A subclass sets
-    `_zero`, the zero of its ring, and an __init__ that checks or coerces
-    the coefficients; every result is built with type(self), and equality
-    and hash never mix the two rings."""
+    `_zero`, the zero of its ring, `_accepts`, the coefficient types it
+    converts to that ring, and `_expected`, their name; any other
+    coefficient raises TypeError.  Every result is built with type(self),
+    and equality and hash never mix the two rings."""
 
     __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        coeffs = list(coeffs)
+        for c in coeffs:
+            if not isinstance(c, self._accepts):
+                raise TypeError(f"{self._expected} coefficient expected, got {c!r}")
+        self.coeffs = _trim(list(map(type(self._zero), coeffs)))
 
     @property
     def degree(self):
@@ -98,13 +106,8 @@ class IntPolynomial(_Polynomial):
 
     __slots__ = ()
     _zero = 0
-
-    def __init__(self, coeffs=()):
-        coeffs = list(coeffs)
-        for c in coeffs:
-            if not isinstance(c, int):
-                raise TypeError(f"integer coefficient expected, got {c!r}")
-        self.coeffs = _trim(coeffs)
+    _accepts = int
+    _expected = "integer"
 
     def __repr__(self):
         return f"IntPolynomial({list(self.coeffs)})"
@@ -127,13 +130,12 @@ class IntPolynomial(_Polynomial):
 
 
 class RatPolynomial(_Polynomial):
-    """Dense polynomial with exact rational coefficients."""
+    """Dense polynomial with exact rational coefficients, from ints and Fractions."""
 
     __slots__ = ()
     _zero = Fraction(0)
-
-    def __init__(self, coeffs=()):
-        self.coeffs = _trim([Fraction(c) for c in coeffs])
+    _accepts = (int, Fraction)
+    _expected = "integer or Fraction"
 
     def __repr__(self):
         return f"RatPolynomial({[str(c) for c in self.coeffs]})"

@@ -3,10 +3,10 @@
 A poset is stored as its full strict order relation, transitively closed;
 cover relations are derived on demand because membership tests dominate.
 Instances are immutable and hashable, safe to share between threads.
-Facts derived from a poset (covers, maximal chains, the ideal table, the
-ideal-chain counts) are computed once and kept, each in a slot or a
-bounded memo keyed by the poset's value; an entry is only ever filled or
-replaced whole, so no caller can see a value change.
+Facts derived from a poset (covers, maximal chains, the ideal table, its
+cover edges, the ideal-chain counts) are computed once and kept, each in
+a slot or a bounded memo keyed by the poset's value; an entry is only
+ever filled or replaced whole, so no caller can see a value change.
 
 A poset is *naturally labeled* when i < j as integers whenever i precedes j
 in the order.  Operations on enriched partitions require natural labeling;
@@ -23,6 +23,7 @@ from types import MappingProxyType
 from .errors import CycleDetected, LabelOutOfRange, NotAnIdeal, SizeLimit
 
 LINEAR_EXTENSION_GUARD = 10
+IDEAL_GUARD = 1 << 16
 
 
 class Poset:
@@ -160,26 +161,10 @@ def poset_from_covers(n, covers):
 
 def antichains(poset):
     """Every antichain of the poset, the empty one included, sorted by
-    size then lexicographically.  Antichains are exactly the independent
-    sets of the comparability graph."""
-    n = poset.n
-    comp = [0] * (n + 1)
-    for a, b in poset.pairs:
-        comp[a] |= 1 << b
-        comp[b] |= 1 << a
-    out = []
-
-    def extend(prefix, start, excluded):
-        out.append(tuple(prefix))
-        for j in range(start, n + 1):
-            if not excluded >> j & 1:
-                prefix.append(j)
-                extend(prefix, j + 1, excluded | comp[j])
-                prefix.pop()
-
-    extend([], 1, 0)
-    out.sort(key=lambda a: (len(a), a))
-    return out
+    size then lexicographically: the maxima of the ideal table's rows, as
+    each antichain is the maxima of exactly one ideal."""
+    rows = (tuple(_bits(maxima)) for maxima in _ideal_table(poset).values())
+    return sorted(rows, key=lambda a: (len(a), a))
 
 
 def maximal_chains(poset):
@@ -290,24 +275,35 @@ def _flag_faces(adjacency, bound):
     return counts, maximal
 
 
-def _down(poset, mask):
-    """The mask with every element below one of its bits added."""
-    for e in _bits(mask):
-        mask |= poset._below[e]
-    return mask
-
-
 @lru_cache(maxsize=32)
 def _ideal_table(poset):
     """Every ideal as element mask -> maxima mask, read-only, in
-    ideal_lattice order: the down-closure of each antichain, which gives
-    every down-set exactly once; no other code builds ideals."""
-    rows = []
-    for a in antichains(poset):
-        maxima = sum(1 << e for e in a)
-        rows.append((_down(poset, maxima), maxima))
-    rows.sort(key=lambda row: (row[0].bit_count(), tuple(_bits(row[0]))))
-    return MappingProxyType(dict(rows))
+    ideal_lattice order (by size, then by elements); no other code builds
+    ideals.  The walk grows J(P) a level at a time from the empty ideal,
+    adding to each ideal I every e in front(I), the elements outside I
+    whose down-set lies in I.  The maxima of I + e are e and those of I
+    not below e; I + e is kept only when e is the largest of them, so each
+    ideal is reached once.  A level sorts by bit-reversed mask, descending,
+    which orders it by elements.  Past IDEAL_GUARD ideals the walk raises
+    SizeLimit, checked as each level is added."""
+    n = poset.n
+    steps = [(e, 1 << e, poset._below[e], 1 << (n - e)) for e in poset.elements()]
+    rows = {0: 0}
+    level = [(0, 0, 0)]  # (bit-reversed mask, mask, maxima) per ideal
+    for size in range(1, n + 1):
+        grown = []
+        for reverse, ideal, maxima in level:
+            for e, bit, down, reverse_bit in steps:
+                if not (ideal & bit or down & ~ideal):
+                    kept = maxima & ~down
+                    if not kept >> e:
+                        grown.append((reverse | reverse_bit, ideal | bit, kept | bit))
+        grown.sort(reverse=True)
+        rows.update((ideal, maxima) for _, ideal, maxima in grown)
+        if len(rows) > IDEAL_GUARD:
+            raise SizeLimit(f"{len(rows)} ideals of size <= {size} exceed guard {IDEAL_GUARD}")
+        level = grown
+    return MappingProxyType(rows)
 
 
 def _view(elements, maxima):
@@ -337,68 +333,62 @@ def ideal_lattice(poset):
 
 
 @lru_cache(maxsize=32)
-def _ideal_transfer(poset):
-    """Transfer map over J(P): for each ideal J, in ideal_lattice order,
-    the pairs (index of I, k) over ideals I contained in J, where k is
-    the number of minimal elements of J minus I.
-
-    An element x of J - I is minimal there exactly when everything below
-    x lies in I, since J is down-closed.  So min(J - I) is front(I) & J,
-    where front(I) holds the elements outside I whose whole down-set is
-    in I, found once per ideal.  The table lists ideals by size, so every
-    I contained in J comes no later than J."""
-    masks = list(_ideal_table(poset))
-    below = [(e, poset._below[e]) for e in poset.elements()]
-    indexed = [
-        (index, ideal, sum(1 << e for e, down in below if not (ideal >> e & 1 or down & ~ideal)))
-        for index, ideal in enumerate(masks)
-    ]
-    return tuple(
-        tuple(
-            [
-                (index, (front & upper).bit_count())
-                for index, lower, front in indexed[: j + 1]
-                if lower | upper == upper
-            ]
-        )
-        for j, upper in enumerate(masks)
-    )
+def _cover_edges(poset):
+    """The cover edges of J(P) as index pairs (K, K - e) into the ideal
+    table, for each maximal element e of K, grouped by e: one tuple per
+    element, the elements in linear-extension order."""
+    table = _ideal_table(poset)
+    index = {ideal: k for k, ideal in enumerate(table)}
+    edges = [[] for _ in range(poset.n + 1)]
+    for k, (ideal, maxima) in enumerate(table.items()):
+        for e in _bits(maxima):
+            edges[e].append((k, index[ideal ^ 1 << e]))
+    return tuple(tuple(edges[e]) for e in poset.topological_order())
 
 
 class _ChainCounts:
     """The ideal-chain counts of one poset for m = 0, 1, ..., computed by
-    one transfer pass that later calls resume rather than restart.
+    one transfer that later calls resume rather than restart.
 
-    The pass state is one immutable pair (counts, weights at the last m),
-    replaced by a single assignment when it grows, so a concurrent caller
-    reads either the old prefix or the new one, and both are correct.  Two
-    callers growing it at once may keep the shorter prefix; that only
-    costs a later recomputation."""
+    A step is T(w)[J] = sum over ideals I <= J of 2^|min(J - I)| w[I].  As
+    2^|min(J - I)| counts the ideals K with I <= K <= J and K - I inside
+    max K, T(w)[J] = sum over K <= J of sum over A inside max K of w[K - A].
+    Both sums run over the cover edges (K, K - e), e in max K, an element
+    at a time, w[K] += w[K - e] in place: the inner one in reverse
+    linear-extension order, so the maxima of K - e below e are not yet
+    summed over, the outer one in linear-extension order.  A step costs
+    2 * sum_K |max K| additions, not one per interval I <= J.
 
-    __slots__ = ("rows", "state")
+    The state is one immutable pair (counts, weights at the last m).  The
+    passes run on a fresh copy of the weights, and the state is replaced
+    by a single assignment, so a concurrent caller reads either the old
+    prefix or the new one, and both are correct.  Two callers growing it
+    at once may keep the shorter prefix; that only costs a recomputation."""
 
-    def __init__(self, rows, weights):
-        self.rows = rows
-        self.state = ((weights[-1],), weights)
+    __slots__ = ("passes", "state")
+
+    def __init__(self, edges, weights):
+        self.passes = edges[::-1] + edges
+        self.state = ((weights[-1],), tuple(weights))
 
     def upto(self, m):
         counts, weights = self.state
         if m >= len(counts):
-            counts = list(counts)
+            counts, weights = list(counts), list(weights)
             for _ in range(len(counts), m + 1):
-                weights = [sum(weights[i] << k for i, k in row) for row in self.rows]
+                for pairs in self.passes:
+                    for k, i in pairs:
+                        weights[k] += weights[i]
                 counts.append(weights[-1])
-            counts = tuple(counts)
-            self.state = (counts, weights)
+            self.state = (tuple(counts), tuple(weights))
         return counts
 
 
 @lru_cache(maxsize=64)
 def _chain_counts(poset, from_empty):
-    rows = _ideal_transfer(poset)
-    if from_empty:
-        return _ChainCounts(rows, [1] + [0] * (len(rows) - 1))
-    return _ChainCounts(rows, [1] * len(rows))
+    size = len(_ideal_table(poset))
+    weights = [1] + [0] * (size - 1) if from_empty else [1] * size
+    return _ChainCounts(_cover_edges(poset), weights)
 
 
 def ideal_chain_count(poset, m, from_empty=False):
@@ -414,8 +404,10 @@ def ideal_chain_count(poset, m, from_empty=False):
     with bound m, and with from_empty (no zero values) the enriched ones
     (Stanley's transfer map, with Stembridge's sign rule).
 
-    The counts for every bound up to m come from one transfer pass, kept
-    per (poset, from_empty) so a later, larger m resumes where it ended."""
+    As 2^|min(J - I)| = #{K : I <= K <= J, K - I inside max K}, a bound is
+    two passes over J(P)'s cover edges, in reverse linear-extension order,
+    then in that order (see _ChainCounts); the transfer is kept per (poset,
+    from_empty), so a later, larger m resumes where the last one ended."""
     if m < 0:
         raise ValueError("bound must be nonnegative")
     return _chain_counts(poset, from_empty).upto(m)[m]
@@ -427,7 +419,10 @@ def star(poset, ideal_i, ideal_j):
     table = _ideal_table(poset)
     i, j = (_ideal_mask(poset, getattr(x, "elements", x)) for x in (ideal_i, ideal_j))
     generators = table[i & j] & (table[i] | table[j])
-    return _view(_down(poset, generators), generators)
+    elements = generators
+    for e in _bits(generators):
+        elements |= poset._below[e]
+    return _view(elements, generators)
 
 
 @dataclass(frozen=True)
@@ -441,7 +436,7 @@ def poset_predicates(poset):
     """Comparability graph, exact width (maximum antichain size), and the
     narrow flag (width <= 2, i.e. coverable by two chains)."""
     edges = tuple(sorted({(min(a, b), max(a, b)) for a, b in poset.pairs}))
-    width = max(len(a) for a in antichains(poset))
+    width = max(maxima.bit_count() for maxima in _ideal_table(poset).values())
     return PosetPredicates(edges, width, width <= 2)
 
 

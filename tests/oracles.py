@@ -7,21 +7,25 @@ vertices, the face map of the gamma complex as a bijection from all
 decorated linear extensions, bar removal included, and monomial normal
 forms by the generic rewriting rule for any degree.  The library's
 bitset kernels keep their former scans here: the leading-term graph by a
-walk over every pair of variables, its degree-3 standard monomials by a
-double loop over non-edges, and the ideal transfer by a scan of every
-element for the minimal ones.  The flag-face kernel behind the Hilbert
-certificate, the triangulation and the gamma complex keeps its three
-predecessors: the pair and triple loops of the standard monomial count,
-the independent-set recursion that built a tuple per face, and the
-clique counts that scanned every vertex bit.  The ideal table keeps its
-frozenset predecessors here: the ideal lattice by down-closure of each
-antichain, the star operation and the maxima of a union, and the rows
-of toric._ideal_pairs built from them.  The phi/psi roundtrip kernel keeps the
-former bodies of phi_map and psi_map here, with the left enriched
-conditions checked on every relation rather than along the covers.  The
-gamma complex's word-level pair test keeps its object-level predecessor
-here: the two-bar decorated permutation built and validated, and its
-face map compared with the pair.
+walk over every pair of variables and its degree-3 standard monomials by
+a double loop over non-edges.  The ideal-chain counts keep their former
+kernel, the transfer with one row per interval I <= J of J(P), itself
+checked against a scan of every element for the minimal ones of J - I.
+The ideal table keeps the recursive antichain walk it replaced, which
+the frozenset lattice and the lattice points of E_P are built from.  The
+flag-face kernel behind the Hilbert certificate, the triangulation and
+the gamma complex keeps its three predecessors: the pair and triple
+loops of the standard monomial count, the independent-set recursion that
+built a tuple per face, and the clique counts that scanned every vertex
+bit.  The ideal table keeps its frozenset predecessors here: the ideal
+lattice by down-closure of each antichain, the star operation and the
+maxima of a union, and the rows of toric._ideal_pairs built from them.
+The phi/psi roundtrip kernel keeps the former bodies of phi_map and
+psi_map here, with the left enriched conditions checked on every
+relation rather than along the covers.  The gamma complex's word-level
+pair test keeps its object-level predecessor here: the two-bar decorated
+permutation built and validated, and its face map compared with the
+pair.
 Beside them live five helpers that only the tests call: chain-polytope
 membership by the maximal-chain inequalities, the Ehrhart polynomial
 interpolated from the dilation counts, (1 + x)^k, the edge set of an
@@ -31,6 +35,7 @@ adjacency bitset list, and a Hypothesis strategy for randomly labelled
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 
@@ -57,11 +62,35 @@ from enchain.partitions import left_peak_positions
 from enchain.polynomials import IntPolynomial, interpolate
 from enchain.posets import (
     PosetIdeal,
-    antichains,
+    _ideal_table,
     linear_extensions,
     maximal_chains,
     poset_from_covers,
 )
+
+
+def antichains_oracle(poset):
+    """posets.antichains by a recursive walk over the comparability graph
+    that does not read the ideal table: every independent set, the empty
+    one included, sorted by size then lexicographically."""
+    n = poset.n
+    comp = [0] * (n + 1)
+    for a, b in poset.pairs:
+        comp[a] |= 1 << b
+        comp[b] |= 1 << a
+    out = []
+
+    def extend(prefix, start, excluded):
+        out.append(tuple(prefix))
+        for j in range(start, n + 1):
+            if not excluded >> j & 1:
+                prefix.append(j)
+                extend(prefix, j + 1, excluded | comp[j])
+                prefix.pop()
+
+    extend([], 1, 0)
+    out.sort(key=lambda a: (len(a), a))
+    return out
 
 
 def lattice_points_ep(poset):
@@ -69,7 +98,7 @@ def lattice_points_ep(poset):
     antichain indicator vector plus the origin, sorted."""
     n = poset.n
     points = []
-    for chain in antichains(poset):
+    for chain in antichains_oracle(poset):
         for signs in product((1, -1), repeat=len(chain)):
             coords = [0] * n
             for e, s in zip(chain, signs):
@@ -239,7 +268,7 @@ def ideal_lattice_oracle(poset):
     """posets.ideal_lattice as frozensets: the down-closure of every
     antichain, the family checked closed under union and intersection,
     sorted by size and then by sorted elements."""
-    ideals = [PosetIdeal(_down_closure(poset, a), a) for a in antichains(poset)]
+    ideals = [PosetIdeal(_down_closure(poset, a), a) for a in antichains_oracle(poset)]
     seen = {i.elements for i in ideals}
     for i, j in combinations(ideals, 2):
         if i.elements | j.elements not in seen or i.elements & j.elements not in seen:
@@ -307,6 +336,47 @@ def ideal_transfer_oracle(poset):
     return tuple(rows)
 
 
+@lru_cache(maxsize=32)
+def ideal_transfer(poset):
+    """Transfer map over J(P): for each ideal J, in ideal_lattice order,
+    the pairs (index of I, k) over ideals I contained in J, where k is
+    the number of minimal elements of J minus I.
+
+    An element x of J - I is minimal there exactly when everything below
+    x lies in I, since J is down-closed.  So min(J - I) is front(I) & J,
+    where front(I) holds the elements outside I whose whole down-set is
+    in I, found once per ideal.  The table lists ideals by size, so every
+    I contained in J comes no later than J."""
+    masks = list(_ideal_table(poset))
+    below = [(e, poset._below[e]) for e in poset.elements()]
+    indexed = [
+        (index, ideal, sum(1 << e for e, down in below if not (ideal >> e & 1 or down & ~ideal)))
+        for index, ideal in enumerate(masks)
+    ]
+    return tuple(
+        tuple(
+            [
+                (index, (front & upper).bit_count())
+                for index, lower, front in indexed[: j + 1]
+                if lower | upper == upper
+            ]
+        )
+        for j, upper in enumerate(masks)
+    )
+
+
+def chain_counts_oracle(poset, max_m, from_empty=False):
+    """posets.ideal_chain_count for m = 0..max_m, by applying the rows of
+    ideal_transfer, one per interval I <= J, max_m times."""
+    rows = ideal_transfer(poset)
+    weights = [1] + [0] * (len(rows) - 1) if from_empty else [1] * len(rows)
+    counts = [weights[-1]]
+    for _ in range(max_m):
+        weights = [sum(weights[i] << k for i, k in row) for row in rows]
+        counts.append(weights[-1])
+    return counts
+
+
 def left_partition_oracle(poset, f, m=None):
     """Whether f is a left enriched partition (with bound m, if given),
     by the two defining conditions along every order relation."""
@@ -364,7 +434,7 @@ def membership_oracle(poset, point, max_antichains=4096):
     point = [Fraction(c) for c in point]
     if any(c < 0 for c in point):
         raise ValueError("membership oracle expects a nonnegative point")
-    chains = antichains(poset)
+    chains = antichains_oracle(poset)
     if len(chains) > max_antichains:
         raise SizeLimit(f"membership oracle guarded at {max_antichains} antichains")
     rows = [[1 if e in a else 0 for a in chains] for e in poset.elements()]

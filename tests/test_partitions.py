@@ -476,7 +476,7 @@ class TestMemo:
     def test_each_labeling_is_computed(self, monkeypatch):
         counted = self.recorder(monkeypatch, partitions, "count_partitions")
         extended = self.recorder(monkeypatch, partitions, "linear_extensions")
-        transfers = self.recorder(monkeypatch, posets, "_ideal_transfer")
+        transfers = self.recorder(monkeypatch, posets, "_cover_edges")
         for poset in (self.first, self.second, self.first):
             order_polynomial(poset, "left")
             peak_polynomials(poset)

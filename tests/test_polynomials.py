@@ -90,6 +90,12 @@ def test_reprs():
     assert repr(IntPolynomial()) == "IntPolynomial([])"
 
 
+@pytest.mark.parametrize("coeff", [0.1, "1/2", None])
+def test_rational_ring_rejects_floats_strings_and_none(coeff):
+    with pytest.raises(TypeError, match="integer or Fraction coefficient expected"):
+        RatPolynomial([coeff])
+
+
 def test_integer_ring_rejects_fractions():
     with pytest.raises(TypeError, match="integer coefficient expected"):
         IntPolynomial([Fraction(1, 2)])

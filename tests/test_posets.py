@@ -1,9 +1,10 @@
 from itertools import combinations, permutations, product
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
 
-from enchain import posets
+from enchain import posets, verify
 from enchain.errors import CycleDetected, LabelOutOfRange, NotAnIdeal, SizeLimit
 from enchain.posets import (
     Poset,
@@ -20,7 +21,10 @@ from enchain.posets import (
 )
 
 from oracles import (
+    antichains_oracle,
+    chain_counts_oracle,
     ideal_lattice_oracle,
+    ideal_transfer,
     ideal_transfer_oracle,
     labelled_six_posets,
     star_oracle,
@@ -98,6 +102,23 @@ class TestAntichains:
                     key=lambda a: (len(a), a),
                 )
                 assert antichains(poset) == expected
+
+    def test_table_maxima_match_recursive_walk(self):
+        for n in range(1, 7):
+            for poset in all_natural_posets(n):
+                assert antichains(poset) == antichains_oracle(poset), poset.pairs
+
+    @given(labelled_six_posets())
+    @example(antichain(6))
+    @settings(max_examples=20, deadline=None)
+    def test_table_maxima_match_recursive_walk_relabelled(self, poset):
+        assert antichains(poset) == antichains_oracle(poset)
+
+    def test_width_is_largest_antichain(self):
+        for n in range(1, 6):
+            for poset in all_natural_posets(n):
+                width = max(len(a) for a in antichains_oracle(poset))
+                assert poset_predicates(poset).width == width
 
 
 class TestMaximalChains:
@@ -220,19 +241,96 @@ class TestStar:
 
 
 class TestIdealTransfer:
-    """_ideal_transfer, which finds minimal elements among the bits of
-    each difference, against a scan of every element."""
+    """The interval transfer kept as the counts' oracle, which finds
+    minimal elements among the bits of each difference, against a scan
+    of every element."""
 
     def test_every_natural_poset_up_to_five(self):
         for n in (1, 2, 3, 4, 5):
             for poset in all_natural_posets(n):
-                assert posets._ideal_transfer(poset) == ideal_transfer_oracle(poset)
+                assert ideal_transfer(poset) == ideal_transfer_oracle(poset)
 
     @given(labelled_six_posets())
     @example(antichain(6))
     @settings(max_examples=10, deadline=None)
     def test_random_six_element_posets(self, poset):
-        assert posets._ideal_transfer(poset) == ideal_transfer_oracle(poset)
+        assert ideal_transfer(poset) == ideal_transfer_oracle(poset)
+
+
+class TestChainCounts:
+    """ideal_chain_count, two passes over the cover edges of J(P) per
+    bound, against the transfer with one row per interval and against
+    closed forms."""
+
+    @staticmethod
+    def assert_matches_oracle(poset):
+        for from_empty in (False, True):
+            counts = [posets.ideal_chain_count(poset, m, from_empty) for m in range(poset.n + 2)]
+            assert counts == chain_counts_oracle(poset, poset.n + 1, from_empty), poset.pairs
+
+    def test_every_natural_poset_up_to_six(self):
+        for n in range(1, 7):
+            for poset in all_natural_posets(n):
+                self.assert_matches_oracle(poset)
+
+    @given(labelled_six_posets())
+    @example(antichain(6))
+    @example(chain(6).relabeled((6, 5, 4, 3, 2, 1)))
+    @settings(max_examples=20, deadline=None)
+    def test_random_six_element_posets(self, poset):
+        self.assert_matches_oracle(poset)
+
+    def test_antichains_count_boxes(self):
+        # each element takes any value in [-m, m], or any nonzero one
+        for n in range(1, 13):
+            for m in range(n + 2):
+                assert posets.ideal_chain_count(antichain(n), m) == (2 * m + 1) ** n
+                assert posets.ideal_chain_count(antichain(n), m, from_empty=True) == (2 * m) ** n
+
+    def test_chains_count_cross_polytope_points(self):
+        # the lattice points of m times the n-dimensional cross-polytope
+        for n in range(1, 13):
+            for m in range(n + 2):
+                expected = sum(2**k * comb(n, k) * comb(m, k) for k in range(n + 1))
+                assert posets.ideal_chain_count(chain(n), m) == expected
+
+    def test_resume_matches_cold_start(self):
+        poset = poset_from_covers(5, [(1, 3), (2, 3), (2, 4), (4, 5)])
+        posets._chain_counts.cache_clear()
+        rising = [posets.ideal_chain_count(poset, m) for m in range(7)]
+        posets._chain_counts.cache_clear()
+        assert posets.ideal_chain_count(poset, 6) == rising[-1]
+        assert rising == chain_counts_oracle(poset, 6)
+
+
+class TestIdealGuard:
+    """The ideal walk stops past its guard, stated in ideals."""
+
+    def test_guard_names_the_count(self, monkeypatch):
+        monkeypatch.setattr(posets, "IDEAL_GUARD", 100)
+        # 1 + 8 + 28 + 56 = 93 ideals up to size 3, then 70 more of size 4
+        with pytest.raises(SizeLimit, match=r"^163 ideals of size <= 4 exceed guard 100$"):
+            posets._ideal_table.__wrapped__(antichain(8))
+
+    def test_guard_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(posets, "IDEAL_GUARD", 256)
+        assert len(posets._ideal_table.__wrapped__(antichain(8))) == 256
+
+    def test_no_poset_up_to_twelve_trips_it(self):
+        # the 12-antichain has the most ideals of any 12-element poset
+        assert len(posets._ideal_table(antichain(12))) == 4096 < posets.IDEAL_GUARD
+
+    def test_counts_past_the_guard_raise(self):
+        with pytest.raises(SizeLimit, match="exceed guard 65536"):
+            posets.ideal_chain_count(antichain(17), 1)
+
+    def test_verify_row_reads_skipped_past_the_guard(self):
+        row = verify.verify_poset(antichain(17))
+        reason = "skipped (89846 ideals of size <= 9 exceed guard 65536)"
+        assert row["enriched_relation"] == reason
+        assert row["narrow_left_peak_equals_descent"] == reason
+        assert row["groebner"]["hilbert_checks"] == reason
+        assert row["alarms"] == []
 
 
 class TestPredicates:
