@@ -178,23 +178,25 @@ def roundtrip_maps(poset):
     n: element i gets the largest sum of |x_j| along chains ending at i,
     signed like x_i, and top is the largest of those sums, so x lies in
     the m-th dilation exactly when top <= m.  Natural labels list every
-    lower cover before its element, so one pass in label order suffices."""
+    lower cover before its element, so one pass in label order suffices;
+    an element with one lower cover reads it without max()."""
     _require_natural(poset)
     n = poset.n
     lowers = poset.lower_covers()
-    covers = [tuple(j - 1 for j in lowers[i]) for i in poset.elements()]
+    # per element: its lower cover if it has just one (else -1), and all of them
+    shape = [(c[0] - 1 if len(c) == 1 else -1, tuple(j - 1 for j in c)) for c in lowers[1:]]
 
     def phi(f):
         if len(f) != n:
             return None
         coords = []
-        for i, covs in enumerate(covers):
+        for i, (one, covs) in enumerate(shape):
             v = f[i]
             if not covs:
                 coords.append(v)
                 continue
             # the largest |f| below i decides both conditions at once
-            base = max([abs(f[j]) for j in covs])
+            base = abs(f[one]) if one >= 0 else max([abs(f[j]) for j in covs])
             if v >= 0:
                 if v < base:
                     return None
@@ -209,9 +211,11 @@ def roundtrip_maps(poset):
         sums = []
         out = []
         top = 0
-        for i, covs in enumerate(covers):
+        for i, (one, covs) in enumerate(shape):
             v = x[i]
-            s = (v if v >= 0 else -v) + (max([sums[j] for j in covs]) if covs else 0)
+            s = v if v >= 0 else -v
+            if covs:
+                s += sums[one] if one >= 0 else max([sums[j] for j in covs])
             sums.append(s)
             out.append(s if v >= 0 else -s)
             if s > top:
@@ -219,15 +223,6 @@ def roundtrip_maps(poset):
         return tuple(out), top
 
     return phi, psi
-
-
-def is_left_partition(poset, f, m=None):
-    """Whether f is a left enriched partition of the naturally labeled
-    poset (with every |f(e)| <= m, if m is given), decided along the
-    covers by the roundtrip kernel."""
-    if m is not None and any(abs(v) > m for v in f):
-        return False
-    return roundtrip_maps(poset)[0](f) is not None
 
 
 def phi_map(poset, f):

@@ -17,7 +17,7 @@ depend only on the comparability graph.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from types import MappingProxyType
 
 from .errors import CycleDetected, LabelOutOfRange, NotAnIdeal, SizeLimit
@@ -275,7 +275,28 @@ def _flag_faces(adjacency, bound):
     return counts, maximal
 
 
-@lru_cache(maxsize=32)
+def _memo_with_limit(walk):
+    """lru_cache for a per-poset walk that also keeps the SizeLimit it
+    raises, so a poset past the guard is not walked up to it again."""
+    @lru_cache(maxsize=32)
+    def outcome(poset):
+        try:
+            return walk(poset)
+        except SizeLimit as exc:  # lru_cache keeps no exception
+            return exc
+
+    @wraps(walk)
+    def memoised(poset):
+        value = outcome(poset)
+        if isinstance(value, SizeLimit):
+            raise SizeLimit(*value.args)
+        return value
+
+    memoised.cache_info, memoised.cache_clear = outcome.cache_info, outcome.cache_clear
+    return memoised
+
+
+@_memo_with_limit
 def _ideal_table(poset):
     """Every ideal as element mask -> maxima mask, read-only, in
     ideal_lattice order (by size, then by elements); no other code builds
@@ -285,7 +306,7 @@ def _ideal_table(poset):
     not below e; I + e is kept only when e is the largest of them, so each
     ideal is reached once.  A level sorts by bit-reversed mask, descending,
     which orders it by elements.  Past IDEAL_GUARD ideals the walk raises
-    SizeLimit, checked as each level is added."""
+    SizeLimit, checked as each level is added, and that is memoised too."""
     n = poset.n
     steps = [(e, 1 << e, poset._below[e], 1 << (n - e)) for e in poset.elements()]
     rows = {0: 0}
@@ -320,11 +341,6 @@ def _ideal_mask(poset, elements):
         for i in _bits(poset._below[e] & ~mask):
             raise NotAnIdeal(f"{sorted(elements)} is not down-closed ({i} < {e})")
     return mask
-
-
-def make_ideal(poset, elements):
-    mask = _ideal_mask(poset, elements)
-    return _view(mask, _ideal_table(poset)[mask])
 
 
 def ideal_lattice(poset):
@@ -462,18 +478,27 @@ def all_natural_posets(n):
 
 
 def comparability_orientations(poset):
-    """All posets on the same label set whose comparability graph equals
-    this poset's, obtained by reorienting its edges and keeping the
-    orientations that are already transitively closed."""
-    edges = [e for e in poset_predicates(poset).comparability_edges]
-    results = []
-    for mask in range(1 << len(edges)):
-        rel = set()
-        for bit, (a, b) in enumerate(edges):
-            rel.add((a, b) if not mask >> bit & 1 else (b, a))
-        closed = all(
-            (a, d) in rel for a, b in rel for c, d in rel if b == c
-        )
-        if closed:
-            results.append(Poset(poset.n, rel))
+    """The transitive reorientations of this poset's comparability graph,
+    in the order of their masks of reversed edges: edges are oriented from
+    the last down, as listed first.  A relation a < b that makes a chain
+    c < a < b or a < b < d with ends not joined, or joined the other way,
+    is refused, as no later edge can close that chain."""
+    edges = poset_predicates(poset).comparability_edges
+    n = poset.n
+    joined = [up | down for up, down in zip(poset._above, poset._below)]
+    above, below, results = [0] * (n + 1), [0] * (n + 1), []
+
+    def orient(k):
+        if not k:
+            results.append(Poset(n, [(a, b) for a in range(1, n + 1) for b in _bits(above[a])]))
+            return
+        for a, b in (edges[k - 1], edges[k - 1][::-1]):
+            if not (below[a] & (above[b] | ~joined[b]) or above[b] & ~joined[a]):
+                above[a] ^= 1 << b
+                below[b] ^= 1 << a
+                orient(k - 1)
+                above[a] ^= 1 << b
+                below[b] ^= 1 << a
+
+    orient(len(edges))
     return results

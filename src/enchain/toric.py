@@ -169,7 +169,9 @@ class ToricBinomial:
 def generate_groebner_candidates(poset):
     """Both binomial families, deduplicated (a binomial keeps the first
     family that gives it), each verified to lie in the toric ideal by
-    image equality (an ImageMismatch is an alarm)."""
+    image equality (an ImageMismatch is an alarm).  Images in -1..1 are
+    packed 3 bits a coordinate, offset by 1: a sum of two is 0..4 < 8 a
+    coordinate, so packed sums never carry and agree iff the images do."""
     plus, minus, index = _sign_masks(poset)
     family_of = {}
     for u, v, e in _family_one(poset):
@@ -182,9 +184,13 @@ def generate_groebner_candidates(poset):
 
     out = tuple(ToricBinomial(lead, tail, f) for (lead, tail), f in family_of.items())
     images = [v.image(poset.n) for v in variables_and_map(poset)]
+    if any(not -1 <= c <= 1 for image in images for c in image):
+        raise ImageMismatch(f"a variable image leaves -1..1: {images}")
+    packed = [sum((c + 1) << 3 * i for i, c in enumerate(image)) for image in images]
     for b in out:
-        left, right = (tuple(map(sum, zip(images[x], images[y]))) for x, y in (b.lead, b.tail))
-        if left != right:
+        (x, y), (z, w) = b.lead, b.tail
+        if packed[x] + packed[y] != packed[z] + packed[w]:
+            left, right = (tuple(map(sum, zip(images[p], images[q]))) for p, q in (b.lead, b.tail))
             raise ImageMismatch(f"binomial {b} maps to {left} vs {right}")
     return out
 
@@ -208,8 +214,13 @@ class TermOrder:
         )
 
     def leading(self, m1, m2):
-        """The larger monomial, by weight sums alone unless they tie."""
-        k1, k2 = (sum(self.weights[v] for v in m) for m in (m1, m2))
+        """The larger monomial, by weight sums alone unless they tie; two
+        quadratics (every candidate binomial) add their two weights."""
+        w = self.weights
+        if len(m1) == 2 == len(m2):
+            k1, k2 = w[m1[0]] + w[m1[1]], w[m2[0]] + w[m2[1]]
+        else:
+            k1, k2 = (sum(w[v] for v in m) for m in (m1, m2))
         if k1 == k2:
             k1, k2 = self.monomial_key(m1), self.monomial_key(m2)
         return m1 if k1 >= k2 else m2
@@ -286,7 +297,8 @@ def buchberger_verify(binomials, order, guard_spairs=SPAIR_GUARD_DEFAULT):
     per pair of distinct leads at a shared variable less two per triangle
     of leads, before any reduction.  Tails are normalised once, as tail*x
     rewrites to NF(tail)*x; the comments below say why one tail per lead
-    and one check per lcm suffice."""
+    and one check per lcm suffice.  Triangles are read off the lead
+    bitsets; each cubic is looked up in the memo before it is reduced."""
     pairs, lead_map = [], {}
     for b in binomials:
         lead = order.leading(b.lead, b.tail)
@@ -325,27 +337,28 @@ def buchberger_verify(binomials, order, guard_spairs=SPAIR_GUARD_DEFAULT):
     for c, others in neighbours.items():
         others.sort()
         for k, (x, tail_x) in enumerate(others):
+            leads_x = adjacent[x]
+            p_x, q_x = tail_x
             for y, tail_y in others[k + 1 :]:
                 # Leads cx, cy have lcm L = cxy, and the S-pair of leads i, j
                 # dividing L is r_i - r_j, r_i being L rewritten by lead i.
                 # If xy is a lead k too, S(i, j) = S(i, k) + S(k, j): two
                 # checks, made from the triangle's smallest vertex.
-                tail_xy = reduced.get((x, y))
-                if tail_xy is not None and x < c:
+                triangle = leads_x >> y & 1
+                if triangle and x < c:
                     continue
                 # the sorted cubics tail_x * y and tail_y * x, inline and
                 # memo first, as this loop is where the time goes
-                p, q = tail_x
-                m1 = (y, p, q) if y <= p else (p, y, q) if y <= q else (p, q, y)
+                m1 = (y, p_x, q_x) if y <= p_x else (p_x, y, q_x) if y <= q_x else (p_x, q_x, y)
                 p, q = tail_y
                 m2 = (x, p, q) if x <= p else (p, x, q) if x <= q else (p, q, x)
                 n1 = memo_get(m1) or _normal_form(m1, lead_map, memo)
                 if n1 != (memo_get(m2) or _normal_form(m2, lead_map, memo)):
                     return False
-                if tail_xy is not None:
-                    p, q = tail_xy
+                if triangle:
+                    p, q = reduced[x, y]
                     m3 = (c, p, q) if c <= p else (p, c, q) if c <= q else (p, q, c)
-                    if n1 != _normal_form(m3, lead_map, memo):
+                    if n1 != (memo_get(m3) or _normal_form(m3, lead_map, memo)):
                         return False
     return True
 
@@ -486,7 +499,7 @@ def triangulation_extract(poset, guard_points=GUARD_POINTS_DEFAULT):
     if not ok:
         raise IdentityViolation(f"initial ideal certificate failed: {list(rows)}")
     vertex_count, adjacency = initial_graph(poset)
-    variables = variables_and_map(poset)
+    images = [v.image(n) for v in variables_and_map(poset)]
     full = (1 << vertex_count) - 1
     # vertex u >= 1 of the leading-term graph is vertex u - 1 here
     boundary = [(full ^ row ^ (1 << u)) >> 1 for u, row in enumerate(adjacency)][1:]
@@ -498,7 +511,7 @@ def triangulation_extract(poset, guard_points=GUARD_POINTS_DEFAULT):
     for face in maximal:
         if len(face) != n + 1:
             raise FaceCountMismatch(f"maximal face {face} does not have n+1 vertices")
-        det = _int_det([variables[v].image(n) for v in face[1:]])
+        det = _int_det([images[v] for v in face[1:]])
         if det not in (1, -1):
             raise NonUnimodularSimplex(f"face {face} has determinant {det}")
     expected = 2**n * peak_polynomials(poset.canonicalized()).extension_count

@@ -54,25 +54,35 @@ def _bijection_failure(poset, max_m):
     and psi inverts phi on it: the roundtrip from the points' side needs
     no second pass.  phi and psi come once per poset from
     partitions.roundtrip_maps; the points come from
-    geometry.dilation_points (maximal-chain sums), not from psi."""
+    geometry.dilation_points (maximal-chain sums), not from psi.
+
+    Only two checks read m (phi(f) is a point of m E_P, psi's top is at
+    most m), so a partition met again at a larger m, having passed the
+    rest, keeps (phi(f), top) and repeats just those two; the images and
+    points are still counted per m, so the first failure is the same."""
     phi, psi = partitions.roundtrip_maps(poset)
+    passed = {}
     for m in range(1, max_m + 1):
         points = set(geometry.dilation_points(poset, m))
         images = set()
         for f in partitions.iter_partitions(poset, m, "left"):
-            x = phi(f)
+            x, top = passed.get(f) or (phi(f), None)
             if x is None:
                 return f"at m={m}: f = {f} breaks the left enriched conditions"
             if x not in points:
                 return f"at m={m}: phi(f) = {x} is not a lattice point, f = {f}"
-            for a, b in zip(f, x):
-                if (a >= 0) != (b >= 0) or abs(a) < abs(b):
-                    return f"at m={m}: phi(f) = {x} breaks the signs or bounds of f = {f}"
-            back, top = psi(x)
+            back = f  # psi(phi(f)) = f held when f passed before
+            if top is None:
+                for a, b in zip(f, x):
+                    if (a >= 0) != (b >= 0) or abs(a) < abs(b):
+                        return f"at m={m}: phi(f) = {x} breaks the signs or bounds of f = {f}"
+                back, top = psi(x)
             if top > m:
                 return f"at m={m}: psi rejects phi(f) = {x}, f = {f}"
             if back != f:
                 return f"at m={m}: psi(phi(f)) = {back} != f = {f}"
+            if m < max_m:  # the last bound meets no partition again
+                passed[f] = x, top
             images.add(x)
         if len(images) != len(points):
             missing = min(points - images)
@@ -129,11 +139,6 @@ def _comparability_failure(poset):
             if value != base[quantity]:
                 return f"{name}: {quantity} {value} != {base[quantity]}"
     return None
-
-
-def _comparability_invariance(poset):
-    """True iff _comparability_failure finds no difference."""
-    return _comparability_failure(poset) is None
 
 
 def hilbert_alarm(rows):

@@ -25,12 +25,15 @@ psi_map here, with the left enriched conditions checked on every
 relation rather than along the covers.  The gamma complex's word-level
 pair test keeps its object-level predecessor here: the two-bar decorated
 permutation built and validated, and its face map compared with the
-pair.
-Beside them live five helpers that only the tests call: chain-polytope
+pair.  The bijection check keeps its per-bound routine, which runs every
+check on every partition at every bound, and the comparability
+orientations keep their scan of all 2^E edge masks.
+Beside them live helpers that only the tests call: chain-polytope
 membership by the maximal-chain inequalities, the Ehrhart polynomial
 interpolated from the dilation counts, (1 + x)^k, the edge set of an
-adjacency bitset list, and a Hypothesis strategy for randomly labelled
-6-element posets.
+adjacency bitset list, a Hypothesis strategy for randomly labelled
+6-element posets, and three library functions no library path called:
+is_left_partition, make_ideal and comparability_invariance.
 """
 
 from dataclasses import dataclass
@@ -41,7 +44,7 @@ from math import comb
 
 from hypothesis import strategies as st
 
-from enchain import linprog, toric
+from enchain import geometry, linprog, partitions, toric, verify
 from enchain.errors import (
     IdentityViolation,
     InvalidPartition,
@@ -61,11 +64,15 @@ from enchain.geometry import dilation_counts
 from enchain.partitions import left_peak_positions
 from enchain.polynomials import IntPolynomial, interpolate
 from enchain.posets import (
+    Poset,
     PosetIdeal,
+    _ideal_mask,
     _ideal_table,
+    _view,
     linear_extensions,
     maximal_chains,
     poset_from_covers,
+    poset_predicates,
 )
 
 
@@ -393,6 +400,16 @@ def left_partition_oracle(poset, f, m=None):
     return True
 
 
+def is_left_partition(poset, f, m=None):
+    """Whether f is a left enriched partition of the naturally labeled
+    poset (with every |f(e)| <= m, if m is given), decided along the
+    covers by the roundtrip kernel (moved here from partitions, where no
+    library path called it)."""
+    if m is not None and any(abs(v) > m for v in f):
+        return False
+    return partitions.roundtrip_maps(poset)[0](f) is not None
+
+
 def phi_map_oracle(poset, f):
     """partitions.phi_map before the roundtrip kernel: validate f on every
     relation, then give each non-minimal element i the least
@@ -410,6 +427,36 @@ def phi_map_oracle(poset, f):
     return tuple(coords)
 
 
+def bijection_failure_oracle(poset, max_m):
+    """verify._bijection_failure before it kept the partitions that passed:
+    every check on every partition at every bound m, through the same
+    module attributes (partitions.roundtrip_maps, partitions.iter_partitions,
+    geometry.dilation_points), so a test's patches reach both."""
+    phi, psi = partitions.roundtrip_maps(poset)
+    for m in range(1, max_m + 1):
+        points = set(geometry.dilation_points(poset, m))
+        images = set()
+        for f in partitions.iter_partitions(poset, m, "left"):
+            x = phi(f)
+            if x is None:
+                return f"at m={m}: f = {f} breaks the left enriched conditions"
+            if x not in points:
+                return f"at m={m}: phi(f) = {x} is not a lattice point, f = {f}"
+            for a, b in zip(f, x):
+                if (a >= 0) != (b >= 0) or abs(a) < abs(b):
+                    return f"at m={m}: phi(f) = {x} breaks the signs or bounds of f = {f}"
+            back, top = psi(x)
+            if top > m:
+                return f"at m={m}: psi rejects phi(f) = {x}, f = {f}"
+            if back != f:
+                return f"at m={m}: psi(phi(f)) = {back} != f = {f}"
+            images.add(x)
+        if len(images) != len(points):
+            missing = min(points - images)
+            return f"at m={m}: lattice point {missing} is phi of no partition"
+    return None
+
+
 def psi_map_oracle(poset, point, m):
     """partitions.psi_map before the roundtrip kernel: the largest chain
     sums of |x| in topological order, signed like x."""
@@ -424,6 +471,37 @@ def psi_map_oracle(poset, point, m):
     return tuple(
         sums[i] if point[i - 1] >= 0 else -sums[i] for i in poset.elements()
     )
+
+
+def comparability_orientations_oracle(poset):
+    """posets.comparability_orientations before its bitmask backtracking:
+    every one of the 2^E orientations of the comparability edges, in mask
+    order, kept when its relation set is transitively closed."""
+    edges = [e for e in poset_predicates(poset).comparability_edges]
+    results = []
+    for mask in range(1 << len(edges)):
+        rel = set()
+        for bit, (a, b) in enumerate(edges):
+            rel.add((a, b) if not mask >> bit & 1 else (b, a))
+        closed = all(
+            (a, d) in rel for a, b in rel for c, d in rel if b == c
+        )
+        if closed:
+            results.append(Poset(poset.n, rel))
+    return results
+
+
+def comparability_invariance(poset):
+    """True iff verify._comparability_failure finds no difference (moved
+    here from verify, where no library path called it)."""
+    return verify._comparability_failure(poset) is None
+
+
+def make_ideal(poset, elements):
+    """The PosetIdeal of a down-closed set of labels (moved here from
+    posets, where no library path called it)."""
+    mask = _ideal_mask(poset, elements)
+    return _view(mask, _ideal_table(poset)[mask])
 
 
 def membership_oracle(poset, point, max_antichains=4096):

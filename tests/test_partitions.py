@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -21,7 +22,6 @@ from enchain.partitions import (
     enumerate_partitions,
     extension_peaks,
     frontier_count,
-    is_left_partition,
     iter_partitions,
     left_peak_positions,
     order_polynomial,
@@ -36,7 +36,10 @@ from enchain.polynomials import IntPolynomial, RatPolynomial
 from enchain.posets import all_natural_posets, poset_from_covers, poset_predicates
 
 from oracles import (
+    bijection_failure_oracle,
+    comparability_invariance,
     ehrhart_polynomial,
+    is_left_partition,
     left_partition_oracle,
     phi_map_oracle,
     psi_map_oracle,
@@ -330,6 +333,75 @@ class TestBijectionRoundtrip:
             "enriched conditions"
         ]
 
+    def test_matches_the_per_bound_oracle_under_each_fault(self, monkeypatch):
+        """Reusing a partition that passed at a smaller bound gives the
+        message of the routine that checks every partition at every bound,
+        with each fault of this class injected in turn, on every natural
+        poset with n <= 3.  The last fault drops a point from m = 2 on, so
+        a partition met again at m = 2 fails its lattice-point check."""
+        original_points = geometry.dilation_points
+
+        def invalid(poset, m, kind="left"):
+            yield (1, -1)
+
+        faults = [
+            lambda mp: self.patch_maps(
+                mp, lambda phi, psi: ((lambda f: phi((0, 0) if f == (0, 1) else f)), psi)
+            ),
+            self.flip_psi,
+            lambda mp: self.patch_maps(mp, lambda phi, psi: (phi, lambda x: (psi(x)[0], 99))),
+            lambda mp: mp.setattr(
+                geometry,
+                "dilation_points",
+                lambda poset, m: [x for x in original_points(poset, m) if x != (1, 0)],
+            ),
+            lambda mp: mp.setattr(
+                geometry,
+                "dilation_points",
+                lambda poset, m: list(original_points(poset, m)) + [(m, m)],
+            ),
+            lambda mp: mp.setattr(partitions, "iter_partitions", invalid),
+            lambda mp: mp.setattr(
+                geometry,
+                "dilation_points",
+                lambda poset, m: [
+                    x for x in original_points(poset, m) if m < 2 or any(x)
+                ],
+            ),
+        ]
+        small = [p for n in range(1, 4) for p in all_natural_posets(n)]
+        for fault in faults:
+            with monkeypatch.context() as mp:
+                fault(mp)
+                messages = [verify._bijection_failure(p, 3) for p in small]
+                assert messages == [bijection_failure_oracle(p, 3) for p in small]
+                assert any(messages)
+
+    def test_phi_and_psi_run_once_per_distinct_partition(self, monkeypatch):
+        calls = Counter()
+
+        def counting(phi, psi):
+            def phi_counted(f):
+                calls["phi"] += 1
+                return phi(f)
+
+            def psi_counted(x):
+                calls["psi"] += 1
+                return psi(x)
+
+            return phi_counted, psi_counted
+
+        self.patch_maps(monkeypatch, counting)
+        walked = distinct = 0
+        for n in range(1, 5):
+            for poset in all_natural_posets(n):
+                assert verify._bijection_failure(poset, 3) is None
+                bounds = [list(iter_partitions(poset, m, "left")) for m in (1, 2, 3)]
+                walked += sum(map(len, bounds))
+                distinct += len(set().union(*bounds))
+        assert (walked, distinct) == (37566, 28474)
+        assert calls == {"phi": 28474, "psi": 28474}
+
     @staticmethod
     def patch_maps(monkeypatch, breaking):
         """Replace partitions.roundtrip_maps by breaking(phi, psi) applied
@@ -498,7 +570,7 @@ class TestMemo:
         )
 
     def test_labeling_dependent_fault_is_caught(self, monkeypatch):
-        assert verify._comparability_invariance(self.first)
+        assert comparability_invariance(self.first)
         for memo in (order_polynomial, peak_polynomials, extension_peaks):
             memo.cache_clear()
         original = partitions.linear_extensions
@@ -508,4 +580,4 @@ class TestMemo:
             return exts[:-1] if poset.less(1, 2) else exts
 
         monkeypatch.setattr(partitions, "linear_extensions", faulty)
-        assert not verify._comparability_invariance(self.first)
+        assert not comparability_invariance(self.first)

@@ -1,10 +1,11 @@
+import hashlib
 from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
 from hypothesis import example, given, settings
 
-from enchain import posets, verify
+from enchain import io, posets, verify
 from enchain.errors import CycleDetected, LabelOutOfRange, NotAnIdeal, SizeLimit
 from enchain.posets import (
     Poset,
@@ -13,7 +14,6 @@ from enchain.posets import (
     comparability_orientations,
     ideal_lattice,
     linear_extensions,
-    make_ideal,
     maximal_chains,
     poset_from_covers,
     poset_predicates,
@@ -23,10 +23,12 @@ from enchain.posets import (
 from oracles import (
     antichains_oracle,
     chain_counts_oracle,
+    comparability_orientations_oracle,
     ideal_lattice_oracle,
     ideal_transfer,
     ideal_transfer_oracle,
     labelled_six_posets,
+    make_ideal,
     star_oracle,
 )
 
@@ -332,6 +334,18 @@ class TestIdealGuard:
         assert row["groebner"]["hilbert_checks"] == reason
         assert row["alarms"] == []
 
+    def test_a_tripped_guard_is_walked_up_to_once(self):
+        """The three checks that trip it (enriched relation, narrow check,
+        Hilbert certificate) share one walk, and the row is unchanged."""
+        posets._ideal_table.cache_clear()
+        row = verify.verify_poset(antichain(17))
+        info = posets._ideal_table.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        digest = hashlib.sha256(io.render_json(row).encode()).hexdigest()
+        assert digest == "1518a673231bb5c49983910f2fce39f4e53698284f5c491424a1d478c50f5915"
+        with pytest.raises(SizeLimit, match=r"^89846 ideals of size <= 9 exceed guard 65536$"):
+            posets._ideal_table(antichain(17))
+
 
 class TestPredicates:
     def test_v(self):
@@ -385,6 +399,18 @@ class TestGenerators:
                 assert poset in others
                 for q in others:
                     assert poset_predicates(q).comparability_edges == edges
+
+    def test_orientations_match_the_full_mask_scan(self):
+        for n in range(1, 6):
+            for poset in all_natural_posets(n):
+                assert comparability_orientations(poset) == comparability_orientations_oracle(
+                    poset
+                )
+
+    @settings(max_examples=10, deadline=None)
+    @given(labelled_six_posets())
+    def test_orientations_match_the_full_mask_scan_relabelled(self, poset):
+        assert comparability_orientations(poset) == comparability_orientations_oracle(poset)
 
     def test_total_order_orientations(self):
         # the complete comparability graph admits one orientation per

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from enchain import toric, verify
-from enchain.errors import IdentityViolation, Infeasible, SizeLimit
+from enchain.errors import IdentityViolation, ImageMismatch, Infeasible, SizeLimit
 from enchain.gamma_complex import build_complex
 from enchain.geometry import count_dilation
 from enchain.polynomials import IntPolynomial
@@ -285,6 +285,22 @@ class TestVariables:
 
 
 class TestCandidates:
+    def test_replaced_tail_is_an_image_mismatch(self, monkeypatch):
+        """The first family-(2) binomial of the 2-antichain, x_1- x_2- minus
+        x_1-2- x_o, given the tail x_1-2-^2 instead: the packed image sums
+        differ, and the alarm names both images."""
+        original = toric._family_two
+
+        def replaced(poset):
+            entries = original(poset)
+            masks, pattern = next(entries)
+            yield (masks[0], masks[1], masks[2], masks[2]), pattern
+            yield from entries
+
+        monkeypatch.setattr(toric, "_family_two", replaced)
+        with pytest.raises(ImageMismatch, match=r"family=2\) maps to \(-1, -1\) vs \(-2, -2\)$"):
+            generate_groebner_candidates.__wrapped__(anti2)
+
     def test_two_chain_exactly_two(self):
         basis = generate_groebner_candidates(chain2)
         assert len(basis) == 2
