@@ -22,10 +22,10 @@ VERIFY_ALL_MAX_N = 6
 VERIFY_ALL_SWEEP_DEFAULT = 4
 DEFAULTS = {
     "format": "json",
-    "max_n": geometry.MAX_N_DEFAULT,
+    "max_n": 8,
     "max_m": 4,
     "truncation": 8,
-    "guard_points": geometry.GUARD_POINTS_DEFAULT,
+    "guard_points": partitions.PARTITION_GUARD_DEFAULT,
     "guard_spairs": toric.SPAIR_GUARD_DEFAULT,
 }
 
@@ -130,7 +130,7 @@ def cmd_extensions(poset, cfg):
 
 
 def cmd_ehrhart(poset, cfg):
-    data = geometry.hstar_and_gamma(poset, guard_points=cfg.guard_points)
+    data = geometry.hstar_and_gamma(poset)
     return {
         "L": rat_coeffs(data.ehrhart),
         "hstar": int_coeffs(data.hstar),
@@ -140,7 +140,7 @@ def cmd_ehrhart(poset, cfg):
 
 
 def cmd_hstar(poset, cfg):
-    data = geometry.hstar_and_gamma(poset, guard_points=cfg.guard_points)
+    data = geometry.hstar_and_gamma(poset)
     props = polynomials.polynomial_properties(data.hstar)
     return {
         "hstar": int_coeffs(data.hstar),
@@ -155,7 +155,7 @@ def cmd_hstar(poset, cfg):
 
 
 def cmd_gamma(poset, cfg):
-    data = geometry.hstar_and_gamma(poset, guard_points=cfg.guard_points)
+    data = geometry.hstar_and_gamma(poset)
     canonical, relabeling = _canonical_note(poset)
     peaks = partitions.peak_polynomials(canonical)
     payload = {
@@ -200,9 +200,7 @@ def cmd_peaks(poset, cfg):
 
 def cmd_grobner(poset, cfg):
     payload = {"variables": len(toric.variables_and_map(poset))}
-    checks, ok = toric.hilbert_certificate(
-        poset, max_m=3, guard_points=cfg.guard_points
-    )
+    checks, ok = toric.hilbert_certificate(poset, max_m=3)
     payload["hilbert_checks"] = [list(c) for c in checks]
     payload["hilbert_pass"] = ok
     if not ok:
@@ -222,7 +220,7 @@ def cmd_grobner(poset, cfg):
     else:
         payload["buchberger"] = "skipped"
     if poset.n <= toric.EXTRACT_MAX_N:
-        tri = toric.triangulation_extract(poset, guard_points=cfg.guard_points)
+        tri = toric.triangulation_extract(poset)
         payload["triangulation"] = {
             "faces": tri.simplex_count,
             "unimodular": True,
@@ -234,7 +232,7 @@ def cmd_grobner(poset, cfg):
 
 
 def cmd_triangulation(poset, cfg):
-    tri = toric.triangulation_extract(poset, guard_points=cfg.guard_points)
+    tri = toric.triangulation_extract(poset)
     variables = toric.variables_and_map(poset)
     return {
         "simplices": tri.simplex_count,

@@ -23,8 +23,9 @@ Ehrhart polynomial has exact rational coefficients.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .errors import GammaNegative, IdentityViolation, SizeLimit
+from .errors import GammaNegative, IdentityViolation
 from .polynomials import (
     IntPolynomial,
     RatPolynomial,
@@ -33,9 +34,6 @@ from .polynomials import (
     interpolate,
 )
 from .posets import ideal_chain_count, maximal_chains
-
-MAX_N_DEFAULT = 8
-GUARD_POINTS_DEFAULT = 10**8
 
 
 def dilation_points(poset, m):
@@ -81,17 +79,11 @@ def dilation_points(poset, m):
                 sums[c] -= abs(point[e - 2])
 
 
-def count_dilation(poset, m, guard_points=GUARD_POINTS_DEFAULT):
+def count_dilation(poset, m):
     """|m E_P  cap  Z^n|, exactly: the weighted count of ideal chains
     I_0 <= ... <= I_m = P with I_0 free, each lattice point recorded by
-    its level ideals as in the module docstring."""
-    if m < 0:
-        raise ValueError("dilation factor must be nonnegative")
-    n = poset.n
-    if n > MAX_N_DEFAULT:
-        raise SizeLimit(f"count_dilation guarded at n <= {MAX_N_DEFAULT}")
-    if (m + 1) ** n > guard_points:
-        raise SizeLimit(f"(m+1)^n = {(m + 1) ** n} exceeds guard {guard_points}")
+    its level ideals as in the module docstring.  The only guard is the
+    ideal table's: past posets.IDEAL_GUARD ideals it raises SizeLimit."""
     return ideal_chain_count(poset, m)
 
 
@@ -103,8 +95,16 @@ def in_enriched_polytope(poset, point, m=1):
     return all(sum(absolute[e - 1] for e in chain) <= m for chain in maximal_chains(poset))
 
 
-def dilation_counts(poset, max_m, **kwargs):
-    return [count_dilation(poset, m, **kwargs) for m in range(max_m + 1)]
+def dilation_counts(poset, max_m):
+    return [count_dilation(poset, m) for m in range(max_m + 1)]
+
+
+@lru_cache(maxsize=32)
+def ehrhart_and_hstar(poset):
+    """The Ehrhart polynomial and h* of E_P from its dilation counts 0..n,
+    memoised by the poset's value for the gamma, volume and triangulation checks."""
+    counts = dilation_counts(poset, poset.n)
+    return interpolate(counts), hstar_from_counts(counts, poset.n)
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ class EhrhartData:
     volume: int
 
 
-def hstar_and_gamma(poset, **kwargs):
+def hstar_and_gamma(poset):
     """Ehrhart data with the gamma vector of h*.
 
     Asserts gamma_i >= 0 and the coefficientwise identity
@@ -126,8 +126,7 @@ def hstar_and_gamma(poset, **kwargs):
     from .partitions import peak_polynomials
 
     n = poset.n
-    counts = dilation_counts(poset, n, **kwargs)
-    hstar = hstar_from_counts(counts, n)
+    ehrhart, hstar = ehrhart_and_hstar(poset)
     if not hstar.is_palindromic(n):
         raise IdentityViolation(f"h* not palindromic at degree {n}: {hstar!r}")
     gamma = gamma_expansion(hstar, n)
@@ -140,7 +139,7 @@ def hstar_and_gamma(poset, **kwargs):
             f"gamma {gamma} != scaled left peak coefficients {expected}"
         )
     return EhrhartData(
-        ehrhart=interpolate(counts),
+        ehrhart=ehrhart,
         hstar=hstar,
         gamma=gamma,
         volume=hstar(1),
@@ -153,13 +152,13 @@ class VolumeReflexivity:
     reflexive: bool
 
 
-def volume_and_reflexivity(poset, **kwargs):
+def volume_and_reflexivity(poset):
     """Normalized volume h*(1), checked against 2^n times the number of
     linear extensions, and reflexivity via palindromicity of h*."""
     from .partitions import peak_polynomials
 
     n = poset.n
-    hstar = hstar_from_counts(dilation_counts(poset, n, **kwargs), n)
+    _, hstar = ehrhart_and_hstar(poset)
     volume = hstar(1)
     extensions = peak_polynomials(poset.canonicalized()).extension_count
     if volume != 2**n * extensions:

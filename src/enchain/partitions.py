@@ -98,9 +98,10 @@ def iter_partitions(poset, m, kind="left"):
 
 
 def enumerate_partitions(poset, m, kind="left", guard=PARTITION_GUARD_DEFAULT):
-    """Materialized list of all partitions with bound m."""
-    if (2 * m + 1) ** poset.n > guard:
-        raise SizeLimit(f"(2m+1)^n exceeds guard {guard}")
+    """Materialized list of all partitions with bound m, at most `guard` of them."""
+    count = count_partitions(poset, m, kind)
+    if count > guard:
+        raise SizeLimit(f"{count} partitions exceed guard {guard}")
     return list(iter_partitions(poset, m, kind))
 
 

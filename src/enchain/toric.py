@@ -60,8 +60,8 @@ from .errors import (
     NonUnimodularSimplex,
     SizeLimit,
 )
-from .geometry import GUARD_POINTS_DEFAULT, count_dilation, dilation_counts
-from .polynomials import IntPolynomial, hstar_from_counts
+from .geometry import count_dilation, ehrhart_and_hstar
+from .polynomials import IntPolynomial
 from .posets import _bits, _flag_faces, _ideal_table, antichains
 
 SPAIR_GUARD_DEFAULT = 2_000_000
@@ -437,18 +437,18 @@ def _independent_sizes(poset):
 
 
 @lru_cache(maxsize=8)
-def hilbert_certificate(poset, max_m=3, guard_points=GUARD_POINTS_DEFAULT):
+def hilbert_certificate(poset, max_m=3):
     """Per-degree comparison of standard monomial counts with the lattice
     point counts of the dilations; equality for every degree certifies
     that the leading-term graph generates the correct initial ideal.
     Returns the rows (m, standard, points) as a tuple and the verdict;
-    computed once per (poset, max_m, guard_points), which the Groebner
+    computed once per (poset, max_m), which the Groebner
     checks and triangulation_extract share."""
     rows = []
     ok = True
     for m in range(1, max_m + 1):
         standard = standard_monomial_count(poset, m)
-        points = count_dilation(poset, m, guard_points=guard_points)
+        points = count_dilation(poset, m)
         rows.append((m, standard, points))
         ok = ok and standard == points
     return tuple(rows), ok
@@ -482,7 +482,7 @@ class TriangulationData:
     simplex_count: int
 
 
-def triangulation_extract(poset, guard_points=GUARD_POINTS_DEFAULT):
+def triangulation_extract(poset):
     """Faces of the unimodular triangulation induced by the initial ideal:
     independent sets of the leading-term graph.  Its origin is isolated,
     so the boundary faces (those avoiding it) are the independent sets of
@@ -495,7 +495,7 @@ def triangulation_extract(poset, guard_points=GUARD_POINTS_DEFAULT):
     n = poset.n
     if n > EXTRACT_MAX_N:
         raise SizeLimit(f"triangulation extraction guarded at n <= {EXTRACT_MAX_N}")
-    rows, ok = hilbert_certificate(poset, max_m=3, guard_points=guard_points)
+    rows, ok = hilbert_certificate(poset, max_m=3)
     if not ok:
         raise IdentityViolation(f"initial ideal certificate failed: {list(rows)}")
     vertex_count, adjacency = initial_graph(poset)
@@ -526,7 +526,7 @@ def triangulation_extract(poset, guard_points=GUARD_POINTS_DEFAULT):
             h_coeffs[i + k] += fi * comb(n - i, k) * (-1) ** k
     boundary_h = IntPolynomial(h_coeffs)
 
-    hstar = hstar_from_counts(dilation_counts(poset, n, guard_points=guard_points), n)
+    _, hstar = ehrhart_and_hstar(poset)
     if boundary_h != hstar:
         raise IdentityViolation(
             f"boundary h-polynomial {boundary_h!r} != h* {hstar!r}"

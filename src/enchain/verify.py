@@ -178,14 +178,15 @@ def verify_poset(
     poset,
     max_m=4,
     truncation=8,
-    guard_points=geometry.GUARD_POINTS_DEFAULT,
+    guard_points=partitions.PARTITION_GUARD_DEFAULT,
     guard_spairs=toric.SPAIR_GUARD_DEFAULT,
 ):
     """Full identity battery for one poset.  Every check runs under
     _guarded, so a tripped guard makes that check read "skipped (<reason>)"
     and an alarm raised inside it is collected into the row; a check past
     its n cap reads "skipped".  Each check adds its own alarms, in check
-    order, where it computes its verdict; the sweep is never aborted."""
+    order, where it computes its verdict; the sweep is never aborted.
+    guard_points bounds the live states of partitions.frontier_count."""
     n = poset.n
     canonical = poset.canonicalized()
     alarms = []
@@ -200,7 +201,7 @@ def verify_poset(
     }
 
     with _guarded(row, "gamma_left_peak", False, "gamma", alarms):
-        data = geometry.hstar_and_gamma(poset, guard_points=guard_points)
+        data = geometry.hstar_and_gamma(poset)
         row["ehrhart"] = {
             "L": rat_coeffs(data.ehrhart),
             "hstar": int_coeffs(data.hstar),
@@ -210,7 +211,7 @@ def verify_poset(
         row["gamma_left_peak"] = True
 
     with _guarded(row, "volume_extensions", False, "volume", alarms):
-        vol = geometry.volume_and_reflexivity(poset, guard_points=guard_points)
+        vol = geometry.volume_and_reflexivity(poset)
         row["volume_extensions"] = True
         row["reflexive"] = vol.reflexive
 
@@ -218,7 +219,7 @@ def verify_poset(
     with _guarded(row, "ehrhart_equals_left_order", False, "counts", alarms):
         for m in range(1, max_m + 1):
             try:
-                left = geometry.count_dilation(poset, m, guard_points=guard_points)
+                left = geometry.count_dilation(poset, m)
                 # the frontier DP shares no code with the ideal-chain kernel
                 # behind count_dilation, so the two routes are independent
                 right = partitions.frontier_count(canonical, m, "left", guard=guard_points)
@@ -280,7 +281,7 @@ def verify_poset(
 
     grobner = row["groebner"] = {}
     with _guarded(grobner, "hilbert_checks", False, "hilbert", alarms):
-        checks, ok = toric.hilbert_certificate(poset, max_m=3, guard_points=guard_points)
+        checks, ok = toric.hilbert_certificate(poset, max_m=3)
         grobner["hilbert_checks"] = [list(c) for c in checks]
         grobner["hilbert_pass"] = ok
         if not ok:
@@ -302,7 +303,7 @@ def verify_poset(
 
     if n <= TRIANGULATION_MAX_N:
         with _guarded(row, "triangulation", {"pass": False}, "triangulation", alarms):
-            tri = toric.triangulation_extract(poset, guard_points=guard_points)
+            tri = toric.triangulation_extract(poset)
             row["triangulation"] = {
                 "simplices": tri.simplex_count,
                 "boundary_f": list(tri.boundary_f_vector),

@@ -226,11 +226,14 @@ def independent_sets_oracle(adj, vertex_count):
     def extend(current, mask, blocked, start):
         addable = ~blocked & ~mask & full
         out.append((tuple(current), addable == 0))
-        for v in range(start, vertex_count):
-            if not blocked >> v & 1:
-                current.append(v)
-                extend(current, mask | 1 << v, blocked | adj[v], v + 1)
-                current.pop()
+        rest = addable >> start << start  # the addable vertices from start on
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            current.append(v)
+            extend(current, mask | low, blocked | adj[v], v + 1)
+            current.pop()
+            rest ^= low
 
     extend([], 0, 0, 0)
     return out

@@ -37,6 +37,15 @@ def v3(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def cold_hstar():
+    """An empty h* memo around a test that patches the dilation counts, so
+    its counts neither reach nor outlive it."""
+    geometry.ehrhart_and_hstar.cache_clear()
+    yield
+    geometry.ehrhart_and_hstar.cache_clear()
+
+
 DATA = Path(__file__).parent / "data"
 
 # Posets whose grobner and triangulation outputs are stored in tests/data.
@@ -367,9 +376,13 @@ class TestExitCodes:
         assert "must be positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["grobner", "triangulation"])
-    def test_guard_points_reach_toric_commands(self, capsys, anti2, command):
-        assert main([command, anti2, "--guard-points", "1"]) == 1
-        assert "exceeds guard 1" in capsys.readouterr().err
+    def test_guard_points_leave_toric_commands_alone(self, capsys, tmp_path, command):
+        # the point guard bounds partition work only, which no toric command does
+        path = tmp_path / "anti4.poset"
+        path.write_text("4\n")
+        code, out = run(capsys, [command, str(path), "--guard-points", "1"])
+        assert code == 0
+        assert_matches_golden(out, f"{command}_anti4")
 
     @pytest.mark.parametrize("command", ["ehrhart", "verify-all"])
     def test_unknown_format_is_rejected_before_any_work(
@@ -423,37 +436,47 @@ class TestVerifyAll:
         verdicts = [row["groebner"]["buchberger"] for row in payload["rows"]]
         assert "skipped (48 S-pair lcm classes exceed guard 1)" in verdicts
 
-    def test_dilation_guard_trip_is_a_skip(self, capsys, tmp_path):
+    def test_nine_chain_passes_every_dilation_check(self, capsys, tmp_path):
+        # only the ideal table guards the counts, and a 9-chain has 10 ideals
         path = tmp_path / "chain9.poset"
         path.write_text("9\n" + "".join(f"{i} < {i + 1}\n" for i in range(1, 9)))
         code, out = run(capsys, ["verify-all", "--poset", str(path)])
         assert code == 0
         row = json.loads(out)["rows"][0]
-        reason = "skipped (count_dilation guarded at n <= 8)"
+        assert row["gamma_left_peak"] is True
+        assert row["volume_extensions"] is True
+        assert row["ehrhart_equals_left_order"] == {"max_m": 4, "pass": True}
+        # the cross-polytope's points: sum over k of 2^k C(9, k) C(m, k)
+        rows = [[1, 19, 19], [2, 181, 181], [3, 1159, 1159]]
+        assert row["groebner"]["hilbert_checks"] == rows
+        assert row["groebner"]["hilbert_pass"] is True
+        assert row["alarms"] == []
+
+    def test_twelve_antichain_counts_pass(self, capsys, tmp_path):
+        # 4096 ideals: the counts run, and gamma stops at the extension guard
+        path = tmp_path / "anti12.poset"
+        path.write_text("12\n")
+        code, out = run(capsys, ["verify-all", "--poset", str(path)])
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        assert row["ehrhart_equals_left_order"] == {"max_m": 4, "pass": True}
+        reason = "skipped (linear extension enumeration guarded at n <= 10)"
         assert row["gamma_left_peak"] == reason
-        assert row["volume_extensions"] == reason
-        assert row["ehrhart_equals_left_order"] == reason
-        assert row["groebner"]["hilbert_checks"] == reason
         assert row["alarms"] == []
 
     def test_guard_points_trip_is_a_skip(self, capsys):
+        # the point guard trips the partition DP only; every other check passes
         code, out = run(capsys, ["verify-all", "--max-n", "2", "--guard-points", "1"])
         assert code == 0
         payload = json.loads(out)
         assert payload["summary"] == {"posets": 3, "alarms": 0}
         for row in payload["rows"]:
-            reason = f"skipped ((m+1)^n = {2 ** row['poset']['n']} exceeds guard 1)"
-            assert row["gamma_left_peak"] == reason
-            assert row["volume_extensions"] == reason
-            assert row["ehrhart_equals_left_order"] == reason
-            assert row["groebner"]["hilbert_checks"] == reason
-            assert row["triangulation"] == reason
+            assert row["gamma_left_peak"] is True
+            assert row["volume_extensions"] is True
+            assert row["groebner"]["hilbert_pass"] is True
+            assert row["triangulation"]["pass"] is True
 
-    def test_partition_guard_trip_is_a_skip(self, capsys, monkeypatch):
-        # (m+1)^n bounds the DP's live states, so count_dilation always trips
-        # first; lift its guard to reach the partition side of the loop
-        unguarded = lambda poset, m, guard_points=None: posets.ideal_chain_count(poset, m)
-        monkeypatch.setattr(geometry, "count_dilation", unguarded)
+    def test_partition_guard_trip_is_a_skip(self, capsys):
         code, out = run(capsys, ["verify-all", "--max-n", "2", "--guard-points", "1"])
         assert code == 0
         payload = json.loads(out)
@@ -462,9 +485,9 @@ class TestVerifyAll:
         skipped = "skipped (2 partition DP states exceed guard 1)"
         assert verdicts == [{"max_m": 4, "pass": True}] * 2 + [skipped]  # 1, anti2, chain2
 
-    def test_partition_guard_trip_keeps_a_mismatch(self, monkeypatch):
+    def test_partition_guard_trip_keeps_a_mismatch(self, monkeypatch, cold_hstar):
         # the 2-chain's DP holds m + 1 states, so guard 2 trips at m = 2
-        wrong = lambda poset, m, guard_points=None: posets.ideal_chain_count(poset, m) + (m == 1)
+        wrong = lambda poset, m: posets.ideal_chain_count(poset, m) + (m == 1)
         monkeypatch.setattr(geometry, "count_dilation", wrong)
         row = verify.verify_poset(parse_poset("2\n1 < 2\n"), guard_points=2)
         assert row["ehrhart_equals_left_order"] == {"max_m": 4, "pass": False}
@@ -539,11 +562,13 @@ class TestVerifyAll:
             "IntPolynomial([1]) != descent polynomial IntPolynomial([1, 1])"
         ]
 
-    def test_invariance_alarm_names_the_orientation(self, capsys, chain2, monkeypatch):
+    def test_invariance_alarm_names_the_orientation(
+        self, capsys, chain2, monkeypatch, cold_hstar
+    ):
         original = geometry.count_dilation
 
-        def reversed_differs(poset, m, **kwargs):
-            return original(poset, m, **kwargs) + poset.less(2, 1)
+        def reversed_differs(poset, m):
+            return original(poset, m) + poset.less(2, 1)
 
         monkeypatch.setattr(geometry, "count_dilation", reversed_differs)
         code, out = run(capsys, ["verify-all", "--poset", chain2])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enchain import geometry, verify
 from enchain.errors import SizeLimit
 from enchain.geometry import (
     EhrhartData,
@@ -130,11 +131,10 @@ class TestCounting:
                     assert count_dilation(poset, m) == brute
 
     def test_guard(self):
-        with pytest.raises(SizeLimit):
-            count_dilation(V, 3, guard_points=10)
-        # 2^9 points pass the point guard, so the n <= 8 guard trips
-        with pytest.raises(SizeLimit):
-            count_dilation(poset_from_covers(9, []), 1)
+        # only the ideal table guards the counts: 2^9 ideals are well inside it
+        assert count_dilation(poset_from_covers(9, []), 1) == 3**9
+        with pytest.raises(SizeLimit, match="ideals of size <= 9 exceed guard 65536"):
+            count_dilation(poset_from_covers(17, []), 1)
 
     def test_order_independence(self):
         # a non-naturally labeled orientation counts the same points
@@ -234,6 +234,26 @@ class TestHstarGamma:
                 assert data.hstar.is_palindromic(n)
                 assert all(c >= 0 for c in data.hstar.coeffs)
                 assert all(g >= 0 for g in data.gamma)
+
+
+class TestHstarOnce:
+    def test_one_computation_per_row(self, monkeypatch):
+        # gamma, volume and the triangulation each read the 4-antichain's h*
+        calls = []
+        original = geometry.hstar_from_counts
+
+        def record(counts, n):
+            calls.append(n)
+            return original(counts, n)
+
+        monkeypatch.setattr(geometry, "hstar_from_counts", record)
+        geometry.ehrhart_and_hstar.cache_clear()
+        try:
+            row = verify.verify_poset(poset_from_covers(4, []))
+        finally:
+            geometry.ehrhart_and_hstar.cache_clear()
+        assert row["alarms"] == [] and row["triangulation"]["pass"]
+        assert calls == [4]
 
 
 class TestVolume:

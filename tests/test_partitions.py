@@ -115,7 +115,7 @@ class TestEnumeration:
             enumerate_partitions(flipped, 1, "left")
 
     def test_guard(self):
-        with pytest.raises(SizeLimit):
+        with pytest.raises(SizeLimit, match=r"^\d+ partitions exceed guard 100$"):
             enumerate_partitions(poset_from_covers(8, []), 10, "left", guard=100)
 
 

@@ -329,20 +329,23 @@ class TestIdealGuard:
     def test_verify_row_reads_skipped_past_the_guard(self):
         row = verify.verify_poset(antichain(17))
         reason = "skipped (89846 ideals of size <= 9 exceed guard 65536)"
+        assert row["gamma_left_peak"] == reason
+        assert row["volume_extensions"] == reason
+        assert row["ehrhart_equals_left_order"] == reason
         assert row["enriched_relation"] == reason
         assert row["narrow_left_peak_equals_descent"] == reason
         assert row["groebner"]["hilbert_checks"] == reason
         assert row["alarms"] == []
 
     def test_a_tripped_guard_is_walked_up_to_once(self):
-        """The three checks that trip it (enriched relation, narrow check,
-        Hilbert certificate) share one walk, and the row is unchanged."""
+        """The six checks that trip it (gamma, volume, counts, enriched
+        relation, narrow check, Hilbert certificate) share one walk."""
         posets._ideal_table.cache_clear()
         row = verify.verify_poset(antichain(17))
         info = posets._ideal_table.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
+        assert (info.misses, info.hits) == (1, 5)
         digest = hashlib.sha256(io.render_json(row).encode()).hexdigest()
-        assert digest == "1518a673231bb5c49983910f2fce39f4e53698284f5c491424a1d478c50f5915"
+        assert digest == "664a3c0113301988f4e28bb612d1c742b6b6d48fcfcd1fdf4b8b3066b63acf24"
         with pytest.raises(SizeLimit, match=r"^89846 ideals of size <= 9 exceed guard 65536$"):
             posets._ideal_table(antichain(17))
 

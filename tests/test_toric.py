@@ -750,9 +750,8 @@ class TestFlagFaceKernel:
             for poset in all_natural_posets(n):
                 self.assert_matches_oracles(poset)
 
-    # five draws, not ten: the tuple-per-face oracle takes about 2.4 s on
-    # the 6-antichain (423,857 boundary faces) and most of a second on a
-    # 6-element poset with one relation
+    # five draws, not ten: the oracle builds a tuple per face, 423,857 of
+    # them on the 6-antichain's boundary
     @given(labelled_six_posets())
     @example(poset_from_covers(6, []))
     @settings(max_examples=5, deadline=None)
