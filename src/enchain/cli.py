@@ -199,24 +199,19 @@ def cmd_peaks(poset, cfg):
 
 
 def cmd_grobner(poset, cfg):
-    payload = {"variables": len(toric.variables_and_map(poset))}
+    payload = {"variables": len(toric._sign_masks(poset)[0])}
     checks, ok = toric.hilbert_certificate(poset, max_m=3)
     payload["hilbert_checks"] = [list(c) for c in checks]
     payload["hilbert_pass"] = ok
     if not ok:
         raise IdentityAlarm(verify.hilbert_alarm(checks))
     if poset.n <= verify.BUCHBERGER_MAX_N:
-        basis = toric.generate_groebner_candidates(poset)
-        order = toric.construct_order(poset)
-        agree = toric.leading_terms_agree(basis, order)
-        passed = agree and toric.buchberger_verify(
-            basis, order, guard_spairs=cfg.guard_spairs
-        )
-        payload["basis_size"] = len(basis)
+        basis_size, agree, verdict = toric.buchberger_outcome(poset, cfg.guard_spairs)
+        payload["basis_size"] = basis_size
         payload["leading_terms"] = agree
-        payload["buchberger"] = "pass" if passed else "fail"
-        if not passed:
-            raise IdentityAlarm(verify.buchberger_alarm(len(basis), agree))
+        payload["buchberger"] = verdict
+        if verdict == "fail":
+            raise IdentityAlarm(verify.buchberger_alarm(basis_size, agree))
     else:
         payload["buchberger"] = "skipped"
     if poset.n <= toric.EXTRACT_MAX_N:
@@ -233,14 +228,14 @@ def cmd_grobner(poset, cfg):
 
 def cmd_triangulation(poset, cfg):
     tri = toric.triangulation_extract(poset)
-    variables = toric.variables_and_map(poset)
+    labels = toric.variable_labels(poset)
     return {
         "simplices": tri.simplex_count,
         "boundary_f": list(tri.boundary_f_vector),
         "boundary_h": int_coeffs(tri.boundary_h),
         "unimodular": True,
         "maximal_faces": [
-            [variables[v].label() for v in face] for face in tri.maximal_faces
+            [labels[v] for v in face] for face in tri.maximal_faces
         ],
     }
 

@@ -369,11 +369,6 @@ def series_identity_failure(poset, truncation):
     return None
 
 
-def series_identity_check(poset, truncation):
-    """True iff series_identity_failure finds no disagreement."""
-    return series_identity_failure(poset, truncation) is None
-
-
 @dataclass(frozen=True)
 class EnrichedRelationReport:
     """Measured verdict on the halved-difference relation between the two

@@ -1,8 +1,9 @@
 """Toric ideal of the enriched chain polytope and its quadratic basis.
 
 One polynomial-ring variable per lattice point (a signed antichain; the
-empty antichain gives the origin variable), addressed by the bitmasks of
-the elements it signs + and - (_sign_masks).  The monomial map sends a
+empty antichain gives the origin variable), held only as the bitmasks
+of the elements it signs + and - (_sign_masks), ids in (antichain, signs)
+order; labels are built for output alone.  The monomial map sends a
 variable to the Laurent monomial t^(signed indicator) * s, so a binomial
 lies in the toric ideal iff its two monomials have equal images.
 
@@ -62,56 +63,47 @@ from .errors import (
 )
 from .geometry import count_dilation, ehrhart_and_hstar
 from .polynomials import IntPolynomial
-from .posets import _bits, _flag_faces, _ideal_table, antichains
+from .posets import _bits, _flag_faces, _ideal_table
 
 SPAIR_GUARD_DEFAULT = 2_000_000
 GUARD_VERTICES = 1024
 EXTRACT_MAX_N = 5
 
 
-@dataclass(frozen=True)
-class SignedVariable:
-    antichain: tuple
-    signs: tuple
-
-    def image(self, n):
-        coords = [0] * n
-        for e, s in zip(self.antichain, self.signs):
-            coords[e - 1] = s
-        return tuple(coords)
-
-    def label(self):
-        if not self.antichain:
-            return "o"
-        return "".join(
-            f"{e}{'+' if s > 0 else '-'}" for e, s in zip(self.antichain, self.signs)
-        )
-
-
-@lru_cache(maxsize=32)
-def variables_and_map(poset):
-    """All ring variables in the fixed (antichain, signs) order, one per
-    lattice point of the enriched chain polytope."""
-    out = []
-    for a in antichains(poset):
-        for mask in range(1 << len(a)):
-            signs = tuple(1 if mask >> i & 1 else -1 for i in range(len(a)))
-            out.append(SignedVariable(a, signs))
-    out.sort(key=lambda v: (v.antichain, v.signs))
-    return tuple(out)
-
-
 @lru_cache(maxsize=32)
 def _sign_masks(poset):
     """Per variable id, the bitmasks (bit e for element e) of the elements
-    it signs + and -, and the map from a (plus, minus) pair to the id."""
+    it signs + and -, and the map from a (plus, minus) pair to the id.
+    Ids run in (antichain, signs) order: the table's maxima sorted as
+    element tuples, then within one antichain the patterns k = 0, 1, ...
+    read with its first element as the high bit (a set bit signs +)."""
     plus = []
     minus = []
-    for v in variables_and_map(poset):
-        plus.append(sum(1 << e for e, s in zip(v.antichain, v.signs) if s > 0))
-        minus.append(sum(1 << e for e, s in zip(v.antichain, v.signs) if s < 0))
+    for antichain in sorted(tuple(_bits(maxima)) for maxima in _ideal_table(poset).values()):
+        patterns = [0]
+        for e in antichain:
+            patterns = [p | q for p in patterns for q in (0, 1 << e)]
+        plus.extend(patterns)
+        minus.extend(patterns[-1] ^ p for p in patterns)
     index = {pair: vid for vid, pair in enumerate(zip(plus, minus))}
     return tuple(plus), tuple(minus), index
+
+
+def _images(poset):
+    """Per variable id, its lattice point: 1 on plus, -1 on minus, else 0."""
+    plus, minus, _ = _sign_masks(poset)
+    elements = range(1, poset.n + 1)
+    return [tuple((p >> e & 1) - (q >> e & 1) for e in elements) for p, q in zip(plus, minus)]
+
+
+def variable_labels(poset):
+    """Per variable id, its label for output: "o" for the origin, else
+    each element of its antichain followed by its sign, e.g. "1+2-"."""
+    plus, minus, _ = _sign_masks(poset)
+    return tuple(
+        "".join(f"{e}{'+' if p >> e & 1 else '-'}" for e in _bits(p | q)) or "o"
+        for p, q in zip(plus, minus)
+    )
 
 
 def _family_one(poset):
@@ -128,13 +120,18 @@ def _ideal_pairs(poset):
     """(max I, max J, max(I union J), max(I*J)) as element bitmasks for
     every incomparable pair of poset ideals, in combinations(ideal_lattice)
     order.  max(I*J) is max(I cap J) & (max I | max J), as a subset of an
-    antichain generates the ideal whose maxima it is."""
+    antichain generates the ideal whose maxima it is.  A table that lacks
+    the union or intersection of a pair is not a lattice, and raises
+    IdentityViolation naming both ideals."""
     maxima = _ideal_table(poset)
-    return tuple(
-        (max_i, max_j, maxima[i | j], maxima[i & j] & (max_i | max_j))
-        for (i, max_i), (j, max_j) in combinations(maxima.items(), 2)
-        if i & ~j and j & ~i
-    )
+    rows = []
+    for (i, max_i), (j, max_j) in combinations(maxima.items(), 2):
+        if i & ~j and j & ~i:
+            if i | j not in maxima or i & j not in maxima:
+                pair = f"{list(_bits(i))} and {list(_bits(j))}"
+                raise IdentityViolation(f"ideals {pair} lack a union or meet in the table")
+            rows.append((max_i, max_j, maxima[i | j], maxima[i & j] & (max_i | max_j)))
+    return tuple(rows)
 
 
 def _family_two(poset):
@@ -169,9 +166,11 @@ class ToricBinomial:
 def generate_groebner_candidates(poset):
     """Both binomial families, deduplicated (a binomial keeps the first
     family that gives it), each verified to lie in the toric ideal by
-    image equality (an ImageMismatch is an alarm).  Images in -1..1 are
-    packed 3 bits a coordinate, offset by 1: a sum of two is 0..4 < 8 a
-    coordinate, so packed sums never carry and agree iff the images do."""
+    image equality (an ImageMismatch is an alarm).  A variable signing
+    no element both ways has its image in -1..1, packed 3 bits a
+    coordinate as +1 on plus and -1 on minus: two sums of two images
+    differ by at most 4 < 8 a coordinate, so packed sums agree iff the
+    images do."""
     plus, minus, index = _sign_masks(poset)
     family_of = {}
     for u, v, e in _family_one(poset):
@@ -183,10 +182,11 @@ def generate_groebner_candidates(poset):
         family_of.setdefault((lead, _signed_pair(index, masks[2], masks[3], pattern)), 2)
 
     out = tuple(ToricBinomial(lead, tail, f) for (lead, tail), f in family_of.items())
-    images = [v.image(poset.n) for v in variables_and_map(poset)]
-    if any(not -1 <= c <= 1 for image in images for c in image):
-        raise ImageMismatch(f"a variable image leaves -1..1: {images}")
-    packed = [sum((c + 1) << 3 * i for i, c in enumerate(image)) for image in images]
+    for vid, (p, q) in enumerate(zip(plus, minus)):
+        if p & q:
+            raise ImageMismatch(f"variable {vid} signs {list(_bits(p & q))} both + and -")
+    images = _images(poset)
+    packed = [sum(c << 3 * i for i, c in enumerate(image)) for image in images]
     for b in out:
         (x, y), (z, w) = b.lead, b.tail
         if packed[x] + packed[y] != packed[z] + packed[w]:
@@ -196,14 +196,11 @@ def generate_groebner_candidates(poset):
 
 
 class TermOrder:
-    """Total monomial order: the sum of the antichain weights, then graded
-    reverse lexicographic on the fixed variable order."""
+    """Total monomial order: the sum of the weights, one per variable id,
+    then graded reverse lexicographic on the id order."""
 
-    def __init__(self, poset, antichain_weights):
-        self.weights = tuple(
-            antichain_weights[v.antichain] for v in variables_and_map(poset)
-        )
-        self.antichain_weights = dict(antichain_weights)
+    def __init__(self, weights):
+        self.weights = tuple(weights)
 
     def monomial_key(self, mono):
         """Sort key: larger key means larger monomial."""
@@ -232,8 +229,8 @@ def _ideal_weight(n, size):
 
 
 def construct_order(poset):
-    """The term order weighting the variables of antichain A by w(I), I
-    the ideal that A generates, and a check that every family-(2) lead
+    """The term order weighting each variable, signs on antichain A, by
+    w(I), I the ideal that A generates, and a check that every family-(2) lead
     wins by its proven margin of 2 (a shortfall raises Infeasible).
 
     Family (1): dropping e from an antichain drops e from its ideal, and
@@ -250,7 +247,8 @@ def construct_order(poset):
         if w_i + w_j - w_union - w_star < 2:
             pair = tuple(tuple(_bits(a)) for a in entry)
             raise Infeasible(f"ideal pair {pair} misses the margin of 2")
-    return TermOrder(poset, {tuple(_bits(a)): w for a, w in weights.items()})
+    plus, minus, _ = _sign_masks(poset)
+    return TermOrder(weights[p | q] for p, q in zip(plus, minus))
 
 
 def leading_terms_agree(binomials, order):
@@ -361,6 +359,17 @@ def buchberger_verify(binomials, order, guard_spairs=SPAIR_GUARD_DEFAULT):
                     if n1 != (memo_get(m3) or _normal_form(m3, lead_map, memo)):
                         return False
     return True
+
+
+def buchberger_outcome(poset, guard_spairs=SPAIR_GUARD_DEFAULT):
+    """The Buchberger verdict on the candidates under the constructed
+    order, as (basis size, leading terms agree, "pass" or "fail"); the
+    S-pairs are reduced only when the leading terms agree."""
+    basis = generate_groebner_candidates(poset)
+    order = construct_order(poset)
+    agree = leading_terms_agree(basis, order)
+    passed = agree and buchberger_verify(basis, order, guard_spairs=guard_spairs)
+    return len(basis), agree, "pass" if passed else "fail"
 
 
 @lru_cache(maxsize=8)
@@ -499,7 +508,7 @@ def triangulation_extract(poset):
     if not ok:
         raise IdentityViolation(f"initial ideal certificate failed: {list(rows)}")
     vertex_count, adjacency = initial_graph(poset)
-    images = [v.image(n) for v in variables_and_map(poset)]
+    images = _images(poset)
     full = (1 << vertex_count) - 1
     # vertex u >= 1 of the leading-term graph is vertex u - 1 here
     boundary = [(full ^ row ^ (1 << u)) >> 1 for u, row in enumerate(adjacency)][1:]

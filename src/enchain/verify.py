@@ -234,10 +234,9 @@ def verify_poset(
             alarms.append("ehrhart_equals_left_order failed")
 
     with _guarded(row, "series_identity", False, "series", alarms):
-        passed = partitions.series_identity_check(canonical, truncation)
-        row["series_identity"] = {"truncation": truncation, "pass": passed}
-        if not passed:
-            failure = partitions.series_identity_failure(canonical, truncation)
+        failure = partitions.series_identity_failure(canonical, truncation)
+        row["series_identity"] = {"truncation": truncation, "pass": failure is None}
+        if failure is not None:
             alarms.append(f"series_identity failed {failure}")
 
     with _guarded(row, "enriched_relation", False, "enriched relation", alarms):
@@ -288,16 +287,13 @@ def verify_poset(
             alarms.append(hilbert_alarm(checks))
     if n <= BUCHBERGER_MAX_N:
         with _guarded(grobner, "buchberger", "fail", "groebner", alarms):
-            basis = toric.generate_groebner_candidates(poset)
-            order = toric.construct_order(poset)
-            agree = toric.leading_terms_agree(basis, order)
-            passed = agree and toric.buchberger_verify(basis, order, guard_spairs=guard_spairs)
-            grobner["variables"] = len(toric.variables_and_map(poset))
-            grobner["basis_size"] = len(basis)
+            basis_size, agree, verdict = toric.buchberger_outcome(poset, guard_spairs)
+            grobner["variables"] = len(toric._sign_masks(poset)[0])
+            grobner["basis_size"] = basis_size
             grobner["leading_terms"] = agree
-            grobner["buchberger"] = "pass" if passed else "fail"
-            if not passed:
-                alarms.append(buchberger_alarm(len(basis), agree))
+            grobner["buchberger"] = verdict
+            if verdict == "fail":
+                alarms.append(buchberger_alarm(basis_size, agree))
     else:
         grobner["buchberger"] = "skipped"
 

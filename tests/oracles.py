@@ -27,13 +27,17 @@ pair test keeps its object-level predecessor here: the two-bar decorated
 permutation built and validated, and its face map compared with the
 pair.  The bijection check keeps its per-bound routine, which runs every
 check on every partition at every bound, and the comparability
-orientations keep their scan of all 2^E edge masks.
+orientations keep their scan of all 2^E edge masks.  The toric ring
+variables keep their former objects here: SignedVariable, with its image
+and label, built and sorted by variables_and_map, the oracle for the id
+order of toric._sign_masks, and the antichain-keyed term-order weights.
 Beside them live helpers that only the tests call: chain-polytope
 membership by the maximal-chain inequalities, the Ehrhart polynomial
 interpolated from the dilation counts, (1 + x)^k, the edge set of an
 adjacency bitset list, a Hypothesis strategy for randomly labelled
-6-element posets, and three library functions no library path called:
-is_left_partition, make_ideal and comparability_invariance.
+6-element posets, and four library functions no library path called:
+is_left_partition, make_ideal, comparability_invariance and
+series_identity_check.
 """
 
 from dataclasses import dataclass
@@ -69,6 +73,7 @@ from enchain.posets import (
     _ideal_mask,
     _ideal_table,
     _view,
+    antichains,
     linear_extensions,
     maximal_chains,
     poset_from_covers,
@@ -112,6 +117,49 @@ def lattice_points_ep(poset):
                 coords[e - 1] = s
             points.append(tuple(coords))
     return sorted(points)
+
+
+@dataclass(frozen=True)
+class SignedVariable:
+    antichain: tuple
+    signs: tuple
+
+    def image(self, n):
+        coords = [0] * n
+        for e, s in zip(self.antichain, self.signs):
+            coords[e - 1] = s
+        return tuple(coords)
+
+    def label(self):
+        if not self.antichain:
+            return "o"
+        return "".join(
+            f"{e}{'+' if s > 0 else '-'}" for e, s in zip(self.antichain, self.signs)
+        )
+
+
+@lru_cache(maxsize=32)
+def variables_and_map(poset):
+    """All ring variables in the fixed (antichain, signs) order, one per
+    lattice point of the enriched chain polytope."""
+    out = []
+    for a in antichains(poset):
+        for mask in range(1 << len(a)):
+            signs = tuple(1 if mask >> i & 1 else -1 for i in range(len(a)))
+            out.append(SignedVariable(a, signs))
+    out.sort(key=lambda v: (v.antichain, v.signs))
+    return tuple(out)
+
+
+def antichain_weights(poset, order):
+    """The weights of a toric.TermOrder keyed by antichain, read from its
+    per-id weights through the variables of variables_and_map; the
+    variables of one antichain must share one weight (else ValueError)."""
+    weights = {}
+    for v, w in zip(variables_and_map(poset), order.weights, strict=True):
+        if weights.setdefault(v.antichain, w) != w:
+            raise ValueError(f"antichain {v.antichain} has weights {weights[v.antichain]} and {w}")
+    return weights
 
 
 def normal_form_oracle(mono, lead_map):
@@ -498,6 +546,12 @@ def comparability_invariance(poset):
     """True iff verify._comparability_failure finds no difference (moved
     here from verify, where no library path called it)."""
     return verify._comparability_failure(poset) is None
+
+
+def series_identity_check(poset, truncation):
+    """True iff series_identity_failure finds no disagreement (moved here
+    from partitions, where no library path called it)."""
+    return partitions.series_identity_failure(poset, truncation) is None
 
 
 def make_ideal(poset, elements):

@@ -517,7 +517,7 @@ class TestVerifyAll:
         def violated(poset, truncation):
             raise IdentityViolation("series coefficient 3 != 4")
 
-        monkeypatch.setattr(partitions, "series_identity_check", violated)
+        monkeypatch.setattr(partitions, "series_identity_failure", violated)
         code, out = run(capsys, ["verify-all", "--poset", chain2])
         assert code == 2
         (row,) = json.loads(out)["rows"]

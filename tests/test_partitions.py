@@ -29,7 +29,6 @@ from enchain.partitions import (
     peak_positions,
     phi_map,
     psi_map,
-    series_identity_check,
     series_rhs_coefficient,
 )
 from enchain.polynomials import IntPolynomial, RatPolynomial
@@ -43,6 +42,7 @@ from oracles import (
     left_partition_oracle,
     phi_map_oracle,
     psi_map_oracle,
+    series_identity_check,
 )
 
 single = poset_from_covers(1, [])

@@ -1,18 +1,19 @@
 import random
+import re
 from collections import Counter
 from itertools import combinations, combinations_with_replacement
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings
 
-from enchain import toric, verify
+from enchain import gamma_complex, geometry, partitions, posets, toric, verify
 from enchain.errors import IdentityViolation, ImageMismatch, Infeasible, SizeLimit
 from enchain.gamma_complex import build_complex
 from enchain.geometry import count_dilation
 from enchain.polynomials import IntPolynomial
 from enchain.posets import _bits, _flag_faces, all_natural_posets, poset_from_covers
 from enchain.toric import (
-    SignedVariable,
     ToricBinomial,
     buchberger_verify,
     construct_order,
@@ -22,10 +23,11 @@ from enchain.toric import (
     leading_terms_agree,
     standard_monomial_count,
     triangulation_extract,
-    variables_and_map,
 )
 
 from oracles import (
+    SignedVariable,
+    antichain_weights,
     clique_counts_oracle,
     edge_set,
     ideal_pairs_oracle,
@@ -39,6 +41,7 @@ from oracles import (
     standard_monomial_oracle,
     standard_sizes_oracle,
     star_oracle,
+    variables_and_map,
 )
 
 chain2 = poset_from_covers(2, [(1, 2)])
@@ -283,6 +286,32 @@ class TestVariables:
         assert v.image(2) == (1, -1)
         assert v.label() == "1+2-"
 
+    @staticmethod
+    def assert_masks_match_oracle(poset):
+        """The ids, labels and images of _sign_masks are those of the
+        sorted SignedVariable objects of variables_and_map."""
+        variables = variables_and_map(poset)
+        plus, minus, index = toric._sign_masks(poset)
+        expected = [
+            tuple(sum(1 << e for e, s in zip(v.antichain, v.signs) if s == sign) for sign in (1, -1))
+            for v in variables
+        ]
+        assert list(zip(plus, minus)) == expected, poset.pairs
+        assert index == {pair: vid for vid, pair in enumerate(expected)}
+        assert toric.variable_labels(poset) == tuple(v.label() for v in variables)
+        assert toric._images(poset) == [v.image(poset.n) for v in variables]
+
+    def test_masks_match_oracle_up_to_five(self):
+        for n in (1, 2, 3, 4, 5):
+            for poset in all_natural_posets(n):
+                self.assert_masks_match_oracle(poset)
+
+    @given(labelled_six_posets())
+    @example(poset_from_covers(6, []))
+    @settings(max_examples=10, deadline=None)
+    def test_masks_match_oracle_random_six_element_posets(self, poset):
+        self.assert_masks_match_oracle(poset)
+
 
 class TestCandidates:
     def test_replaced_tail_is_an_image_mismatch(self, monkeypatch):
@@ -376,14 +405,14 @@ class TestCandidates:
 class TestOrder:
     def test_two_antichain_constraint(self):
         order = construct_order(anti2)
-        w = order.antichain_weights
+        w = antichain_weights(anti2, order)
         assert w[(1,)] + w[(2,)] >= 1 + w[(1, 2)] + w[()]
         assert all(value >= 0 for value in w.values())
 
     def test_two_chain_closed_form_weights(self):
         # w(I) = 2n|I| - |I|^2 with n = 2 on the ideals {}, {1}, {1, 2}
         order = construct_order(chain2)
-        assert order.antichain_weights == {(): 0, (1,): 3, (2,): 4}
+        assert antichain_weights(chain2, order) == {(): 0, (1,): 3, (2,): 4}
 
     def test_cardinality_beats_origin(self):
         order = construct_order(chain2)
@@ -402,7 +431,7 @@ class TestOrder:
         margins = []
         for n in (1, 2, 3, 4, 5):
             for poset in all_natural_posets(n):
-                w = construct_order(poset).antichain_weights
+                w = antichain_weights(poset, construct_order(poset))
                 for ideal_i, ideal_j in incomparable_ideal_pairs(poset):
                     product = star_oracle(poset, ideal_i, ideal_j)
                     margin = (
@@ -439,7 +468,7 @@ class TestOrder:
         # n = 5 lies beyond BUCHBERGER_MAX_N; the order alone is checked.
         poset = poset_from_covers(5, [(1, 2)])
         order = construct_order(poset)
-        w = order.antichain_weights
+        w = antichain_weights(poset, order)
         assert all(value >= 0 for value in w.values())
         pairs = list(incomparable_ideal_pairs(poset))
         assert pairs
@@ -787,6 +816,42 @@ class TestIdealPairs:
     @settings(max_examples=10, deadline=None)
     def test_random_six_element_posets(self, poset):
         assert toric._ideal_pairs(poset) == ideal_pairs_oracle(poset)
+
+    @staticmethod
+    def clear_caches():
+        for module in (posets, geometry, partitions, toric, gamma_complex):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+    def test_table_without_a_union_is_an_alarm(self, monkeypatch):
+        """1 < 3 with its top ideal dropped from the table: the first
+        incomparable pair, {2} and {1, 3}, has no union there, which every
+        toric check reports as an alarm, and the row still completes."""
+        poset = poset_from_covers(3, [(1, 3)])
+        top = 0b1110
+        original = posets._ideal_table
+
+        def dropped(other):
+            table = original(other)
+            if other != poset:
+                return table
+            return MappingProxyType({i: m for i, m in table.items() if i != top})
+
+        monkeypatch.setattr(posets, "_ideal_table", dropped)
+        monkeypatch.setattr(toric, "_ideal_table", dropped)
+        self.clear_caches()
+        try:
+            message = "ideals [2] and [1, 3] lack a union or meet in the table"
+            with pytest.raises(IdentityViolation, match=rf"^{re.escape(message)}$"):
+                toric._ideal_pairs(poset)
+            row = verify.verify_poset(poset)
+        finally:
+            monkeypatch.undo()
+            self.clear_caches()
+        assert row["groebner"]["hilbert_checks"] is False
+        assert row["groebner"]["buchberger"] == "fail"
+        assert f"hilbert: {message}" in row["alarms"]
 
 
 class TestTriangulation:
