@@ -170,15 +170,15 @@ def cmd_gamma(poset, cfg):
 
 def cmd_partitions(poset, cfg):
     canonical, relabeling = _canonical_note(poset)
-    items = partitions.enumerate_partitions(
-        canonical, cfg.m, cfg.kind, guard=cfg.guard_points
-    )
-    payload = {
-        "m": cfg.m,
-        "kind": cfg.kind,
-        "count": len(items),
-        "partitions": [list(f) for f in items] if len(items) <= 5000 else "omitted",
-    }
+    count = partitions.count_partitions(canonical, cfg.m, cfg.kind)
+    if 5000 < count <= cfg.guard_points:
+        listed = "omitted"
+    else:  # enumerate_partitions raises past the guard before listing any
+        items = partitions.enumerate_partitions(
+            canonical, cfg.m, cfg.kind, guard=cfg.guard_points
+        )
+        listed = [list(f) for f in items]
+    payload = {"m": cfg.m, "kind": cfg.kind, "count": count, "partitions": listed}
     if relabeling:
         payload["relabeled_by"] = relabeling
     return payload

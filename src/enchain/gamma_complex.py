@@ -8,19 +8,20 @@ part (the acute); the split used everywhere is the shortest nonempty
 decreasing prefix with increasing remainder (see grave_acute).  A word
 that admits no such split raises MalformedResult.
 
-Vertices of the complex are the one-bar decorated linear extensions; two
-vertices are adjacent exactly when splicing them yields a valid two-bar
-decorated permutation mapping back to the pair under the face map; faces
-are the cliques, counted by posets._flag_faces, the flag-complex kernel
-that the toric triangulation shares.  The face map phi sends a decorated
-permutation with k bars to a k-set of vertices, one per bar.  The pair
-test runs on words: it finds the spliced word's left peaks once and
-compares the face map's words with the pair's, so no decorated
-permutation is built per pair.
+Vertices of the complex are the one-bar decorated linear extensions.  The
+face map sends a decorated permutation with k bars to a k-set of
+vertices, one per bar, so the edges are the images of the two-bar
+decorated extensions, and build_complex reads them off the extensions
+with two left peaks.  The faces are the cliques, counted by
+posets._flag_faces, the flag-complex kernel that the toric triangulation
+shares.  The tests keep the routes this one replaced as its oracles
+(tests/oracles.py): phi_face_map on decorated permutations,
+vertex_adjacent, which splices two vertices into a word and checks that
+the word maps back, and splice_adjacency, the pair loop that built the
+edges with it.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import IdentityViolation, MalformedResult, SizeLimit
 from .partitions import extension_peaks, left_peak_positions, peak_polynomials
@@ -84,9 +85,6 @@ class DecoratedPermutation:
                 parts.append(f"|^{bar[1]} ")
         return "".join(parts).rstrip()
 
-    def __lt__(self, other):
-        return (self.word, self.bars) < (other.word, other.bars)
-
     def recolored(self, color):
         """This one-bar element with its bar in `color`.  The bar of self
         already sits at the word's left peak, so only the color is checked
@@ -107,69 +105,6 @@ def _trusted(word, bars):
     return out
 
 
-class _VertexKey(NamedTuple):
-    """The per-vertex half of adjacency, computed once per vertex."""
-
-    vertex: DecoratedPermutation
-    position: int  # the bar position p
-    prefix: tuple  # word[:p]
-    letters: frozenset  # the letters of word[:p]
-    grave: tuple  # grave_acute(word[p:])
-    acute: tuple
-
-
-def _vertex_key(vertex):
-    if vertex.bar_count() != 1:
-        raise ValueError("vertex adjacency is defined for one-bar elements")
-    p = vertex.bars[0][0]
-    prefix = vertex.word[:p]
-    grave, acute = grave_acute(vertex.word[p:])
-    return _VertexKey(vertex, p, prefix, frozenset(prefix), grave, acute)
-
-
-def _spliced_adjacent(ku, kv):
-    """The pair half of vertex_adjacent, for keys with
-    ku.position < kv.position, decided on words.
-
-    The spliced word must be a permutation whose left peaks are exactly
-    the two bar positions, and for each bar the face map's word
-    sorted(left) + grave + sorted(right) and bar position must be the
-    vertex's own.  The bar colors are the vertices' by construction, and
-    a face-map vertex equal to u or v is valid because u and v are."""
-    u_word = ku.vertex.word
-    n = len(u_word)
-    bridge = tuple(sorted(kv.letters.intersection(ku.acute)))
-    word = ku.prefix + ku.grave + bridge + kv.grave + kv.acute
-    if sorted(word) != list(range(1, n + 1)):
-        return False
-    first, second = ku.position, ku.position + len(ku.grave) + len(bridge)
-    # second == kv.position also follows from the word comparison below
-    if second != kv.position or left_peak_positions(word) != [first, second]:
-        return False
-    for pos, end, target in ((first, second, u_word), (second, n, kv.vertex.word)):
-        grave, _ = grave_acute(word[pos:end])
-        face = tuple(sorted(word[:pos])) + grave + tuple(sorted(word[pos + len(grave) :]))
-        if face != target:
-            return False
-    return True
-
-
-def vertex_adjacent(u, v):
-    """Adjacency of two one-bar decorated permutations: ordering them by
-    increasing-prefix length (strictly; equal lengths are never adjacent),
-    splice the first's prefix and decreasing run with the letters shared
-    by its increasing rest and the second's prefix, then the second's
-    tail.  The pair is adjacent when the composite is a valid two-bar
-    decorated permutation whose face map returns exactly this pair, so an
-    edge is precisely the image of a two-bar element."""
-    ku, kv = _vertex_key(u), _vertex_key(v)
-    if ku.position == kv.position:
-        return False
-    if ku.position > kv.position:
-        ku, kv = kv, ku
-    return _spliced_adjacent(ku, kv)
-
-
 @dataclass(frozen=True)
 class GammaComplex:
     vertices: tuple  # one-bar DecoratedPermutation, sorted: four per word, colors 0..3
@@ -179,50 +114,56 @@ class GammaComplex:
     kruskal_katona: bool
 
 
+def _face_vertex(index, word, bar, block):
+    """The index of the color-0 vertex that the face map sends the bar at
+    position `bar` of `word` to, `block` being the letters that bar opens:
+    the word sorted(word[:bar]) + grave + the rest sorted, grave the
+    decreasing part of the block.  index maps each one-peak extension to
+    (its vertex index, its peak); a word that is not one, or whose peak
+    is not at the bar, raises IdentityViolation naming it."""
+    grave, _ = grave_acute(block)
+    face = tuple(sorted(word[:bar])) + grave + tuple(sorted(word[bar + len(grave) :]))
+    b, peak = index.get(face, (None, None))
+    if peak != bar:
+        raise IdentityViolation(
+            f"face map sends {word} at bar {bar} to {face}, "
+            f"not a one-peak extension with its peak at {bar}"
+        )
+    return b
+
+
 def build_complex(poset):
     """The flag complex on one-bar decorated linear extensions, with its
     f-polynomial checked against the left peak polynomial evaluated at 4x
     (vertices differing only in bar color are distinct, which accounts for
     the factor 4^size on each face).
 
-    Adjacency is decided on the color-0 vertices, one key each.  Two
-    filters skip pairs before the splice, and both are necessary
-    conditions only: the bar positions differ (vertex_adjacent rejects
-    equal ones), and u's bar, grave and bridge fill exactly the letters
-    before v's bar, pu + |grave_u| + |bridge| == pv, without which the
-    spliced word has the wrong length to be a permutation.  What decides
-    is the pair test that vertex_adjacent makes, on words: the spliced
-    word is a permutation, its left peaks are the two bar positions, and
-    the face map's word and bar position for each bar are the pair's.
+    The edges are the face map's images of the two-bar decorated
+    extensions, built on the color-0 vertices: for every extension with
+    left peaks p < q, the vertices of its bars at p and q (_face_vertex,
+    with blocks w[p:q] and w[q:]) are one edge.  Bar colors pass through
+    the face map unchanged, so each edge stands for 16 colored ones.
 
     The words and their left peaks come from partitions.extension_peaks,
     the walk that peak_polynomials reads too, in lexicographic order, so
     each color-0 vertex is built once from its known peak and the
-    vertices come out sorted."""
+    vertices come out sorted.  The oracles in tests/oracles.py check the
+    edges by splicing pairs of vertices (vertex_adjacent,
+    splice_adjacency)."""
     n = poset.n
     if n > COMPLEX_GUARD_N:
         raise SizeLimit(f"complex construction guarded at n <= {COMPLEX_GUARD_N}")
-    underlying = [
-        _trusted(w, ((peaks[0], 0),))
-        for w, peaks in extension_peaks(poset)
-        if len(peaks) == 1
-    ]
+    words = extension_peaks(poset)
+    underlying = [_trusted(w, ((peaks[0], 0),)) for w, peaks in words if len(peaks) == 1]
+    index = {base.word: (b, base.bars[0][0]) for b, base in enumerate(underlying)}
 
-    keys = [_vertex_key(base) for base in underlying]
-    by_position = {}
-    for b, key in enumerate(keys):
-        by_position.setdefault(key.position, []).append(b)
-    adj = [0] * len(keys)
-    for a, ku in enumerate(keys):
-        reach = ku.position + len(ku.grave)  # pv - |bridge|, and |bridge| >= 0
-        for pv in range(reach, n):
-            for b in by_position.get(pv, ()):
-                kv = keys[b]
-                if reach + len(kv.letters.intersection(ku.acute)) != pv:
-                    continue
-                if _spliced_adjacent(ku, kv):
-                    adj[a] |= 1 << b
-                    adj[b] |= 1 << a
+    adj = [0] * len(underlying)
+    for w, peaks in words:
+        if len(peaks) == 2:
+            p, q = peaks
+            a, b = _face_vertex(index, w, p, w[p:q]), _face_vertex(index, w, q, w[q:])
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
 
     gamma_length = n // 2 + 1  # face sizes run 0 .. n//2
     plain, _ = _flag_faces(adj, gamma_length)
@@ -248,17 +189,3 @@ def build_complex(poset):
         kruskal_katona=kruskal_katona_check(list(f_vector)),
     )
 
-
-def phi_face_map(decorated):
-    """The face attached to a decorated permutation: one one-bar vertex
-    per bar, built from the sorted letters left of that bar's following
-    grave part, the grave part itself, and the sorted letters right of it."""
-    blocks = decorated.blocks()
-    word = decorated.word
-    vertices = []
-    for i, (pos, color) in enumerate(decorated.bars, start=1):
-        grave, _ = grave_acute(blocks[i])
-        left = tuple(sorted(word[:pos]))
-        right = tuple(sorted(word[pos + len(grave) :]))
-        vertices.append(DecoratedPermutation(left + grave + right, ((pos, color),)))
-    return vertices

@@ -306,23 +306,26 @@ def _ideal_table(poset):
     not below e; I + e is kept only when e is the largest of them, so each
     ideal is reached once.  A level sorts by bit-reversed mask, descending,
     which orders it by elements.  Past IDEAL_GUARD ideals the walk raises
-    SizeLimit, checked as each level is added, and that is memoised too."""
+    SizeLimit, checked as each ideal of the previous level is extended,
+    so it stops within IDEAL_GUARD + n ideals; that is memoised too."""
     n = poset.n
     steps = [(e, 1 << e, poset._below[e], 1 << (n - e)) for e in poset.elements()]
     rows = {0: 0}
     level = [(0, 0, 0)]  # (bit-reversed mask, mask, maxima) per ideal
     for size in range(1, n + 1):
         grown = []
+        room = IDEAL_GUARD - len(rows)
         for reverse, ideal, maxima in level:
             for e, bit, down, reverse_bit in steps:
                 if not (ideal & bit or down & ~ideal):
                     kept = maxima & ~down
                     if not kept >> e:
                         grown.append((reverse | reverse_bit, ideal | bit, kept | bit))
+            if len(grown) > room:
+                count = len(rows) + len(grown)
+                raise SizeLimit(f"{count} ideals of size <= {size} exceed guard {IDEAL_GUARD}")
         grown.sort(reverse=True)
         rows.update((ideal, maxima) for _, ideal, maxima in grown)
-        if len(rows) > IDEAL_GUARD:
-            raise SizeLimit(f"{len(rows)} ideals of size <= {size} exceed guard {IDEAL_GUARD}")
         level = grown
     return MappingProxyType(rows)
 

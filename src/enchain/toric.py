@@ -7,15 +7,16 @@ order; labels are built for output alone.  The monomial map sends a
 variable to the Laurent monomial t^(signed indicator) * s, so a binomial
 lies in the toric ideal iff its two monomials have equal images.
 
-The candidate Groebner basis has two families of quadratic binomials.
-Each family is defined in one place, and the candidates, the margin
-check of the term order and the leads-only leading-term graph all read
-it:
+The candidate Groebner basis has two families of quadratic binomials,
+each defined in one place.  The candidates read both; the margin check
+of the term order reads the rows of (2); the leads-only leading-term
+graph reads the leads of (2) and builds those of (1) itself:
 
   (1) _family_one yields (u, v, e) for variables u < v and each element e
       they sign oppositely, e ascending: x_u x_v minus the pair with e
-      dropped from both.  The leading-term graph takes the same leads
-      per element, as (variables signing e +) x (variables signing e -);
+      dropped from both.  initial_graph does not read it: it builds the
+      same leads per element, as (variables signing e +) x (variables
+      signing e -), OR-ing one bitset per element into each row;
   (2) _ideal_pairs holds (max I, max J, max(I u J), max(I*J)) as masks
       read off the ideal table, one row per incomparable pair of ideals in
       combinations(ideal_lattice) order, where I*J is the ideal generated

@@ -25,6 +25,7 @@ BUCHBERGER_MAX_N = 4
 TRIANGULATION_MAX_N = 4
 BIJECTION_MAX_N = 4
 INVARIANCE_MAX_N = 5
+RELABELING_LIMIT = 12
 
 
 def rat_coeffs(poly):
@@ -90,13 +91,13 @@ def _bijection_failure(poset, max_m):
     return None
 
 
-def _relabelings(n, limit=12):
+def _relabelings(n):
     """A deterministic selection of permutations of 1..n (all of them for
-    n <= 4, a fixed spread otherwise)."""
+    n <= 4, a fixed spread of about RELABELING_LIMIT otherwise)."""
     if n <= 4:
         return list(permutations(range(1, n + 1)))
     everything = permutations(range(1, n + 1))
-    return list(islice(everything, 0, None, max(1, factorial(n) // limit)))
+    return list(islice(everything, 0, None, max(1, factorial(n) // RELABELING_LIMIT)))
 
 
 def _comparability_failure(poset):

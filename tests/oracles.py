@@ -22,12 +22,17 @@ lattice by down-closure of each antichain, the star operation and the
 maxima of a union, and the rows of toric._ideal_pairs built from them.
 The phi/psi roundtrip kernel keeps the former bodies of phi_map and
 psi_map here, with the left enriched conditions checked on every
-relation rather than along the covers.  The gamma complex's word-level
-pair test keeps its object-level predecessor here: the two-bar decorated
-permutation built and validated, and its face map compared with the
-pair.  The bijection check keeps its per-bound routine, which runs every
-check on every partition at every bound, and the comparability
-orientations keep their scan of all 2^E edge masks.  The toric ring
+relation rather than along the covers.  The gamma complex's edges,
+which the library reads off the two-peak extensions, keep the splice
+route they replaced: phi_face_map on decorated permutations, the
+word-level pair test vertex_adjacent with its per-vertex keys, and
+splice_adjacency, the filtered pair loop over one-peak vertices that
+built the edges with it.  That pair test keeps its object-level
+predecessor here too: the two-bar decorated permutation built and
+validated, and its face map compared with the pair.  The bijection
+check keeps its per-bound routine, which runs every check on every
+partition at every bound, and the comparability orientations keep their
+scan of all 2^E edge masks.  The toric ring
 variables keep their former objects here: SignedVariable, with its image
 and label, built and sorted by variables_and_map, the oracle for the id
 order of toric._sign_masks, and the antichain-keyed term-order weights.
@@ -45,6 +50,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb
+from typing import NamedTuple
 
 from hypothesis import strategies as st
 
@@ -62,7 +68,6 @@ from enchain.gamma_complex import (
     DecoratedPermutation,
     build_complex,
     grave_acute,
-    phi_face_map,
 )
 from enchain.geometry import dilation_counts
 from enchain.partitions import left_peak_positions
@@ -629,6 +634,123 @@ def cover_reduce(decorated, bar_index):
     word = sum(blocks[:i], ()) + merged + sum(blocks[i + 2 :], ())
     bars = decorated.bars[:i] + decorated.bars[i + 1 :]
     return DecoratedPermutation(word, bars)
+
+
+def phi_face_map(decorated):
+    """The face attached to a decorated permutation: one one-bar vertex
+    per bar, built from the sorted letters left of that bar's following
+    grave part, the grave part itself, and the sorted letters right of it."""
+    blocks = decorated.blocks()
+    word = decorated.word
+    vertices = []
+    for i, (pos, color) in enumerate(decorated.bars, start=1):
+        grave, _ = grave_acute(blocks[i])
+        left = tuple(sorted(word[:pos]))
+        right = tuple(sorted(word[pos + len(grave) :]))
+        vertices.append(DecoratedPermutation(left + grave + right, ((pos, color),)))
+    return vertices
+
+
+class _VertexKey(NamedTuple):
+    """The per-vertex half of adjacency, computed once per vertex."""
+
+    vertex: DecoratedPermutation
+    position: int  # the bar position p
+    prefix: tuple  # word[:p]
+    letters: frozenset  # the letters of word[:p]
+    grave: tuple  # grave_acute(word[p:])
+    acute: tuple
+
+
+def _vertex_key(vertex):
+    if vertex.bar_count() != 1:
+        raise ValueError("vertex adjacency is defined for one-bar elements")
+    p = vertex.bars[0][0]
+    prefix = vertex.word[:p]
+    grave, acute = grave_acute(vertex.word[p:])
+    return _VertexKey(vertex, p, prefix, frozenset(prefix), grave, acute)
+
+
+def _spliced_adjacent(ku, kv):
+    """The pair half of vertex_adjacent, for keys with
+    ku.position < kv.position, decided on words.
+
+    The spliced word must be a permutation whose left peaks are exactly
+    the two bar positions, and for each bar the face map's word
+    sorted(left) + grave + sorted(right) and bar position must be the
+    vertex's own.  The bar colors are the vertices' by construction, and
+    a face-map vertex equal to u or v is valid because u and v are."""
+    u_word = ku.vertex.word
+    n = len(u_word)
+    bridge = tuple(sorted(kv.letters.intersection(ku.acute)))
+    word = ku.prefix + ku.grave + bridge + kv.grave + kv.acute
+    if sorted(word) != list(range(1, n + 1)):
+        return False
+    first, second = ku.position, ku.position + len(ku.grave) + len(bridge)
+    # second == kv.position also follows from the word comparison below
+    if second != kv.position or left_peak_positions(word) != [first, second]:
+        return False
+    for pos, end, target in ((first, second, u_word), (second, n, kv.vertex.word)):
+        grave, _ = grave_acute(word[pos:end])
+        face = tuple(sorted(word[:pos])) + grave + tuple(sorted(word[pos + len(grave) :]))
+        if face != target:
+            return False
+    return True
+
+
+def vertex_adjacent(u, v):
+    """Adjacency of two one-bar decorated permutations: ordering them by
+    increasing-prefix length (strictly; equal lengths are never adjacent),
+    splice the first's prefix and decreasing run with the letters shared
+    by its increasing rest and the second's prefix, then the second's
+    tail.  The pair is adjacent when the composite is a valid two-bar
+    decorated permutation whose face map returns exactly this pair, so an
+    edge is precisely the image of a two-bar element."""
+    ku, kv = _vertex_key(u), _vertex_key(v)
+    if ku.position == kv.position:
+        return False
+    if ku.position > kv.position:
+        ku, kv = kv, ku
+    return _spliced_adjacent(ku, kv)
+
+
+def splice_adjacency(poset):
+    """The adjacency bitsets of the gamma complex's color-0 vertices, one
+    per one-peak linear extension in lexicographic order, by the pair loop
+    build_complex ran before it read the edges off the two-peak
+    extensions.
+
+    Two filters skip pairs before the splice, and both are necessary
+    conditions only: the bar positions differ (vertex_adjacent rejects
+    equal ones), and u's bar, grave and bridge fill exactly the letters
+    before v's bar, pu + |grave_u| + |bridge| == pv, without which the
+    spliced word has the wrong length to be a permutation.  What decides
+    is the pair test that vertex_adjacent makes, on words: the spliced
+    word is a permutation, its left peaks are the two bar positions, and
+    the face map's word and bar position for each bar are the pair's."""
+    n = poset.n
+    underlying = []
+    for w in linear_extensions(poset):
+        peaks = left_peak_positions(w)
+        if len(peaks) == 1:
+            underlying.append(DecoratedPermutation(tuple(w), ((peaks[0], 0),)))
+
+    keys = [_vertex_key(base) for base in underlying]
+    by_position = {}
+    for b, key in enumerate(keys):
+        by_position.setdefault(key.position, []).append(b)
+    adj = [0] * len(keys)
+    for a, ku in enumerate(keys):
+        reach = ku.position + len(ku.grave)  # pv - |bridge|, and |bridge| >= 0
+        for pv in range(reach, n):
+            for b in by_position.get(pv, ()):
+                kv = keys[b]
+                if reach + len(kv.letters.intersection(ku.acute)) != pv:
+                    continue
+                if _spliced_adjacent(ku, kv):
+                    adj[a] |= 1 << b
+                    adj[b] |= 1 << a
+    return adj
 
 
 def spliced_adjacent_oracle(u, v):

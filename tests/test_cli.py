@@ -239,6 +239,17 @@ class TestCommands:
         assert code == 0 and json.loads(out)["partitions"] == "omitted"
         assert_matches_golden(out, "partitions_omitted")
 
+    def test_omitted_partitions_are_counted_not_listed(self, capsys, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the omitted case listed its partitions")
+
+        monkeypatch.setattr(partitions, "iter_partitions", forbidden)
+        path = tmp_path / "anti4.poset"
+        path.write_text("4\n")
+        code, out = run(capsys, ["partitions", str(path), "--m", "4"])
+        assert code == 0
+        assert_matches_golden(out, "partitions_omitted")
+
     def test_non_natural_input_notes_relabeling(self, capsys, tmp_path):
         path = tmp_path / "rev.poset"
         path.write_text("2\n2 < 1\n")

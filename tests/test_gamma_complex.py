@@ -3,15 +3,9 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings
 
-from enchain import gamma_complex
-from enchain.errors import MalformedResult, SizeLimit
-from enchain.gamma_complex import (
-    DecoratedPermutation,
-    build_complex,
-    grave_acute,
-    phi_face_map,
-    vertex_adjacent,
-)
+from enchain import gamma_complex, verify
+from enchain.errors import IdentityViolation, MalformedResult, SizeLimit
+from enchain.gamma_complex import COLORS, DecoratedPermutation, build_complex, grave_acute
 from enchain.partitions import peak_polynomials
 from enchain.polynomials import IntPolynomial
 from enchain.posets import all_natural_posets, linear_extensions, poset_from_covers
@@ -20,8 +14,11 @@ from oracles import (
     decorate,
     iso_check,
     labelled_six_posets,
+    phi_face_map,
     s_p,
+    splice_adjacency,
     spliced_adjacent_oracle,
+    vertex_adjacent,
 )
 
 anti2 = poset_from_covers(2, [])
@@ -208,14 +205,12 @@ class TestComplex:
 
     def test_no_decorated_permutation_is_validated_per_pair(self, monkeypatch):
         """build_complex takes the left peaks from the extension walk and
-        decides pairs on words: it neither validates a DecoratedPermutation
-        nor calls the face map."""
+        reads the edges off words: it validates no DecoratedPermutation."""
         expected = build_complex(anti4)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("build_complex validated or mapped an object")
 
-        monkeypatch.setattr(gamma_complex, "phi_face_map", forbidden)
         monkeypatch.setattr(DecoratedPermutation, "__post_init__", forbidden)
         assert build_complex(anti4) == expected
         assert build_complex(poset_from_covers(6, [])).f_vector == (1, 716, 7664, 3904)
@@ -242,9 +237,51 @@ def pair_scan_edges(complex_):
     )
 
 
+def splice_edges(poset):
+    """The colored edges in build_complex's order, from the adjacency of
+    the splice oracle's filtered pair loop."""
+    adj = splice_adjacency(poset)
+    return tuple(
+        (a * 4 + ca, b * 4 + cb)
+        for a, row in enumerate(adj)
+        for b in range(a + 1, row.bit_length())
+        if row >> b & 1
+        for ca in COLORS
+        for cb in COLORS
+    )
+
+
+class TestFaceMapEdges:
+    """build_complex reads each edge off a two-peak extension through the
+    face map; the splice oracle, the pair loop it replaced, checks it on
+    every poset it accepts."""
+
+    def test_every_natural_poset_up_to_six(self):
+        for n in range(1, gamma_complex.COMPLEX_GUARD_N + 1):
+            for poset in all_natural_posets(n):
+                assert build_complex(poset).edges == splice_edges(poset), poset
+
+    def test_dropped_one_peak_word_is_an_alarm(self, monkeypatch):
+        """Without the one-peak word 2134, the face map's image of 2|14|3
+        at its first bar is no vertex: build_complex names the word, and
+        the row's complex check fails with an alarm."""
+        words = gamma_complex.extension_peaks(anti4)
+        assert ((2, 1, 3, 4), (1,)) in words and ((2, 1, 4, 3), (1, 3)) in words
+        kept = tuple(entry for entry in words if entry[0] != (2, 1, 3, 4))
+        monkeypatch.setattr(gamma_complex, "extension_peaks", lambda poset: kept)
+        with pytest.raises(IdentityViolation, match=r"\(2, 1, 4, 3\) at bar 1 to \(2, 1, 3, 4\)"):
+            build_complex(anti4)
+        row = verify.verify_poset(anti4)
+        assert row["complex"] == {"identity": False}
+        assert [a for a in row["alarms"] if a.startswith("complex: ")] == [
+            "complex: face map sends (2, 1, 4, 3) at bar 1 to (2, 1, 3, 4), "
+            "not a one-peak extension with its peak at 1"
+        ]
+
+
 class TestPairLoop:
-    """build_complex walks only pairs that pass its position and length
-    filters; a scan of every pair through vertex_adjacent is its oracle."""
+    """A scan of every pair of color-0 vertices through vertex_adjacent
+    also finds the complex's edges."""
 
     def test_every_natural_poset_up_to_five(self):
         for n in (1, 2, 3, 4, 5):

@@ -1,4 +1,5 @@
 import hashlib
+import time
 from itertools import combinations, permutations, product
 from math import comb
 
@@ -310,9 +311,20 @@ class TestIdealGuard:
 
     def test_guard_names_the_count(self, monkeypatch):
         monkeypatch.setattr(posets, "IDEAL_GUARD", 100)
-        # 1 + 8 + 28 + 56 = 93 ideals up to size 3, then 70 more of size 4
-        with pytest.raises(SizeLimit, match=r"^163 ideals of size <= 4 exceed guard 100$"):
+        # 1 + 8 + 28 + 56 = 93 ideals up to size 3; the size-3 ideals
+        # {1, 2, 3}, {1, 2, 4}, ... add 5, 4, ... of size 4, so the walk
+        # stops at 93 + 9 = 102, not after all 70 of size 4
+        with pytest.raises(SizeLimit, match=r"^102 ideals of size <= 4 exceed guard 100$"):
             posets._ideal_table.__wrapped__(antichain(8))
+
+    def test_guard_trips_within_a_level(self):
+        """The 300-antichain has 45,151 ideals of size <= 2 and 4,455,100
+        of size 3; the walk stops within n ideals of the guard."""
+        start = time.perf_counter()
+        with pytest.raises(SizeLimit, match=r"^65612 ideals of size <= 3 exceed guard 65536$"):
+            posets._ideal_table.__wrapped__(antichain(300))
+        assert 65612 <= posets.IDEAL_GUARD + 300
+        assert time.perf_counter() - start < 1
 
     def test_guard_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(posets, "IDEAL_GUARD", 256)
@@ -328,7 +340,7 @@ class TestIdealGuard:
 
     def test_verify_row_reads_skipped_past_the_guard(self):
         row = verify.verify_poset(antichain(17))
-        reason = "skipped (89846 ideals of size <= 9 exceed guard 65536)"
+        reason = "skipped (65545 ideals of size <= 9 exceed guard 65536)"
         assert row["gamma_left_peak"] == reason
         assert row["volume_extensions"] == reason
         assert row["ehrhart_equals_left_order"] == reason
@@ -345,8 +357,8 @@ class TestIdealGuard:
         info = posets._ideal_table.cache_info()
         assert (info.misses, info.hits) == (1, 5)
         digest = hashlib.sha256(io.render_json(row).encode()).hexdigest()
-        assert digest == "664a3c0113301988f4e28bb612d1c742b6b6d48fcfcd1fdf4b8b3066b63acf24"
-        with pytest.raises(SizeLimit, match=r"^89846 ideals of size <= 9 exceed guard 65536$"):
+        assert digest == "c0d2f506d99d33b505e620f9738f655baa528c0462f6651249e21fdb6e6277cb"
+        with pytest.raises(SizeLimit, match=r"^65545 ideals of size <= 9 exceed guard 65536$"):
             posets._ideal_table(antichain(17))
 
 
