@@ -55,7 +55,6 @@ from .posets import (
     maximal_chains,
     poset_from_covers,
     poset_predicates,
-    star,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -11,7 +11,7 @@ ENCHAIN_GUARD_SPAIRS); explicit flags win over the environment.
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import gamma_complex, geometry, partitions, polynomials, posets, toric, verify
 from .errors import GuardExceeded, IdentityAlarm, InputError
@@ -142,16 +142,7 @@ def cmd_ehrhart(poset, cfg):
 def cmd_hstar(poset, cfg):
     data = geometry.hstar_and_gamma(poset)
     props = polynomials.polynomial_properties(data.hstar)
-    return {
-        "hstar": int_coeffs(data.hstar),
-        "properties": {
-            "palindromic": props.palindromic,
-            "unimodal": props.unimodal,
-            "log_concave": props.log_concave,
-            "gamma_positive": props.gamma_positive,
-            "real_root_count": props.real_root_count,
-        },
-    }
+    return {"hstar": int_coeffs(data.hstar), "properties": asdict(props)}
 
 
 def cmd_gamma(poset, cfg):

@@ -24,7 +24,7 @@ that a virtual 0 precedes the first letter for *left* peaks) and their
 generating polynomials live here too; they and the order polynomials are
 memoised per poset value.  Each linear extension's left peaks are found
 once, in extension_peaks, which both peak_polynomials and the gamma
-complex read.
+complex read; its interior peaks are the left peaks past position 1.
 """
 
 from dataclasses import dataclass
@@ -259,15 +259,6 @@ def left_peak_positions(word):
     return out
 
 
-def peak_positions(word):
-    """Interior peaks only: positions 2 <= i <= n-1."""
-    return [
-        p + 1
-        for p in range(1, len(word) - 1)
-        if word[p - 1] < word[p] > word[p + 1]
-    ]
-
-
 def descent_count(word):
     return sum(1 for a, b in zip(word, word[1:]) if a > b)
 
@@ -306,7 +297,8 @@ def peak_polynomials(poset):
     pkl = [0] * (n + 1)
     des = [0] * (n + 1)
     for w, left_peaks in exts:
-        pk[len(peak_positions(w))] += 1
+        # a left peak past position 1 is an interior peak: the virtual 0 is below every letter
+        pk[len(left_peaks) - (left_peaks[:1] == (1,))] += 1
         pkl[len(left_peaks)] += 1
         des[descent_count(w)] += 1
     polys = PeakPolynomials(

@@ -1,7 +1,8 @@
 """Finite posets on the label set {1, ..., n} and order-theoretic enumeration.
 
-A poset is stored as its full strict order relation, transitively closed;
-cover relations are derived on demand because membership tests dominate.
+A poset is stored as its full strict order relation, transitively closed,
+which gives its value (equality and hash), and as one bitset per element
+of the elements below it and of those above it, which every kernel reads.
 Instances are immutable and hashable, safe to share between threads.
 Facts derived from a poset (covers, maximal chains, the ideal table, its
 cover edges, the ideal-chain counts) are computed once and kept, each in
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache, wraps
 from types import MappingProxyType
 
-from .errors import CycleDetected, LabelOutOfRange, NotAnIdeal, SizeLimit
+from .errors import CycleDetected, LabelOutOfRange, SizeLimit
 
 LINEAR_EXTENSION_GUARD = 10
 IDEAL_GUARD = 1 << 16
@@ -228,9 +229,6 @@ class PosetIdeal:
     elements: frozenset
     max_elements: tuple
 
-    def __le__(self, other):
-        return self.elements <= other.elements
-
 
 def _bits(mask):
     """The positions of the set bits of mask, ascending."""
@@ -334,18 +332,6 @@ def _view(elements, maxima):
     return PosetIdeal(frozenset(_bits(elements)), tuple(_bits(maxima)))
 
 
-def _ideal_mask(poset, elements):
-    """The element mask of a down-closed set of labels in 1..n."""
-    elements = frozenset(elements)
-    if not all(1 <= e <= poset.n for e in elements):
-        raise LabelOutOfRange(f"label outside 1..{poset.n} in {sorted(elements)}")
-    mask = sum(1 << e for e in elements)
-    for e in elements:
-        for i in _bits(poset._below[e] & ~mask):
-            raise NotAnIdeal(f"{sorted(elements)} is not down-closed ({i} < {e})")
-    return mask
-
-
 def ideal_lattice(poset):
     """All poset ideals (one per antichain of maxima), as a fresh list."""
     return [_view(*row) for row in _ideal_table(poset).items()]
@@ -430,18 +416,6 @@ def ideal_chain_count(poset, m, from_empty=False):
     if m < 0:
         raise ValueError("bound must be nonnegative")
     return _chain_counts(poset, from_empty).upto(m)[m]
-
-
-def star(poset, ideal_i, ideal_j):
-    """The ideal generated by max(I cap J) restricted to max(I) cup max(J);
-    a subset of an antichain generates the ideal whose maxima it is."""
-    table = _ideal_table(poset)
-    i, j = (_ideal_mask(poset, getattr(x, "elements", x)) for x in (ideal_i, ideal_j))
-    generators = table[i & j] & (table[i] | table[j])
-    elements = generators
-    for e in _bits(generators):
-        elements |= poset._below[e]
-    return _view(elements, generators)
 
 
 @dataclass(frozen=True)

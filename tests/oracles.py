@@ -40,9 +40,11 @@ Beside them live helpers that only the tests call: chain-polytope
 membership by the maximal-chain inequalities, the Ehrhart polynomial
 interpolated from the dilation counts, (1 + x)^k, the edge set of an
 adjacency bitset list, a Hypothesis strategy for randomly labelled
-6-element posets, and four library functions no library path called:
-is_left_partition, make_ideal, comparability_invariance and
-series_identity_check.
+6-element posets, and five library functions no library path called:
+is_left_partition, make_ideal, star (with its helper _ideal_mask),
+comparability_invariance and series_identity_check.  The interior peak
+scan peak_positions lives here too, as the reference for the peak
+polynomial that the library reads off the left peaks.
 """
 
 from dataclasses import dataclass
@@ -58,6 +60,7 @@ from enchain import geometry, linprog, partitions, toric, verify
 from enchain.errors import (
     IdentityViolation,
     InvalidPartition,
+    LabelOutOfRange,
     MalformedResult,
     NotAnIdeal,
     PointOutsidePolytope,
@@ -75,7 +78,7 @@ from enchain.polynomials import IntPolynomial, interpolate
 from enchain.posets import (
     Poset,
     PosetIdeal,
-    _ideal_mask,
+    _bits,
     _ideal_table,
     _view,
     antichains,
@@ -559,6 +562,31 @@ def series_identity_check(poset, truncation):
     return partitions.series_identity_failure(poset, truncation) is None
 
 
+def _ideal_mask(poset, elements):
+    """The element mask of a down-closed set of labels in 1..n."""
+    elements = frozenset(elements)
+    if not all(1 <= e <= poset.n for e in elements):
+        raise LabelOutOfRange(f"label outside 1..{poset.n} in {sorted(elements)}")
+    mask = sum(1 << e for e in elements)
+    for e in elements:
+        for i in _bits(poset._below[e] & ~mask):
+            raise NotAnIdeal(f"{sorted(elements)} is not down-closed ({i} < {e})")
+    return mask
+
+
+def star(poset, ideal_i, ideal_j):
+    """The ideal generated by max(I cap J) restricted to max(I) cup max(J);
+    a subset of an antichain generates the ideal whose maxima it is (moved
+    here from posets, where no library path called it)."""
+    table = _ideal_table(poset)
+    i, j = (_ideal_mask(poset, getattr(x, "elements", x)) for x in (ideal_i, ideal_j))
+    generators = table[i & j] & (table[i] | table[j])
+    elements = generators
+    for e in _bits(generators):
+        elements |= poset._below[e]
+    return _view(elements, generators)
+
+
 def make_ideal(poset, elements):
     """The PosetIdeal of a down-closed set of labels (moved here from
     posets, where no library path called it)."""
@@ -607,6 +635,16 @@ def ehrhart_polynomial(poset):
 def one_plus_x_power(k):
     """(1 + x)^k."""
     return IntPolynomial([comb(k, i) for i in range(k + 1)])
+
+
+def peak_positions(word):
+    """Interior peaks only: positions 2 <= i <= n-1 (moved here from
+    partitions, which reads them off the left peaks)."""
+    return [
+        p + 1
+        for p in range(1, len(word) - 1)
+        if word[p - 1] < word[p] > word[p + 1]
+    ]
 
 
 def decorate(word):

@@ -429,6 +429,14 @@ class TestVerifyAll:
         expected = DATA / f"verify_all_max_n{max_n}.json"
         assert out.encode() == expected.read_bytes()
 
+    @pytest.mark.parametrize("fmt, suffix", [("tsv", "tsv"), ("text", "txt")])
+    def test_flat_sweep_is_byte_identical(self, capsys, fmt, suffix):
+        # the flat renderers on sweep rows: dicts, lists of dicts, and lists
+        # of lists such as hilbert_checks
+        code, out = run(capsys, ["verify-all", "--max-n", "3", "--format", fmt])
+        assert code == 0
+        assert out.encode() == (DATA / f"verify_all_max_n3.{suffix}").read_bytes()
+
     def test_sweep_five_is_byte_identical(self, capsys):
         # the 955,562-byte report is pinned by its digest, taken before the
         # leading-term graph and the ideal transfer moved to bitsets

@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -26,13 +26,17 @@ from enchain.partitions import (
     left_peak_positions,
     order_polynomial,
     peak_polynomials,
-    peak_positions,
     phi_map,
     psi_map,
     series_rhs_coefficient,
 )
 from enchain.polynomials import IntPolynomial, RatPolynomial
-from enchain.posets import all_natural_posets, poset_from_covers, poset_predicates
+from enchain.posets import (
+    all_natural_posets,
+    linear_extensions,
+    poset_from_covers,
+    poset_predicates,
+)
 
 from oracles import (
     bijection_failure_oracle,
@@ -40,6 +44,7 @@ from oracles import (
     ehrhart_polynomial,
     is_left_partition,
     left_partition_oracle,
+    peak_positions,
     phi_map_oracle,
     psi_map_oracle,
     series_identity_check,
@@ -460,6 +465,19 @@ class TestPeakStatistics:
         polys = peak_polynomials(poset)
         one = IntPolynomial([1])
         assert polys.peak == polys.left_peak == polys.descent == one
+
+    def test_left_peaks_past_one_are_interior_peaks(self):
+        # the virtual 0 before the word is below every letter
+        for n in range(1, 8):
+            for w in permutations(range(1, n + 1)):
+                assert [p for p in left_peak_positions(w) if p > 1] == peak_positions(w), w
+
+    def test_peak_polynomial_matches_interior_scan(self):
+        for n in range(1, 7):
+            for poset in all_natural_posets(n):
+                counts = Counter(len(peak_positions(w)) for w in linear_extensions(poset))
+                expected = IntPolynomial([counts[k] for k in range(n + 1)])
+                assert peak_polynomials(poset).peak == expected, poset.pairs
 
     def test_narrow_posets_left_peak_equals_descent(self):
         for n in range(1, 6):

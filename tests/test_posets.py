@@ -18,7 +18,6 @@ from enchain.posets import (
     maximal_chains,
     poset_from_covers,
     poset_predicates,
-    star,
 )
 
 from oracles import (
@@ -30,6 +29,7 @@ from oracles import (
     ideal_transfer_oracle,
     labelled_six_posets,
     make_ideal,
+    star,
     star_oracle,
 )
 
