@@ -301,7 +301,12 @@ def run_command(cfg):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code != 2:  # argparse exits 2 on a usage error, the code of an alarm here
+            raise
+        return 1
     try:
         cfg = config_from_args(args)
         payload, alarms = run_command(cfg)

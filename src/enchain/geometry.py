@@ -23,7 +23,6 @@ Ehrhart polynomial has exact rational coefficients.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import GammaNegative, IdentityViolation
 from .polynomials import (
@@ -33,7 +32,7 @@ from .polynomials import (
     hstar_from_counts,
     interpolate,
 )
-from .posets import ideal_chain_count, maximal_chains
+from .posets import _memo, ideal_chain_count, maximal_chains
 
 
 def dilation_points(poset, m):
@@ -99,10 +98,10 @@ def dilation_counts(poset, max_m):
     return [count_dilation(poset, m) for m in range(max_m + 1)]
 
 
-@lru_cache(maxsize=32)
+@_memo
 def ehrhart_and_hstar(poset):
     """The Ehrhart polynomial and h* of E_P from its dilation counts 0..n,
-    memoised by the poset's value for the gamma, volume and triangulation checks."""
+    in posets._memo by poset value for the gamma, volume and triangulation checks."""
     counts = dilation_counts(poset, poset.n)
     return interpolate(counts), hstar_from_counts(counts, poset.n)
 

@@ -21,15 +21,14 @@ elements in natural order, keeping only the absolute values that later
 elements still read, which makes it an independent route for the
 verifier.  Peak statistics over linear extensions (with the convention
 that a virtual 0 precedes the first letter for *left* peaks) and their
-generating polynomials live here too; they and the order polynomials are
-memoised per poset value.  Each linear extension's left peaks are found
+generating polynomials live here too, in posets._memo by poset value
+like the order polynomials.  Each linear extension's left peaks are found
 once, in extension_peaks, which both peak_polynomials and the gamma
 complex read; its interior peaks are the left peaks past position 1.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
 from .errors import (
@@ -40,7 +39,7 @@ from .errors import (
     SizeLimit,
 )
 from .polynomials import IntPolynomial, RatPolynomial, interpolate
-from .posets import ideal_chain_count, linear_extensions
+from .posets import _memo, ideal_chain_count, linear_extensions
 
 PARTITION_GUARD_DEFAULT = 10**8
 
@@ -163,11 +162,10 @@ def frontier_count(poset, m, kind="left", guard=PARTITION_GUARD_DEFAULT):
     return sum(states.values())
 
 
-@lru_cache(maxsize=128)
 def roundtrip_maps(poset):
     """The phi/psi bijection of a naturally labeled poset as a pair of
-    closures (phi, psi) over 0-based lower covers read once, memoised by
-    the poset's value.
+    closures (phi, psi) over 0-based lower covers read once; the
+    bijection check takes them once per poset, so they are not memoised.
 
     phi(f) is the lattice point of a left enriched partition f: a minimal
     element keeps its value, any other element i gets the least
@@ -271,18 +269,18 @@ class PeakPolynomials:
     extension_count: int
 
 
-@lru_cache(maxsize=4)
+@_memo
 def extension_peaks(poset):
     """Every linear extension with its left peak positions, as pairs
     (word, positions) in the lexicographic order of the words.
 
-    Memoised by the poset's value, never by isomorphism class, and kept
-    small: its readers, peak_polynomials and gamma_complex.build_complex,
-    ask for one poset back to back."""
+    Memoised by the poset's value, never by isomorphism class.  Its readers,
+    peak_polynomials and gamma_complex.build_complex, ask for one poset in a
+    row's gamma and complex checks, with the invariance check's in between."""
     return tuple((w, tuple(left_peak_positions(w))) for w in linear_extensions(poset))
 
 
-@lru_cache(maxsize=128)
+@_memo
 def peak_polynomials(poset):
     """Peak, left peak, and descent generating polynomials over all linear
     extensions.  All three evaluate to the extension count at 1.
@@ -315,7 +313,7 @@ def peak_polynomials(poset):
     return polys
 
 
-@lru_cache(maxsize=128)
+@_memo
 def order_polynomial(poset, kind="left"):
     """The polynomial agreeing with the partition counts at every bound
     m >= 1, interpolated from the counts at m = 1..n+1 (the counts are

@@ -6,8 +6,10 @@ of the elements below it and of those above it, which every kernel reads.
 Instances are immutable and hashable, safe to share between threads.
 Facts derived from a poset (covers, maximal chains, the ideal table, its
 cover edges, the ideal-chain counts) are computed once and kept, each in
-a slot or a bounded memo keyed by the poset's value; an entry is only
-ever filled or replaced whole, so no caller can see a value change.
+a slot or in _memo, MEMO_SIZE entries keyed by the poset's value: a row of
+verify_poset reads up to 120 ideal tables (the 5-chain's orientations), and
+a sweep reuses peak and order polynomials across rows from 128 up.  Entries
+are only filled or replaced whole, so no caller can see a value change.
 
 A poset is *naturally labeled* when i < j as integers whenever i precedes j
 in the order.  Operations on enriched partitions require natural labeling;
@@ -25,6 +27,8 @@ from .errors import CycleDetected, LabelOutOfRange, SizeLimit
 
 LINEAR_EXTENSION_GUARD = 10
 IDEAL_GUARD = 1 << 16
+MEMO_SIZE = 128
+_memo = lru_cache(maxsize=MEMO_SIZE)
 
 
 class Poset:
@@ -274,13 +278,13 @@ def _flag_faces(adjacency, bound):
 
 
 def _memo_with_limit(walk):
-    """lru_cache for a per-poset walk that also keeps the SizeLimit it
+    """_memo for a per-poset walk that also keeps the SizeLimit it
     raises, so a poset past the guard is not walked up to it again."""
-    @lru_cache(maxsize=32)
+    @_memo
     def outcome(poset):
         try:
             return walk(poset)
-        except SizeLimit as exc:  # lru_cache keeps no exception
+        except SizeLimit as exc:  # _memo keeps no exception
             return exc
 
     @wraps(walk)
@@ -337,7 +341,7 @@ def ideal_lattice(poset):
     return [_view(*row) for row in _ideal_table(poset).items()]
 
 
-@lru_cache(maxsize=32)
+@_memo
 def _cover_edges(poset):
     """The cover edges of J(P) as index pairs (K, K - e) into the ideal
     table, for each maximal element e of K, grouped by e: one tuple per
@@ -389,7 +393,7 @@ class _ChainCounts:
         return counts
 
 
-@lru_cache(maxsize=64)
+@_memo
 def _chain_counts(poset, from_empty):
     size = len(_ideal_table(poset))
     weights = [1] + [0] * (size - 1) if from_empty else [1] * size
@@ -433,7 +437,7 @@ def poset_predicates(poset):
     return PosetPredicates(edges, width, width <= 2)
 
 
-@lru_cache(maxsize=None)
+@_memo
 def all_natural_posets(n):
     """Every naturally labeled poset on 1..n (every strict order relation
     contained in the natural total order), deterministically ordered.

@@ -50,7 +50,6 @@ the flag-complex kernel that gamma_complex shares.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -64,14 +63,14 @@ from .errors import (
 )
 from .geometry import count_dilation, ehrhart_and_hstar
 from .polynomials import IntPolynomial
-from .posets import _bits, _flag_faces, _ideal_table
+from .posets import _bits, _flag_faces, _ideal_table, _memo
 
 SPAIR_GUARD_DEFAULT = 2_000_000
 GUARD_VERTICES = 1024
 EXTRACT_MAX_N = 5
 
 
-@lru_cache(maxsize=32)
+@_memo
 def _sign_masks(poset):
     """Per variable id, the bitmasks (bit e for element e) of the elements
     it signs + and -, and the map from a (plus, minus) pair to the id.
@@ -116,7 +115,7 @@ def _family_one(poset):
             yield u, v, e
 
 
-@lru_cache(maxsize=32)
+@_memo
 def _ideal_pairs(poset):
     """(max I, max J, max(I union J), max(I*J)) as element bitmasks for
     every incomparable pair of poset ideals, in combinations(ideal_lattice)
@@ -163,7 +162,6 @@ class ToricBinomial:
     family: int
 
 
-@lru_cache(maxsize=8)
 def generate_groebner_candidates(poset):
     """Both binomial families, deduplicated (a binomial keeps the first
     family that gives it), each verified to lie in the toric ideal by
@@ -212,13 +210,10 @@ class TermOrder:
         )
 
     def leading(self, m1, m2):
-        """The larger monomial, by weight sums alone unless they tie; two
-        quadratics (every candidate binomial) add their two weights."""
+        """The larger of two quadratic monomials (the sides of a candidate
+        binomial), by their two weights added unless the sums tie."""
         w = self.weights
-        if len(m1) == 2 == len(m2):
-            k1, k2 = w[m1[0]] + w[m1[1]], w[m2[0]] + w[m2[1]]
-        else:
-            k1, k2 = (sum(w[v] for v in m) for m in (m1, m2))
+        k1, k2 = w[m1[0]] + w[m1[1]], w[m2[0]] + w[m2[1]]
         if k1 == k2:
             k1, k2 = self.monomial_key(m1), self.monomial_key(m2)
         return m1 if k1 >= k2 else m2
@@ -373,7 +368,7 @@ def buchberger_outcome(poset, guard_spairs=SPAIR_GUARD_DEFAULT):
     return len(basis), agree, "pass" if passed else "fail"
 
 
-@lru_cache(maxsize=8)
+@_memo
 def initial_graph(poset):
     """Leading-term graph: one vertex per variable, one edge per intended
     initial monomial (all of which are squarefree, quadratic, and avoid
@@ -431,7 +426,7 @@ def standard_monomial_count(poset, m):
     return sum(sizes[k] * comb(m - 1, k - 1) for k in range(1, m + 1))
 
 
-@lru_cache(maxsize=8)
+@_memo
 def _independent_sizes(poset):
     """The numbers of independent sets of sizes 0..3 in the leading-term
     graph, read from the flag-face kernel on its complement once per
@@ -446,14 +441,13 @@ def _independent_sizes(poset):
     return tuple(sizes)
 
 
-@lru_cache(maxsize=8)
+@_memo
 def hilbert_certificate(poset, max_m=3):
     """Per-degree comparison of standard monomial counts with the lattice
     point counts of the dilations; equality for every degree certifies
     that the leading-term graph generates the correct initial ideal.
-    Returns the rows (m, standard, points) as a tuple and the verdict;
-    computed once per (poset, max_m), which the Groebner
-    checks and triangulation_extract share."""
+    Returns the rows (m, standard, points) as a tuple and the verdict, kept
+    per (poset, max_m) in posets._memo for the Groebner and triangulation checks."""
     rows = []
     ok = True
     for m in range(1, max_m + 1):

@@ -410,6 +410,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: unknown format 'xml'") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ehrhart", "--format", "xml", "x"],
+            ["ehrhart"],
+            ["nosuch"],
+            ["ehrhart", "--max-n", "abc", "x"],
+        ],
+    )
+    def test_usage_error_is_an_input_error(self, capsys, argv):
+        # argparse's own exit status, 2, is the code of an identity alarm
+        assert main(argv) == 1
+        assert "usage: enchain" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert main(["ehrhart", "/nonexistent/poset"]) == 1
 

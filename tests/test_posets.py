@@ -6,7 +6,7 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings
 
-from enchain import io, posets, verify
+from enchain import gamma_complex, geometry, io, partitions, posets, toric, verify
 from enchain.errors import CycleDetected, LabelOutOfRange, NotAnIdeal, SizeLimit
 from enchain.posets import (
     Poset,
@@ -360,6 +360,59 @@ class TestIdealGuard:
         assert digest == "c0d2f506d99d33b505e620f9738f655baa528c0462f6651249e21fdb6e6277cb"
         with pytest.raises(SizeLimit, match=r"^65545 ideals of size <= 9 exceed guard 65536$"):
             posets._ideal_table(antichain(17))
+
+
+def memos():
+    """(name, memo) for every memo of the modules that keep per-poset
+    facts, each memo once."""
+    found = {}
+    for module in (posets, geometry, partitions, toric, gamma_complex):
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info"):
+                found.setdefault(id(value), (f"{module.__name__}.{name}", value))
+    return list(found.values())
+
+
+class TestComputedOncePerRow:
+    """A verify_poset row computes each per-poset fact once: the memos
+    hold a row's working set, up to the 5-chain's 120 orientations."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """Cold memos, and the posets whose linear extensions are walked."""
+        for _, memo in memos():
+            memo.cache_clear()
+        walked = []
+        original = partitions.linear_extensions
+
+        def counted(poset):
+            walked.append(poset)
+            return original(poset)
+
+        monkeypatch.setattr(partitions, "linear_extensions", counted)
+        return walked
+
+    def test_sweep_to_four_computes_each_fact_once(self, walks):
+        # 168 and 218 are the distinct posets and (poset, from_empty) keys read
+        for n in range(1, 5):
+            for poset in all_natural_posets(n):
+                verify.verify_poset(poset)
+        assert len(walks) == len(set(walks)) == 50
+        assert posets._ideal_table.cache_info().misses == 168
+        assert posets._chain_counts.cache_info().misses == 218
+
+    def test_no_row_repeats_its_work(self, walks):
+        """Every natural poset with n <= 5: a row walks no poset's
+        extensions twice, and the same row run again misses no memo."""
+        for n in range(1, 6):
+            for poset in all_natural_posets(n):
+                walks.clear()
+                verify.verify_poset(poset)
+                assert len(walks) == len(set(walks)), poset
+                before = {name: memo.cache_info().misses for name, memo in memos()}
+                verify.verify_poset(poset)
+                after = {name: memo.cache_info().misses for name, memo in memos()}
+                assert after == before, poset
 
 
 class TestPredicates:
