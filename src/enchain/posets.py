@@ -1,9 +1,9 @@
 """Finite posets on the label set {1, ..., n} and order-theoretic enumeration.
 
-A poset is stored as its full strict order relation, transitively closed,
-which gives its value (equality and hash), and as one bitset per element
-of the elements below it and of those above it, which every kernel reads.
-Instances are immutable and hashable, safe to share between threads.
+A poset is stored as one bitset per element of the elements above it,
+which gives its value (equality and hash), and of those below it; every
+kernel reads these, and the pair set of the relation is only derived for
+output.  Instances are immutable and hashable, safe to share between threads.
 Facts derived from a poset (covers, maximal chains, the ideal table, its
 cover edges, the ideal-chain counts) are computed once and kept, each in
 a slot or in _memo, MEMO_SIZE entries keyed by the poset's value: a row of
@@ -32,34 +32,32 @@ _memo = lru_cache(maxsize=MEMO_SIZE)
 
 
 class Poset:
-    __slots__ = ("n", "pairs", "_below", "_above", "_covers", "_lowers", "_chains", "_natural")
+    __slots__ = ("n", "_above", "_below", "naturally_labeled", "_covers", "_lowers", "_chains")
 
-    def __init__(self, n, pairs):
-        """Trusted constructor: `pairs` must already be a strict partial
-        order (irreflexive, antisymmetric, transitively closed).  Use
+    def __init__(self, n, above):
+        """Trusted constructor: above[e] is the bitset of the elements above
+        e (index 0 unused), which must already be a strict partial order
+        (irreflexive, antisymmetric, transitively closed).  Use
         poset_from_covers() for unvalidated input."""
         self.n = n
-        self.pairs = frozenset(pairs)
-        below = [0] * (n + 1)
-        above = [0] * (n + 1)
-        for a, b in self.pairs:
-            below[b] |= 1 << a
-            above[a] |= 1 << b
-        self._below = tuple(below)
         self._above = tuple(above)
+        below = [0] * (n + 1)
+        for a in range(1, n + 1):
+            for b in _bits(self._above[a]):
+                below[b] |= 1 << a
+        self._below = tuple(below)
+        self.naturally_labeled = not any(up & ((2 << a) - 1) for a, up in enumerate(self._above))
         self._covers = None
         self._lowers = None
         self._chains = None
-        self._natural = None
 
     def less(self, a, b):
-        return (a, b) in self.pairs
+        return bool(self._above[a] >> b & 1)
 
     @property
-    def naturally_labeled(self):
-        if self._natural is None:
-            self._natural = all(a < b for a, b in self.pairs)
-        return self._natural
+    def pairs(self):
+        """The order as pairs (a, b), a below b, derived for output only."""
+        return frozenset((a, b) for a in self.elements() for b in _bits(self._above[a]))
 
     def elements(self):
         return range(1, self.n + 1)
@@ -67,11 +65,10 @@ class Poset:
     def covers(self):
         """Cover pairs (a, b): a precedes b with nothing in between."""
         if self._covers is None:
-            covs = []
-            for a, b in self.pairs:
-                if not (self._above[a] & self._below[b]):
-                    covs.append((a, b))
-            self._covers = tuple(sorted(covs))
+            up, down = self._above, self._below
+            self._covers = tuple(
+                (a, b) for a in self.elements() for b in _bits(up[a]) if not up[a] & down[b]
+            )
         return self._covers
 
     def lower_covers(self):
@@ -110,7 +107,11 @@ class Poset:
         if sorted(pi) != list(self.elements()):
             raise ValueError(f"not a permutation of 1..{self.n}: {pi}")
         pos = {old: new + 1 for new, old in enumerate(pi)}
-        return Poset(self.n, {(pos[a], pos[b]) for a, b in self.pairs})
+        above = [0] * (self.n + 1)
+        for a in self.elements():
+            for b in _bits(self._above[a]):
+                above[pos[a]] |= 1 << pos[b]
+        return Poset(self.n, above)
 
     def canonicalized(self):
         """Naturally labeled copy via the companion relabeling."""
@@ -119,14 +120,10 @@ class Poset:
         return self.relabeled(self.natural_relabeling)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Poset)
-            and self.n == other.n
-            and self.pairs == other.pairs
-        )
+        return isinstance(other, Poset) and self._above == other._above
 
     def __hash__(self):
-        return hash((self.n, self.pairs))
+        return hash(self._above)
 
     def __repr__(self):
         return f"Poset({self.n}, {sorted(self.pairs)})"
@@ -135,33 +132,32 @@ class Poset:
 def poset_from_covers(n, covers):
     """Build a poset from cover (or any acyclic relation) pairs.
 
-    Labels are validated against 1..n, the transitive closure is computed,
-    and acyclicity is verified.  The result carries a naturally_labeled
-    flag and a companion relabeling (a linear extension) for callers that
-    need to canonicalize.
+    Labels are validated against 1..n.  Kahn's algorithm orders the
+    elements topologically, placing an element once all it is given above
+    are placed, and leaves some out exactly when the relation has a cycle;
+    the transitive closure is then one union per given pair, in reverse
+    order.  The result carries a naturally_labeled flag and a companion
+    relabeling (a linear extension) for callers that need to canonicalize.
     """
     if n < 1:
         raise LabelOutOfRange(f"poset must have at least one element, got n={n}")
-    above = [0] * (n + 1)
+    above, below = [0] * (n + 1), [0] * (n + 1)
     for a, b in covers:
         if not (1 <= a <= n and 1 <= b <= n):
             raise LabelOutOfRange(f"label outside 1..{n} in cover ({a}, {b})")
-        if a == b:
-            raise CycleDetected(f"relation {a} < {a} is a cycle")
         above[a] |= 1 << b
-    # Warshall closure on the above-masks.
-    for k in range(1, n + 1):
-        bit = 1 << k
-        for i in range(1, n + 1):
-            if above[i] & bit:
-                above[i] |= above[k]
-    for i in range(1, n + 1):
-        if above[i] & (1 << i):
-            raise CycleDetected(f"element {i} precedes itself after closure")
-    pairs = {
-        (a, b) for a in range(1, n + 1) for b in range(1, n + 1) if above[a] >> b & 1
-    }
-    return Poset(n, pairs)
+        below[b] |= 1 << a
+    order, placed = [e for e in range(1, n + 1) if not below[e]], 0
+    for e in order:  # grows while it is read
+        placed |= 1 << e
+        order.extend(b for b in _bits(above[e]) if not below[b] & ~placed)
+    if len(order) < n:
+        least = next(e for e in range(1, n + 1) if not placed >> e & 1)
+        raise CycleDetected(f"element {least} lies on or above a cycle of the relation")
+    for e in reversed(order):
+        for b in _bits(above[e]):
+            above[e] |= above[b]
+    return Poset(n, above)
 
 
 def antichains(poset):
@@ -432,7 +428,8 @@ class PosetPredicates:
 def poset_predicates(poset):
     """Comparability graph, exact width (maximum antichain size), and the
     narrow flag (width <= 2, i.e. coverable by two chains)."""
-    edges = tuple(sorted({(min(a, b), max(a, b)) for a, b in poset.pairs}))
+    up, down = poset._above, poset._below
+    edges = tuple((a, b) for a in poset.elements() for b in _bits(up[a] | down[a]) if a < b)
     width = max(maxima.bit_count() for maxima in _ideal_table(poset).values())
     return PosetPredicates(edges, width, width <= 2)
 
@@ -448,13 +445,11 @@ def all_natural_posets(n):
     posets = []
     for mask in range(1 << len(pair_list)):
         above = [0] * (n + 1)
-        chosen = []
         for bit, (i, j) in enumerate(pair_list):
             if mask >> bit & 1:
                 above[i] |= 1 << j
-                chosen.append((i, j))
-        if all(above[j] & ~above[i] == 0 for i, j in chosen):
-            posets.append(Poset(n, chosen))
+        if all(above[j] & ~above[i] == 0 for i in range(1, n) for j in _bits(above[i])):
+            posets.append(Poset(n, above))
     return tuple(posets)
 
 
@@ -471,7 +466,7 @@ def comparability_orientations(poset):
 
     def orient(k):
         if not k:
-            results.append(Poset(n, [(a, b) for a in range(1, n + 1) for b in _bits(above[a])]))
+            results.append(Poset(n, above))
             return
         for a, b in (edges[k - 1], edges[k - 1][::-1]):
             if not (below[a] & (above[b] | ~joined[b]) or above[b] & ~joined[a]):

@@ -128,16 +128,14 @@ def _comparability_failure(poset):
         yield "left order polynomial", partitions.order_polynomial(canon, "left")
 
     base = dict(quantities(poset, poset.canonicalized(), True))
-    cases = [
-        (f"orientation {sorted(other.pairs)}", other, other.canonicalized(), False)
-        for other in posets.comparability_orientations(poset)
-    ]
+    cases = [(o, o, o.canonicalized(), False) for o in posets.comparability_orientations(poset)]
     for sigma in _relabelings(n):
         canon = poset.relabeled(sigma).canonicalized()
-        cases.append((f"relabeling {sigma}", canon, canon, True))
-    for name, counted, canon, with_peak in cases:
+        cases.append((sigma, canon, canon, True))
+    for case, counted, canon, with_peak in cases:  # an orientation, or a relabeling's sigma
         for quantity, value in quantities(counted, canon, with_peak):
             if value != base[quantity]:
+                name = f"relabeling {case}" if with_peak else f"orientation {sorted(case.pairs)}"
                 return f"{name}: {quantity} {value} != {base[quantity]}"
     return None
 

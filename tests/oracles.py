@@ -39,12 +39,15 @@ order of toric._sign_masks, and the antichain-keyed term-order weights.
 Beside them live helpers that only the tests call: chain-polytope
 membership by the maximal-chain inequalities, the Ehrhart polynomial
 interpolated from the dilation counts, (1 + x)^k, the edge set of an
-adjacency bitset list, a Hypothesis strategy for randomly labelled
-6-element posets, and five library functions no library path called:
-is_left_partition, make_ideal, star (with its helper _ideal_mask),
-comparability_invariance and series_identity_check.  The interior peak
+adjacency bitset list, Hypothesis strategies for randomly labelled
+6-element posets and relations, and five library functions no library
+path called: is_left_partition, make_ideal, star (with its helper
+_ideal_mask), comparability_invariance and series_identity_check.  The interior peak
 scan peak_positions lives here too, as the reference for the peak
-polynomial that the library reads off the left peaks.
+polynomial that the library reads off the left peaks.  The poset
+builder keeps the construction it replaced: the relation closed as a
+pair set by Warshall's loop, and the covers, lower covers and natural
+labelling read off those pairs.
 """
 
 from dataclasses import dataclass
@@ -58,6 +61,7 @@ from hypothesis import strategies as st
 
 from enchain import geometry, linprog, partitions, toric, verify
 from enchain.errors import (
+    CycleDetected,
     IdentityViolation,
     InvalidPartition,
     LabelOutOfRange,
@@ -76,7 +80,6 @@ from enchain.geometry import dilation_counts
 from enchain.partitions import left_peak_positions
 from enchain.polynomials import IntPolynomial, interpolate
 from enchain.posets import (
-    Poset,
     PosetIdeal,
     _bits,
     _ideal_table,
@@ -195,6 +198,59 @@ def labelled_six_posets(draw):
     relation = draw(st.lists(st.sampled_from(pairs), max_size=12, unique=True))
     labels = draw(st.permutations(range(1, 7)))
     return poset_from_covers(6, relation).relabeled(labels)
+
+
+@st.composite
+def labelled_six_relations(draw):
+    """An acyclic relation on 6 elements, repeated pairs allowed, under a
+    random labelling, as a list of pairs."""
+    pairs = list(combinations(range(1, 7), 2))
+    relation = draw(st.lists(st.sampled_from(pairs), max_size=12))
+    labels = draw(st.permutations(range(1, 7)))
+    return [(labels[a - 1], labels[b - 1]) for a, b in relation]
+
+
+def pair_closure(n, covers):
+    """posets.poset_from_covers before the per-element bitsets became the
+    poset's only stored form: the relation's pair set, closed by a
+    Warshall loop on the above-masks, with separate scans for self-loops
+    and cycles."""
+    if n < 1:
+        raise LabelOutOfRange(f"poset must have at least one element, got n={n}")
+    above = [0] * (n + 1)
+    for a, b in covers:
+        if not (1 <= a <= n and 1 <= b <= n):
+            raise LabelOutOfRange(f"label outside 1..{n} in cover ({a}, {b})")
+        if a == b:
+            raise CycleDetected(f"relation {a} < {a} is a cycle")
+        above[a] |= 1 << b
+    for k in range(1, n + 1):
+        bit = 1 << k
+        for i in range(1, n + 1):
+            if above[i] & bit:
+                above[i] |= above[k]
+    for i in range(1, n + 1):
+        if above[i] & (1 << i):
+            raise CycleDetected(f"element {i} precedes itself after closure")
+    return frozenset(
+        (a, b) for a in range(1, n + 1) for b in range(1, n + 1) if above[a] >> b & 1
+    )
+
+
+def pair_facts(n, pairs):
+    """What posets.Poset read off its pair set before: the cover pairs,
+    sorted, the lower covers of each element (index 0 unused) and the
+    natural-labelling flag."""
+    below = [0] * (n + 1)
+    above = [0] * (n + 1)
+    for a, b in pairs:
+        below[b] |= 1 << a
+        above[a] |= 1 << b
+    covers = tuple(sorted((a, b) for a, b in pairs if not above[a] & below[b]))
+    lowers = [[] for _ in range(n + 1)]
+    for a, b in covers:
+        lowers[b].append(a)
+    return covers, tuple(map(tuple, lowers)), all(a < b for a, b in pairs)
 
 
 def edge_set(adjacency):
@@ -546,7 +602,7 @@ def comparability_orientations_oracle(poset):
             (a, d) in rel for a, b in rel for c, d in rel if b == c
         )
         if closed:
-            results.append(Poset(poset.n, rel))
+            results.append(poset_from_covers(poset.n, rel))
     return results
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from enchain import gamma_complex, geometry, partitions, posets, toric, verify
 from enchain.cli import COMMANDS, main
-from enchain.io import parse_poset, render_json, render_tsv
+from enchain.io import MAX_INPUT_N, parse_poset, render_json, render_tsv
 from enchain.polynomials import IntPolynomial
 from enchain.errors import IdentityViolation, ParseError
 
@@ -127,6 +128,10 @@ class TestParsing:
     def test_json_numbers_must_be_integers(self, text, value):
         with pytest.raises(ParseError, match=f"must be integers, got {re.escape(value)}$"):
             parse_poset(text)
+
+    @pytest.mark.parametrize("text", ['{"n": 256, "covers": []}', "256\n", "256\n255 < 256\n"])
+    def test_n_at_the_input_bound_is_accepted(self, text):
+        assert parse_poset(text).n == MAX_INPUT_N == 256
 
     def test_json_float_exits_one(self, capsys, tmp_path):
         path = tmp_path / "float.json"
@@ -375,6 +380,18 @@ class TestExitCodes:
         path = tmp_path / "cycle.poset"
         path.write_text("2\n1 < 2\n2 < 1\n")
         assert main(["antichains", str(path)]) == 1
+
+    @pytest.mark.parametrize(
+        "text", ['{"n": 1000000000, "covers": []}', "1000000000\n", '{"n": 257, "covers": []}']
+    )
+    def test_n_past_the_input_bound_exits_one_at_once(self, capsys, tmp_path, text):
+        path = tmp_path / "huge.poset"
+        path.write_text(text)
+        start = time.perf_counter()
+        assert main(["verify-all", "--poset", str(path)]) == 1
+        assert time.perf_counter() - start < 1
+        n = json.loads(text)["n"] if text.startswith("{") else int(text)
+        assert f"may give at most 256 elements, got n={n}" in capsys.readouterr().err
 
     def test_verify_all_guard(self, capsys):
         assert main(["verify-all", "--max-n", "12"]) == 1

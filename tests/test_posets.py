@@ -28,7 +28,10 @@ from oracles import (
     ideal_transfer,
     ideal_transfer_oracle,
     labelled_six_posets,
+    labelled_six_relations,
     make_ideal,
+    pair_closure,
+    pair_facts,
     star,
     star_oracle,
 )
@@ -77,6 +80,82 @@ class TestConstruction:
         q = V.relabeled((3, 1, 2))
         assert q.pairs == {(2, 1), (3, 1)}
         assert q.canonicalized().n == 3
+
+
+class TestMaskBuilder:
+    """The per-element bitsets against the pair-set closure they replaced."""
+
+    def built(self, n, covers):
+        """poset_from_covers(n, covers), its pairs, covers, lower covers and
+        natural labelling checked against pair_closure and pair_facts."""
+        poset = poset_from_covers(n, covers)
+        pairs = pair_closure(n, covers)
+        assert poset.pairs == pairs, (n, covers)
+        facts = (poset.covers(), poset.lower_covers(), poset.naturally_labeled)
+        assert facts == pair_facts(n, pairs), (n, covers)
+        return poset
+
+    def same(self, poset, other):
+        assert poset == other and hash(poset) == hash(other), (poset, other)
+
+    def check_derived(self, poset):
+        """relabeled and canonicalized against the pair set relabeled, and
+        each comparability orientation against its own pair set: equal
+        posets, equal hashes, distinct pair sets unequal."""
+        n = poset.n
+        reverse, shift = tuple(range(n, 0, -1)), tuple(range(2, n + 1)) + (1,)
+        for pi in (reverse, shift, poset.natural_relabeling):
+            pos = {old: new + 1 for new, old in enumerate(pi)}
+            relabeled = self.built(n, [(pos[a], pos[b]) for a, b in poset.pairs])
+            self.same(poset.relabeled(pi), relabeled)
+            self.same(relabeled.relabeled([pos[e] for e in poset.elements()]), poset)
+            if pi == poset.natural_relabeling:
+                self.same(poset.canonicalized(), relabeled)
+        found = comparability_orientations(poset)
+        for orientation in found:
+            self.same(orientation, self.built(n, sorted(orientation.pairs)))
+        assert len(set(found)) == len({o.pairs for o in found}) == len(found)
+
+    def test_every_natural_poset_up_to_five(self):
+        for n in range(1, 6):
+            naturals = all_natural_posets(n)
+            for natural in naturals:
+                self.same(self.built(n, sorted(natural.pairs)), natural)  # the full relation
+                self.same(self.built(n, natural.covers()[::-1]), natural)
+                self.check_derived(natural)
+            assert len(set(naturals)) == len({p.pairs for p in naturals}) == len(naturals)
+
+    @settings(max_examples=50, deadline=None)
+    @given(labelled_six_relations())
+    def test_random_labelled_six_element_relations(self, relation):
+        self.check_derived(self.built(6, relation))
+
+    @pytest.mark.parametrize(
+        "covers, expected",
+        [
+            ([(1, 2), (2, 3), (1, 2)], ((1, 2), (2, 3))),  # a duplicated cover
+            ([(1, 2), (2, 3), (1, 3)], ((1, 2), (2, 3))),  # a transitive pair as a cover
+            ([(3, 2), (2, 1), (3, 2)], ((2, 1), (3, 2))),
+            ([(1, 3), (2, 3), (1, 3)], ((1, 3), (2, 3))),
+        ],
+    )
+    def test_redundant_covers(self, covers, expected):
+        assert self.built(3, covers).covers() == expected
+
+    @pytest.mark.parametrize(
+        "covers",
+        [
+            [(1, 1)],  # a self-loop
+            [(1, 2), (2, 2), (2, 3)],
+            [(1, 2), (2, 1)],
+            [(1, 2), (2, 3), (3, 1), (3, 4), (5, 1)],  # a 3-cycle with a tail above and below
+            [(4, 5), (5, 4), (1, 2), (1, 2)],
+        ],
+    )
+    def test_cycles(self, covers):
+        for build in (poset_from_covers, pair_closure):
+            with pytest.raises(CycleDetected):
+                build(5, covers)
 
 
 class TestAntichains:
@@ -486,4 +565,4 @@ class TestGenerators:
         assert len(comparability_orientations(chain(3))) == 6
 
     def test_poset_hashable(self):
-        assert len({Poset(2, {(1, 2)}), Poset(2, {(1, 2)})}) == 1
+        assert len({Poset(2, [0, 1 << 2, 0]), Poset(2, [0, 1 << 2, 0])}) == 1
