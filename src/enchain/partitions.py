@@ -373,10 +373,15 @@ class EnrichedRelationReport:
 
 def enriched_relation_report(poset):
     """Evaluate whether the left enriched order polynomial equals half of
-    the forward difference of the enriched order polynomial."""
+    the forward difference of the enriched order polynomial.  The halved
+    difference is interpolated from the enriched counts themselves,
+    (count(m + 1) - count(m))/2 at m = 1..n+1: the counts agree with the
+    order polynomial at every m >= 1, and its halved difference has degree
+    below n, so those n + 1 values fix it."""
     left = order_polynomial(poset, "left")
     prime = order_polynomial(poset, "enriched")
-    candidate = (prime.shifted(1) - prime) * Fraction(1, 2)
+    counts = [count_partitions(poset, m, "enriched") for m in range(1, poset.n + 3)]
+    candidate = interpolate([Fraction(b - a, 2) for a, b in zip(counts, counts[1:])], start=1)
     return EnrichedRelationReport(
         left_order=left,
         enriched_order=prime,

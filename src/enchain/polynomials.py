@@ -155,18 +155,6 @@ class RatPolynomial(_Polynomial):
         lead = self.coeffs[-1]
         return RatPolynomial([c / lead for c in self.coeffs])
 
-    def shifted(self, c):
-        """p(x + c), computed exactly."""
-        result = RatPolynomial()
-        for a in reversed(self.coeffs):
-            # result <- result * (x + c) + a
-            shifted = [Fraction(0)] + list(result.coeffs)
-            for i, r in enumerate(result.coeffs):
-                shifted[i] += r * c
-            shifted[0] += a
-            result = RatPolynomial(shifted)
-        return result
-
 
 def poly_divmod(num, den):
     """Quotient and remainder over QQ; deg(remainder) < deg(den)."""

@@ -40,11 +40,19 @@ criterion does not depend on the order of the pairs.  Pairs are checked
 per lcm class (Gebauer and Moeller's chain criterion): elements of equal
 lead need one tail once their tails agree, and when three leads divide
 one cubic lcm, S(i, j) = S(i, k) + S(k, j), so two checks cover the
-class, and the guard counts those classes before any is checked.  A
-second, cheaper certificate counts standard monomials of the initial
-ideal (multisets supported on independent sets of the leading-term
-graph, which is held as one neighbour bitset per variable) and compares
-them with the dilation counts.  Those sets, and the faces of the
+class, and the guard counts those classes before any is checked.
+Flipping the sign of one element, or swapping two twin elements (same
+strict up-set and down-set), maps E_P, the weights and so the rules
+onto themselves (Sturmfels, Groebner Bases and Convex Polytopes, 1996,
+ch. 4 and 8).  buchberger_verify keeps each such candidate once it has
+checked it rule by rule, and walks the cubic lcm classes only from the
+centers, the variables that no kept candidate moves up (at least one
+per orbit); a triangle of leads is checked from its smallest center
+vertex, and the guard still counts every class.  A second, cheaper
+certificate counts standard monomials of the initial ideal (multisets
+supported on independent sets of the leading-term graph, which is held
+as one neighbour bitset per variable) and compares them with the
+dilation counts.  Those sets, and the faces of the
 triangulation, are read from the complement graph by posets._flag_faces,
 the flag-complex kernel that gamma_complex shares.
 """
@@ -282,17 +290,85 @@ def _normal_form(mono, lead_map, memo):
     return normal
 
 
-def buchberger_verify(binomials, order, guard_spairs=SPAIR_GUARD_DEFAULT):
+def _symmetries(poset):
+    """Candidate symmetries of E_P as permutations of variable ids, read
+    off the _sign_masks index: the sign flip of each element e, then the
+    swap of each element i with its next twin j > i (elements with the
+    same strict up-set and down-set, which makes them incomparable).  Each
+    maps E_P, its ideal weights and so its rules onto themselves;
+    buchberger_verify keeps a candidate only once it has checked that."""
+    plus, minus, index = _sign_masks(poset)
+    above, below = poset._above, poset._below
+    out = []
+    for e in poset.elements():
+        bit = 1 << e
+        out.append(tuple(index[(p & ~bit | q & bit, q & ~bit | p & bit)] for p, q in zip(plus, minus)))
+    for i in poset.elements():
+        twins = (j for j in range(i + 1, poset.n + 1) if above[j] == above[i] and below[j] == below[i])
+        j = next(twins, None)
+        if j is None:
+            continue
+        pair = 1 << i | 1 << j  # a mask holding one of the two holds the other after the swap
+        out.append(
+            tuple(
+                index[tuple(m ^ pair if (m & pair).bit_count() == 1 else m for m in masks)]
+                for masks in zip(plus, minus)
+            )
+        )
+    return tuple(out)
+
+
+def _centers(rules, symmetries):
+    """The bitset of the variables u with sigma(u) <= u for every kept
+    candidate sigma: one that is a permutation of range(len(sigma)),
+    covers every id in the rules and maps each (lead, tail) rule to a
+    rule.  The maximum of every orbit is a center."""
+    top = max((v for rule in rules for pair in rule for v in pair), default=-1)
+    centers = (1 << top + 1) - 1
+    for sigma in symmetries:
+        if len(sigma) <= top or sorted(sigma) != list(range(len(sigma))):
+            continue
+        for (a, b), (p, q) in rules:
+            a, b, p, q = sigma[a], sigma[b], sigma[p], sigma[q]
+            if ((a, b) if a < b else (b, a), (p, q) if p <= q else (q, p)) not in rules:
+                break
+        else:
+            centers &= ~sum(1 << u for u in range(top + 1) if sigma[u] > u)
+    return centers
+
+
+def buchberger_verify(binomials, order, guard_spairs=SPAIR_GUARD_DEFAULT, symmetries=()):
     """True iff every S-pair with non-coprime leading terms reduces to
     zero modulo the basis (coprime leads reduce to zero automatically).
     A lead that is not a sorted pair of distinct variables (possible only
     when leading_terms_agree is False) raises IdentityViolation.  The
-    guard counts the cubic lcm classes that the walk below checks, one
-    per pair of distinct leads at a shared variable less two per triangle
-    of leads, before any reduction.  Tails are normalised once, as tail*x
-    rewrites to NF(tail)*x; the comments below say why one tail per lead
-    and one check per lcm suffice.  Triangles are read off the lead
-    bitsets; each cubic is looked up in the memo before it is reduced."""
+    guard counts the cubic lcm classes of all pairs of distinct leads at
+    a shared variable, less two per triangle of leads, before any
+    reduction: a bound on the checks the walk makes.  Tails are
+    normalised once, as tail*x rewrites to NF(tail)*x; the comments below
+    say why one tail per lead and one check per lcm suffice.
+
+    symmetries holds candidate permutations of the variable ids (index u
+    gives the image of u).  Only those _centers keeps count, so a wrong
+    candidate can cost time but not change the verdict, and the walk
+    visits only the centers.  Why that is sound:
+      1. every rule lead -> tail lowers the term order, so rewriting
+         terminates;
+      2. two rewrites of one monomial by coprime leads join at once;
+         any other pair is a multiple of an equal-lead pair or of a
+         degree-3 wedge cxy of leads cx, cy, and joinability survives
+         multiplication;
+      3. a kept sigma maps rules onto rules, and so does its inverse, so
+         a wedge and its image are joinable together, and the orbit of
+         any wedge holds one at a center, as each orbit's maximum is one;
+      4. so equal normal forms on the wedges at centers, with every lead's
+         tails checked, give local confluence on all cubics, hence (Newman,
+         Ann. Math. 1942) confluence: every S-pair reduces to zero.
+    The two checks of a triangle of leads cover all three of its wedges,
+    so they are made once, from its smallest center vertex; by 3 the
+    orbit of any triangle holds one with a center vertex.  With no
+    candidate kept every variable is a center, and that is the smallest
+    vertex."""
     pairs, lead_map = [], {}
     for b in binomials:
         lead = order.leading(b.lead, b.tail)
@@ -313,6 +389,7 @@ def buchberger_verify(binomials, order, guard_spairs=SPAIR_GUARD_DEFAULT):
     classes = wedges - 2 * triangles
     if classes > guard_spairs:
         raise SizeLimit(f"{classes} S-pair lcm classes exceed guard {guard_spairs}")
+    centers = _centers(set(pairs), symmetries)
 
     memo = {}
     memo_get = memo.get
@@ -326,10 +403,13 @@ def buchberger_verify(binomials, order, guard_spairs=SPAIR_GUARD_DEFAULT):
             return False
     neighbours = {}
     for (u, v), tail in reduced.items():
-        neighbours.setdefault(u, []).append((v, tail))
-        neighbours.setdefault(v, []).append((u, tail))
+        if centers >> u & 1:
+            neighbours.setdefault(u, []).append((v, tail))
+        if centers >> v & 1:
+            neighbours.setdefault(v, []).append((u, tail))
     for c, others in neighbours.items():
         others.sort()
+        lower_centers = centers & ((1 << c) - 1)
         for k, (x, tail_x) in enumerate(others):
             leads_x = adjacent[x]
             p_x, q_x = tail_x
@@ -337,9 +417,9 @@ def buchberger_verify(binomials, order, guard_spairs=SPAIR_GUARD_DEFAULT):
                 # Leads cx, cy have lcm L = cxy, and the S-pair of leads i, j
                 # dividing L is r_i - r_j, r_i being L rewritten by lead i.
                 # If xy is a lead k too, S(i, j) = S(i, k) + S(k, j): two
-                # checks, made from the triangle's smallest vertex.
+                # checks, made from the triangle's smallest center vertex.
                 triangle = leads_x >> y & 1
-                if triangle and x < c:
+                if triangle and (lower_centers >> x | lower_centers >> y) & 1:
                     continue
                 # the sorted cubics tail_x * y and tail_y * x, inline and
                 # memo first, as this loop is where the time goes
@@ -360,11 +440,14 @@ def buchberger_verify(binomials, order, guard_spairs=SPAIR_GUARD_DEFAULT):
 def buchberger_outcome(poset, guard_spairs=SPAIR_GUARD_DEFAULT):
     """The Buchberger verdict on the candidates under the constructed
     order, as (basis size, leading terms agree, "pass" or "fail"); the
-    S-pairs are reduced only when the leading terms agree."""
+    S-pairs are reduced only when the leading terms agree, walking only
+    from the centers of the poset's _symmetries."""
     basis = generate_groebner_candidates(poset)
     order = construct_order(poset)
     agree = leading_terms_agree(basis, order)
-    passed = agree and buchberger_verify(basis, order, guard_spairs=guard_spairs)
+    passed = agree and buchberger_verify(
+        basis, order, guard_spairs=guard_spairs, symmetries=_symmetries(poset)
+    )
     return len(basis), agree, "pass" if passed else "fail"
 
 

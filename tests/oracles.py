@@ -38,7 +38,9 @@ and label, built and sorted by variables_and_map, the oracle for the id
 order of toric._sign_masks, and the antichain-keyed term-order weights.
 Beside them live helpers that only the tests call: chain-polytope
 membership by the maximal-chain inequalities, the Ehrhart polynomial
-interpolated from the dilation counts, (1 + x)^k, the edge set of an
+interpolated from the dilation counts, (1 + x)^k, the shift p(x + c)
+that the enriched relation once took its halved difference by (it now
+interpolates the differences of the counts), the edge set of an
 adjacency bitset list, Hypothesis strategies for randomly labelled
 6-element posets and relations, and five library functions no library
 path called: is_left_partition, make_ideal, star (with its helper
@@ -78,7 +80,7 @@ from enchain.gamma_complex import (
 )
 from enchain.geometry import dilation_counts
 from enchain.partitions import left_peak_positions
-from enchain.polynomials import IntPolynomial, interpolate
+from enchain.polynomials import IntPolynomial, RatPolynomial, interpolate
 from enchain.posets import (
     PosetIdeal,
     _bits,
@@ -691,6 +693,20 @@ def ehrhart_polynomial(poset):
 def one_plus_x_power(k):
     """(1 + x)^k."""
     return IntPolynomial([comb(k, i) for i in range(k + 1)])
+
+
+def shifted(poly, c):
+    """p(x + c) for a RatPolynomial p, by Horner's rule over exact
+    rationals (moved here from RatPolynomial.shifted)."""
+    result = RatPolynomial()
+    for a in reversed(poly.coeffs):
+        # result <- result * (x + c) + a
+        coeffs = [Fraction(0)] + list(result.coeffs)
+        for i, r in enumerate(result.coeffs):
+            coeffs[i] += r * c
+        coeffs[0] += a
+        result = RatPolynomial(coeffs)
+    return result
 
 
 def peak_positions(word):

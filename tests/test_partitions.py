@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
@@ -48,6 +49,7 @@ from oracles import (
     phi_map_oracle,
     psi_map_oracle,
     series_identity_check,
+    shifted,
 )
 
 single = poset_from_covers(1, [])
@@ -522,6 +524,15 @@ class TestEnrichedRelation:
                 assert report.left_order.degree == n
                 assert report.halved_difference.degree == n - 1
                 assert not report.holds
+
+    def test_value_route_matches_shifted_polynomial(self):
+        # the halved difference from the counts against (p(x + 1) - p(x))/2
+        # of the interpolated enriched order polynomial
+        sixes = all_natural_posets(6)[::8]
+        for poset in [p for n in range(1, 6) for p in all_natural_posets(n)] + list(sixes):
+            report = enriched_relation_report(poset)
+            prime = report.enriched_order
+            assert report.halved_difference == (shifted(prime, 1) - prime) * Fraction(1, 2)
 
 
 class TestCountsMatchDilations:

@@ -15,6 +15,7 @@ from enchain.polynomials import IntPolynomial
 from enchain.posets import _bits, _flag_faces, all_natural_posets, poset_from_covers
 from enchain.toric import (
     ToricBinomial,
+    _symmetries,
     buchberger_verify,
     construct_order,
     generate_groebner_candidates,
@@ -264,6 +265,24 @@ class LexOrder:
 
     def leading(self, m1, m2):
         return m1 if self.monomial_key(m1) >= self.monomial_key(m2) else m2
+
+
+def _image(rule, sigma):
+    (a, b), (p, q) = rule
+    return tuple(sorted((sigma[a], sigma[b]))), tuple(sorted((sigma[p], sigma[q])))
+
+
+def _orbit(rule, symmetries):
+    """The rules reached from rule by the group the symmetries generate."""
+    seen, stack = {rule}, [rule]
+    while stack:
+        rule = stack.pop()
+        for sigma in symmetries:
+            image = _image(rule, sigma)
+            if image not in seen:
+                seen.add(image)
+                stack.append(image)
+    return seen
 
 
 class TestVariables:
@@ -532,6 +551,7 @@ class TestBuchberger:
             for poset in all_natural_posets(n):
                 basis = list(generate_groebner_candidates(poset))
                 order = construct_order(poset)
+                symmetries = _symmetries(poset)
                 bases = {"full": basis, **broken_bases(basis)}
                 for name, candidate in bases.items():
                     expected = reference_buchberger(candidate, order)
@@ -539,18 +559,21 @@ class TestBuchberger:
                         poset.pairs,
                         name,
                     )
+                    assert buchberger_verify(candidate, order, symmetries=symmetries) == expected
 
     def test_broken_bases_match_reference_at_four(self):
         verdicts = set()
         for poset in all_natural_posets(4):
             basis = list(generate_groebner_candidates(poset))
             order = construct_order(poset)
+            symmetries = _symmetries(poset)
             for name, candidate in broken_bases(basis).items():
                 expected = reference_buchberger(candidate, order)
                 assert buchberger_verify(candidate, order) == expected, (
                     poset.pairs,
                     name,
                 )
+                assert buchberger_verify(candidate, order, symmetries=symmetries) == expected
                 verdicts.add(expected)
         assert verdicts == {True, False}
 
@@ -577,8 +600,92 @@ class TestBuchberger:
                 poset.pairs,
                 candidate,
             )
+            assert buchberger_verify(candidate, order, symmetries=_symmetries(poset)) == expected
             seen[expected, duplicates > 0] += 1
         assert set(seen) == {(v, d) for v in (True, False) for d in (True, False)}
+
+    def test_orbit_closed_deletions_match_reference_up_to_four(self):
+        # Dropping a binomial with its whole orbit leaves a rule set that
+        # every candidate still maps onto itself, so the walk runs from the
+        # centers on a basis that is not a Groebner basis.  Every orbit at
+        # n <= 3 (on the 2-antichain, dropping the orbit of x1 x5 - x0 x7
+        # leaves a failing triangle whose smallest vertex is no center),
+        # the first of each family at n = 4.
+        verdicts = Counter()
+        for n in (1, 2, 3, 4):
+            for poset in all_natural_posets(n):
+                basis = list(generate_groebner_candidates(poset))
+                order = construct_order(poset)
+                symmetries = _symmetries(poset)
+                assert len(symmetries) >= n
+                if n < 4:
+                    orbits = {frozenset(_orbit((b.lead, b.tail), symmetries)) for b in basis}
+                else:
+                    firsts = {b.family: (b.lead, b.tail) for b in reversed(basis)}
+                    orbits = {frozenset(_orbit(rule, symmetries)) for rule in firsts.values()}
+                for orbit in orbits:
+                    candidate = [b for b in basis if (b.lead, b.tail) not in orbit]
+                    rules = {(b.lead, b.tail) for b in candidate}
+                    for sigma in symmetries:
+                        assert {_image(r, sigma) for r in rules} == rules
+                    expected = reference_buchberger(candidate, order)
+                    assert buchberger_verify(candidate, order) == expected
+                    assert buchberger_verify(candidate, order, symmetries=symmetries) == expected
+                    verdicts[expected] += 1
+        assert verdicts[False] > 100
+
+    def test_bad_candidates_are_dropped(self):
+        # On 1 < 2 with 3 apart, dropping x3 x5 - x13^2 leaves one failing
+        # wedge, which a kept swap of the non-twins 1 and 2 would skip.
+        poset = poset_from_covers(3, [(1, 2)])
+        basis = list(generate_groebner_candidates(poset))
+        order = construct_order(poset)
+        assert (basis[6].lead, basis[6].tail) == ((3, 5), (13, 13))
+        plus, minus, index = toric._sign_masks(poset)
+
+        def swapped(mask):  # elements 1 and 2 exchanged, mask bits 1 and 2
+            return mask ^ 6 if mask & 6 in (2, 4) else mask
+
+        swap = tuple(index[(swapped(p), swapped(q))] for p, q in zip(plus, minus))
+        assert sorted(swap) == list(range(len(plus))) and swap != tuple(range(len(plus)))
+        for candidate, expected in ((basis, True), (basis[:6] + basis[7:], False)):
+            rules = {(b.lead, b.tail) for b in candidate}
+            assert toric._centers(rules, [swap]) == toric._centers(rules, ())
+            assert buchberger_verify(candidate, order, symmetries=[swap]) is expected
+            assert reference_buchberger(candidate, order) is expected
+        # The failing triangle 12, 13, 23 -> x1^2 of the test below, beside a
+        # joinable one on 4, 5, 6: sending 0 and 1 to 4, 2 to 5 and 3 to 6
+        # maps every rule to a rule but is no bijection, and kept it would
+        # leave 1, 2 and 3 no center.
+        order = LexOrder()
+        basis = [
+            ToricBinomial((1, 2), (0, 1), 1),
+            ToricBinomial((1, 3), (0, 1), 1),
+            ToricBinomial((2, 3), (1, 1), 1),
+            *(ToricBinomial(lead, (4, 4), 1) for lead in ((4, 5), (4, 6), (5, 6))),
+        ]
+        collapse = (4, 4, 5, 6, 4, 5, 6)
+        rules = {(b.lead, b.tail) for b in basis}
+        assert {_image(rule, collapse) for rule in rules} < rules
+        assert toric._centers(rules, [collapse]) == toric._centers(rules, ())
+        assert not buchberger_verify(basis, order, symmetries=[collapse])
+        assert not reference_buchberger(basis, order)
+
+    def test_symmetries_cut_the_normal_forms_on_the_four_antichain(self, monkeypatch):
+        calls = Counter()
+        kernel = toric._normal_form
+
+        def record(mono, lead_map, memo):
+            calls[key] += 1
+            return kernel(mono, lead_map, memo)
+
+        monkeypatch.setattr(toric, "_normal_form", record)
+        poset = poset_from_covers(4, [])
+        basis = generate_groebner_candidates(poset)
+        order = construct_order(poset)
+        for key in ((), _symmetries(poset)):
+            assert buchberger_verify(basis, order, symmetries=key)
+        assert 3 * calls[_symmetries(poset)] <= calls[()]
 
     def test_wrong_tail_on_one_lead_of_a_triangle_fails(self):
         # Leads 12, 13, 23 divide one cubic lcm and form its only class.
