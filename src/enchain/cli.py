@@ -191,7 +191,7 @@ def cmd_peaks(poset, cfg):
 
 def cmd_grobner(poset, cfg):
     payload = {"variables": len(toric._sign_masks(poset)[0])}
-    checks, ok = toric.hilbert_certificate(poset, max_m=3)
+    checks, ok = toric.hilbert_certificate(poset)
     payload["hilbert_checks"] = [list(c) for c in checks]
     payload["hilbert_pass"] = ok
     if not ok:

@@ -25,6 +25,7 @@ Ehrhart polynomial has exact rational coefficients.
 from dataclasses import dataclass
 
 from .errors import GammaNegative, IdentityViolation
+from .partitions import peak_polynomials
 from .polynomials import (
     IntPolynomial,
     RatPolynomial,
@@ -122,8 +123,6 @@ def hstar_and_gamma(poset):
     GammaNegative / IdentityViolation on failure (both would contradict
     facts that hold for every poset, so they are alarms, not data).
     """
-    from .partitions import peak_polynomials
-
     n = poset.n
     ehrhart, hstar = ehrhart_and_hstar(poset)
     if not hstar.is_palindromic(n):
@@ -154,8 +153,6 @@ class VolumeReflexivity:
 def volume_and_reflexivity(poset):
     """Normalized volume h*(1), checked against 2^n times the number of
     linear extensions, and reflexivity via palindromicity of h*."""
-    from .partitions import peak_polynomials
-
     n = poset.n
     _, hstar = ehrhart_and_hstar(poset)
     volume = hstar(1)

@@ -1,9 +1,8 @@
 """Exact rational linear feasibility via a fraction-free Phase-I simplex.
 
-Two entry points:
-
-* feasible_point_eq:  find x >= 0 with A x = b, or None.
-* feasible_point_ge:  find x >= 0 with A x >= b, or None.
+One entry point, feasible_point_eq: find x >= 0 with A x = b, or None.
+Its inequality form, feasible_point_ge (x >= 0 with A x >= b, by surplus
+variables), lives with the tests in tests/oracles.py.
 
 The system is multiplied by one common denominator, so every entry is an
 integer, and the tableau stays integral by integer-preserving pivoting
@@ -117,15 +116,3 @@ def _eliminate(current, pivot_row, piv, col, den):
         return [c * piv // den for c in current]
     return [(c * piv - f * d) // den for c, d in zip(current, pivot_row)]
 
-
-def feasible_point_ge(rows, rhs):
-    """Solve {x >= 0 : A x >= b} by adding surplus variables."""
-    m = len(rows)
-    if m == 0:
-        return []
-    n = len(rows[0])
-    eq_rows = [list(row) + [-1 if j == i else 0 for j in range(m)] for i, row in enumerate(rows)]
-    point = feasible_point_eq(eq_rows, rhs)
-    if point is None:
-        return None
-    return point[:n]

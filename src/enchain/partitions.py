@@ -129,7 +129,7 @@ def frontier_count(poset, m, kind="left", guard=PARTITION_GUARD_DEFAULT):
     kind a minimal element takes |f| in 1..m, each with weight 2.  The DP
     shares nothing with the ideal lattice or the psi map, so it is an
     independent route to the counts of posets.ideal_chain_count.  More than
-    `guard` live states at once raise SizeLimit."""
+    `guard` live states at once raise SizeLimit, within m + 1 states of it."""
     _check_partition_args(poset, m, kind)
     lowers = poset.lower_covers()
     last_read = [0] * (poset.n + 1)
@@ -151,13 +151,13 @@ def frontier_count(poset, m, kind="left", guard=PARTITION_GUARD_DEFAULT):
             if not last_read[e]:
                 weight = 2 * (m - base) + (0 if free_only else 1)
                 states[kept] = states.get(kept, 0) + count * weight
-                continue
-            if not free_only:
-                states[kept + (base,)] = states.get(kept + (base,), 0) + count
-            for a in range(base + 1, m + 1):
-                states[kept + (a,)] = states.get(kept + (a,), 0) + 2 * count
-        if len(states) > guard:
-            raise SizeLimit(f"{len(states)} partition DP states exceed guard {guard}")
+            else:
+                if not free_only:
+                    states[kept + (base,)] = states.get(kept + (base,), 0) + count
+                for a in range(base + 1, m + 1):
+                    states[kept + (a,)] = states.get(kept + (a,), 0) + 2 * count
+            if len(states) > guard:  # tested as they grow, at most m + 1 at a time
+                raise SizeLimit(f"{len(states)} partition DP states exceed guard {guard}")
         live = [live[i] for i in keep] + ([e] if last_read[e] else [])
     return sum(states.values())
 
@@ -373,18 +373,18 @@ class EnrichedRelationReport:
 
 def enriched_relation_report(poset):
     """Evaluate whether the left enriched order polynomial equals half of
-    the forward difference of the enriched order polynomial.  The halved
-    difference is interpolated from the enriched counts themselves,
-    (count(m + 1) - count(m))/2 at m = 1..n+1: the counts agree with the
-    order polynomial at every m >= 1, and its halved difference has degree
-    below n, so those n + 1 values fix it."""
-    left = order_polynomial(poset, "left")
-    prime = order_polynomial(poset, "enriched")
-    counts = [count_partitions(poset, m, "enriched") for m in range(1, poset.n + 3)]
-    candidate = interpolate([Fraction(b - a, 2) for a, b in zip(counts, counts[1:])], start=1)
+    the forward difference of the enriched order polynomial.  Both sides
+    have degree at most n and agree with the counts at every m >= 1, so
+    the verdict is 2 * left(m) == enriched(m + 1) - enriched(m) on the
+    integer counts at m = 1..n+1.  The halved difference is interpolated
+    once from those integer differences and halved at the end."""
+    n = poset.n
+    left = [count_partitions(poset, m, "left") for m in range(1, n + 2)]
+    counts = [count_partitions(poset, m, "enriched") for m in range(1, n + 3)]
+    differences = [b - a for a, b in zip(counts, counts[1:])]
     return EnrichedRelationReport(
-        left_order=left,
-        enriched_order=prime,
-        halved_difference=candidate,
-        holds=left == candidate,
+        left_order=order_polynomial(poset, "left"),
+        enriched_order=order_polynomial(poset, "enriched"),
+        halved_difference=interpolate(differences, start=1) * Fraction(1, 2),
+        holds=all(2 * a == d for a, d in zip(left, differences)),
     )

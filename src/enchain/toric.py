@@ -10,13 +10,13 @@ lies in the toric ideal iff its two monomials have equal images.
 The candidate Groebner basis has two families of quadratic binomials,
 each defined in one place.  The candidates read both; the margin check
 of the term order reads the rows of (2); the leads-only leading-term
-graph reads the leads of (2) and builds those of (1) itself:
+graph reads the leads of both:
 
-  (1) _family_one yields (u, v, e) for variables u < v and each element e
-      they sign oppositely, e ascending: x_u x_v minus the pair with e
-      dropped from both.  initial_graph does not read it: it builds the
-      same leads per element, as (variables signing e +) x (variables
-      signing e -), OR-ing one bitset per element into each row;
+  (1) _sign_index holds, per element e, the bitsets of the variables
+      signing e + and e -; a pair u < v across the two, with e, gives
+      x_u x_v minus the pair with e dropped from both.  The candidates
+      sort those (u, v, e), a pair scan's order, and the graph ORs one
+      bitset per element into each row;
   (2) _ideal_pairs holds (max I, max J, max(I u J), max(I*J)) as masks
       read off the ideal table, one row per incomparable pair of ideals in
       combinations(ideal_lattice) order, where I*J is the ideal generated
@@ -49,12 +49,14 @@ checked it rule by rule, and walks the cubic lcm classes only from the
 centers, the variables that no kept candidate moves up (at least one
 per orbit); a triangle of leads is checked from its smallest center
 vertex, and the guard still counts every class.  A second, cheaper
-certificate counts standard monomials of the initial ideal (multisets
-supported on independent sets of the leading-term graph, which is held
-as one neighbour bitset per variable) and compares them with the
-dilation counts.  Those sets, and the faces of the
-triangulation, are read from the complement graph by posets._flag_faces,
-the flag-complex kernel that gamma_complex shares.
+certificate, hilbert_certificate, counts standard monomials of the
+initial ideal (multisets supported on independent sets of the
+leading-term graph, held as one neighbour bitset per variable) and
+compares them with the dilation counts.  Those sets, and the faces of
+the triangulation, are read from the complement graph by
+posets._flag_faces, the flag-complex kernel that gamma_complex shares.
+_sign_masks refuses more than GUARD_VERTICES variables before it builds
+any, so every consumer shares one count.
 """
 
 from dataclasses import dataclass
@@ -70,6 +72,7 @@ from .errors import (
     SizeLimit,
 )
 from .geometry import count_dilation, ehrhart_and_hstar
+from .partitions import peak_polynomials
 from .polynomials import IntPolynomial
 from .posets import _bits, _flag_faces, _ideal_table, _memo
 
@@ -84,10 +87,15 @@ def _sign_masks(poset):
     it signs + and -, and the map from a (plus, minus) pair to the id.
     Ids run in (antichain, signs) order: the table's maxima sorted as
     element tuples, then within one antichain the patterns k = 0, 1, ...
-    read with its first element as the high bit (a set bit signs +)."""
+    read with its first element as the high bit (a set bit signs +).
+    More than GUARD_VERTICES variables raise SizeLimit before any is built."""
+    table = _ideal_table(poset)
+    count = sum(1 << maxima.bit_count() for maxima in table.values())
+    if count > GUARD_VERTICES:
+        raise SizeLimit(f"{count} variables exceed guard {GUARD_VERTICES}")
     plus = []
     minus = []
-    for antichain in sorted(tuple(_bits(maxima)) for maxima in _ideal_table(poset).values()):
+    for antichain in sorted(tuple(_bits(maxima)) for maxima in table.values()):
         patterns = [0]
         for e in antichain:
             patterns = [p | q for p in patterns for q in (0, 1 << e)]
@@ -114,13 +122,19 @@ def variable_labels(poset):
     )
 
 
-def _family_one(poset):
-    """(u, v, e) for every pair of variable ids u < v and every element e
-    that the two sign oppositely, e ascending."""
+@_memo
+def _sign_index(poset):
+    """Per element e (index 0 unused), the bitsets of the variable ids that
+    sign e + and of those that sign e -: family (1) pairs the two."""
     plus, minus, _ = _sign_masks(poset)
-    for u, v in combinations(range(len(plus)), 2):
-        for e in _bits((plus[u] & minus[v]) | (minus[u] & plus[v])):
-            yield u, v, e
+    signs_plus = [0] * (poset.n + 1)
+    signs_minus = [0] * (poset.n + 1)
+    for u, (p, q) in enumerate(zip(plus, minus)):
+        for e in _bits(p):
+            signs_plus[e] |= 1 << u
+        for e in _bits(q):
+            signs_minus[e] |= 1 << u
+    return tuple(signs_plus), tuple(signs_minus)
 
 
 @_memo
@@ -179,8 +193,18 @@ def generate_groebner_candidates(poset):
     differ by at most 4 < 8 a coordinate, so packed sums agree iff the
     images do."""
     plus, minus, index = _sign_masks(poset)
+    for vid, (p, q) in enumerate(zip(plus, minus)):
+        if p & q:
+            raise ImageMismatch(f"variable {vid} signs {list(_bits(p & q))} both + and -")
+    signs_plus, signs_minus = _sign_index(poset)
+    family_one = sorted(
+        (u, v, e) if u < v else (v, u, e)
+        for e in poset.elements()
+        for u in _bits(signs_plus[e])
+        for v in _bits(signs_minus[e])
+    )
     family_of = {}
-    for u, v, e in _family_one(poset):
+    for u, v, e in family_one:
         keep = ~(1 << e)
         tail = tuple(sorted(index[(plus[w] & keep, minus[w] & keep)] for w in (u, v)))
         family_of.setdefault(((u, v), tail), 1)
@@ -189,9 +213,6 @@ def generate_groebner_candidates(poset):
         family_of.setdefault((lead, _signed_pair(index, masks[2], masks[3], pattern)), 2)
 
     out = tuple(ToricBinomial(lead, tail, f) for (lead, tail), f in family_of.items())
-    for vid, (p, q) in enumerate(zip(plus, minus)):
-        if p & q:
-            raise ImageMismatch(f"variable {vid} signs {list(_bits(p & q))} both + and -")
     images = _images(poset)
     packed = [sum(c << 3 * i for i, c in enumerate(image)) for image in images]
     for b in out:
@@ -459,21 +480,15 @@ def initial_graph(poset):
     the bitset of the neighbours of u.
 
     Family (1) joins u and v when they sign some element e oppositely, so
-    u gains every variable signing e - for each e it signs +, and every
-    variable signing e + for each e it signs -: per-element bitsets, not
-    a walk over pairs.  Family (2) adds the lead of every _family_two
-    entry."""
+    u gains, from _sign_index, every variable signing e - for each e it
+    signs +, and every variable signing e + for each e it signs -: one
+    bitset per element, not a walk over pairs.  Family (2) adds the lead
+    of every _family_two entry."""
     plus, minus, index = _sign_masks(poset)
     origin = index[(0, 0)]
     if origin != 0:
         raise IdentityViolation(f"origin variable has index {origin}, not 0")
-    signs_plus = [0] * (poset.n + 1)
-    signs_minus = [0] * (poset.n + 1)
-    for u, (p, q) in enumerate(zip(plus, minus)):
-        for e in _bits(p):
-            signs_plus[e] |= 1 << u
-        for e in _bits(q):
-            signs_minus[e] |= 1 << u
+    signs_plus, signs_minus = _sign_index(poset)
     adjacency = []
     for p, q in zip(plus, minus):
         row = 0
@@ -495,50 +510,26 @@ def initial_graph(poset):
     return len(index), tuple(adjacency)
 
 
-def standard_monomial_count(poset, m):
-    """Number of degree-m monomials outside the initial ideal: multisets
-    of size m supported on independent sets of the leading-term graph,
-    counted as sum over nonempty independent sets S of C(m-1, |S|-1),
-    with the sizes |S| <= m read from _independent_sizes, which applies
-    the vertex guard before it builds the graph."""
-    if m == 0:
-        return 1
-    sizes = _independent_sizes(poset)
-    if m > 3:
-        raise SizeLimit("standard monomial counts implemented for m <= 3")
-    return sum(sizes[k] * comb(m - 1, k - 1) for k in range(1, m + 1))
-
-
-@_memo
-def _independent_sizes(poset):
-    """The numbers of independent sets of sizes 0..3 in the leading-term
-    graph, read from the flag-face kernel on its complement once per
-    poset for all three degrees standard_monomial_count serves."""
-    # one variable per signed antichain, counted before the graph, whose work is count^2
-    count = sum(1 << maxima.bit_count() for maxima in _ideal_table(poset).values())
-    if count > GUARD_VERTICES:
-        raise SizeLimit(f"{count} variables exceed guard {GUARD_VERTICES}")
-    _, adjacency = initial_graph(poset)
-    full = (1 << count) - 1
-    sizes, _ = _flag_faces([full ^ row ^ (1 << u) for u, row in enumerate(adjacency)], 3)
-    return tuple(sizes)
-
-
 @_memo
 def hilbert_certificate(poset, max_m=3):
     """Per-degree comparison of standard monomial counts with the lattice
     point counts of the dilations; equality for every degree certifies
     that the leading-term graph generates the correct initial ideal.
-    Returns the rows (m, standard, points) as a tuple and the verdict, kept
-    per (poset, max_m) in posets._memo for the Groebner and triangulation checks."""
-    rows = []
-    ok = True
-    for m in range(1, max_m + 1):
-        standard = standard_monomial_count(poset, m)
-        points = count_dilation(poset, m)
-        rows.append((m, standard, points))
-        ok = ok and standard == points
-    return tuple(rows), ok
+    A degree-m standard monomial is a multiset of size m on an independent
+    set S of the graph, one of C(m-1, |S|-1) on S, and one bound-3 walk of
+    the flag-face kernel on the complement graph counts those S.  Returns
+    the rows (m, standard, points), m = 1..max_m, and the verdict; the
+    library takes the default, and max_m past 3 raises SizeLimit."""
+    if max_m > 3:
+        raise SizeLimit("standard monomial counts implemented for m <= 3")
+    count, adjacency = initial_graph(poset)
+    full = (1 << count) - 1
+    sizes, _ = _flag_faces([full ^ row ^ (1 << u) for u, row in enumerate(adjacency)], 3)
+    rows = tuple(
+        (m, sum(sizes[k] * comb(m - 1, k - 1) for k in range(1, m + 1)), count_dilation(poset, m))
+        for m in range(1, max_m + 1)
+    )
+    return rows, all(standard == points for _, standard, points in rows)
 
 
 def _int_det(rows):
@@ -577,12 +568,10 @@ def triangulation_extract(poset):
     plus the origin.  Checks that no boundary face exceeds n vertices, that
     every maximal face has n+1 and determinant +-1, that there are
     2^n * #extensions of them, and that the boundary h-polynomial is h*."""
-    from .partitions import peak_polynomials
-
     n = poset.n
     if n > EXTRACT_MAX_N:
         raise SizeLimit(f"triangulation extraction guarded at n <= {EXTRACT_MAX_N}")
-    rows, ok = hilbert_certificate(poset, max_m=3)
+    rows, ok = hilbert_certificate(poset)
     if not ok:
         raise IdentityViolation(f"initial ideal certificate failed: {list(rows)}")
     vertex_count, adjacency = initial_graph(poset)

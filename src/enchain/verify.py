@@ -279,7 +279,7 @@ def verify_poset(
 
     grobner = row["groebner"] = {}
     with _guarded(grobner, "hilbert_checks", False, "hilbert", alarms):
-        checks, ok = toric.hilbert_certificate(poset, max_m=3)
+        checks, ok = toric.hilbert_certificate(poset)
         grobner["hilbert_checks"] = [list(c) for c in checks]
         grobner["hilbert_pass"] = ok
         if not ok:

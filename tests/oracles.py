@@ -6,20 +6,22 @@ chain-polytope membership as exact LP feasibility over the antichain
 vertices, the face map of the gamma complex as a bijection from all
 decorated linear extensions, bar removal included, and monomial normal
 forms by the generic rewriting rule for any degree.  The library's
-bitset kernels keep their former scans here: the leading-term graph by a
-walk over every pair of variables and its degree-3 standard monomials by
-a double loop over non-edges.  The ideal-chain counts keep their former
-kernel, the transfer with one row per interval I <= J of J(P), itself
-checked against a scan of every element for the minimal ones of J - I.
-The ideal table keeps the recursive antichain walk it replaced, which
-the frozenset lattice and the lattice points of E_P are built from.  The
-flag-face kernel behind the Hilbert certificate, the triangulation and
-the gamma complex keeps its three predecessors: the pair and triple
-loops of the standard monomial count, the independent-set recursion that
-built a tuple per face, and the clique counts that scanned every vertex
-bit.  The ideal table keeps its frozenset predecessors here: the ideal
-lattice by down-closure of each antichain, the star operation and the
-maxima of a union, and the rows of toric._ideal_pairs built from them.
+bitset kernels keep their former scans here: the family-(1) leads by a
+walk over every pair of variables, which the leading-term graph and the
+ordered Groebner candidates are built from, and the graph's degree-3
+standard monomials by a double loop over non-edges.  The ideal-chain
+counts keep their former kernel, the transfer with one row per interval
+I <= J of J(P), itself checked against a scan of every element for the
+minimal ones of J - I.  The ideal table keeps the recursive antichain
+walk it replaced, which the frozenset lattice and the lattice points of
+E_P are built from.  The flag-face kernel behind the Hilbert
+certificate, the triangulation and the gamma complex keeps its three
+predecessors: the pair and triple loops of the standard monomial count,
+the independent-set recursion that built a tuple per face, and the
+clique counts that scanned every vertex bit.  The ideal table keeps its
+frozenset predecessors here: the ideal lattice by down-closure of each
+antichain, the star operation and the maxima of a union, and the rows of
+toric._ideal_pairs built from them.
 The phi/psi roundtrip kernel keeps the former bodies of phi_map and
 psi_map here, with the left enriched conditions checked on every
 relation rather than along the covers.  The gamma complex's edges,
@@ -37,7 +39,8 @@ variables keep their former objects here: SignedVariable, with its image
 and label, built and sorted by variables_and_map, the oracle for the id
 order of toric._sign_masks, and the antichain-keyed term-order weights.
 Beside them live helpers that only the tests call: chain-polytope
-membership by the maximal-chain inequalities, the Ehrhart polynomial
+membership by the maximal-chain inequalities, the inequality form
+feasible_point_ge of the exact LP, the Ehrhart polynomial
 interpolated from the dilation counts, (1 + x)^k, the shift p(x + c)
 that the enriched relation once took its halved difference by (it now
 interpolates the differences of the counts), the edge set of an
@@ -61,7 +64,7 @@ from typing import NamedTuple
 
 from hypothesis import strategies as st
 
-from enchain import geometry, linprog, partitions, toric, verify
+from enchain import geometry, partitions, toric, verify
 from enchain.errors import (
     CycleDetected,
     IdentityViolation,
@@ -79,6 +82,7 @@ from enchain.gamma_complex import (
     grave_acute,
 )
 from enchain.geometry import dilation_counts
+from enchain.linprog import feasible_point_eq
 from enchain.partitions import left_peak_positions
 from enchain.polynomials import IntPolynomial, RatPolynomial, interpolate
 from enchain.posets import (
@@ -269,16 +273,38 @@ def edge_set(adjacency):
     return frozenset(edges)
 
 
-def initial_graph_oracle(poset):
-    """The leading-term graph as (vertex count, edge set): family (1) by a
-    scan of every pair of variables for an element they sign oppositely,
-    family (2) by the library's walk of the signed ideal pairs."""
+def family_one_oracle(poset):
+    """(u, v, e) for every pair of variable ids u < v and every element e
+    that the two sign oppositely, e ascending: the family-(1) leads by the
+    scan of every pair that toric._sign_index replaced."""
+    plus, minus, _ = toric._sign_masks(poset)
+    for u, v in combinations(range(len(plus)), 2):
+        for e in _bits((plus[u] & minus[v]) | (minus[u] & plus[v])):
+            yield u, v, e
+
+
+def groebner_candidates_oracle(poset):
+    """toric.generate_groebner_candidates, in order and without its image
+    check, with family (1) from family_one_oracle and family (2) from the
+    library's walk of the signed ideal pairs."""
     plus, minus, index = toric._sign_masks(poset)
-    edges = {
-        (u, v)
-        for u, v in combinations(range(len(plus)), 2)
-        if plus[u] & minus[v] or minus[u] & plus[v]
-    }
+    family_of = {}
+    for u, v, e in family_one_oracle(poset):
+        keep = ~(1 << e)
+        tail = tuple(sorted(index[(plus[w] & keep, minus[w] & keep)] for w in (u, v)))
+        family_of.setdefault(((u, v), tail), 1)
+    for masks, pattern in toric._family_two(poset):
+        lead = toric._signed_pair(index, masks[0], masks[1], pattern)
+        family_of.setdefault((lead, toric._signed_pair(index, masks[2], masks[3], pattern)), 2)
+    return tuple(toric.ToricBinomial(lead, tail, f) for (lead, tail), f in family_of.items())
+
+
+def initial_graph_oracle(poset):
+    """The leading-term graph as (vertex count, edge set): family (1) by
+    the pair scan of family_one_oracle, family (2) by the library's walk
+    of the signed ideal pairs."""
+    _, _, index = toric._sign_masks(poset)
+    edges = {(u, v) for u, v, _ in family_one_oracle(poset)}
     for masks, pattern in toric._family_two(poset):
         edges.add(toric._signed_pair(index, masks[0], masks[1], pattern))
     return len(index), frozenset(edges)
@@ -310,7 +336,7 @@ def standard_monomial_oracle(poset):
 
 def standard_sizes_oracle(count, adjacency, m):
     """The independent sets of sizes 0..m of a graph on count vertices,
-    by the loops that toric.standard_monomial_count used before the
+    by the loops that the standard monomial count used before the
     flag-face kernel: the pairs minus the edges (half the adjacency
     popcounts), and the triples u < v < w as, for each u and each bit v
     of free (the non-neighbours of u above u), the bits of free above v
@@ -666,7 +692,20 @@ def membership_oracle(poset, point, max_antichains=4096):
     rows = [[1 if e in a else 0 for a in chains] for e in poset.elements()]
     rows.append([1] * len(chains))
     rhs = point + [1]
-    return linprog.feasible_point_eq(rows, rhs) is not None
+    return feasible_point_eq(rows, rhs) is not None
+
+
+def feasible_point_ge(rows, rhs):
+    """Solve {x >= 0 : A x >= b} by adding surplus variables."""
+    m = len(rows)
+    if m == 0:
+        return []
+    n = len(rows[0])
+    eq_rows = [list(row) + [-1 if j == i else 0 for j in range(m)] for i, row in enumerate(rows)]
+    point = feasible_point_eq(eq_rows, rhs)
+    if point is None:
+        return None
+    return point[:n]
 
 
 def in_chain_polytope(poset, point, m=1):

@@ -144,7 +144,7 @@ def test_criterion_06_groebner_certificates():
         _, adjacency = toric.initial_graph(poset)
         if any(u == v or 0 in (u, v) for u, v in edge_set(adjacency)):
             ok = False
-        rows, certified = toric.hilbert_certificate(poset, max_m=3)
+        rows, certified = toric.hilbert_certificate(poset)
         if not certified:
             ok = False
     report(6, "Buchberger passes n<=4; standard monomial counts = L(m) n<=5 m<=3", ok)

@@ -267,15 +267,16 @@ class TestCommands:
 class TestHilbertCertificateOnce:
     @pytest.fixture
     def degrees(self, monkeypatch):
-        """Degrees passed to standard_monomial_count, from a cold cache."""
+        """Degrees the Hilbert certificate passes to count_dilation, from a
+        cold cache."""
         seen = []
-        original = toric.standard_monomial_count
+        original = toric.count_dilation
 
         def record(poset, m):
             seen.append(m)
             return original(poset, m)
 
-        monkeypatch.setattr(toric, "standard_monomial_count", record)
+        monkeypatch.setattr(toric, "count_dilation", record)
         toric.hilbert_certificate.cache_clear()
         yield seen
         toric.hilbert_certificate.cache_clear()
@@ -294,8 +295,8 @@ class TestHilbertCertificateOnce:
 
     def test_failed_certificate_still_alarms_triangulation(self, capsys, anti2, monkeypatch):
         toric.hilbert_certificate.cache_clear()
-        original = toric.standard_monomial_count
-        monkeypatch.setattr(toric, "standard_monomial_count", lambda p, m: original(p, m) + 1)
+        original = toric.count_dilation
+        monkeypatch.setattr(toric, "count_dilation", lambda p, m: original(p, m) + 1)
         try:
             assert main(["triangulation", anti2]) == 2
             assert "initial ideal certificate failed" in capsys.readouterr().err
@@ -334,10 +335,10 @@ class TestAlarmsNameTheirValues:
         return json.loads(out)["rows"][0]["alarms"]
 
     def test_verify_all_hilbert(self, capsys, chain2, monkeypatch):
-        original = toric.standard_monomial_count
-        monkeypatch.setattr(toric, "standard_monomial_count", lambda p, m: original(p, m) + 1)
+        original = toric.count_dilation
+        monkeypatch.setattr(toric, "count_dilation", lambda p, m: original(p, m) + 1)
         toric.hilbert_certificate.cache_clear()
-        expected = "hilbert certificate failed: [(1, 6, 5), (2, 14, 13), (3, 26, 25)]"
+        expected = "hilbert certificate failed: [(1, 5, 6), (2, 13, 14), (3, 25, 26)]"
         try:
             assert expected in self.verify_all_alarms(capsys, chain2)
             assert main(["grobner", chain2]) == 2

@@ -168,6 +168,14 @@ class TestFrontierCount:
         with pytest.raises(SizeLimit, match="3 partition DP states exceed guard 2"):
             frontier_count(chain2, 2, "left", guard=2)
 
+    def test_guard_trips_while_states_are_built(self):
+        # two stacked 8-antichains: after element 8, |f| on 1..8 takes 0..4
+        # freely, 5^8 = 390,625 states, each (kept, base) adding at most m + 1
+        stacked = poset_from_covers(16, [(a, b) for a in range(1, 9) for b in range(9, 17)])
+        with pytest.raises(SizeLimit, match="partition DP states exceed guard 100000$") as trip:
+            frontier_count(stacked, 4, "left", guard=10**5)
+        assert int(str(trip.value).split()[0]) <= 10**5 + 4 + 1
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="unknown kind"):
             frontier_count(single, 1, "right")
@@ -533,6 +541,7 @@ class TestEnrichedRelation:
             report = enriched_relation_report(poset)
             prime = report.enriched_order
             assert report.halved_difference == (shifted(prime, 1) - prime) * Fraction(1, 2)
+            assert report.holds == (report.left_order == report.halved_difference)
 
 
 class TestCountsMatchDilations:

@@ -79,7 +79,6 @@ ALLOWED = {
     "linprog.feasible_point_eq": BENCHMARK,
     "linprog._pivot": BENCHMARK,
     "linprog._eliminate": BENCHMARK,
-    "linprog.feasible_point_ge": BENCHMARK,
     "partitions.phi_map": BENCHMARK,
     "partitions.psi_map": BENCHMARK,
     "polynomials.interpolate_at": BENCHMARK,

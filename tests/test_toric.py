@@ -22,7 +22,6 @@ from enchain.toric import (
     hilbert_certificate,
     initial_graph,
     leading_terms_agree,
-    standard_monomial_count,
     triangulation_extract,
 )
 
@@ -31,6 +30,7 @@ from oracles import (
     antichain_weights,
     clique_counts_oracle,
     edge_set,
+    groebner_candidates_oracle,
     ideal_pairs_oracle,
     incomparable_ideal_pairs,
     independent_sets_oracle,
@@ -766,21 +766,31 @@ class TestNormalFormKernel:
                         assert toric._normal_form(mono, lead_map, memo) == expected, mono
 
 
+def standard_counts(poset):
+    """The standard monomial counts of degrees 1, 2 and 3, read off the
+    rows of the Hilbert certificate."""
+    rows, _ = hilbert_certificate(poset)
+    return tuple(standard for _, standard, _ in rows)
+
+
 class TestStandardMonomials:
     def test_two_chain(self):
-        assert standard_monomial_count(chain2, 1) == 5
-        assert standard_monomial_count(chain2, 2) == 13
+        assert standard_counts(chain2)[0] == 5
+        assert standard_counts(chain2)[1] == 13
 
     def test_two_antichain_degree_one(self):
-        assert standard_monomial_count(anti2, 1) == 9
+        assert standard_counts(anti2)[0] == 9
 
     def test_vertex_guard_trips_before_the_graph(self, monkeypatch):
-        def unreachable(poset):
-            raise AssertionError("initial_graph built past the vertex guard")
+        def unreachable(mask):
+            raise AssertionError("variable masks built past the vertex guard")
 
-        monkeypatch.setattr(toric, "initial_graph", unreachable)
-        with pytest.raises(SizeLimit, match="^2187 variables exceed guard 1024$"):
-            standard_monomial_count(poset_from_covers(7, []), 1)
+        monkeypatch.setattr(toric, "_bits", unreachable)
+        anti7 = poset_from_covers(7, [])
+        consumers = (hilbert_certificate, initial_graph, generate_groebner_candidates, toric._sign_masks)
+        for consumer in consumers:
+            with pytest.raises(SizeLimit, match="^2187 variables exceed guard 1024$"):
+                consumer(anti7)
 
     def test_one_face_walk_serves_every_degree(self, monkeypatch):
         bounds = []
@@ -791,16 +801,16 @@ class TestStandardMonomials:
             return original(adjacency, bound)
 
         monkeypatch.setattr(toric, "_flag_faces", record)
-        toric._independent_sizes.cache_clear()
+        hilbert_certificate.cache_clear()
         poset = poset_from_covers(3, [(1, 3)])
-        counts = [standard_monomial_count(poset, m) for m in (1, 2, 3)]
+        counts = list(standard_counts(poset))
         assert bounds == [3]
         assert counts == [count_dilation(poset, m) for m in (1, 2, 3)]
 
     def test_certificate(self):
         for n in (1, 2, 3):
             for poset in all_natural_posets(n):
-                rows, ok = hilbert_certificate(poset, max_m=3)
+                rows, ok = hilbert_certificate(poset)
                 assert ok
                 for m, standard, points in rows:
                     assert standard == points == count_dilation(poset, m)
@@ -821,20 +831,25 @@ class TestStandardMonomials:
 
 
 class TestBitsetKernels:
-    """initial_graph and standard_monomial_count against the pair scan
-    and the double loop over non-edges that they replaced."""
+    """initial_graph, the Groebner candidates and the Hilbert certificate's
+    standard monomial counts against the pair scan and the double loop
+    over non-edges that they replaced."""
 
     @staticmethod
     def assert_matches_oracles(poset):
         count, adjacency = initial_graph(poset)
         assert (count, edge_set(adjacency)) == initial_graph_oracle(poset), poset.pairs
-        counts = tuple(standard_monomial_count(poset, m) for m in (1, 2, 3))
-        assert counts == standard_monomial_oracle(poset), poset.pairs
+        assert standard_counts(poset) == standard_monomial_oracle(poset), poset.pairs
 
     def test_every_natural_poset_up_to_five(self):
         for n in (1, 2, 3, 4, 5):
             for poset in all_natural_posets(n):
                 self.assert_matches_oracles(poset)
+
+    def test_candidates_in_pair_scan_order_up_to_five(self):
+        for n in (1, 2, 3, 4, 5):
+            for poset in all_natural_posets(n):
+                assert generate_groebner_candidates(poset) == groebner_candidates_oracle(poset), poset.pairs
 
     @given(labelled_six_posets())
     @example(poset_from_covers(6, []))
