@@ -234,17 +234,17 @@ def cmd_triangulation(poset, cfg):
 def cmd_complex(poset, cfg):
     canonical, relabeling = _canonical_note(poset)
     complex_ = gamma_complex.build_complex(canonical)
-    # vertices come four to a word, colors 0..3: render the word once
-    texts = []
-    for base in complex_.vertices[:: len(gamma_complex.COLORS)]:
+    # the complex is stored uncolored: render each base once, then color it
+    colored = []
+    for base in complex_.bases:
         head, tail = base.text().split("|^0")
-        texts.extend(f"{head}|^{c}{tail}" for c in gamma_complex.COLORS)
+        colored.append([f"{head}|^{c}{tail}" for c in gamma_complex.COLORS])
     payload = {
         "f": list(complex_.f_vector),
         "identity": "pass",
         "kruskal_katona": "pass" if complex_.kruskal_katona else "fail",
-        "vertices": texts,
-        "edges": [[texts[a], texts[b]] for a, b in complex_.edges],
+        "vertices": [text for texts in colored for text in texts],
+        "edges": [[u, v] for a, b in complex_.pairs for u in colored[a] for v in colored[b]],
     }
     if relabeling:
         payload["relabeled_by"] = relabeling

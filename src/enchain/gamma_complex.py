@@ -8,20 +8,27 @@ part (the acute); the split used everywhere is the shortest nonempty
 decreasing prefix with increasing remainder (see grave_acute).  A word
 that admits no such split raises MalformedResult.
 
-Vertices of the complex are the one-bar decorated linear extensions.  The
-face map sends a decorated permutation with k bars to a k-set of
-vertices, one per bar, so the edges are the images of the two-bar
-decorated extensions, and build_complex reads them off the extensions
-with two left peaks.  The faces are the cliques, counted by
+Vertices of the complex are the one-bar decorated linear extensions, four
+to a word, one per bar color.  The complex is stored uncolored: its bases
+are the color-0 vertices and its pairs are the edges between bases.  Bar
+colors pass through the face map unchanged, so the colors are applied
+only where the complex is written out (cli.cmd_complex); GammaComplex
+builds its colored vertices and edges on their first read.  The face map
+sends a decorated permutation with k bars to a k-set of vertices, one
+per bar, so the pairs are the images of the two-bar decorated extensions
+with their bars in color 0, and build_complex reads them off the
+extensions with two left peaks.  The faces are the cliques, counted by
 posets._flag_faces, the flag-complex kernel that the toric triangulation
 shares.  The tests keep the routes this one replaced as its oracles
 (tests/oracles.py): phi_face_map on decorated permutations,
 vertex_adjacent, which splices two vertices into a word and checks that
-the word maps back, and splice_adjacency, the pair loop that built the
-edges with it.
+the word maps back, splice_adjacency, the pair loop that built the
+edges with it, and the eager expansion of the colored vertices and
+edges.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import IdentityViolation, MalformedResult, SizeLimit
 from .partitions import extension_peaks, left_peak_positions, peak_polynomials
@@ -107,19 +114,32 @@ def _trusted(word, bars):
 
 @dataclass(frozen=True)
 class GammaComplex:
-    vertices: tuple  # one-bar DecoratedPermutation, sorted: four per word, colors 0..3
-    edges: tuple  # index pairs into vertices
-    f_vector: tuple  # (1, f_0, f_1, ...) by face size
+    bases: tuple  # color-0 one-bar DecoratedPermutation, one per one-peak word, sorted
+    pairs: tuple  # index pairs (a, b) into bases, a < b, sorted: the uncolored edges
+    f_vector: tuple  # (1, f_0, f_1, ...) by face size, colored faces counted
     f_polynomial: IntPolynomial
     kruskal_katona: bool
 
+    @cached_property
+    def vertices(self):
+        """Each base in colors 0..3, four to a word, built on first read."""
+        return tuple(base.recolored(c) if c else base for base in self.bases for c in COLORS)
+
+    @cached_property
+    def edges(self):
+        """Index pairs into vertices: each pair's two bases in every two
+        colors, built on first read."""
+        return tuple(
+            (a * 4 + ca, b * 4 + cb) for a, b in self.pairs for ca in COLORS for cb in COLORS
+        )
+
 
 def _face_vertex(index, word, bar, block):
-    """The index of the color-0 vertex that the face map sends the bar at
+    """The index of the base that the face map sends the bar at
     position `bar` of `word` to, `block` being the letters that bar opens:
     the word sorted(word[:bar]) + grave + the rest sorted, grave the
     decreasing part of the block.  index maps each one-peak extension to
-    (its vertex index, its peak); a word that is not one, or whose peak
+    (its base index, its peak); a word that is not one, or whose peak
     is not at the bar, raises IdentityViolation naming it."""
     grave, _ = grave_acute(block)
     face = tuple(sorted(word[:bar])) + grave + tuple(sorted(word[bar + len(grave) :]))
@@ -133,23 +153,23 @@ def _face_vertex(index, word, bar, block):
 
 
 def build_complex(poset):
-    """The flag complex on one-bar decorated linear extensions, with its
-    f-polynomial checked against the left peak polynomial evaluated at 4x
-    (vertices differing only in bar color are distinct, which accounts for
-    the factor 4^size on each face).
+    """The flag complex on one-bar decorated linear extensions, stored
+    uncolored, with its f-polynomial checked against the left peak
+    polynomial evaluated at 4x (vertices differing only in bar color are
+    distinct, which accounts for the factor 4^size on each face).
 
-    The edges are the face map's images of the two-bar decorated
-    extensions, built on the color-0 vertices: for every extension with
-    left peaks p < q, the vertices of its bars at p and q (_face_vertex,
-    with blocks w[p:q] and w[q:]) are one edge.  Bar colors pass through
-    the face map unchanged, so each edge stands for 16 colored ones.
+    The pairs are the face map's images of the two-bar decorated
+    extensions, built on the bases: for every extension with left peaks
+    p < q, the bases of its bars at p and q (_face_vertex, with blocks
+    w[p:q] and w[q:]) are one pair.  Bar colors pass through the face map
+    unchanged, so each pair stands for 16 colored edges, which nothing
+    here builds.
 
     The words and their left peaks come from partitions.extension_peaks,
     the walk that peak_polynomials reads too, in lexicographic order, so
-    each color-0 vertex is built once from its known peak and the
-    vertices come out sorted.  The oracles in tests/oracles.py check the
-    edges by splicing pairs of vertices (vertex_adjacent,
-    splice_adjacency)."""
+    each base is built once from its known peak and the bases come out
+    sorted.  The oracles in tests/oracles.py check the pairs by splicing
+    pairs of vertices (vertex_adjacent, splice_adjacency)."""
     n = poset.n
     if n > COMPLEX_GUARD_N:
         raise SizeLimit(f"complex construction guarded at n <= {COMPLEX_GUARD_N}")
@@ -178,12 +198,9 @@ def build_complex(poset):
             f"{expected!r} (faces beyond gamma length: {overflow})"
         )
 
-    vertices = [base.recolored(c) if c else base for base in underlying for c in COLORS]
-    pairs = [(a, b) for a, row in enumerate(adj) for b in _bits(row >> a << a)]
-    edges = [(a * 4 + ca, b * 4 + cb) for a, b in pairs for ca in COLORS for cb in COLORS]
     return GammaComplex(
-        vertices=tuple(vertices),
-        edges=tuple(edges),
+        bases=tuple(underlying),
+        pairs=tuple((a, b) for a, row in enumerate(adj) for b in _bits(row >> a << a)),
         f_vector=f_vector,
         f_polynomial=f_polynomial,
         kruskal_katona=kruskal_katona_check(list(f_vector)),

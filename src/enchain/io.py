@@ -82,7 +82,10 @@ def render_json(payload):
     would write it, byte for byte, for the types reports are made of:
     dicts with str keys, lists, tuples, str, int, bool and None; anything
     else raises TypeError.  json turns off its C encoder whenever it
-    indents, so this writer collects the pieces in one list itself."""
+    indents, so this writer collects the pieces in one list itself.  A
+    list item that is a non-empty list or tuple of str only, such as an
+    edge of the gamma complex, is written as one piece with one join;
+    every other value takes the recursive path."""
     pieces = []
     _write_json(payload, "\n", pieces)
     pieces.append("\n")
@@ -107,11 +110,23 @@ def _write_json(value, newline, pieces):
             pieces.append("[]")
             return
         inner = newline + "  "
+        leaf = inner + "  "
+        leaf_separator = "," + leaf
+        close = inner + "]"
         separator = "[" + inner
         for item in value:
             if isinstance(item, str):
                 pieces.append(separator + _quote(item))
             else:
+                if isinstance(item, (list, tuple)) and item:
+                    for x in item:
+                        if not isinstance(x, str):
+                            break
+                    else:  # str only: one piece, one join
+                        joined = leaf_separator.join(map(_quote, item))
+                        pieces.append(f"{separator}[{leaf}{joined}{close}")
+                        separator = "," + inner
+                        continue
                 pieces.append(separator)
                 _write_json(item, inner, pieces)
             separator = "," + inner

@@ -724,3 +724,35 @@ class TestRenderJson:
     def test_non_string_key_raises(self):
         with pytest.raises(TypeError):
             render_json({1: 2})
+
+    @staticmethod
+    def assert_dumps(payload):
+        assert render_json(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    def test_lists_of_str_inside_lists(self):
+        """Lists and tuples holding only str, written in one piece, at
+        several depths and lengths."""
+        self.assert_dumps([["a", "b"], ("c",), ["d", "e", "f"], "g", [["h"], ("i", "j")]])
+        self.assert_dumps({"edges": [["1|^0 2", "2|^3 1"]] * 3, "k": [("x", "y"), "z"]})
+        self.assert_dumps((["a"], ("b", "c")))
+
+    def test_empty_inner_lists_and_tuples(self):
+        self.assert_dumps([[], (), ["a"], [], ()])
+        self.assert_dumps({"e": [[], ["a", "b"], ()], "f": ((), [[]])})
+
+    def test_str_first_mixed_items(self):
+        self.assert_dumps([["a", 1], ["a", None, True], ("a", ["b"]), ["a", {"b": "c"}, "d"]])
+        self.assert_dumps([["a", "b", 1], ["a", ("b",)], ["a", []]])
+        for item in (["a", Fraction(1, 2)], ("a", "b", Fraction(1, 2)), ["a", 0.5]):
+            with pytest.raises(TypeError):
+                render_json([item])
+
+    def test_lists_of_integer_pairs(self):
+        self.assert_dumps([[1, 2], [3, 4], (5, 6), [-7, 10**30]])
+        self.assert_dumps({"pairs": [[1, 2], [3, "a"], [True, None]], "flat": [1, "b"]})
+
+    def test_escaped_strings(self):
+        texts = ['say "hi"', "back\\slash", "\x00\x1f\x7f\n\t\r\b\f", "café \u2028 ∑"]
+        texts += ["\U0001f600", ""]
+        self.assert_dumps([texts, tuple(reversed(texts))])
+        self.assert_dumps([[text] for text in texts] + texts)

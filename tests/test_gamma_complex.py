@@ -1,10 +1,13 @@
+import hashlib
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
-from enchain import gamma_complex, verify
+from enchain import cli, gamma_complex, verify
 from enchain.errors import IdentityViolation, MalformedResult, SizeLimit
+from enchain.io import render_json
 from enchain.gamma_complex import COLORS, DecoratedPermutation, build_complex, grave_acute
 from enchain.partitions import peak_polynomials
 from enchain.polynomials import IntPolynomial
@@ -12,6 +15,7 @@ from enchain.posets import all_natural_posets, linear_extensions, poset_from_cov
 from oracles import (
     cover_reduce,
     decorate,
+    eager_colored_views,
     iso_check,
     labelled_six_posets,
     phi_face_map,
@@ -222,6 +226,63 @@ class TestComplex:
             vertex.recolored(4)
         with pytest.raises(ValueError):
             DecoratedPermutation((1, 2), ()).recolored(1)
+
+
+class TestColoredViews:
+    """The complex is stored uncolored: its colored vertices and edges are
+    views built on first read, equal to the eager expansion that
+    build_complex once made, and nothing on the CLI or verify path reads
+    them."""
+
+    @staticmethod
+    def assert_views_equal_eager(poset):
+        complex_ = build_complex(poset)
+        assert "vertices" not in vars(complex_) and "edges" not in vars(complex_)
+        assert (complex_.vertices, complex_.edges) == eager_colored_views(complex_), poset
+        f_vector = complex_.f_vector + (0, 0)  # f_0 and f_1 are 0 past its length
+        assert (len(complex_.vertices), len(complex_.edges)) == f_vector[1:3]
+
+    def test_every_natural_poset_up_to_five(self):
+        for n in (1, 2, 3, 4, 5):
+            for poset in all_natural_posets(n):
+                self.assert_views_equal_eager(poset)
+
+    def test_every_eighth_natural_six_poset(self):
+        for poset in all_natural_posets(6)[::8]:
+            self.assert_views_equal_eager(poset)
+
+    @given(labelled_six_posets())
+    @settings(max_examples=20, deadline=None)
+    def test_random_labelled_six_posets(self, poset):
+        self.assert_views_equal_eager(poset.canonicalized())
+
+    def test_build_complex_leaves_the_views_unbuilt(self):
+        complex_ = build_complex(anti4)
+        assert "vertices" not in vars(complex_) and "edges" not in vars(complex_)
+        assert len(complex_.bases) == 18 and len(complex_.pairs) == 5
+        assert all(base.bars[0][1] == 0 for base in complex_.bases)
+        assert all(a < b for a, b in complex_.pairs)
+        assert len(complex_.vertices) == 72
+        assert "vertices" in vars(complex_) and "edges" not in vars(complex_)
+
+    def test_cli_and_verify_color_no_object(self, monkeypatch):
+        """With recoloring forbidden, verify_poset and cmd_complex on the
+        6-antichain still succeed, so neither reads the colored views."""
+        anti6 = poset_from_covers(6, [])
+
+        def forbidden(self, color):
+            raise AssertionError("a colored vertex was built")
+
+        monkeypatch.setattr(DecoratedPermutation, "recolored", forbidden)
+        row = verify.verify_poset(anti6)
+        assert row["complex"]["f_vector"] == [1, 716, 7664, 3904]
+        assert row["complex"]["kruskal_katona"] is True
+        assert not row["alarms"]
+        out = render_json(cli.cmd_complex(anti6, None))
+        digest = Path(__file__).parent / "data" / "complex_anti6.sha256"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest.read_text().strip()
+        with pytest.raises(AssertionError, match="colored vertex"):
+            build_complex(anti4).vertices
 
 
 def pair_scan_edges(complex_):

@@ -3,11 +3,11 @@
 Code that only the tests reach lives with the tests, in oracles.py.  This
 audit runs fixed CLI traffic in a fresh interpreter, because the memos
 warmed by earlier tests would hide calls, records every call with
-sys.setprofile, and lists each module-level function, method and property
-written in src/enchain that no call reached.  Dunder methods, the methods
-dataclasses generate and nested functions are not audited.  What is left
-must be exactly the allow-list below, each name with the reason it stays
-in the library.
+sys.setprofile, and lists each module-level function, method, property
+and cached_property written in src/enchain that no call reached.  Dunder
+methods, the methods dataclasses generate and nested functions are not
+audited.  What is left must be exactly the allow-list below, each name
+with the reason it stays in the library.
 """
 
 import json
@@ -23,7 +23,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # Run in the fresh interpreter: argv[1] is the traffic, a JSON list of CLI
 # argument lists.  Prints the exit codes and the unreached names as JSON.
 AUDIT = r"""
-import contextlib, importlib, inspect, io, json, pkgutil, sys
+import contextlib, functools, importlib, inspect, io, json, pkgutil, sys
 
 import enchain
 from enchain import cli
@@ -35,7 +35,10 @@ def written_here(module):
     for value in vars(module).values():
         members = vars(value).values() if isinstance(value, type) else [value]
         for member in members:
-            member = getattr(member, "fget", member)  # property
+            if isinstance(member, property):
+                member = member.fget
+            elif isinstance(member, functools.cached_property):
+                member = member.func
             member = inspect.unwrap(getattr(member, "__func__", member))
             if not inspect.isfunction(member):
                 continue
@@ -72,6 +75,10 @@ print(json.dumps({"codes": codes, "unreached": unreached}))
 
 BENCHMARK = "traced by name in perfbench/spans.py; moves to the oracles with the benchmark's revision"
 ALARM = "alarm text, reached only when its check fails"
+COLORED_VIEW = (
+    "a colored view of the complex, built on first read: perfbench/spans.py counts it"
+    " as build_complex's items, and the tests read it"
+)
 
 ALLOWED = {
     "geometry.in_enriched_polytope": BENCHMARK,
@@ -90,6 +97,10 @@ ALLOWED = {
     "toric.TermOrder.monomial_key": (
         "the tie-break that makes the term order total; no two candidate monomials tie in weight"
     ),
+    "gamma_complex.GammaComplex.vertices": COLORED_VIEW,
+    "gamma_complex.GammaComplex.edges": COLORED_VIEW,
+    "gamma_complex.DecoratedPermutation.recolored": "the vertices view calls it",
+    "gamma_complex.DecoratedPermutation.bar_count": "recolored calls it, for the vertices view",
     "posets.Poset.less": "the relation accessor of the exported Poset class, which the oracles read",
     "posets._memo_with_limit": "a decorator, which runs at import, before any traffic",
 }
