@@ -2,13 +2,13 @@
 
 One subcommand per library surface plus verify-all for identity sweeps.
 Exit status: 0 on success, 1 on input or guard errors, 2 when any
-identity alarm fires.  Flags can also be set through environment
-variables with the ENCHAIN_ prefix (ENCHAIN_FORMAT, ENCHAIN_MAX_N,
-ENCHAIN_MAX_M, ENCHAIN_TRUNCATION, ENCHAIN_GUARD_POINTS,
-ENCHAIN_GUARD_SPAIRS); explicit flags win over the environment.
+identity alarm fires.  Each option of DEFAULTS is read from its flag
+(--max-n for max_n), else from its ENCHAIN_ variable (ENCHAIN_MAX_N),
+else from DEFAULTS.
 """
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -28,6 +28,8 @@ DEFAULTS = {
     "guard_points": partitions.PARTITION_GUARD_DEFAULT,
     "guard_spairs": toric.SPAIR_GUARD_DEFAULT,
 }
+BOUNDS = tuple(DEFAULTS)[1:]  # the options that must be positive
+ROW_BOUNDS = BOUNDS[1:]  # the keyword arguments of verify.verify_poset
 
 
 @dataclass
@@ -40,7 +42,6 @@ class RunConfig:
     truncation: int
     guard_points: int
     guard_spairs: int
-    max_n_explicit: bool = False
     m: int = 1
     kind: str = "left"
 
@@ -49,21 +50,18 @@ class RunConfig:
             raise InputError(
                 f"unknown format {self.fmt!r}; expected one of {', '.join(RENDERERS)}"
             )
-        for guard in ("max_n", "max_m", "truncation", "guard_points", "guard_spairs"):
-            if getattr(self, guard) <= 0:
-                raise GuardExceeded(f"{guard} must be positive")
+        for name in BOUNDS:
+            if getattr(self, name) <= 0:
+                raise GuardExceeded(f"{name} must be positive")
         if self.m < 0:
             raise GuardExceeded("m must be nonnegative")
 
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "tsv", "text"), default=None)
-    common.add_argument("--max-n", type=int, default=None)
-    common.add_argument("--max-m", type=int, default=None)
-    common.add_argument("--truncation", type=int, default=None)
-    common.add_argument("--guard-points", type=int, default=None)
-    common.add_argument("--guard-spairs", type=int, default=None)
+    for name, default in DEFAULTS.items():
+        choices = RENDERERS if name == "format" else None
+        common.add_argument("--" + name.replace("_", "-"), type=type(default), choices=choices)
 
     parser = argparse.ArgumentParser(
         prog="enchain",
@@ -81,42 +79,46 @@ def build_parser():
     return parser
 
 
-def _flag_or_env(args, name, cast):
-    """The flag's value when given (0 included), else the environment's,
-    else the default."""
-    value = getattr(args, name)
-    if value is not None:
-        return value
-    value = os.environ.get(f"ENCHAIN_{name.upper()}")
-    if value is None:
-        return DEFAULTS[name]
-    try:
-        return cast(value)
-    except ValueError:
-        raise GuardExceeded(f"bad ENCHAIN_{name.upper()} value {value!r}") from None
-
-
 def config_from_args(args):
+    """Each option from its flag (0 included), else from its ENCHAIN_
+    variable, else from its default; verify-all sweeps to
+    VERIFY_ALL_SWEEP_DEFAULT unless a flag or variable sets max_n."""
+    defaults = dict(DEFAULTS)
+    if args.command == "verify-all":
+        defaults["max_n"] = VERIFY_ALL_SWEEP_DEFAULT
+    options = {}
+    for name, default in defaults.items():
+        value, variable = getattr(args, name), f"ENCHAIN_{name.upper()}"
+        if value is None and variable in os.environ:
+            text = os.environ[variable]
+            try:
+                value = type(default)(text)
+            except ValueError:
+                raise GuardExceeded(f"bad {variable} value {text!r}") from None
+        options[name] = default if value is None else value
     return RunConfig(
         command=args.command,
         input_path=getattr(args, "poset", None),
-        fmt=_flag_or_env(args, "format", str),
-        max_n=_flag_or_env(args, "max_n", int),
-        max_m=_flag_or_env(args, "max_m", int),
-        truncation=_flag_or_env(args, "truncation", int),
-        guard_points=_flag_or_env(args, "guard_points", int),
-        guard_spairs=_flag_or_env(args, "guard_spairs", int),
-        max_n_explicit=args.max_n is not None
-        or os.environ.get("ENCHAIN_MAX_N") is not None,
+        fmt=options.pop("format"),
         m=getattr(args, "m", 1),
         kind=getattr(args, "kind", "left"),
+        **options,
     )
 
 
-def _canonical_note(poset):
-    if poset.naturally_labeled:
-        return poset, None
-    return poset.canonicalized(), list(poset.natural_relabeling)
+def on_natural_labels(command):
+    """Run command on the naturally labelled copy of its poset, which the
+    partition and peak facts need, and add the relabelling to the payload
+    when the input was not naturally labelled."""
+
+    @functools.wraps(command)
+    def run(poset, cfg):
+        payload = command(poset.canonicalized(), cfg)
+        if not poset.naturally_labeled:
+            payload["relabeled_by"] = list(poset.natural_relabeling)
+        return payload
+
+    return run
 
 
 def cmd_antichains(poset, cfg):
@@ -145,48 +147,39 @@ def cmd_hstar(poset, cfg):
     return {"hstar": int_coeffs(data.hstar), "properties": asdict(props)}
 
 
+@on_natural_labels
 def cmd_gamma(poset, cfg):
     data = geometry.hstar_and_gamma(poset)
-    canonical, relabeling = _canonical_note(poset)
-    peaks = partitions.peak_polynomials(canonical)
-    payload = {
+    peaks = partitions.peak_polynomials(poset)
+    return {
         "gamma": list(data.gamma),
         "left_peak": int_coeffs(peaks.left_peak),
         "identity": "pass",
     }
-    if relabeling:
-        payload["relabeled_by"] = relabeling
-    return payload
 
 
+@on_natural_labels
 def cmd_partitions(poset, cfg):
-    canonical, relabeling = _canonical_note(poset)
-    count = partitions.count_partitions(canonical, cfg.m, cfg.kind)
+    count = partitions.count_partitions(poset, cfg.m, cfg.kind)
     if 5000 < count <= cfg.guard_points:
         listed = "omitted"
     else:  # enumerate_partitions raises past the guard before listing any
         items = partitions.enumerate_partitions(
-            canonical, cfg.m, cfg.kind, guard=cfg.guard_points
+            poset, cfg.m, cfg.kind, guard=cfg.guard_points
         )
         listed = [list(f) for f in items]
-    payload = {"m": cfg.m, "kind": cfg.kind, "count": count, "partitions": listed}
-    if relabeling:
-        payload["relabeled_by"] = relabeling
-    return payload
+    return {"m": cfg.m, "kind": cfg.kind, "count": count, "partitions": listed}
 
 
+@on_natural_labels
 def cmd_peaks(poset, cfg):
-    canonical, relabeling = _canonical_note(poset)
-    peaks = partitions.peak_polynomials(canonical)
-    payload = {
+    peaks = partitions.peak_polynomials(poset)
+    return {
         "W": int_coeffs(peaks.peak),
         "W_left": int_coeffs(peaks.left_peak),
         "W_des": int_coeffs(peaks.descent),
         "extensions": peaks.extension_count,
     }
-    if relabeling:
-        payload["relabeled_by"] = relabeling
-    return payload
 
 
 def cmd_grobner(poset, cfg):
@@ -231,9 +224,9 @@ def cmd_triangulation(poset, cfg):
     }
 
 
+@on_natural_labels
 def cmd_complex(poset, cfg):
-    canonical, relabeling = _canonical_note(poset)
-    complex_ = gamma_complex.build_complex(canonical)
+    complex_ = gamma_complex.build_complex(poset)
     # the complex is stored uncolored: render each base once, then color it
     colored = []
     for base in complex_.bases:
@@ -246,29 +239,22 @@ def cmd_complex(poset, cfg):
         "vertices": [text for texts in colored for text in texts],
         "edges": [[u, v] for a, b in complex_.pairs for u in colored[a] for v in colored[b]],
     }
-    if relabeling:
-        payload["relabeled_by"] = relabeling
     if not complex_.kruskal_katona:
         raise IdentityAlarm(verify.kruskal_katona_alarm(complex_.f_vector))
     return payload
 
 
 def cmd_verify_all(cfg):
-    kwargs = {
-        "max_m": cfg.max_m,
-        "truncation": cfg.truncation,
-        "guard_points": cfg.guard_points,
-        "guard_spairs": cfg.guard_spairs,
-    }
     if cfg.input_path:
-        rows = [verify.verify_poset(load_poset(cfg.input_path), **kwargs)]
-    else:
-        sweep_n = cfg.max_n if cfg.max_n_explicit else VERIFY_ALL_SWEEP_DEFAULT
-        if sweep_n > VERIFY_ALL_MAX_N:
-            raise GuardExceeded(
-                f"verify-all sweeps are guarded at max-n <= {VERIFY_ALL_MAX_N}"
-            )
-        rows = verify.verify_sweep(sweep_n, **kwargs)
+        chosen = [load_poset(cfg.input_path)]
+    elif cfg.max_n > VERIFY_ALL_MAX_N:
+        raise GuardExceeded(
+            f"verify-all sweeps are guarded at max-n <= {VERIFY_ALL_MAX_N}"
+        )
+    else:  # every naturally labelled poset with up to max_n elements, in generator order
+        chosen = [p for n in range(1, cfg.max_n + 1) for p in posets.all_natural_posets(n)]
+    kwargs = {name: getattr(cfg, name) for name in ROW_BOUNDS}
+    rows = [verify.verify_poset(poset, **kwargs) for poset in chosen]
     alarm_count = sum(len(r["alarms"]) for r in rows)
     return {
         "rows": rows,

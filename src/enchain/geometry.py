@@ -15,8 +15,8 @@ computed by the transfer map over J(P) in posets.ideal_chain_count.  As
 is w[K] += w[K - e] over the cover edges of J(P), e in max K, per element
 in reverse linear-extension order (summing over subsets of max K), then
 in linear-extension order (summing over all K <= J).  The same chains
-record left enriched partitions (psi_map), which is why the two agree.  dilation_points lists the points themselves, straight
-from the maximal-chain inequalities.
+record left enriched partitions (partitions.roundtrip_maps), so the two
+agree; dilation_points lists the points from the maximal-chain sums.
 
 Everything is exact; counts are arbitrary-precision integers and the
 Ehrhart polynomial has exact rational coefficients.
@@ -82,8 +82,8 @@ def dilation_points(poset, m):
 def count_dilation(poset, m):
     """|m E_P  cap  Z^n|, exactly: the weighted count of ideal chains
     I_0 <= ... <= I_m = P with I_0 free, each lattice point recorded by
-    its level ideals as in the module docstring.  The only guard is the
-    ideal table's: past posets.IDEAL_GUARD ideals it raises SizeLimit."""
+    its level ideals as in the module docstring.  Past posets.IDEAL_GUARD
+    ideals, or posets.TRANSFER_GUARD transfer additions, it raises SizeLimit."""
     return ideal_chain_count(poset, m)
 
 

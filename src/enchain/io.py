@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from .errors import ParseError, SizeLimit
 from .posets import poset_from_covers
 
-MAX_INPUT_N = 256  # verify-all --poset on the 256-chain: about 1.5 s on a 2-core host
+MAX_INPUT_N = 256  # verify-all --poset on the 256-chain: 0.43-0.48 s, 36 MiB on a 2-core host
 _COVER_LINE = re.compile(r"^(\d+)\s*<\s*(\d+)$")
 
 

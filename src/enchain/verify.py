@@ -1,4 +1,4 @@
-"""Cross-module identity verification, per poset and in sweeps.
+"""Cross-module identity verification, one poset at a time.
 
 Each row of a verification report records, for one poset, the verdict of
 every identity the library asserts: dilation counts against left enriched
@@ -26,6 +26,12 @@ TRIANGULATION_MAX_N = 4
 BIJECTION_MAX_N = 4
 INVARIANCE_MAX_N = 5
 RELABELING_LIMIT = 12
+# verify_poset refuses larger bounds.  On a 2-core host, max_m = 16 costs
+# the 256-chain's counts check 0.4 s, and the row of two interleaved
+# 128-chains 6.4 s against 3.4 s at max_m = 4; truncation = 1024 costs the
+# 10-antichain's series check 0.6 s, besides its extension walk.
+MAX_M = 16
+MAX_TRUNCATION = 1024
 
 
 def rat_coeffs(poly):
@@ -106,11 +112,12 @@ def _comparability_failure(poset):
     that differed and its two values.
 
     Reorienting the comparability graph (keeping it identical as a labeled
-    graph) leaves the polytope untouched, so dilation counts and h* must
-    agree directly, and the left peak and descent polynomials must agree
-    after canonicalization.  The interior-peak polynomial is deliberately
-    absent from this half: it is not a reorientation invariant (orienting
-    1<3, 2<3 against 3<1, 3<2 changes it), only a relabeling invariant.
+    graph) leaves the polytope untouched, so the dilation counts must
+    agree directly, and the left peak, descent and left order polynomials
+    must agree after canonicalization.  The interior-peak polynomial is
+    deliberately absent from this half: it is not a reorientation invariant
+    (orienting 1<3, 2<3 against 3<1, 3<2 changes it), only a relabeling
+    invariant.
 
     Relabeling (an isomorphism) must preserve everything once both sides
     are canonicalized, interior peaks included.
@@ -185,7 +192,12 @@ def verify_poset(
     and an alarm raised inside it is collected into the row; a check past
     its n cap reads "skipped".  Each check adds its own alarms, in check
     order, where it computes its verdict; the sweep is never aborted.
-    guard_points bounds the live states of partitions.frontier_count."""
+    guard_points bounds the live states of partitions.frontier_count.
+    max_m past MAX_M or truncation past MAX_TRUNCATION raises SizeLimit
+    before any check."""
+    for name, value, bound in (("max_m", max_m, MAX_M), ("truncation", truncation, MAX_TRUNCATION)):
+        if value > bound:
+            raise SizeLimit(f"{name} may be at most {bound}, got {value}")
     n = poset.n
     canonical = poset.canonicalized()
     alarms = []
@@ -323,13 +335,3 @@ def verify_poset(
 
     row["alarms"] = alarms
     return row
-
-
-def verify_sweep(max_n, **kwargs):
-    """Verification rows for every naturally labeled poset with up to
-    max_n elements, in the generator's deterministic order."""
-    rows = []
-    for n in range(1, max_n + 1):
-        for poset in posets.all_natural_posets(n):
-            rows.append(verify_poset(poset, **kwargs))
-    return rows

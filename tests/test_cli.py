@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enchain import gamma_complex, geometry, partitions, posets, toric, verify
-from enchain.cli import COMMANDS, main
+from enchain.cli import COMMANDS, DEFAULTS, build_parser, config_from_args, main
 from enchain.io import MAX_INPUT_N, parse_poset, render_json, render_tsv
 from enchain.polynomials import IntPolynomial
 from enchain.errors import IdentityViolation, ParseError
@@ -451,6 +451,92 @@ class TestExitCodes:
         assert err.startswith("error: ") and "Traceback" not in err
         code, out = run(capsys, ["partitions", chain2, "--m", "0"])
         assert code == 0 and json.loads(out)["count"] == 1
+
+
+# An environment value and a flag value for each option, neither its default.
+OPTION_VALUES = {name: ("tsv", "text") if name == "format" else ("3", "5") for name in DEFAULTS}
+INT_OPTIONS = [name for name, default in DEFAULTS.items() if isinstance(default, int)]
+
+
+def option(argv, name):
+    cfg = config_from_args(build_parser().parse_args(argv))
+    return str(cfg.fmt if name == "format" else getattr(cfg, name))
+
+
+class TestOptions:
+    """Every option is read from its flag, else its ENCHAIN_ variable, else
+    its default."""
+
+    @pytest.fixture(autouse=True)
+    def no_variables(self, monkeypatch):
+        for name in DEFAULTS:
+            monkeypatch.delenv(f"ENCHAIN_{name.upper()}", raising=False)
+
+    @pytest.mark.parametrize("name", list(DEFAULTS))
+    def test_variable_sets_the_option_and_the_flag_wins(self, monkeypatch, name):
+        from_variable, from_flag = OPTION_VALUES[name]
+        flag = "--" + name.replace("_", "-")
+        assert option(["ehrhart", "p"], name) == str(DEFAULTS[name])
+        monkeypatch.setenv(f"ENCHAIN_{name.upper()}", from_variable)
+        assert option(["ehrhart", "p"], name) == from_variable
+        assert option(["ehrhart", "p", flag, from_flag], name) == from_flag
+
+    @pytest.mark.parametrize("name", INT_OPTIONS)
+    def test_a_variable_that_is_no_integer_exits_one(self, capsys, chain2, monkeypatch, name):
+        monkeypatch.setenv(f"ENCHAIN_{name.upper()}", "abc")
+        assert main(["ehrhart", chain2]) == 1
+        assert capsys.readouterr().err == f"error: bad ENCHAIN_{name.upper()} value 'abc'\n"
+
+    @pytest.mark.parametrize("name", INT_OPTIONS)
+    def test_a_zero_variable_exits_one(self, capsys, chain2, monkeypatch, name):
+        monkeypatch.setenv(f"ENCHAIN_{name.upper()}", "0")
+        assert main(["ehrhart", chain2]) == 1
+        assert "must be positive" in capsys.readouterr().err
+
+    def test_verify_all_sweeps_to_four_without_max_n(self, capsys):
+        code, out = run(capsys, ["verify-all"])
+        assert code == 0
+        assert out.encode() == (DATA / "verify_all_max_n4.json").read_bytes()
+
+    def test_verify_all_sweeps_to_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("ENCHAIN_MAX_N", "3")
+        code, out = run(capsys, ["verify-all"])
+        assert code == 0
+        assert out.encode() == (DATA / "verify_all_max_n3.json").read_bytes()
+
+
+class TestWorkBounds:
+    """Bounds that would exhaust memory or run for hours are refused before
+    any work."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["partitions", "--m", "100000000"],
+                "bound m=100000000: 6800000000 transfer additions exceed guard 33554432",
+            ),
+            (["verify-all", "--max-m", "100000", "--poset"], "max_m may be at most 16, got 100000"),
+            (
+                ["verify-all", "--truncation", "100000", "--poset"],
+                "truncation may be at most 1024, got 100000",
+            ),
+        ],
+    )
+    def test_huge_bounds_exit_one_at_once(self, capsys, chain2, argv, message):
+        start = time.perf_counter()
+        assert main(argv + [chain2]) == 1
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_bounds_at_their_limits_run(self, capsys, chain2):
+        argv = ["verify-all", "--poset", chain2, "--max-m", "16", "--truncation", "1024"]
+        code, out = run(capsys, argv)
+        assert code == 0
+        (row,) = json.loads(out)["rows"]
+        assert row["ehrhart_equals_left_order"] == {"max_m": 16, "pass": True}
+        assert row["series_identity"] == {"truncation": 1024, "pass": True}
+        assert row["alarms"] == []
 
 
 class TestVerifyAll:

@@ -385,6 +385,32 @@ class TestChainCounts:
         assert rising == chain_counts_oracle(poset, 6)
 
 
+class TestTransferGuard:
+    """A bound whose transfer passes cost more than TRANSFER_GUARD is
+    refused before any pass, by every count that reads the transfer."""
+
+    def test_guard_is_inclusive(self, monkeypatch):
+        # the 2-chain's J(P) has 2 cover edges, so a step costs 2 * 2 + 64
+        monkeypatch.setattr(posets, "TRANSFER_GUARD", 68 * 10)
+        assert posets.ideal_chain_count(chain(2), 10) == 1 + 2 * 2 * 10 + 4 * 45
+        message = r"^bound m=11: 748 transfer additions exceed guard 680$"
+        with pytest.raises(SizeLimit, match=message):
+            posets.ideal_chain_count(chain(2), 11)
+
+    def test_huge_bounds_are_refused_at_once(self):
+        message = r"^bound m=100000000: 6800000000 transfer additions exceed guard 33554432$"
+        start = time.perf_counter()
+        for count in (partitions.count_partitions, geometry.count_dilation):
+            with pytest.raises(SizeLimit, match=message):
+                count(chain(2), 10**8)
+        assert time.perf_counter() - start < 1
+
+    def test_verify_rows_fit_below_it(self):
+        # the most a row reads: the enriched relation of the 16-antichain,
+        # the widest poset inside the ideal guard, at m = n + 2
+        assert 18 * (2 * 16 * 2**15 + 64) <= posets.TRANSFER_GUARD
+
+
 class TestIdealGuard:
     """The ideal walk stops past its guard, stated in ideals."""
 

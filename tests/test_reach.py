@@ -103,6 +103,7 @@ ALLOWED = {
     "gamma_complex.DecoratedPermutation.bar_count": "recolored calls it, for the vertices view",
     "posets.Poset.less": "the relation accessor of the exported Poset class, which the oracles read",
     "posets._memo_with_limit": "a decorator, which runs at import, before any traffic",
+    "cli.on_natural_labels": "a decorator, which runs at import, before any traffic",
 }
 
 POSETS = {
