@@ -9,8 +9,9 @@ and no tolerance parameter exists anywhere.
 
 Besides the two coefficient rings the module houses the shape predicates
 h-polynomials are classified by (palindromic, unimodal, log-concave,
-gamma-positive, exact real-root counts via Sturm sequences) and the
-Kruskal-Katona realizability test for f-vectors of simplicial complexes.
+gamma-positive, exact real-root counts from one Sturm sequence per
+multiplicity level) and the Kruskal-Katona realizability test for
+f-vectors of simplicial complexes.
 """
 
 from dataclasses import dataclass
@@ -125,9 +126,6 @@ class IntPolynomial(_Polynomial):
         """Substitute factor*x for x: coefficient k gets factor^k."""
         return IntPolynomial([c * factor**k for k, c in enumerate(self.coeffs)])
 
-    def to_rat(self):
-        return RatPolynomial(self.coeffs)
-
 
 class RatPolynomial(_Polynomial):
     """Dense polynomial with exact rational coefficients, from ints and Fractions."""
@@ -149,36 +147,17 @@ class RatPolynomial(_Polynomial):
     def derivative(self):
         return RatPolynomial([k * c for k, c in enumerate(self.coeffs)][1:])
 
-    def monic(self):
-        if self.is_zero:
-            return self
-        lead = self.coeffs[-1]
-        return RatPolynomial([c / lead for c in self.coeffs])
 
-
-def poly_divmod(num, den):
-    """Quotient and remainder over QQ; deg(remainder) < deg(den)."""
-    if den.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
+def poly_remainder(num, den):
+    """Remainder of num by a nonzero den over QQ; its degree < deg(den)."""
     rem = list(num.coeffs)
     dcoeffs = den.coeffs
     dd = len(dcoeffs) - 1
-    lead = dcoeffs[-1]
-    quo = [Fraction(0)] * max(0, len(rem) - dd)
     for k in range(len(rem) - 1, dd - 1, -1):
-        c = rem[k] / lead
-        if c:
-            quo[k - dd] = c
+        if c := rem[k] / dcoeffs[-1]:
             for j, d in enumerate(dcoeffs):
                 rem[k - dd + j] -= c * d
-    return RatPolynomial(quo), RatPolynomial(rem)
-
-
-def poly_gcd(a, b):
-    """Monic gcd over QQ."""
-    while not b.is_zero:
-        a, b = b, poly_divmod(a, b)[1]
-    return a.monic()
+    return RatPolynomial(rem)
 
 
 def interpolate_at(nodes, values):
@@ -302,15 +281,16 @@ def _sign_variations(signs):
     return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a * b < 0)
 
 
-def _sturm_distinct_real_roots(p):
-    """Number of distinct real roots of p (degree >= 1), by a Sturm
-    sequence on the squarefree part of p, evaluated at -oo and +oo."""
-    g = poly_gcd(p, p.derivative())
-    sf = p if g.degree < 1 else poly_divmod(p, g)[0]
-    chain = [sf, sf.derivative()]
+def _sturm_level(p):
+    """The number of distinct real roots of p (degree >= 1), and gcd(p, p')
+    up to a nonzero factor, from one Sturm sequence p, p', -rem, ...
+
+    Its sign variations at -oo and +oo count the distinct real roots even
+    when p is not squarefree: dividing every entry by the last one,
+    gcd(p, p'), flips either all of the signs at a point or none."""
+    chain = [p, p.derivative()]
     while not chain[-1].is_zero:
-        _, rem = poly_divmod(chain[-2], chain[-1])
-        chain.append(-rem)
+        chain.append(-poly_remainder(chain[-2], chain[-1]))
     chain.pop()
 
     def sgn(x):
@@ -318,7 +298,7 @@ def _sturm_distinct_real_roots(p):
 
     at_minus = [sgn(q.leading) * (-1) ** q.degree for q in chain]
     at_plus = [sgn(q.leading) for q in chain]
-    return _sign_variations(at_minus) - _sign_variations(at_plus)
+    return _sign_variations(at_minus) - _sign_variations(at_plus), chain[-1]
 
 
 def real_root_count(f):
@@ -326,13 +306,12 @@ def real_root_count(f):
 
     A root of multiplicity mu appears in the first mu entries of the chain
     f, gcd(f, f'), gcd(gcd, ...) so summing distinct-root counts along the
-    chain recovers multiplicities.
-    """
-    p = f.to_rat() if isinstance(f, IntPolynomial) else f
-    total = 0
+    chain recovers multiplicities; each level's Sturm sequence ends in the
+    next level."""
+    p, total = RatPolynomial(f.coeffs), 0
     while p.degree >= 1:
-        total += _sturm_distinct_real_roots(p)
-        p = poly_gcd(p, p.derivative())
+        distinct, p = _sturm_level(p)
+        total += distinct
     return total
 
 

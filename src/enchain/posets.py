@@ -4,9 +4,9 @@ A poset is stored as one bitset per element of the elements above it,
 which gives its value (equality and hash), and of those below it; every
 kernel reads these, and the pair set of the relation is only derived for
 output.  Instances are immutable and hashable, safe to share between threads.
-Facts derived from a poset (covers, maximal chains, the ideal table, its
-cover edges, the ideal-chain counts) are computed once and kept, each in
-a slot or in _memo, MEMO_SIZE entries keyed by the poset's value: a row of
+Facts derived from a poset (covers, lower covers, maximal chains, the ideal
+table, its cover edges, the ideal-chain counts) are computed once and kept
+in _memo, MEMO_SIZE entries per fact keyed by the poset's value: a row of
 verify_poset reads up to 120 ideal tables (the 5-chain's orientations), and
 a sweep reuses peak and order polynomials across rows from 128 up.  Entries
 are only filled or replaced whole, so no caller can see a value change.
@@ -35,7 +35,7 @@ _memo = lru_cache(maxsize=MEMO_SIZE)
 
 
 class Poset:
-    __slots__ = ("n", "_above", "_below", "naturally_labeled", "_covers", "_lowers", "_chains")
+    __slots__ = ("n", "_above", "_below", "naturally_labeled")
 
     def __init__(self, n, above):
         """Trusted constructor: above[e] is the bitset of the elements above
@@ -50,9 +50,6 @@ class Poset:
                 below[b] |= 1 << a
         self._below = tuple(below)
         self.naturally_labeled = not any(up & ((2 << a) - 1) for a, up in enumerate(self._above))
-        self._covers = None
-        self._lowers = None
-        self._chains = None
 
     def less(self, a, b):
         return bool(self._above[a] >> b & 1)
@@ -65,23 +62,19 @@ class Poset:
     def elements(self):
         return range(1, self.n + 1)
 
+    @_memo
     def covers(self):
-        """Cover pairs (a, b): a precedes b with nothing in between."""
-        if self._covers is None:
-            up, down = self._above, self._below
-            self._covers = tuple(
-                (a, b) for a in self.elements() for b in _bits(up[a]) if not up[a] & down[b]
-            )
-        return self._covers
+        """Cover pairs (a, b), ascending: a precedes b with nothing between."""
+        up, down = self._above, self._below
+        return tuple((a, b) for a in self.elements() for b in _bits(up[a]) if not up[a] & down[b])
 
+    @_memo
     def lower_covers(self):
         """Per element (index 0 unused), its lower covers ascending."""
-        if self._lowers is None:
-            lowers = [[] for _ in range(self.n + 1)]
-            for a, b in self.covers():
-                lowers[b].append(a)
-            self._lowers = tuple(map(tuple, lowers))
-        return self._lowers
+        lowers = [[] for _ in range(self.n + 1)]
+        for a, b in self.covers():
+            lowers[b].append(a)
+        return tuple(map(tuple, lowers))
 
     def minimal_elements(self):
         return [i for i in self.elements() if not self._below[i]]
@@ -173,18 +166,15 @@ def antichains(poset):
 
 def maximal_chains(poset):
     """Every maximal chain, each listed bottom to top, exactly once, as a
-    fresh list (the chains are computed once per poset)."""
-    if poset._chains is None:
-        poset._chains = _walk_maximal_chains(poset)
-    return list(poset._chains)
+    fresh list (the chains are walked once per poset)."""
+    return list(_walk_maximal_chains(poset))
 
 
+@_memo
 def _walk_maximal_chains(poset):
     uppers = {i: [] for i in poset.elements()}
     for a, b in poset.covers():
-        uppers[a].append(b)
-    for ups in uppers.values():
-        ups.sort()
+        uppers[a].append(b)  # ascending, as covers() lists them
     chains = []
 
     def walk(chain):
@@ -197,7 +187,7 @@ def _walk_maximal_chains(poset):
             walk(chain)
             chain.pop()
 
-    for start in sorted(poset.minimal_elements()):
+    for start in poset.minimal_elements():
         walk([start])
     return tuple(chains)
 

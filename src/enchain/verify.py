@@ -192,7 +192,8 @@ def verify_poset(
     and an alarm raised inside it is collected into the row; a check past
     its n cap reads "skipped".  Each check adds its own alarms, in check
     order, where it computes its verdict; the sweep is never aborted.
-    guard_points bounds the live states of partitions.frontier_count.
+    guard_points bounds the live states of partitions.frontier_count, and
+    partitions.FRONTIER_WORK_GUARD its work.
     max_m past MAX_M or truncation past MAX_TRUNCATION raises SizeLimit
     before any check."""
     for name, value, bound in (("max_m", max_m, MAX_M), ("truncation", truncation, MAX_TRUNCATION)):

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -537,6 +540,69 @@ class TestWorkBounds:
         assert row["ehrhart_equals_left_order"] == {"max_m": 16, "pass": True}
         assert row["series_identity"] == {"truncation": 1024, "pass": True}
         assert row["alarms"] == []
+
+
+def poset_text(n, covers):
+    return f"{n}\n" + "".join(f"{a} < {b}\n" for a, b in covers)
+
+
+def stacked(k, depth):
+    """k-antichains stacked depth deep, each wholly below the next."""
+    n = k * depth
+    level = [(e - 1) // k for e in range(n + 1)]
+    covers = [(a, b) for a in range(1, n + 1) for b in range(a, n + 1) if level[b] == level[a] + 1]
+    return poset_text(n, covers)
+
+
+# Wide and long posets up to io.MAX_INPUT_N.  Unless the frontier DP's work
+# is bounded, the first five run it for seconds or past the memory cap.
+HOSTILE = {
+    "8-antichains stacked 2 deep": stacked(8, 2),
+    "8-antichains stacked 4 deep": stacked(8, 4),
+    "7-antichains stacked 4 deep": stacked(7, 4),
+    "6-antichains stacked 5 deep": stacked(6, 5),
+    "16-element crown": poset_text(16, [(i, 8 + j) for i in range(1, 9) for j in range(1, 9) if i != j]),
+    "8 parallel 32-chains": poset_text(256, [(i, i + 1) for i in range(1, 256) if i % 32]),
+    "256-element fence": poset_text(256, [(i, i + 1) if i % 2 else (i + 1, i) for i in range(1, 256)]),
+    "128 stacked 2-antichains": stacked(2, 128),
+    "256-chain": stacked(1, 256),
+}
+
+# Run in a fresh interpreter that caps its own address space at 1 GiB, a
+# limit on that process alone: argv[1] is the poset file.
+CAPPED = r"""
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from enchain.cli import main
+sys.exit(main(["verify-all", "--poset", sys.argv[1]]))
+"""
+
+
+class TestHostileInputs:
+    """verify-all --poset on each hostile poset finishes within 10 s under
+    a 1 GiB address-space cap, exiting 0 or 2; a tripped guard reads
+    skipped."""
+
+    @pytest.mark.parametrize("name", list(HOSTILE))
+    def test_finishes_under_a_memory_cap(self, tmp_path, name):
+        path = tmp_path / "hostile.poset"
+        path.write_text(HOSTILE[name])
+        env = {k: v for k, v in os.environ.items() if not k.startswith("ENCHAIN_")}
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", CAPPED, str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=10,
+        )
+        assert done.returncode in (0, 2), done.stderr
+        (row,) = json.loads(done.stdout)["rows"]
+        counts = row["ehrhart_equals_left_order"]
+        assert counts == {"max_m": 4, "pass": True} or counts.startswith("skipped (")
+        if name == "8-antichains stacked 4 deep":
+            assert counts.endswith(f"partition DP steps exceed guard {partitions.FRONTIER_WORK_GUARD})")
 
 
 class TestVerifyAll:

@@ -176,6 +176,24 @@ class TestFrontierCount:
             frontier_count(stacked, 4, "left", guard=10**5)
         assert int(str(trip.value).split()[0]) <= 10**5 + 4 + 1
 
+    def test_work_guard_counts_each_state_value_pair(self, monkeypatch):
+        # five minimal elements below one top, m = 4: 5 + 25 + ... + 3125
+        # pairs for the minimal elements, then one per base 0..4 for the top
+        star = poset_from_covers(6, [(i, 6) for i in range(1, 6)])
+        monkeypatch.setattr(partitions, "FRONTIER_WORK_GUARD", 3910)
+        assert frontier_count(star, 4) == count_partitions(star, 4)
+        monkeypatch.setattr(partitions, "FRONTIER_WORK_GUARD", 3909)
+        with pytest.raises(SizeLimit, match="^3910 partition DP steps exceed guard 3909$"):
+            frontier_count(star, 4)
+
+    def test_work_guard_trips_below_the_state_guard(self):
+        # two stacked 8-antichains at m = 3 need 546,136 units of work
+        stacked = poset_from_covers(16, [(a, b) for a in range(1, 9) for b in range(9, 17)])
+        bound = partitions.FRONTIER_WORK_GUARD
+        with pytest.raises(SizeLimit, match=f"partition DP steps exceed guard {bound}$") as trip:
+            frontier_count(stacked, 3)
+        assert int(str(trip.value).split()[0]) <= bound + 3 + 1
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="unknown kind"):
             frontier_count(single, 1, "right")
@@ -513,6 +531,11 @@ class TestSeriesIdentity:
         for m in range(5):
             assert series_rhs_coefficient(w_left, 2, m) == (2 * m + 1) ** 2
         assert series_identity_check(anti2, 4)
+
+    def test_rejects_a_labelling_that_is_not_natural(self):
+        # peak_polynomials makes the one natural-label check
+        with pytest.raises(NotNaturallyLabeled, match="require a naturally labeled poset"):
+            partitions.series_identity_failure(poset_from_covers(2, [(2, 1)]), 2)
 
 
 class TestEnrichedRelation:

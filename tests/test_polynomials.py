@@ -10,7 +10,7 @@ from enchain.errors import NegativeHStar, NonInteger, NotPalindromic
 from enchain.polynomials import (
     IntPolynomial,
     RatPolynomial,
-    _sturm_distinct_real_roots,
+    _sturm_level,
     gamma_expansion,
     hstar_from_counts,
     interpolate,
@@ -222,6 +222,13 @@ class TestProperties:
     def test_no_real_roots(self):
         assert real_root_count(IntPolynomial([1, 0, 1])) == 0
 
+    def test_rational_double_root_and_irrational_roots(self):
+        # x^3 - 3x + 1 is irreducible over QQ with three real roots
+        cubic = IntPolynomial([1, -3, 0, 1])
+        poly = IntPolynomial([-1, 2]) * IntPolynomial([-1, 2]) * cubic
+        assert real_root_count(poly) == 5
+        assert real_root_count(poly * cubic * IntPolynomial([1, 0, 1])) == 8
+
     @given(
         st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 3)), min_size=1, max_size=4),
         st.booleans(),
@@ -246,7 +253,7 @@ class TestProperties:
         grid = [Fraction(k, 2) for k in range(-13, 14)]
         signs = [1 if squarefree(x) > 0 else -1 for x in grid]
         changes = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-        assert _sturm_distinct_real_roots(poly.to_rat()) == changes
+        assert _sturm_level(RatPolynomial(poly.coeffs))[0] == changes
 
     @given(st.lists(st.integers(0, 20), min_size=2, max_size=6))
     @settings(deadline=None)

@@ -81,6 +81,20 @@ class TestConstruction:
         assert q.pairs == {(2, 1), (3, 1)}
         assert q.canonicalized().n == 3
 
+    def test_only_the_order_is_stored(self):
+        assert Poset.__slots__ == ("n", "_above", "_below", "naturally_labeled")
+        with pytest.raises(AttributeError):
+            V.covers_seen = True
+
+    def test_equal_posets_share_one_covers_entry(self):
+        first = poset_from_covers(7, [(1, 5), (2, 5), (5, 7), (3, 6)])
+        second = poset_from_covers(7, [(3, 6), (2, 5), (1, 5), (5, 7), (1, 7)])
+        assert first == second and first is not second
+        before = Poset.covers.cache_info()
+        assert first.covers() is second.covers()
+        after = Poset.covers.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+
 
 class TestMaskBuilder:
     """The per-element bitsets against the pair-set closure they replaced."""
