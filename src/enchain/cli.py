@@ -184,20 +184,18 @@ def cmd_peaks(poset, cfg):
 
 def cmd_grobner(poset, cfg):
     payload = {"variables": len(toric._sign_masks(poset)[0])}
-    checks, ok = toric.hilbert_certificate(poset)
-    payload["hilbert_checks"] = [list(c) for c in checks]
-    payload["hilbert_pass"] = ok
-    if not ok:
-        raise IdentityAlarm(verify.hilbert_alarm(checks))
-    if poset.n <= verify.BUCHBERGER_MAX_N:
-        basis_size, agree, verdict = toric.buchberger_outcome(poset, cfg.guard_spairs)
-        payload["basis_size"] = basis_size
-        payload["leading_terms"] = agree
-        payload["buchberger"] = verdict
-        if verdict == "fail":
-            raise IdentityAlarm(verify.buchberger_alarm(basis_size, agree))
-    else:
-        payload["buchberger"] = "skipped"
+    for path, _, _, cap, run in verify.CHECKS:  # the checks of a row's groebner section
+        section, _, key = path.partition(".")
+        if section != "groebner":
+            continue
+        if cap is not None and poset.n > cap:
+            payload[key] = "skipped"
+            continue
+        alarms = []
+        payload[key], extras = run(poset, alarms, guard_spairs=cfg.guard_spairs)
+        payload.update(extras)
+        if alarms:
+            raise IdentityAlarm(alarms[0])
     if poset.n <= toric.EXTRACT_MAX_N:
         tri = toric.triangulation_extract(poset)
         payload["triangulation"] = {

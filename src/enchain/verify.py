@@ -1,19 +1,15 @@
 """Cross-module identity verification, one poset at a time.
 
 Each row of a verification report records, for one poset, the verdict of
-every identity the library asserts: dilation counts against left enriched
-partition counts, the gamma vector against the scaled left peak
-polynomial, volume against linear extensions, the generating function
-identity, the Groebner certificates, the triangulation checks, the
-f-polynomial of the decorated-permutation complex, Kruskal-Katona, the
-narrow-poset descent coincidence, comparability-graph invariance, and the
-measured verdict of the halved-difference relation between the two order
-polynomials (reported exactly as computed, never assumed).
+every identity the library asserts, one check per record of CHECKS: its
+key, alarm label, failed value, n cap and run function.  The
+halved-difference relation between the two order polynomials is reported
+as measured, never assumed.
 
 Rows are plain dicts with JSON-friendly values and a deterministic layout.
 """
 
-from contextlib import contextmanager
+from copy import copy
 from fractions import Fraction
 from itertools import islice, permutations
 from math import factorial
@@ -21,10 +17,6 @@ from math import factorial
 from . import gamma_complex, geometry, partitions, posets, toric
 from .errors import IdentityAlarm, SizeLimit
 
-BUCHBERGER_MAX_N = 4
-TRIANGULATION_MAX_N = 4
-BIJECTION_MAX_N = 4
-INVARIANCE_MAX_N = 5
 RELABELING_LIMIT = 12
 # verify_poset refuses larger bounds.  On a 2-core host, max_m = 16 costs
 # the 256-chain's counts check 0.4 s, and the row of two interleaved
@@ -147,37 +139,152 @@ def _comparability_failure(poset):
     return None
 
 
-def hilbert_alarm(rows):
-    """Alarm text naming the (m, standard, points) rows of the certificate."""
-    return f"hilbert certificate failed: {list(rows)}"
-
-
-def buchberger_alarm(basis_size, agree):
-    """Alarm text naming the basis size and the leading-term verdict."""
-    return (
-        f"buchberger verification failed: basis size {basis_size}, "
-        f"leading terms agree: {agree}"
-    )
-
-
 def kruskal_katona_alarm(f_vector):
     """Alarm text naming the complex f-vector that fails Kruskal-Katona."""
     return f"complex f-vector {list(f_vector)} fails Kruskal-Katona"
 
 
-@contextmanager
-def _guarded(section, key, failed, label, alarms):
-    """Run one check of a row.  A tripped guard records section[key] as
-    "skipped (<reason>)"; an IdentityAlarm records section[key] as
-    `failed` and adds the alarm "<label>: <exc>".  Either way the row goes
-    on to its next check."""
-    try:
-        yield
-    except SizeLimit as exc:
-        section[key] = f"skipped ({exc})"
-    except IdentityAlarm as exc:
-        alarms.append(f"{label}: {exc}")
-        section[key] = failed
+def _gamma(poset, alarms, **_):
+    data = geometry.hstar_and_gamma(poset)
+    ehrhart = {
+        "L": rat_coeffs(data.ehrhart),
+        "hstar": int_coeffs(data.hstar),
+        "gamma": list(data.gamma),
+        "volume": data.volume,
+    }
+    return True, {"ehrhart": ehrhart}
+
+
+def _volume(poset, alarms, **_):
+    return True, {"reflexive": geometry.volume_and_reflexivity(poset).reflexive}
+
+
+def _counts(poset, alarms, canonical, max_m, guard_points, **_):
+    counts = {"max_m": max_m, "pass": True}
+    for m in range(1, max_m + 1):
+        try:
+            left = geometry.count_dilation(poset, m)
+            # the frontier DP shares no code with the ideal-chain kernel
+            # behind count_dilation, so the two routes are independent
+            right = partitions.frontier_count(canonical, m, "left", guard=guard_points)
+        except SizeLimit:
+            if counts["pass"]:
+                raise
+            break  # a mismatch below the trip stays a failure
+        if left != right:
+            counts["pass"] = False
+            alarms.append(f"count mismatch at m={m}: {left} != {right}")
+    if not counts["pass"]:
+        alarms.append("ehrhart_equals_left_order failed")
+    return counts, {}
+
+
+def _series(poset, alarms, canonical, truncation, **_):
+    failure = partitions.series_identity_failure(canonical, truncation)
+    if failure is not None:
+        alarms.append(f"series_identity failed {failure}")
+    return {"truncation": truncation, "pass": failure is None}, {}
+
+
+def _enriched_relation(poset, alarms, canonical, **_):
+    relation = partitions.enriched_relation_report(canonical)
+    return {
+        "left_order": rat_coeffs(relation.left_order),
+        "enriched_order": rat_coeffs(relation.enriched_order),
+        "halved_difference": rat_coeffs(relation.halved_difference),
+        "holds": relation.holds,
+    }, {}
+
+
+def _narrow(poset, alarms, canonical, **_):
+    if not posets.poset_predicates(poset).narrow:
+        return None, {}
+    peaks = partitions.peak_polynomials(canonical)
+    if peaks.left_peak != peaks.descent:
+        alarms.append(
+            "narrow poset descent identity failed: left peak polynomial "
+            f"{peaks.left_peak} != descent polynomial {peaks.descent}"
+        )
+    return peaks.left_peak == peaks.descent, {}
+
+
+def _bijection(poset, alarms, canonical, max_m, **_):
+    max_m = min(3, max_m)
+    failure = _bijection_failure(canonical, max_m)
+    if failure is not None:
+        alarms.append(f"bijection roundtrip failed {failure}")
+    return {"max_m": max_m, "pass": failure is None}, {}
+
+
+def _invariance(poset, alarms, **_):
+    failure = _comparability_failure(poset)
+    if failure is not None:
+        alarms.append(f"comparability invariance failed at {failure}")
+    return failure is None, {}
+
+
+def _hilbert(poset, alarms, **_):
+    checks, ok = toric.hilbert_certificate(poset)
+    if not ok:
+        alarms.append(f"hilbert certificate failed: {list(checks)}")
+    return [list(c) for c in checks], {"hilbert_pass": ok}
+
+
+def _buchberger(poset, alarms, guard_spairs, **_):
+    basis_size, agree, verdict = toric.buchberger_outcome(poset, guard_spairs)
+    if verdict == "fail":
+        alarms.append(
+            f"buchberger verification failed: basis size {basis_size}, "
+            f"leading terms agree: {agree}"
+        )
+    variables = len(toric._sign_masks(poset)[0])
+    return verdict, {"variables": variables, "basis_size": basis_size, "leading_terms": agree}
+
+
+def _triangulation(poset, alarms, **_):
+    tri = toric.triangulation_extract(poset)
+    return {
+        "simplices": tri.simplex_count,
+        "boundary_f": list(tri.boundary_f_vector),
+        "boundary_h": int_coeffs(tri.boundary_h),
+        "pass": True,
+    }, {}
+
+
+def _complex(poset, alarms, canonical, **_):
+    complex_ = gamma_complex.build_complex(canonical)
+    if not complex_.kruskal_katona:
+        alarms.append(kruskal_katona_alarm(complex_.f_vector))
+    return {
+        "f_vector": list(complex_.f_vector),
+        "identity": True,
+        "kruskal_katona": complex_.kruskal_katona,
+    }, {}
+
+
+# One record per check of a row, in row order: its key path, the label of
+# an IdentityAlarm raised inside it, the value it then reads, the largest n
+# it runs at (None: no cap) and its run function.  That takes the poset,
+# the row's alarm list and, by keyword, the canonical copy and the bounds of
+# verify_poset; it adds its own alarms and returns the check's value and a
+# dict of the other keys it sets.  It calls the library through module
+# attributes, so a patched or traced attribute is the one that runs.
+CHECKS = (
+    ("gamma_left_peak", "gamma", False, None, _gamma),
+    ("volume_extensions", "volume", False, None, _volume),
+    ("ehrhart_equals_left_order", "counts", False, None, _counts),
+    ("series_identity", "series", False, None, _series),
+    ("enriched_relation", "enriched relation", False, None, _enriched_relation),
+    ("narrow_left_peak_equals_descent", "narrow", False, None, _narrow),
+    ("bijection_roundtrip", "bijection", False, 4, _bijection),
+    ("comparability_invariance", "invariance", False, 5, _invariance),
+    ("groebner.hilbert_checks", "hilbert", False, None, _hilbert),
+    ("groebner.buchberger", "groebner", "fail", 4, _buchberger),
+    # toric.EXTRACT_MAX_N (5) bounds `enchain grobner`; the row stops at 4,
+    # since n = 5 adds about 4.6 s to a --max-n 5 sweep
+    ("triangulation", "triangulation", {"pass": False}, 4, _triangulation),
+    ("complex", "complex", {"identity": False}, gamma_complex.COMPLEX_GUARD_N, _complex),
+)
 
 
 def verify_poset(
@@ -187,152 +294,53 @@ def verify_poset(
     guard_points=partitions.PARTITION_GUARD_DEFAULT,
     guard_spairs=toric.SPAIR_GUARD_DEFAULT,
 ):
-    """Full identity battery for one poset.  Every check runs under
-    _guarded, so a tripped guard makes that check read "skipped (<reason>)"
-    and an alarm raised inside it is collected into the row; a check past
-    its n cap reads "skipped".  Each check adds its own alarms, in check
-    order, where it computes its verdict; the sweep is never aborted.
+    """Full identity battery for one poset: one pass over CHECKS.  A check
+    past its n cap reads "skipped"; a tripped guard makes it read
+    "skipped (<reason>)"; an IdentityAlarm raised inside it makes it read
+    its failed value and adds the alarm "<label>: <exc>".  Each check adds
+    its own alarms, in check order, where it computes its verdict; the
+    sweep is never aborted.
     guard_points bounds the live states of partitions.frontier_count, and
-    partitions.FRONTIER_WORK_GUARD its work.
-    max_m past MAX_M or truncation past MAX_TRUNCATION raises SizeLimit
-    before any check."""
+    partitions.FRONTIER_WORK_GUARD its work.  Every live state the DP adds
+    costs at least one unit of work, so at its default guard_points never
+    trips before the work guard does: it only lowers the work guard's reach.
+    max_m or truncation below 1, max_m past MAX_M or truncation past
+    MAX_TRUNCATION raises SizeLimit before any check."""
     for name, value, bound in (("max_m", max_m, MAX_M), ("truncation", truncation, MAX_TRUNCATION)):
+        if value < 1:
+            raise SizeLimit(f"{name} must be at least 1, got {value}")
         if value > bound:
             raise SizeLimit(f"{name} may be at most {bound}, got {value}")
-    n = poset.n
-    canonical = poset.canonicalized()
+    given = {
+        "canonical": poset.canonicalized(),
+        "max_m": max_m,
+        "truncation": truncation,
+        "guard_points": guard_points,
+        "guard_spairs": guard_spairs,
+    }
     alarms = []
     row = {
         "poset": {
-            "n": n,
+            "n": poset.n,
             "relation": sorted(map(list, poset.pairs)),
             "covers": sorted(map(list, poset.covers())),
             "naturally_labeled": poset.naturally_labeled,
             "relabeling": None if poset.naturally_labeled else list(poset.natural_relabeling),
         }
     }
-
-    with _guarded(row, "gamma_left_peak", False, "gamma", alarms):
-        data = geometry.hstar_and_gamma(poset)
-        row["ehrhart"] = {
-            "L": rat_coeffs(data.ehrhart),
-            "hstar": int_coeffs(data.hstar),
-            "gamma": list(data.gamma),
-            "volume": data.volume,
-        }
-        row["gamma_left_peak"] = True
-
-    with _guarded(row, "volume_extensions", False, "volume", alarms):
-        vol = geometry.volume_and_reflexivity(poset)
-        row["volume_extensions"] = True
-        row["reflexive"] = vol.reflexive
-
-    counts = row["ehrhart_equals_left_order"] = {"max_m": max_m, "pass": True}
-    with _guarded(row, "ehrhart_equals_left_order", False, "counts", alarms):
-        for m in range(1, max_m + 1):
-            try:
-                left = geometry.count_dilation(poset, m)
-                # the frontier DP shares no code with the ideal-chain kernel
-                # behind count_dilation, so the two routes are independent
-                right = partitions.frontier_count(canonical, m, "left", guard=guard_points)
-            except SizeLimit:
-                if counts["pass"]:
-                    raise
-                break  # a mismatch below the trip stays a failure
-            if left != right:
-                counts["pass"] = False
-                alarms.append(f"count mismatch at m={m}: {left} != {right}")
-        if not counts["pass"]:
-            alarms.append("ehrhart_equals_left_order failed")
-
-    with _guarded(row, "series_identity", False, "series", alarms):
-        failure = partitions.series_identity_failure(canonical, truncation)
-        row["series_identity"] = {"truncation": truncation, "pass": failure is None}
-        if failure is not None:
-            alarms.append(f"series_identity failed {failure}")
-
-    with _guarded(row, "enriched_relation", False, "enriched relation", alarms):
-        relation = partitions.enriched_relation_report(canonical)
-        row["enriched_relation"] = {
-            "left_order": rat_coeffs(relation.left_order),
-            "enriched_order": rat_coeffs(relation.enriched_order),
-            "halved_difference": rat_coeffs(relation.halved_difference),
-            "holds": relation.holds,
-        }
-
-    narrow = "narrow_left_peak_equals_descent"
-    row[narrow] = None
-    with _guarded(row, narrow, False, "narrow", alarms):
-        if posets.poset_predicates(poset).narrow:
-            peaks = partitions.peak_polynomials(canonical)
-            row[narrow] = peaks.left_peak == peaks.descent
-            if not row[narrow]:
-                alarms.append(
-                    "narrow poset descent identity failed: left peak polynomial "
-                    f"{peaks.left_peak} != descent polynomial {peaks.descent}"
-                )
-
-    if n <= BIJECTION_MAX_N:
-        with _guarded(row, "bijection_roundtrip", False, "bijection", alarms):
-            failure = _bijection_failure(canonical, min(3, max_m))
-            row["bijection_roundtrip"] = {"max_m": min(3, max_m), "pass": failure is None}
-            if failure is not None:
-                alarms.append(f"bijection roundtrip failed {failure}")
-    else:
-        row["bijection_roundtrip"] = "skipped"
-
-    if n <= INVARIANCE_MAX_N:
-        with _guarded(row, "comparability_invariance", False, "invariance", alarms):
-            failure = _comparability_failure(poset)
-            row["comparability_invariance"] = failure is None
-            if failure is not None:
-                alarms.append(f"comparability invariance failed at {failure}")
-    else:
-        row["comparability_invariance"] = "skipped"
-
-    grobner = row["groebner"] = {}
-    with _guarded(grobner, "hilbert_checks", False, "hilbert", alarms):
-        checks, ok = toric.hilbert_certificate(poset)
-        grobner["hilbert_checks"] = [list(c) for c in checks]
-        grobner["hilbert_pass"] = ok
-        if not ok:
-            alarms.append(hilbert_alarm(checks))
-    if n <= BUCHBERGER_MAX_N:
-        with _guarded(grobner, "buchberger", "fail", "groebner", alarms):
-            basis_size, agree, verdict = toric.buchberger_outcome(poset, guard_spairs)
-            grobner["variables"] = len(toric._sign_masks(poset)[0])
-            grobner["basis_size"] = basis_size
-            grobner["leading_terms"] = agree
-            grobner["buchberger"] = verdict
-            if verdict == "fail":
-                alarms.append(buchberger_alarm(basis_size, agree))
-    else:
-        grobner["buchberger"] = "skipped"
-
-    if n <= TRIANGULATION_MAX_N:
-        with _guarded(row, "triangulation", {"pass": False}, "triangulation", alarms):
-            tri = toric.triangulation_extract(poset)
-            row["triangulation"] = {
-                "simplices": tri.simplex_count,
-                "boundary_f": list(tri.boundary_f_vector),
-                "boundary_h": int_coeffs(tri.boundary_h),
-                "pass": True,
-            }
-    else:
-        row["triangulation"] = "skipped"
-
-    if n <= gamma_complex.COMPLEX_GUARD_N:
-        with _guarded(row, "complex", {"identity": False}, "complex", alarms):
-            complex_ = gamma_complex.build_complex(canonical)
-            row["complex"] = {
-                "f_vector": list(complex_.f_vector),
-                "identity": True,
-                "kruskal_katona": complex_.kruskal_katona,
-            }
-            if not complex_.kruskal_katona:
-                alarms.append(kruskal_katona_alarm(complex_.f_vector))
-    else:
-        row["complex"] = "skipped"
-
+    for path, label, failed, cap, run in CHECKS:
+        *parents, key = path.split(".")
+        section = row.setdefault(parents[0], {}) if parents else row
+        if cap is not None and poset.n > cap:
+            section[key] = "skipped"
+            continue
+        try:
+            section[key], extras = run(poset, alarms, **given)
+            section.update(extras)
+        except SizeLimit as exc:
+            section[key] = f"skipped ({exc})"
+        except IdentityAlarm as exc:
+            alarms.append(f"{label}: {exc}")
+            section[key] = copy(failed)  # a failed dict of its own in each row
     row["alarms"] = alarms
     return row

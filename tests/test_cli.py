@@ -17,7 +17,7 @@ from enchain import gamma_complex, geometry, partitions, posets, toric, verify
 from enchain.cli import COMMANDS, DEFAULTS, build_parser, config_from_args, main
 from enchain.io import MAX_INPUT_N, parse_poset, render_json, render_tsv
 from enchain.polynomials import IntPolynomial
-from enchain.errors import IdentityViolation, ParseError
+from enchain.errors import IdentityViolation, ParseError, SizeLimit
 
 
 @pytest.fixture
@@ -445,6 +445,13 @@ class TestExitCodes:
         assert main(argv) == 1
         assert "usage: enchain" in capsys.readouterr().err
 
+    def test_grobner_spair_guard_trip_exits_one(self, capsys, tmp_path):
+        # the command runs the row's Buchberger check, but a trip is an error, not a skip
+        path = tmp_path / "anti4.poset"
+        path.write_text("4\n")
+        assert main(["grobner", str(path), "--guard-spairs", "1"]) == 1
+        assert capsys.readouterr().err == "error: 77664 S-pair lcm classes exceed guard 1\n"
+
     def test_missing_file(self, capsys):
         assert main(["ehrhart", "/nonexistent/poset"]) == 1
 
@@ -540,6 +547,20 @@ class TestWorkBounds:
         assert row["ehrhart_equals_left_order"] == {"max_m": 16, "pass": True}
         assert row["series_identity"] == {"truncation": 1024, "pass": True}
         assert row["alarms"] == []
+
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            ({"max_m": 0}, "max_m must be at least 1, got 0"),
+            ({"max_m": -3}, "max_m must be at least 1, got -3"),
+            ({"truncation": -1}, "truncation must be at least 1, got -1"),
+        ],
+    )
+    def test_bounds_below_one_are_refused(self, bounds, message):
+        # a row past no bound compares nothing, so it must not read as a pass
+        with pytest.raises(SizeLimit) as exc:
+            verify.verify_poset(parse_poset("2\n1 < 2\n"), **bounds)
+        assert str(exc.value) == message
 
 
 def poset_text(n, covers):
@@ -805,6 +826,49 @@ class TestVerifyAll:
         assert row["enriched_relation"]["enriched_order"] == [0, 2]
         assert row["enriched_relation"]["left_order"] == [1, 2]
         assert row["enriched_relation"]["holds"] is False
+
+
+def chain(n):
+    return parse_poset(poset_text(n, [(i, i + 1) for i in range(1, n)]))
+
+
+def row_value(row, path):
+    *parents, key = path.split(".")
+    return (row[parents[0]] if parents else row)[key]
+
+
+class TestChecksTable:
+    """verify.CHECKS is the one list of a row's checks, and enchain grobner
+    runs the records of the row's groebner section."""
+
+    def test_row_keys_are_the_records_and_their_extras(self):
+        row = verify.verify_poset(parse_poset("2\n1 < 2\n"))
+        keys = {f"groebner.{key}" for key in row.pop("groebner")}
+        keys |= set(row) - {"poset", "alarms"}
+        extras = {"ehrhart", "reflexive", "groebner.hilbert_pass", "groebner.variables"}
+        extras |= {"groebner.basis_size", "groebner.leading_terms"}
+        assert keys == {check[0] for check in verify.CHECKS} | extras
+
+    @pytest.mark.parametrize(
+        "path, cap", [(check[0], check[3]) for check in verify.CHECKS if check[3] is not None]
+    )
+    def test_a_capped_check_runs_at_its_cap_and_skips_past_it(self, path, cap):
+        assert 4 <= cap <= 6
+        assert row_value(verify.verify_poset(chain(cap)), path) != "skipped"
+        assert row_value(verify.verify_poset(chain(cap + 1)), path) == "skipped"
+
+    def test_grobner_agrees_with_the_row(self, capsys, tmp_path):
+        chosen = [p for n in range(1, 5) for p in posets.all_natural_posets(n)]
+        chosen.append(parse_poset(TORIC_POSETS["bowtie"]))
+        path = tmp_path / "poset"
+        for poset in chosen:
+            path.write_text(poset_text(poset.n, sorted(poset.covers())))
+            code, out = run(capsys, ["grobner", str(path)])
+            assert code == 0
+            payload = json.loads(out)
+            section = json.loads(render_json(verify.verify_poset(poset)["groebner"]))
+            assert set(section) <= set(payload)
+            assert {key: payload[key] for key in section} == section
 
 
 class TestRendering:

@@ -91,8 +91,6 @@ ALLOWED = {
     "polynomials.interpolate_at": BENCHMARK,
     "posets.ideal_lattice": BENCHMARK,
     "posets._view": BENCHMARK + " (the helper of ideal_lattice)",
-    "verify.hilbert_alarm": ALARM,
-    "verify.buchberger_alarm": ALARM,
     "verify.kruskal_katona_alarm": ALARM,
     "toric.TermOrder.monomial_key": (
         "the tie-break that makes the term order total; no two candidate monomials tie in weight"
