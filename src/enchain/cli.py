@@ -12,6 +12,7 @@ import functools
 import os
 import sys
 from dataclasses import asdict, dataclass
+from itertools import chain, product
 
 from . import gamma_complex, geometry, partitions, polynomials, posets, toric, verify
 from .errors import GuardExceeded, IdentityAlarm, InputError
@@ -225,17 +226,18 @@ def cmd_triangulation(poset, cfg):
 @on_natural_labels
 def cmd_complex(poset, cfg):
     complex_ = gamma_complex.build_complex(poset)
-    # the complex is stored uncolored: render each base once, then color it
+    # stored uncolored: cut each base's word at its peak before joining (labels may pass 9)
     colored = []
     for base in complex_.bases:
-        head, tail = base.text().split("|^0")
-        colored.append([f"{head}|^{c}{tail}" for c in gamma_complex.COLORS])
+        word, ((peak, _),) = base.word, base.bars
+        head, tail = "".join(map(str, word[:peak])), "".join(map(str, word[peak:]))
+        colored.append([f"{head}|^{c} {tail}" for c in gamma_complex.COLORS])
     payload = {
         "f": list(complex_.f_vector),
         "identity": "pass",
         "kruskal_katona": "pass" if complex_.kruskal_katona else "fail",
-        "vertices": [text for texts in colored for text in texts],
-        "edges": [[u, v] for a, b in complex_.pairs for u in colored[a] for v in colored[b]],
+        "vertices": list(chain.from_iterable(colored)),
+        "edges": list(chain.from_iterable(product(colored[a], colored[b]) for a, b in complex_.pairs)),
     }
     if not complex_.kruskal_katona:
         raise IdentityAlarm(verify.kruskal_katona_alarm(complex_.f_vector))

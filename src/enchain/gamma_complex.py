@@ -8,11 +8,12 @@ part (the acute); the split used everywhere is the shortest nonempty
 decreasing prefix with increasing remainder (see grave_acute).  A word
 that admits no such split raises MalformedResult.
 
-Vertices of the complex are the one-bar decorated linear extensions, four
-to a word, one per bar color.  The complex is stored uncolored: its bases
-are the color-0 vertices and its pairs are the edges between bases.  Bar
-colors pass through the face map unchanged, so the colors are applied
-only where the complex is written out (cli.cmd_complex); GammaComplex
+Vertices of the complex are the one-bar decorated linear extensions,
+four to a word, one per bar color.  The complex is stored uncolored: its
+bases are the color-0 vertices and its pairs are the edges between
+bases.  Bar colors pass through the face map unchanged, so the colors
+are applied only where the complex is written out (cli.cmd_complex
+writes each base's colored texts from its word and peak); GammaComplex
 builds its colored vertices and edges on their first read.  The face map
 sends a decorated permutation with k bars to a k-set of vertices, one
 per bar, so the pairs are the images of the two-bar decorated extensions
@@ -22,9 +23,9 @@ posets._flag_faces, the flag-complex kernel that the toric triangulation
 shares.  The tests keep the routes this one replaced as its oracles
 (tests/oracles.py): phi_face_map on decorated permutations,
 vertex_adjacent, which splices two vertices into a word and checks that
-the word maps back, splice_adjacency, the pair loop that built the
-edges with it, and the eager expansion of the colored vertices and
-edges.
+the word maps back, splice_adjacency, the pair loop that built the edges
+with it, and the eager expansion of the colored vertices and edges.  So
+do a decorated permutation's blocks and text, which only the tests read.
 """
 
 from dataclasses import dataclass
@@ -77,20 +78,8 @@ class DecoratedPermutation:
         if any(c not in COLORS for _, c in self.bars):
             raise MalformedResult(f"bar colors must lie in 0..3: {self.bars}")
 
-    def blocks(self):
-        cuts = [0] + [p for p, _ in self.bars] + [len(self.word)]
-        return [self.word[a:b] for a, b in zip(cuts, cuts[1:])]
-
     def bar_count(self):
         return len(self.bars)
-
-    def text(self):
-        parts = []
-        for block, bar in zip(self.blocks(), list(self.bars) + [None]):
-            parts.append("".join(str(x) for x in block))
-            if bar is not None:
-                parts.append(f"|^{bar[1]} ")
-        return "".join(parts).rstrip()
 
     def recolored(self, color):
         """This one-bar element with its bar in `color`.  The bar of self

@@ -18,6 +18,7 @@ byte-deterministic for a fixed input and configuration.
 
 import json
 import re
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import ParseError, SizeLimit
@@ -83,13 +84,28 @@ def render_json(payload):
     dicts with str keys, lists, tuples, str, int, bool and None; anything
     else raises TypeError.  json turns off its C encoder whenever it
     indents, so this writer collects the pieces in one list itself.  A
-    list item that is a non-empty list or tuple of str only, such as an
-    edge of the gamma complex, is written as one piece with one join;
-    every other value takes the recursive path."""
+    list of uniform rows (non-empty lists or tuples of one length whose
+    leaves are all exactly str or all exactly int), such as the edges of
+    the gamma complex, is written with C-level joins; every other value
+    takes the recursive path."""
     pieces = []
     _write_json(payload, "\n", pieces)
     pieces.append("\n")
     return "".join(pieces)
+
+
+# One piece per block of uniform rows: one piece for the whole list holds
+# its text twice at the peak, and one piece per row gives the speed back.
+ROWS_PER_PIECE = 1024
+_LEAF_WRITERS = {str: _quote, int: int.__repr__}
+
+
+def _leaf_writer(rows):
+    """_quote or int.__repr__ if rows is a list of uniform rows, else None."""
+    if set(map(type, rows)) <= {list, tuple} and len(set(map(len, rows))) == 1 and rows[0]:
+        leaves = set(map(type, chain.from_iterable(rows)))
+        return _LEAF_WRITERS.get(leaves.pop()) if len(leaves) == 1 else None
+    return None
 
 
 def _write_json(value, newline, pieces):
@@ -110,25 +126,21 @@ def _write_json(value, newline, pieces):
             pieces.append("[]")
             return
         inner = newline + "  "
-        leaf = inner + "  "
-        leaf_separator = "," + leaf
-        close = inner + "]"
+        writer = _leaf_writer(value)
+        if writer is not None:
+            leaf = inner + "  "
+            row_separator = f"{inner}],{inner}[{leaf}"
+            head = f"[{inner}[{leaf}"
+            for start in range(0, len(value), ROWS_PER_PIECE):
+                rows = map(map, repeat(writer), value[start : start + ROWS_PER_PIECE])
+                pieces.append(head + row_separator.join(map(f",{leaf}".join, rows)))
+                head = row_separator
+            pieces.append(f"{inner}]{newline}]")
+            return
         separator = "[" + inner
         for item in value:
-            if isinstance(item, str):
-                pieces.append(separator + _quote(item))
-            else:
-                if isinstance(item, (list, tuple)) and item:
-                    for x in item:
-                        if not isinstance(x, str):
-                            break
-                    else:  # str only: one piece, one join
-                        joined = leaf_separator.join(map(_quote, item))
-                        pieces.append(f"{separator}[{leaf}{joined}{close}")
-                        separator = "," + inner
-                        continue
-                pieces.append(separator)
-                _write_json(item, inner, pieces)
+            pieces.append(separator)
+            _write_json(item, inner, pieces)
             separator = "," + inner
         pieces.append(newline + "]")
     elif isinstance(value, dict):

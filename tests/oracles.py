@@ -34,7 +34,8 @@ predecessor here too: the two-bar decorated permutation built and
 validated, and its face map compared with the pair.  The complex's
 colored vertices and edges keep the eager expansion that build_complex
 made before the complex kept only its color-0 bases and the pairs
-between them.  The bijection
+between them, and a decorated permutation keeps here the blocks and the
+text that only the tests read.  The bijection
 check keeps its per-bound routine, which runs every check on every
 partition at every bound, and the comparability orientations keep their
 scan of all 2^E edge masks.  The toric ring
@@ -761,6 +762,24 @@ def peak_positions(word):
     ]
 
 
+def decorated_blocks(decorated):
+    """The letters between consecutive bars, moved here from
+    DecoratedPermutation.blocks."""
+    cuts = [0] + [p for p, _ in decorated.bars] + [len(decorated.word)]
+    return [decorated.word[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def decorated_text(decorated):
+    """The blocks written out with each bar as |^color, moved here from
+    DecoratedPermutation.text."""
+    parts = []
+    for block, bar in zip(decorated_blocks(decorated), list(decorated.bars) + [None]):
+        parts.append("".join(str(x) for x in block))
+        if bar is not None:
+            parts.append(f"|^{bar[1]} ")
+    return "".join(parts).rstrip()
+
+
 def decorate(word):
     """All 4^(left peak count) decorations of a permutation."""
     positions = left_peak_positions(word)
@@ -779,7 +798,7 @@ def cover_reduce(decorated, bar_index):
     than silently re-barring; iso_check counts how often that happens."""
     if not 1 <= bar_index <= decorated.bar_count():
         raise ValueError(f"bar index {bar_index} out of range")
-    blocks = decorated.blocks()
+    blocks = decorated_blocks(decorated)
     i = bar_index - 1
     grave, acute = grave_acute(blocks[i])
     merged = grave + tuple(sorted(acute + blocks[i + 1]))
@@ -792,7 +811,7 @@ def phi_face_map(decorated):
     """The face attached to a decorated permutation: one one-bar vertex
     per bar, built from the sorted letters left of that bar's following
     grave part, the grave part itself, and the sorted letters right of it."""
-    blocks = decorated.blocks()
+    blocks = decorated_blocks(decorated)
     word = decorated.word
     vertices = []
     for i, (pos, color) in enumerate(decorated.bars, start=1):

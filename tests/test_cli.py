@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+from enum import IntEnum
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enchain import gamma_complex, geometry, partitions, posets, toric, verify
+from enchain import gamma_complex, geometry, io, partitions, polynomials, posets, toric, verify
 from enchain.cli import COMMANDS, DEFAULTS, build_parser, config_from_args, main
 from enchain.io import MAX_INPUT_N, parse_poset, render_json, render_tsv
 from enchain.polynomials import IntPolynomial
@@ -229,6 +230,15 @@ class TestCommands:
         code, out = run(capsys, ["complex", str(path)])
         assert code == 0
         assert_matches_golden(out, f"complex_{name}")
+
+    @pytest.mark.parametrize("fmt, suffix", [("tsv", "tsv"), ("text", "txt")])
+    def test_flat_complex_is_byte_identical(self, capsys, tmp_path, fmt, suffix):
+        # the flat renderers on the complex's edges, which are tuples
+        path = tmp_path / "anti4.poset"
+        path.write_text(COMPLEX_POSETS["anti4"])
+        code, out = run(capsys, ["complex", str(path), "--format", fmt])
+        assert code == 0
+        assert out.encode() == (DATA / f"complex_anti4.{suffix}").read_bytes()
 
     @pytest.mark.parametrize("name", sorted(JSON_POSETS))
     @pytest.mark.parametrize("command", JSON_COMMANDS)
@@ -547,6 +557,25 @@ class TestWorkBounds:
         assert row["ehrhart_equals_left_order"] == {"max_m": 16, "pass": True}
         assert row["series_identity"] == {"truncation": 1024, "pass": True}
         assert row["alarms"] == []
+
+    def test_interpolation_past_its_guard_reads_skipped(self):
+        # the 512-chain is past io.MAX_INPUT_N, so only a library caller
+        # reaches its counts; the 256-chain's stay under the guard
+        row = verify.verify_poset(posets.poset_from_covers(512, [(i, i + 1) for i in range(1, 512)]))
+        for key in ("gamma_left_peak", "volume_extensions", "enriched_relation"):
+            assert row[key].startswith("skipped (interpolating 513 values of up to "), key
+            assert row[key].endswith(f" exceeds guard {polynomials.INTERPOLATE_WORK_GUARD})"), key
+        assert row["ehrhart_equals_left_order"] == {"max_m": 4, "pass": True}
+        assert row["alarms"] == []
+        relation = verify.verify_poset(chain(MAX_INPUT_N))["enriched_relation"]
+        assert len(relation["left_order"]) == MAX_INPUT_N + 1
+
+    def test_ehrhart_exits_one_when_interpolation_trips(self, capsys, chain2, monkeypatch, cold_hstar):
+        monkeypatch.setattr(polynomials, "INTERPOLATE_WORK_GUARD", 31)
+        assert main(["ehrhart", chain2]) == 1
+        # the counts 1, 5, 13: d = 2, 4 bits, work 2 * 2 * (4 + 2 * 2)
+        message = "interpolating 3 values of up to 4 bits: work 32 exceeds guard 31"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "bounds, message",
@@ -918,6 +947,26 @@ JSON_VALUES = st.recursive(
 )
 
 
+@st.composite
+def uniform_rows(draw):
+    """A list of uniform rows: lists or tuples of one width, at least 1,
+    whose leaves are all str or all int."""
+    width = draw(st.integers(1, 4))
+    leaf = draw(st.sampled_from([JSON_TEXT, st.integers()]))
+    row = st.lists(leaf, min_size=width, max_size=width)
+    return draw(st.lists(row | row.map(tuple), min_size=1, max_size=8))
+
+
+# Leaves of int and str subclasses, which the joined path leaves to the
+# recursive one.
+class Level(IntEnum):
+    LOW = 1
+
+
+class Label(str):
+    pass
+
+
 class TestRenderJson:
     """render_json writes what json.dumps(sort_keys=True, indent=2) does."""
 
@@ -925,6 +974,61 @@ class TestRenderJson:
     @settings(max_examples=300, deadline=None)
     def test_matches_json_dumps(self, payload):
         assert render_json(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    @given(uniform_rows(), JSON_TEXT)
+    @settings(max_examples=200, deadline=None)
+    def test_uniform_rows_match_json_dumps(self, rows, key):
+        assert io._leaf_writer(rows) is not None
+        for payload in (rows, {key: rows}, [{key: rows}]):
+            self.assert_dumps(payload)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_row_counts_at_the_block_edges(self, offset):
+        block = io.ROWS_PER_PIECE
+        for count in (1, block + offset, 2 * block + offset):
+            edges = [(f"{i}|^0 1", f"{i}|^3 2") for i in range(count)]
+            counts = [[i, -i, 10**20 + i] for i in range(count)]
+            for rows in (edges, counts):
+                assert io._leaf_writer(rows) is not None
+                self.assert_dumps({"rows": rows, "more": {"rows": rows[::-1]}})
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [["a"], ("b",), ["c"]],
+            [(1,), (-(10**40),), (0,)],
+            [('say "hi"', "back\\slash"), ("\x00\x1f\n", "café \u2028 \U0001f600"), ("", "é")],
+            [(1, 2), [3, 4], (-5, 10**30)],
+        ],
+    )
+    def test_uniform_rows_take_the_joined_path(self, rows):
+        assert io._leaf_writer(rows) is not None
+        self.assert_dumps(rows)
+        self.assert_dumps({"a": {"b": rows}, "c": [rows, rows]})
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[True, False], [False, True]],
+            [[Level.LOW, 2], [3, 4]],
+            [[Level.LOW], [Level.LOW]],
+            [[Label("a"), "b"], ["c", "d"]],
+            [[Label("a")]],
+            [[], []],
+            [["a"], []],
+            [["a", "b"], ["c"]],
+            [[1, 2], [3]],
+            [["a", 1], ["b", 2]],
+            [["a"], [1]],
+            [[None], [None]],
+            [[["a"]], [["b"]]],
+            [["a"], "b"],
+        ],
+    )
+    def test_other_lists_take_the_recursive_path(self, rows):
+        assert io._leaf_writer(rows) is None
+        self.assert_dumps(rows)
+        self.assert_dumps({"rows": rows})
 
     def test_empty_containers_and_nesting(self):
         payload = {"a": [], "b": {}, "c": ((), [{}]), "d": [[1, [True, None]], "x"]}
@@ -946,8 +1050,8 @@ class TestRenderJson:
         assert render_json(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def test_lists_of_str_inside_lists(self):
-        """Lists and tuples holding only str, written in one piece, at
-        several depths and lengths."""
+        """Lists and tuples holding only str, at several depths and
+        lengths, some of them lists of uniform rows."""
         self.assert_dumps([["a", "b"], ("c",), ["d", "e", "f"], "g", [["h"], ("i", "j")]])
         self.assert_dumps({"edges": [["1|^0 2", "2|^3 1"]] * 3, "k": [("x", "y"), "z"]})
         self.assert_dumps((["a"], ("b", "c")))

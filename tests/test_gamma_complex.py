@@ -1,4 +1,6 @@
 import hashlib
+import random
+from dataclasses import replace
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from enchain.posets import all_natural_posets, linear_extensions, poset_from_cov
 from oracles import (
     cover_reduce,
     decorate,
+    decorated_text,
     eager_colored_views,
     iso_check,
     labelled_six_posets,
@@ -57,7 +60,7 @@ class TestDecorate:
         assert len(decs) == 4 ** 3
         wanted = DecoratedPermutation(word, ((1, 2), (3, 1), (6, 0)))
         assert wanted in decs
-        assert wanted.text() == "3|^2 24|^1 157|^0 689"
+        assert decorated_text(wanted) == "3|^2 24|^1 157|^0 689"
 
     def test_counts_match_left_peaks(self):
         for word in permutations(range(1, 5)):
@@ -88,7 +91,7 @@ class TestCoverReduce:
         reduced = cover_reduce(d, 2)
         assert reduced.word == (3, 2, 1, 4, 5, 7, 6, 8, 9)
         assert reduced.bars == ((1, 2), (6, 0))
-        assert reduced.text() == "3|^2 21457|^0 689"
+        assert decorated_text(reduced) == "3|^2 21457|^0 689"
 
     def test_only_bar_of_two_one(self):
         d = DecoratedPermutation((2, 1), ((1, 3),))
@@ -147,7 +150,7 @@ class TestComplex:
         complex_ = build_complex(anti2)
         assert complex_.f_vector == (1, 4)
         assert complex_.edges == ()
-        assert [v.text() for v in complex_.vertices] == [
+        assert [decorated_text(v) for v in complex_.vertices] == [
             "2|^0 1",
             "2|^1 1",
             "2|^2 1",
@@ -285,6 +288,45 @@ class TestColoredViews:
             build_complex(anti4).vertices
 
 
+class TestColoredTexts:
+    """cmd_complex writes each base's four colored texts from its word and
+    peak; they are the texts of the recolored vertices, and its edges the
+    texts of GammaComplex.edges."""
+
+    @staticmethod
+    def assert_texts_match_oracle(poset):
+        payload = cli.cmd_complex(poset, None)
+        complex_ = build_complex(poset.canonicalized())
+        texts = [decorated_text(v) for v in complex_.vertices]
+        assert payload["vertices"] == texts, poset
+        assert payload["edges"] == [(texts[a], texts[b]) for a, b in complex_.edges], poset
+
+    def test_every_natural_poset_up_to_five(self):
+        for n in (1, 2, 3, 4, 5):
+            for poset in all_natural_posets(n):
+                self.assert_texts_match_oracle(poset)
+
+    def test_seeded_random_labellings_of_six_posets(self):
+        rng = random.Random(0)
+        for poset in rng.sample(all_natural_posets(6), 12):
+            self.assert_texts_match_oracle(poset.relabeled(rng.sample(range(1, 7), 6)))
+
+    def test_labels_of_ten_or_more(self, monkeypatch):
+        # the word is sliced by letters, not the joined digits by position
+        bases = (
+            DecoratedPermutation((2, 10, 1, 11), ((2, 0),)),
+            DecoratedPermutation((10, 2, 11), ((1, 0),)),
+        )
+        stub = replace(build_complex(anti2), bases=bases, pairs=((0, 1),))
+        monkeypatch.setattr(gamma_complex, "build_complex", lambda poset: stub)
+        payload = cli.cmd_complex(anti2, None)
+        first = [f"210|^{c} 111" for c in COLORS]
+        second = [f"10|^{c} 211" for c in COLORS]
+        assert payload["vertices"] == first + second
+        assert payload["vertices"] == [decorated_text(v) for v in stub.vertices]
+        assert payload["edges"] == [(u, v) for u in first for v in second]
+
+
 def pair_scan_edges(complex_):
     """The edges of the complex from vertex_adjacent on every pair of
     color-0 vertices, expanded over the colors in build_complex's order."""
@@ -395,7 +437,7 @@ class TestPhi:
     def test_two_bar_example(self):
         d = DecoratedPermutation((2, 1, 4, 3), ((1, 0), (3, 1)))
         image = phi_face_map(d)
-        assert [v.text() for v in image] == ["2|^0 134", "124|^1 3"]
+        assert [decorated_text(v) for v in image] == ["2|^0 134", "124|^1 3"]
 
     def test_no_bars_empty_face(self):
         assert phi_face_map(DecoratedPermutation((1, 2, 3), ())) == []

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enchain.errors import NegativeHStar, NonInteger, NotPalindromic
+from enchain import polynomials
+from enchain.errors import NegativeHStar, NonInteger, NotPalindromic, SizeLimit
 from enchain.polynomials import (
     IntPolynomial,
     RatPolynomial,
@@ -128,6 +129,22 @@ class TestInterpolate:
         poly = RatPolynomial(coeffs)
         values = [poly(m) for m in range(len(coeffs))]
         assert interpolate(values) == poly
+
+    def test_work_guard_is_checked_before_the_loop(self, monkeypatch):
+        # work d^2 * (bits + d * bit_length(start + d)): 2 * 2 * (3 + 2 * 2)
+        monkeypatch.setattr(polynomials, "INTERPOLATE_WORK_GUARD", 28)
+        assert interpolate([1, 3, 5]) == RatPolynomial([1, 2])
+        monkeypatch.setattr(polynomials, "INTERPOLATE_WORK_GUARD", 27)
+        with pytest.raises(SizeLimit, match="^interpolating 3 values of up to 3 bits: work 28 exceeds guard 27$"):
+            interpolate([1, 3, 5])
+
+    def test_work_guard_bounds_many_small_values(self):
+        # 1001 one-bit values take about 10 s without the guard, though
+        # d * bits is only 1000
+        with pytest.raises(SizeLimit, match="interpolating 1001 values of up to 1 bits"):
+            interpolate([1] * 1001)
+        assert interpolate([1] * 101) == RatPolynomial([1])
+        assert interpolate([]) == RatPolynomial()
 
 
 class TestHstar:
