@@ -33,7 +33,7 @@ from .polynomials import (
     hstar_from_counts,
     interpolate,
 )
-from .posets import _memo, ideal_chain_count, maximal_chains
+from .posets import _memo_with_limit, ideal_chain_count, maximal_chains
 
 
 def dilation_points(poset, m):
@@ -99,10 +99,11 @@ def dilation_counts(poset, max_m):
     return [count_dilation(poset, m) for m in range(max_m + 1)]
 
 
-@_memo
+@_memo_with_limit
 def ehrhart_and_hstar(poset):
     """The Ehrhart polynomial and h* of E_P from its dilation counts 0..n,
-    in posets._memo by poset value for the gamma, volume and triangulation checks."""
+    kept by poset value for the gamma, volume and triangulation checks,
+    with the SizeLimit of a tripped guard, so a row counts them once."""
     counts = dilation_counts(poset, poset.n)
     return interpolate(counts), hstar_from_counts(counts, poset.n)
 

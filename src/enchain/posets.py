@@ -423,12 +423,18 @@ class PosetPredicates:
     narrow: bool
 
 
+def poset_width(poset):
+    """Exact width, the maximum antichain size: every antichain is the
+    maxima of one ideal of the table."""
+    return max(maxima.bit_count() for maxima in _ideal_table(poset).values())
+
+
 def poset_predicates(poset):
     """Comparability graph, exact width (maximum antichain size), and the
     narrow flag (width <= 2, i.e. coverable by two chains)."""
     up, down = poset._above, poset._below
     edges = tuple((a, b) for a in poset.elements() for b in _bits(up[a] | down[a]) if a < b)
-    width = max(maxima.bit_count() for maxima in _ideal_table(poset).values())
+    width = poset_width(poset)
     return PosetPredicates(edges, width, width <= 2)
 
 

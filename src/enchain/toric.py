@@ -45,10 +45,11 @@ Flipping the sign of one element, or swapping two twin elements (same
 strict up-set and down-set), maps E_P, the weights and so the rules
 onto themselves (Sturmfels, Groebner Bases and Convex Polytopes, 1996,
 ch. 4 and 8).  buchberger_verify keeps each such candidate once it has
-checked it rule by rule, and walks the cubic lcm classes only from the
-centers, the variables that no kept candidate moves up (at least one
-per orbit); a triangle of leads is checked from its smallest center
-vertex, and the guard still counts every class.  A second, cheaper
+checked it rule by rule, and checks a wedge of leads cx, cy only at a
+center c, a variable that no kept candidate moves up (at least one per
+orbit), and only when no kept candidate fixing c maps {x, y} to a larger
+pair: at least one wedge of every orbit, and the guard still counts
+every class.  A second, cheaper
 certificate, hilbert_certificate, counts standard monomials of the
 initial ideal (multisets supported on independent sets of the
 leading-term graph, held as one neighbour bitset per variable) and
@@ -341,21 +342,68 @@ def _symmetries(poset):
 
 def _centers(rules, symmetries):
     """The bitset of the variables u with sigma(u) <= u for every kept
-    candidate sigma: one that is a permutation of range(len(sigma)),
-    covers every id in the rules and maps each (lead, tail) rule to a
-    rule.  The maximum of every orbit is a center."""
-    top = max((v for rule in rules for pair in rule for v in pair), default=-1)
-    centers = (1 << top + 1) - 1
+    candidate sigma, and the kept candidates as (sigma, that bitset for
+    sigma alone) pairs, in the order given.  A candidate is kept when it is
+    a permutation of range(len(sigma)), covers every id in the rules and
+    maps each (lead, tail) rule to a rule, each rule held flat as one
+    4-tuple.  The maximum of every orbit is a center."""
+    known = {(a, b, p, q) for (a, b), (p, q) in rules}
+    top = max(map(max, known), default=-1)
+    centers, kept = (1 << top + 1) - 1, []
     for sigma in symmetries:
         if len(sigma) <= top or sorted(sigma) != list(range(len(sigma))):
             continue
-        for (a, b), (p, q) in rules:
+        for a, b, p, q in known:
             a, b, p, q = sigma[a], sigma[b], sigma[p], sigma[q]
-            if ((a, b) if a < b else (b, a), (p, q) if p <= q else (q, p)) not in rules:
+            if a > b:
+                a, b = b, a
+            if p > q:
+                p, q = q, p
+            if (a, b, p, q) not in known:
                 break
         else:
-            centers &= ~sum(1 << u for u in range(top + 1) if sigma[u] > u)
-    return centers
+            lowered = sum(1 << u for u in range(top + 1) if sigma[u] <= u)
+            centers &= lowered
+            kept.append((sigma, lowered))
+    return centers, tuple(kept)
+
+
+def _checked_wedges(adjacent, centers, kept):
+    """The wedges (c, x, y), x < y, of leads cx and cy that
+    buchberger_verify checks, adjacent[u] being the bitset of the v with
+    uv a lead: c is a center, and no kept (sigma, lowered) pair of
+    _centers with sigma(c) = c maps {x, y} to a larger pair, pairs
+    compared as (larger id, smaller id).  Bitsets select each center's
+    y, then each y's x, so a skipped pair costs no step of a loop."""
+    tests = []
+    for sigma, lowered in kept:
+        inverse = [0] * len(sigma)
+        for u, v in enumerate(sigma):
+            inverse[v] = u
+        below, mask = [], 0  # below[y]: the ids x with sigma(x) < y
+        for u in inverse:
+            below.append(mask)
+            mask |= 1 << u
+        tests.append((sigma, lowered, inverse, below))
+    for c, around in adjacent.items():
+        if not centers >> c & 1:
+            continue
+        fixing = [test for test in tests if test[0][c] == c]
+        # {x, y} passes sigma when sigma(y) <= y and either sigma fixes y
+        # and sigma(x) <= x, or sigma(x) < y, or sigma(x) = y, sigma(y) <= x
+        ys = around
+        for _, lowered, _, _ in fixing:
+            ys &= lowered
+        for y in _bits(ys):
+            xs = around & ((1 << y) - 1)
+            for sigma, lowered, inverse, below in fixing:
+                if sigma[y] == y:
+                    xs &= lowered
+                else:
+                    u = inverse[y]
+                    xs &= below[y] | (sigma[y] <= u) << u
+            for x in _bits(xs):
+                yield c, x, y
 
 
 def buchberger_verify(binomials, order, guard_spairs=SPAIR_GUARD_DEFAULT, symmetries=()):
@@ -371,8 +419,10 @@ def buchberger_verify(binomials, order, guard_spairs=SPAIR_GUARD_DEFAULT, symmet
 
     symmetries holds candidate permutations of the variable ids (index u
     gives the image of u).  Only those _centers keeps count, so a wrong
-    candidate can cost time but not change the verdict, and the walk
-    visits only the centers.  Why that is sound:
+    candidate can cost time but not change the verdict.  A wedge (c; x, y)
+    of leads cx, cy is checked only at a center c, and only when no kept
+    candidate that fixes c maps {x, y} to a larger pair, pairs compared
+    as (larger id, smaller id).  Why that is sound:
       1. every rule lead -> tail lowers the term order, so rewriting
          terminates;
       2. two rewrites of one monomial by coprime leads join at once;
@@ -380,16 +430,19 @@ def buchberger_verify(binomials, order, guard_spairs=SPAIR_GUARD_DEFAULT, symmet
          degree-3 wedge cxy of leads cx, cy, and joinability survives
          multiplication;
       3. a kept sigma maps rules onto rules, and so does its inverse, so
-         a wedge and its image are joinable together, and the orbit of
-         any wedge holds one at a center, as each orbit's maximum is one;
-      4. so equal normal forms on the wedges at centers, with every lead's
+         a wedge and its image under the group G they generate are
+         joinable together, and the orbit of any wedge holds one whose
+         apex is a center, as the maximum of the apex's orbit is one;
+      4. the stabilizer of a center c in G maps the wedges at c onto
+         themselves, and the largest pair {x, y} in the orbit of one of
+         them under it passes the test, as every kept sigma that fixes c
+         lies in that stabilizer and maps {x, y} into the same orbit;
+      5. so equal normal forms on the checked wedges, with every lead's
          tails checked, give local confluence on all cubics, hence (Newman,
          Ann. Math. 1942) confluence: every S-pair reduces to zero.
-    The two checks of a triangle of leads cover all three of its wedges,
-    so they are made once, from its smallest center vertex; by 3 the
-    orbit of any triangle holds one with a center vertex.  With no
-    candidate kept every variable is a center, and that is the smallest
-    vertex."""
+    A checked wedge whose xy is a lead too closes a triangle, and both of
+    the triangle's checks are made from it.  With no candidate kept every
+    variable is a center and every wedge is checked."""
     pairs, lead_map = [], {}
     for b in binomials:
         lead = order.leading(b.lead, b.tail)
@@ -410,51 +463,38 @@ def buchberger_verify(binomials, order, guard_spairs=SPAIR_GUARD_DEFAULT, symmet
     classes = wedges - 2 * triangles
     if classes > guard_spairs:
         raise SizeLimit(f"{classes} S-pair lcm classes exceed guard {guard_spairs}")
-    centers = _centers(set(pairs), symmetries)
+    centers, kept = _centers(set(pairs), symmetries)
 
     memo = {}
     memo_get = memo.get
     # The S-pair of two equal leads is the difference of their tails.
     # Once those agree, one tail stands for them all: for i, i' of equal
     # lead and L = lcm(lead, lead_j), S(i', j) = (L/lead)*S(i', i) + S(i, j).
+    # A quadratic tail is standard unless it is a lead itself, as only
+    # a lead equal to a quadratic divides it.
     reduced = {}
     for lead, tail in pairs:
-        normal = memo_get(tail) or _normal_form(tail, lead_map, memo)
+        normal = (memo_get(tail) or _normal_form(tail, lead_map, memo)) if tail in lead_map else tail
         if reduced.setdefault(lead, normal) != normal:
             return False
-    neighbours = {}
-    for (u, v), tail in reduced.items():
-        if centers >> u & 1:
-            neighbours.setdefault(u, []).append((v, tail))
-        if centers >> v & 1:
-            neighbours.setdefault(v, []).append((u, tail))
-    for c, others in neighbours.items():
-        others.sort()
-        lower_centers = centers & ((1 << c) - 1)
-        for k, (x, tail_x) in enumerate(others):
-            leads_x = adjacent[x]
-            p_x, q_x = tail_x
-            for y, tail_y in others[k + 1 :]:
-                # Leads cx, cy have lcm L = cxy, and the S-pair of leads i, j
-                # dividing L is r_i - r_j, r_i being L rewritten by lead i.
-                # If xy is a lead k too, S(i, j) = S(i, k) + S(k, j): two
-                # checks, made from the triangle's smallest center vertex.
-                triangle = leads_x >> y & 1
-                if triangle and (lower_centers >> x | lower_centers >> y) & 1:
-                    continue
-                # the sorted cubics tail_x * y and tail_y * x, inline and
-                # memo first, as this loop is where the time goes
-                m1 = (y, p_x, q_x) if y <= p_x else (p_x, y, q_x) if y <= q_x else (p_x, q_x, y)
-                p, q = tail_y
-                m2 = (x, p, q) if x <= p else (p, x, q) if x <= q else (p, q, x)
-                n1 = memo_get(m1) or _normal_form(m1, lead_map, memo)
-                if n1 != (memo_get(m2) or _normal_form(m2, lead_map, memo)):
-                    return False
-                if triangle:
-                    p, q = reduced[x, y]
-                    m3 = (c, p, q) if c <= p else (p, c, q) if c <= q else (p, q, c)
-                    if n1 != (memo_get(m3) or _normal_form(m3, lead_map, memo)):
-                        return False
+    for c, x, y in _checked_wedges(adjacent, centers, kept):
+        # Leads cx, cy have lcm L = cxy, and the S-pair of leads i, j
+        # dividing L is r_i - r_j, r_i being L rewritten by lead i: the
+        # sorted cubics tail_y * x and tail_x * y, inline and memo first,
+        # as this loop is where the time goes
+        p, q = reduced[(c, y) if c < y else (y, c)]
+        m1 = (x, p, q) if x <= p else (p, x, q) if x <= q else (p, q, x)
+        p, q = reduced[(c, x) if c < x else (x, c)]
+        m2 = (y, p, q) if y <= p else (p, y, q) if y <= q else (p, q, y)
+        n1 = memo_get(m1) or _normal_form(m1, lead_map, memo)
+        if n1 != (memo_get(m2) or _normal_form(m2, lead_map, memo)):
+            return False
+        # If xy is a lead k too, S(i, j) = S(i, k) + S(k, j): two checks.
+        if adjacent[y] >> x & 1:
+            p, q = reduced[x, y]
+            m3 = (c, p, q) if c <= p else (p, c, q) if c <= q else (p, q, c)
+            if n1 != (memo_get(m3) or _normal_form(m3, lead_map, memo)):
+                return False
     return True
 
 

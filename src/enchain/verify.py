@@ -197,7 +197,7 @@ def _enriched_relation(poset, alarms, canonical, **_):
 
 
 def _narrow(poset, alarms, canonical, **_):
-    if not posets.poset_predicates(poset).narrow:
+    if posets.poset_width(poset) > 2:  # not narrow
         return None, {}
     peaks = partitions.peak_polynomials(canonical)
     if peaks.left_peak != peaks.descent:
@@ -322,7 +322,7 @@ def verify_poset(
     row = {
         "poset": {
             "n": poset.n,
-            "relation": sorted(map(list, poset.pairs)),
+            "relation": [[a, b] for a in poset.elements() for b in posets._bits(poset._above[a])],
             "covers": sorted(map(list, poset.covers())),
             "naturally_labeled": poset.naturally_labeled,
             "relabeling": None if poset.naturally_labeled else list(poset.natural_relabeling),

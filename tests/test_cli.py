@@ -223,6 +223,16 @@ class TestCommands:
         assert code == 0
         assert_matches_golden(out, f"{command}_{name}")
 
+    def test_grobner_on_a_two_chain_beside_two_points_is_byte_identical(self, capsys, tmp_path):
+        # its kept symmetries fix fewer variables than the 4-antichain's, so
+        # this pins the verdict and basis of a second reduced Buchberger walk
+        path = tmp_path / "chain2_plus2.poset"
+        path.write_text("4\n3 < 4\n")
+        code, out = run(capsys, ["grobner", str(path)])
+        assert code == 0
+        assert json.loads(out)["buchberger"] == "pass"
+        assert_matches_golden(out, "grobner_chain2_plus2")
+
     @pytest.mark.parametrize("name", sorted(COMPLEX_POSETS))
     def test_complex_output_is_byte_identical(self, capsys, tmp_path, name):
         path = tmp_path / f"{name}.poset"

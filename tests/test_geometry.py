@@ -255,6 +255,29 @@ class TestHstarOnce:
         assert row["alarms"] == [] and row["triangulation"]["pass"]
         assert calls == [4]
 
+    def test_a_tripped_guard_counts_the_dilations_once_per_row(self, monkeypatch):
+        # the 512-chain's interpolation trips its guard; the volume check
+        # reads the SizeLimit the gamma check left, not a second count
+        calls = []
+        for name in ("dilation_counts", "interpolate"):
+            monkeypatch.setattr(geometry, name, self.recorded(calls, name, getattr(geometry, name)))
+        geometry.ehrhart_and_hstar.cache_clear()
+        try:
+            row = verify.verify_poset(poset_from_covers(512, [(i, i + 1) for i in range(1, 512)]))
+        finally:
+            geometry.ehrhart_and_hstar.cache_clear()
+        assert row["gamma_left_peak"].startswith("skipped (interpolating 513 values")
+        assert row["volume_extensions"] == row["gamma_left_peak"]
+        assert calls == ["dilation_counts", "interpolate"]
+
+    @staticmethod
+    def recorded(calls, name, function):
+        def record(*args):
+            calls.append(name)
+            return function(*args)
+
+        return record
+
 
 class TestVolume:
     def test_two_antichain(self):

@@ -100,6 +100,10 @@ ALLOWED = {
     "gamma_complex.DecoratedPermutation.recolored": "the vertices view calls it",
     "gamma_complex.DecoratedPermutation.bar_count": "recolored calls it, for the vertices view",
     "posets.Poset.less": "the relation accessor of the exported Poset class, which the oracles read",
+    "posets.Poset.pairs": (
+        "the relation of the exported Poset class as a set, which __repr__, the orientation alarm"
+        " and the tests read; a row writes the relation in order from the bitsets"
+    ),
     "posets._memo_with_limit": "a decorator, which runs at import, before any traffic",
     "cli.on_natural_labels": "a decorator, which runs at import, before any traffic",
 }

@@ -685,7 +685,57 @@ class TestBuchberger:
         order = construct_order(poset)
         for key in ((), _symmetries(poset)):
             assert buchberger_verify(basis, order, symmetries=key)
-        assert 3 * calls[_symmetries(poset)] <= calls[()]
+        assert 14 * calls[_symmetries(poset)] <= calls[()]
+
+    def test_checked_wedges_meet_every_orbit(self, monkeypatch):
+        # Every wedge (c; x, y) of the lead graph, leads cx and cy, has one
+        # the walk checks in its orbit under the kept candidates, and no
+        # wedge is checked twice.
+        checked = []
+        select = toric._checked_wedges
+
+        def record(adjacent, centers, kept):
+            for wedge in select(adjacent, centers, kept):
+                checked.append(wedge)
+                yield wedge
+
+        monkeypatch.setattr(toric, "_checked_wedges", record)
+        bowtie = poset_from_covers(5, [(1, 3), (2, 3), (3, 4), (3, 5)])
+        totals = Counter()
+        for poset in [*(p for n in (1, 2, 3, 4) for p in all_natural_posets(n)), bowtie]:
+            basis = generate_groebner_candidates(poset)
+            order = construct_order(poset)
+            symmetries = _symmetries(poset)
+            rules = {(b.lead, b.tail) for b in basis}
+            _, kept = toric._centers(rules, symmetries)
+            assert [sigma for sigma, _ in kept] == list(symmetries)
+            checked.clear()
+            assert buchberger_verify(basis, order, symmetries=symmetries)
+            done = set(checked)
+            assert len(done) == len(checked)
+            around = {}
+            for x, y in {lead for lead, _ in rules}:
+                around.setdefault(x, []).append(y)
+                around.setdefault(y, []).append(x)
+            wedges = {(c, *pair) for c, ends in around.items() for pair in combinations(sorted(ends), 2)}
+            seen = set()
+            for wedge in wedges:
+                if wedge in seen:
+                    continue
+                orbit, stack = {wedge}, [wedge]
+                while stack:
+                    c, x, y = stack.pop()
+                    for sigma in symmetries:
+                        a, b = sigma[x], sigma[y]
+                        image = (sigma[c], a, b) if a < b else (sigma[c], b, a)
+                        if image not in orbit:
+                            orbit.add(image)
+                            stack.append(image)
+                assert orbit <= wedges and orbit & done, (poset.pairs, wedge)
+                seen |= orbit
+            totals["wedges"] += len(wedges)
+            totals["checked"] += len(done)
+        assert 3 * totals["checked"] < totals["wedges"]
 
     def test_wrong_tail_on_one_lead_of_a_triangle_fails(self):
         # Leads 12, 13, 23 divide one cubic lcm and form its only class.
