@@ -32,17 +32,22 @@ class _Polynomial:
     """The arithmetic both coefficient rings share.  A subclass sets
     `_zero`, the zero of its ring, `_accepts`, the coefficient types it
     converts to that ring, and `_expected`, their name; any other
-    coefficient raises TypeError.  Every result is built with type(self),
-    and equality and hash never mix the two rings."""
+    coefficient raises TypeError.  A coefficient whose type is exactly
+    that of `_zero` is kept as it is.  Every result is built with
+    type(self), and equality and hash never mix the two rings."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        coeffs = list(coeffs)
+        ring = type(self._zero)
+        kept = []
         for c in coeffs:
-            if not isinstance(c, self._accepts):
-                raise TypeError(f"{self._expected} coefficient expected, got {c!r}")
-        self.coeffs = _trim(list(map(type(self._zero), coeffs)))
+            if type(c) is not ring:
+                if not isinstance(c, self._accepts):
+                    raise TypeError(f"{self._expected} coefficient expected, got {c!r}")
+                c = ring(c)
+            kept.append(c)
+        self.coeffs = _trim(kept)
 
     @property
     def degree(self):
@@ -216,7 +221,7 @@ def interpolate(values, start=0):
         for i in range(len(basis) - 1):
             basis[i] -= node * basis[i + 1]
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    return RatPolynomial([Fraction(c) / scale for c in coeffs])
+    return RatPolynomial([Fraction(c, scale) for c in coeffs])
 
 
 def hstar_from_counts(counts, n):

@@ -8,7 +8,8 @@ variable to the Laurent monomial t^(signed indicator) * s, so a binomial
 lies in the toric ideal iff its two monomials have equal images.
 
 The candidate Groebner basis has two families of quadratic binomials,
-each defined in one place.  The candidates read both; the margin check
+each defined in one place.  A candidate is a ToricBinomial, the named
+tuple (lead, tail, family).  The candidates read both; the margin check
 of the term order reads the rows of (2); the leads-only leading-term
 graph reads the leads of both:
 
@@ -60,6 +61,7 @@ _sign_masks refuses more than GUARD_VERTICES variables before it builds
 any, so every consumer shares one count.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -178,50 +180,52 @@ def _signed_pair(index, mask_a, mask_b, pattern):
     return (a, b) if a < b else (b, a)
 
 
-@dataclass(frozen=True)
-class ToricBinomial:
-    lead: tuple  # intended initial monomial, a sorted pair of variable ids
-    tail: tuple
-    family: int
+ToricBinomial = namedtuple("ToricBinomial", "lead tail family")
+ToricBinomial.__doc__ = """A candidate binomial as the named tuple (lead, tail, family): lead,
+its intended initial monomial, and tail are sorted pairs of variable
+ids, and family is 1 or 2.  Being a tuple, it equals the plain tuple of
+its three fields."""
 
 
 def generate_groebner_candidates(poset):
-    """Both binomial families, deduplicated (a binomial keeps the first
-    family that gives it), each verified to lie in the toric ideal by
-    image equality (an ImageMismatch is an alarm).  A variable signing
-    no element both ways has its image in -1..1, packed 3 bits a
-    coordinate as +1 on plus and -1 on minus: two sums of two images
-    differ by at most 4 < 8 a coordinate, so packed sums agree iff the
-    images do."""
+    """Family (1) in (u, v, e) order, then family (2) in _family_two
+    order, each verified to lie in the toric ideal by image equality (an
+    ImageMismatch is an alarm).  No binomial comes twice: a family-(1)
+    lead signs e both ways and a family-(2) lead signs each element of its
+    support one way, so no lead is in both; in (1) a tail variable lacks
+    e, so another e gives another tail; in (2) a lead fixes its ideal pair
+    and its pattern.  A variable signing no element both ways has its
+    image in -1..1, packed 3 bits a coordinate as +1 on plus and -1 on
+    minus: two sums of two images differ by at most 4 < 8 a coordinate,
+    so packed sums agree iff the images do."""
     plus, minus, index = _sign_masks(poset)
     for vid, (p, q) in enumerate(zip(plus, minus)):
         if p & q:
             raise ImageMismatch(f"variable {vid} signs {list(_bits(p & q))} both + and -")
     signs_plus, signs_minus = _sign_index(poset)
-    family_one = sorted(
-        (u, v, e) if u < v else (v, u, e)
-        for e in poset.elements()
-        for u in _bits(signs_plus[e])
-        for v in _bits(signs_minus[e])
-    )
-    family_of = {}
-    for u, v, e in family_one:
-        keep = ~(1 << e)
-        tail = tuple(sorted(index[(plus[w] & keep, minus[w] & keep)] for w in (u, v)))
-        family_of.setdefault(((u, v), tail), 1)
+    rows = []  # (u, v, e, id of u less e, id of v less e), u < v
+    for e in poset.elements():
+        bit = 1 << e
+        ups = [(u, index[(plus[u] ^ bit, minus[u])]) for u in _bits(signs_plus[e])]
+        downs = [(v, index[(plus[v], minus[v] ^ bit)]) for v in _bits(signs_minus[e])]
+        rows += [(u, v, e, a, b) if u < v else (v, u, e, b, a) for u, a in ups for v, b in downs]
+    rows.sort()
+    new = tuple.__new__
+    out = [new(ToricBinomial, ((u, v), (a, b) if a < b else (b, a), 1)) for u, v, _, a, b in rows]
     for masks, pattern in _family_two(poset):
         lead = _signed_pair(index, masks[0], masks[1], pattern)
-        family_of.setdefault((lead, _signed_pair(index, masks[2], masks[3], pattern)), 2)
+        out.append(new(ToricBinomial, (lead, _signed_pair(index, masks[2], masks[3], pattern), 2)))
 
-    out = tuple(ToricBinomial(lead, tail, f) for (lead, tail), f in family_of.items())
-    images = _images(poset)
-    packed = [sum(c << 3 * i for i, c in enumerate(image)) for image in images]
+    packed = [
+        sum(1 << 3 * e for e in _bits(p)) - sum(1 << 3 * e for e in _bits(q)) for p, q in zip(plus, minus)
+    ]
     for b in out:
-        (x, y), (z, w) = b.lead, b.tail
+        (x, y), (z, w), _ = b
         if packed[x] + packed[y] != packed[z] + packed[w]:
-            left, right = (tuple(map(sum, zip(images[p], images[q]))) for p, q in (b.lead, b.tail))
+            images = _images(poset)
+            left, right = (tuple(map(sum, zip(images[p], images[q]))) for p, q in b[:2])
             raise ImageMismatch(f"binomial {b} maps to {left} vs {right}")
-    return out
+    return tuple(out)
 
 
 class TermOrder:
@@ -280,7 +284,8 @@ def construct_order(poset):
 def leading_terms_agree(binomials, order):
     """True iff the intended first monomial of every binomial really is
     its initial monomial under the order."""
-    return all(order.leading(b.lead, b.tail) == b.lead for b in binomials)
+    leading = order.leading
+    return all(leading(lead, tail) == lead for lead, tail, _ in binomials)
 
 
 def _normal_form(mono, lead_map, memo):
@@ -343,17 +348,18 @@ def _symmetries(poset):
 def _centers(rules, symmetries):
     """The bitset of the variables u with sigma(u) <= u for every kept
     candidate sigma, and the kept candidates as (sigma, that bitset for
-    sigma alone) pairs, in the order given.  A candidate is kept when it is
-    a permutation of range(len(sigma)), covers every id in the rules and
-    maps each (lead, tail) rule to a rule, each rule held flat as one
-    4-tuple.  The maximum of every orbit is a center."""
-    known = {(a, b, p, q) for (a, b), (p, q) in rules}
+    sigma alone) pairs, in the order given.  rules lists each rule lead ab
+    -> tail pq as the flat 4-tuple (a, b, p, q), a < b and p <= q.  A
+    candidate is kept when it is a permutation of range(len(sigma)),
+    covers every id in the rules and maps each rule to a rule.  The
+    maximum of every orbit is a center."""
+    known = set(rules)
     top = max(map(max, known), default=-1)
     centers, kept = (1 << top + 1) - 1, []
     for sigma in symmetries:
         if len(sigma) <= top or sorted(sigma) != list(range(len(sigma))):
             continue
-        for a, b, p, q in known:
+        for a, b, p, q in rules:
             a, b, p, q = sigma[a], sigma[b], sigma[p], sigma[q]
             if a > b:
                 a, b = b, a
@@ -443,13 +449,18 @@ def buchberger_verify(binomials, order, guard_spairs=SPAIR_GUARD_DEFAULT, symmet
     A checked wedge whose xy is a lead too closes a triangle, and both of
     the triangle's checks are made from it.  With no candidate kept every
     variable is a center and every wedge is checked."""
-    pairs, lead_map = [], {}
+    leading = order.leading
+    pairs, rules, lead_map = [], [], {}
     for b in binomials:
-        lead = order.leading(b.lead, b.tail)
-        tail = b.tail if lead == b.lead else b.lead
-        if not lead[0] < lead[1]:
+        lead, tail, _ = b
+        if leading(lead, tail) != lead:
+            lead, tail = tail, lead
+        x, y = lead
+        if not x < y:
             raise IdentityViolation(f"lead {lead} of {b} is not squarefree")
+        p, q = tail
         pairs.append((lead, tail))
+        rules.append((x, y, p, q))
         lead_map.setdefault(lead, tail)
     # Distinct squarefree quadratic leads cx, cy meet at one variable c
     # and have the cubic lcm cxy, reached once from c, or, when xy is a
@@ -463,7 +474,7 @@ def buchberger_verify(binomials, order, guard_spairs=SPAIR_GUARD_DEFAULT, symmet
     classes = wedges - 2 * triangles
     if classes > guard_spairs:
         raise SizeLimit(f"{classes} S-pair lcm classes exceed guard {guard_spairs}")
-    centers, kept = _centers(set(pairs), symmetries)
+    centers, kept = _centers(rules, symmetries)
 
     memo = {}
     memo_get = memo.get

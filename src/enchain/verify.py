@@ -10,7 +10,6 @@ Rows are plain dicts with JSON-friendly values and a deterministic layout.
 """
 
 from copy import copy
-from fractions import Fraction
 from itertools import islice, permutations
 from math import factorial
 
@@ -27,11 +26,7 @@ MAX_TRUNCATION = 1024
 
 
 def rat_coeffs(poly):
-    out = []
-    for c in poly.coeffs:
-        frac = Fraction(c)
-        out.append(int(frac) if frac.denominator == 1 else f"{frac.numerator}/{frac.denominator}")
-    return out
+    return [c.numerator if c.denominator == 1 else f"{c.numerator}/{c.denominator}" for c in poly.coeffs]
 
 
 def int_coeffs(poly):

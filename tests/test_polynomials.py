@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enchain import polynomials
+from enchain import polynomials, verify
 from enchain.errors import NegativeHStar, NonInteger, NotPalindromic, SizeLimit
 from enchain.polynomials import (
     IntPolynomial,
@@ -146,6 +147,69 @@ class TestInterpolate:
         assert interpolate([1] * 101) == RatPolynomial([1])
         assert interpolate([]) == RatPolynomial()
 
+
+
+def rat_coeffs_oracle(poly):
+    """verify.rat_coeffs as it read before it took each coefficient as a
+    Fraction: every coefficient converted with Fraction() first."""
+    out = []
+    for c in poly.coeffs:
+        frac = Fraction(c)
+        out.append(int(frac) if frac.denominator == 1 else f"{frac.numerator}/{frac.denominator}")
+    return out
+
+
+class TestFractionCoefficients:
+    """interpolate builds each coefficient as one Fraction, RatPolynomial
+    keeps a coefficient that is exactly a Fraction, and verify.rat_coeffs
+    reads the coefficients as they are."""
+
+    @staticmethod
+    def value_lists():
+        """Seeded int and Fraction value lists: lengths 1..12, starts
+        -3..5, numerators and denominators up to 2^200."""
+        rng = random.Random(34)
+        for _ in range(120):
+            length, start = rng.randint(1, 12), rng.randint(-3, 5)
+            bound = 2 ** rng.choice((3, 64, 200))
+            if rng.random() < 0.5:
+                values = [rng.randint(-bound, bound) for _ in range(length)]
+            else:
+                values = [Fraction(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(length)]
+            yield values, start
+
+    def test_interpolate_matches_the_rational_oracle(self):
+        kinds = set()
+        for values, start in self.value_lists():
+            poly = interpolate(values, start)
+            assert poly == interpolate_at(list(range(start, start + len(values))), values), (values, start)
+            assert all(type(c) is Fraction for c in poly.coeffs)
+            kinds.add(type(values[0]))
+        assert kinds == {int, Fraction}
+
+    def test_rational_ring_keeps_fractions_and_converts_ints(self):
+        given = [Fraction(1, 3), Fraction(-7, 2), Fraction(2**200, 3)]
+        assert all(kept is c for kept, c in zip(RatPolynomial(given).coeffs, given))
+        mixed = RatPolynomial([2, Fraction(1, 2), True, 0])
+        assert mixed.coeffs == (Fraction(2), Fraction(1, 2), Fraction(1))
+        assert [type(c) for c in mixed.coeffs] == [Fraction] * 3
+
+        class Half(Fraction):
+            pass
+
+        converted = RatPolynomial([Half(1, 2)]).coeffs[0]
+        assert type(converted) is Fraction and converted == Fraction(1, 2)
+        with pytest.raises(TypeError, match="integer or Fraction coefficient expected, got 0.5"):
+            RatPolynomial([Fraction(1, 2), 0.5])
+
+    def test_rat_coeffs_reads_as_before(self):
+        kinds = set()
+        for values, start in self.value_lists():
+            for poly in (interpolate(values, start), RatPolynomial(values)):
+                got, expected = verify.rat_coeffs(poly), rat_coeffs_oracle(poly)
+                assert got == expected and list(map(type, got)) == list(map(type, expected))
+                kinds.update(map(type, got))
+        assert kinds == {int, str}
 
 class TestHstar:
     def test_segment(self):

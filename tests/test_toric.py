@@ -349,6 +349,21 @@ class TestCandidates:
         with pytest.raises(ImageMismatch, match=r"family=2\) maps to \(-1, -1\) vs \(-2, -2\)$"):
             generate_groebner_candidates(anti2)
 
+    def test_candidates_are_named_binomials(self):
+        # A ToricBinomial equals the plain tuple of its fields, so the
+        # oracle comparison in pair scan order would pass plain tuples too.
+        bowtie = poset_from_covers(5, [(1, 3), (2, 3), (3, 4), (3, 5)])
+        for poset in [*(p for n in (1, 2, 3, 4) for p in all_natural_posets(n)), bowtie]:
+            for b in generate_groebner_candidates(poset):
+                assert type(b) is ToricBinomial, (poset.pairs, b)
+                lead, tail, family = b
+                assert (b.lead, b.tail, b.family) == (lead, tail, family)
+                assert lead[0] < lead[1] and tail[0] <= tail[1] and family in (1, 2)
+        basis = generate_groebner_candidates(anti2)
+        assert repr(basis[0]) == "ToricBinomial(lead=(1, 2), tail=(0, 0), family=1)"
+        assert repr(basis[5]) == "ToricBinomial(lead=(3, 4), tail=(1, 1), family=1)"
+        assert basis[0] == ((1, 2), (0, 0), 1)
+
     def test_two_chain_exactly_two(self):
         basis = generate_groebner_candidates(chain2)
         assert len(basis) == 2
@@ -649,7 +664,7 @@ class TestBuchberger:
         swap = tuple(index[(swapped(p), swapped(q))] for p, q in zip(plus, minus))
         assert sorted(swap) == list(range(len(plus))) and swap != tuple(range(len(plus)))
         for candidate, expected in ((basis, True), (basis[:6] + basis[7:], False)):
-            rules = {(b.lead, b.tail) for b in candidate}
+            rules = [(*b.lead, *b.tail) for b in candidate]
             assert toric._centers(rules, [swap]) == toric._centers(rules, ())
             assert buchberger_verify(candidate, order, symmetries=[swap]) is expected
             assert reference_buchberger(candidate, order) is expected
@@ -667,7 +682,8 @@ class TestBuchberger:
         collapse = (4, 4, 5, 6, 4, 5, 6)
         rules = {(b.lead, b.tail) for b in basis}
         assert {_image(rule, collapse) for rule in rules} < rules
-        assert toric._centers(rules, [collapse]) == toric._centers(rules, ())
+        flat = [(*lead, *tail) for lead, tail in rules]
+        assert toric._centers(flat, [collapse]) == toric._centers(flat, ())
         assert not buchberger_verify(basis, order, symmetries=[collapse])
         assert not reference_buchberger(basis, order)
 
@@ -707,7 +723,7 @@ class TestBuchberger:
             order = construct_order(poset)
             symmetries = _symmetries(poset)
             rules = {(b.lead, b.tail) for b in basis}
-            _, kept = toric._centers(rules, symmetries)
+            _, kept = toric._centers([(*lead, *tail) for lead, tail in rules], symmetries)
             assert [sigma for sigma, _ in kept] == list(symmetries)
             checked.clear()
             assert buchberger_verify(basis, order, symmetries=symmetries)
