@@ -27,16 +27,18 @@ graph reads the leads of both:
       x_max(I u J) x_max(I*J).  One pattern covers every index, so a
       shared index gets consistent signs.
 
-The term order compares weight sums first, a variable weighing
-w(I) = 2n|I| - |I|^2 for the ideal I its antichain generates (a closed
-form under which every intended lead wins; construct_order gives the
-proof), then breaks ties by graded reverse lexicographic order.
+The term order is its weights: a variable weighs w(I) = 2n|I| - |I|^2
+for the ideal I its antichain generates, and a binomial's lead is the
+side whose two weights add up to more, a tie leaving it none.  Under
+that closed form every intended lead outweighs its tail (construct_order
+gives the proof), so the weights alone decide each lead, and every term
+order refining them picks the same leads (Sturmfels 1996, ch. 1).
 Verification is Buchberger's criterion: every S-pair of basis elements
 with non-coprime leading terms must reduce to zero.  Each S-polynomial
 is a difference of two monomials, and its verdict is whether their
 memoised monomial normal forms are equal.  That is sound because
 rewriting by a binomial keeps the coefficients +-1, each rewrite
-strictly lowers the monomial in the term order, and Buchberger's
+strictly lowers the monomial's weight sum, and Buchberger's
 criterion does not depend on the order of the pairs.  Pairs are checked
 per lcm class (Gebauer and Moeller's chain criterion): elements of equal
 lead need one tail once their tails agree, and when three leads divide
@@ -228,40 +230,11 @@ def generate_groebner_candidates(poset):
     return tuple(out)
 
 
-class TermOrder:
-    """Total monomial order: the sum of the weights, one per variable id,
-    then graded reverse lexicographic on the id order."""
-
-    def __init__(self, weights):
-        self.weights = tuple(weights)
-
-    def monomial_key(self, mono):
-        """Sort key: larger key means larger monomial."""
-        return (
-            sum(self.weights[v] for v in mono),
-            len(mono),
-            tuple(-v for v in sorted(mono, reverse=True)),
-        )
-
-    def leading(self, m1, m2):
-        """The larger of two quadratic monomials (the sides of a candidate
-        binomial), by their two weights added unless the sums tie."""
-        w = self.weights
-        k1, k2 = w[m1[0]] + w[m1[1]], w[m2[0]] + w[m2[1]]
-        if k1 == k2:
-            k1, k2 = self.monomial_key(m1), self.monomial_key(m2)
-        return m1 if k1 >= k2 else m2
-
-
-def _ideal_weight(n, size):
-    """w(I) = 2n|I| - |I|^2 for an ideal of `size` elements."""
-    return 2 * n * size - size * size
-
-
 def construct_order(poset):
-    """The term order weighting each variable, signs on antichain A, by
-    w(I), I the ideal that A generates, and a check that every family-(2) lead
-    wins by its proven margin of 2 (a shortfall raises Infeasible).
+    """The term order's weights, one per variable id: a variable signing
+    antichain A weighs w(I) = 2n|I| - |I|^2, I the ideal that A generates,
+    and every family-(2) lead is checked to win by its proven margin of 2
+    (a shortfall raises Infeasible).
 
     Family (1): dropping e from an antichain drops e from its ideal, and
     w(k) = 2nk - k^2 rises strictly on 0..n, so each lead variable
@@ -271,21 +244,21 @@ def construct_order(poset):
     w(I*J) leave 2nk and the squares leave 2ab - 2ck + k^2, so the margin
     is 2ab + k(2n - 2c + k) >= 2, since a, b >= 1 and c <= n."""
     table = _ideal_table(poset)
-    weights = {maxima: _ideal_weight(poset.n, i.bit_count()) for i, maxima in table.items()}
+    weights = {maxima: (2 * poset.n - i.bit_count()) * i.bit_count() for i, maxima in table.items()}
     for entry in _ideal_pairs(poset):
         w_i, w_j, w_union, w_star = (weights[a] for a in entry)
         if w_i + w_j - w_union - w_star < 2:
             pair = tuple(tuple(_bits(a)) for a in entry)
             raise Infeasible(f"ideal pair {pair} misses the margin of 2")
     plus, minus, _ = _sign_masks(poset)
-    return TermOrder(weights[p | q] for p, q in zip(plus, minus))
+    return tuple(weights[p | q] for p, q in zip(plus, minus))
 
 
-def leading_terms_agree(binomials, order):
-    """True iff the intended first monomial of every binomial really is
-    its initial monomial under the order."""
-    leading = order.leading
-    return all(leading(lead, tail) == lead for lead, tail, _ in binomials)
+def leading_terms_agree(binomials, weights):
+    """True iff the intended lead of every binomial outweighs its tail:
+    its two weights add up to more (a tie is no win)."""
+    w = weights
+    return all(w[a] + w[b] > w[c] + w[d] for (a, b), (c, d), _ in binomials)
 
 
 def _normal_form(mono, lead_map, memo):
@@ -412,11 +385,13 @@ def _checked_wedges(adjacent, centers, kept):
                 yield c, x, y
 
 
-def buchberger_verify(binomials, order, guard_spairs=SPAIR_GUARD_DEFAULT, symmetries=()):
+def buchberger_verify(binomials, weights, guard_spairs=SPAIR_GUARD_DEFAULT, symmetries=()):
     """True iff every S-pair with non-coprime leading terms reduces to
     zero modulo the basis (coprime leads reduce to zero automatically).
-    A lead that is not a sorted pair of distinct variables (possible only
-    when leading_terms_agree is False) raises IdentityViolation.  The
+    weights holds one weight per variable id, and each binomial's lead is
+    its side of larger weight sum.  A binomial whose sides weigh the same,
+    or whose lead is not a sorted pair of distinct variables (possible
+    only when leading_terms_agree is False), raises IdentityViolation.  The
     guard counts the cubic lcm classes of all pairs of distinct leads at
     a shared variable, less two per triangle of leads, before any
     reduction: a bound on the checks the walk makes.  Tails are
@@ -429,8 +404,9 @@ def buchberger_verify(binomials, order, guard_spairs=SPAIR_GUARD_DEFAULT, symmet
     of leads cx, cy is checked only at a center c, and only when no kept
     candidate that fixes c maps {x, y} to a larger pair, pairs compared
     as (larger id, smaller id).  Why that is sound:
-      1. every rule lead -> tail lowers the term order, so rewriting
-         terminates;
+      1. every rule lead -> tail strictly lowers the weight sum, and a
+         rewrite keeps the degree, so rewriting terminates: the monomials
+         of one degree have finitely many weight sums;
       2. two rewrites of one monomial by coprime leads join at once;
          any other pair is a multiple of an equal-lead pair or of a
          degree-3 wedge cxy of leads cx, cy, and joinability survives
@@ -449,19 +425,19 @@ def buchberger_verify(binomials, order, guard_spairs=SPAIR_GUARD_DEFAULT, symmet
     A checked wedge whose xy is a lead too closes a triangle, and both of
     the triangle's checks are made from it.  With no candidate kept every
     variable is a center and every wedge is checked."""
-    leading = order.leading
-    pairs, rules, lead_map = [], [], {}
+    w = weights
+    rules, lead_map = [], {}
     for b in binomials:
-        lead, tail, _ = b
-        if leading(lead, tail) != lead:
-            lead, tail = tail, lead
-        x, y = lead
+        (x, y), (p, q), _ = b
+        margin = w[x] + w[y] - w[p] - w[q]
+        if margin < 0:
+            x, y, p, q = p, q, x, y
+        elif not margin:
+            raise IdentityViolation(f"{b} has no lead: both sides weigh {w[x] + w[y]}")
         if not x < y:
-            raise IdentityViolation(f"lead {lead} of {b} is not squarefree")
-        p, q = tail
-        pairs.append((lead, tail))
+            raise IdentityViolation(f"lead {(x, y)} of {b} is not squarefree")
         rules.append((x, y, p, q))
-        lead_map.setdefault(lead, tail)
+        lead_map.setdefault((x, y), (p, q))
     # Distinct squarefree quadratic leads cx, cy meet at one variable c
     # and have the cubic lcm cxy, reached once from c, or, when xy is a
     # lead too, once from the triangle's three vertices together.
@@ -484,9 +460,10 @@ def buchberger_verify(binomials, order, guard_spairs=SPAIR_GUARD_DEFAULT, symmet
     # A quadratic tail is standard unless it is a lead itself, as only
     # a lead equal to a quadratic divides it.
     reduced = {}
-    for lead, tail in pairs:
+    for x, y, p, q in rules:
+        tail = (p, q)
         normal = (memo_get(tail) or _normal_form(tail, lead_map, memo)) if tail in lead_map else tail
-        if reduced.setdefault(lead, normal) != normal:
+        if reduced.setdefault((x, y), normal) != normal:
             return False
     for c, x, y in _checked_wedges(adjacent, centers, kept):
         # Leads cx, cy have lcm L = cxy, and the S-pair of leads i, j
@@ -515,10 +492,10 @@ def buchberger_outcome(poset, guard_spairs=SPAIR_GUARD_DEFAULT):
     S-pairs are reduced only when the leading terms agree, walking only
     from the centers of the poset's _symmetries."""
     basis = generate_groebner_candidates(poset)
-    order = construct_order(poset)
-    agree = leading_terms_agree(basis, order)
+    weights = construct_order(poset)
+    agree = leading_terms_agree(basis, weights)
     passed = agree and buchberger_verify(
-        basis, order, guard_spairs=guard_spairs, symmetries=_symmetries(poset)
+        basis, weights, guard_spairs=guard_spairs, symmetries=_symmetries(poset)
     )
     return len(basis), agree, "pass" if passed else "fail"
 
@@ -570,7 +547,10 @@ def hilbert_certificate(poset, max_m=3):
     set S of the graph, one of C(m-1, |S|-1) on S, and one bound-3 walk of
     the flag-face kernel on the complement graph counts those S.  Returns
     the rows (m, standard, points), m = 1..max_m, and the verdict; the
-    library takes the default, and max_m past 3 raises SizeLimit."""
+    library takes the default, and max_m below 1, whose certificate would
+    have no row, or past 3 raises SizeLimit."""
+    if max_m < 1:
+        raise SizeLimit(f"max_m must be at least 1, got {max_m}")
     if max_m > 3:
         raise SizeLimit("standard monomial counts implemented for m <= 3")
     count, adjacency = initial_graph(poset)

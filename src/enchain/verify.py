@@ -299,12 +299,18 @@ def verify_poset(
     partitions.FRONTIER_WORK_GUARD its work.  Every live state the DP adds
     costs at least one unit of work, so at its default guard_points never
     trips before the work guard does: it only lowers the work guard's reach.
-    max_m or truncation below 1, max_m past MAX_M or truncation past
-    MAX_TRUNCATION raises SizeLimit before any check."""
-    for name, value, bound in (("max_m", max_m, MAX_M), ("truncation", truncation, MAX_TRUNCATION)):
+    max_m, truncation, guard_points or guard_spairs below 1, max_m past
+    MAX_M or truncation past MAX_TRUNCATION raises SizeLimit before any
+    check; the guards have no upper bound."""
+    for name, value, bound in (
+        ("max_m", max_m, MAX_M),
+        ("truncation", truncation, MAX_TRUNCATION),
+        ("guard_points", guard_points, None),
+        ("guard_spairs", guard_spairs, None),
+    ):
         if value < 1:
             raise SizeLimit(f"{name} must be at least 1, got {value}")
-        if value > bound:
+        if bound is not None and value > bound:
             raise SizeLimit(f"{name} may be at most {bound}, got {value}")
     given = {
         "canonical": poset.canonicalized(),

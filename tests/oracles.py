@@ -42,6 +42,11 @@ scan of all 2^E edge masks.  The toric ring
 variables keep their former objects here: SignedVariable, with its image
 and label, built and sorted by variables_and_map, the oracle for the id
 order of toric._sign_masks, and the antichain-keyed term-order weights.
+The term order keeps its object here: TermOrder, the weight sum with
+the graded reverse lexicographic tie-break that the library no longer
+needs, as no two sides of a candidate tie in weight; it ranks the
+monomials of any degree for the generic reducer of the tests'
+reference Buchberger check.
 Beside them live helpers that only the tests call: chain-polytope
 membership by the maximal-chain inequalities, the inequality form
 feasible_point_ge of the exact LP, the Ehrhart polynomial
@@ -172,15 +177,40 @@ def variables_and_map(poset):
     return tuple(out)
 
 
-def antichain_weights(poset, order):
-    """The weights of a toric.TermOrder keyed by antichain, read from its
-    per-id weights through the variables of variables_and_map; the
-    variables of one antichain must share one weight (else ValueError)."""
-    weights = {}
-    for v, w in zip(variables_and_map(poset), order.weights, strict=True):
-        if weights.setdefault(v.antichain, w) != w:
-            raise ValueError(f"antichain {v.antichain} has weights {weights[v.antichain]} and {w}")
-    return weights
+def antichain_weights(poset, weights):
+    """The per-id weights of toric.construct_order keyed by antichain,
+    read through the variables of variables_and_map; the variables of
+    one antichain must share one weight (else ValueError)."""
+    out = {}
+    for v, w in zip(variables_and_map(poset), weights, strict=True):
+        if out.setdefault(v.antichain, w) != w:
+            raise ValueError(f"antichain {v.antichain} has weights {out[v.antichain]} and {w}")
+    return out
+
+
+class TermOrder:
+    """Total monomial order: the sum of the weights, one per variable id,
+    then graded reverse lexicographic on the id order."""
+
+    def __init__(self, weights):
+        self.weights = tuple(weights)
+
+    def monomial_key(self, mono):
+        """Sort key: larger key means larger monomial."""
+        return (
+            sum(self.weights[v] for v in mono),
+            len(mono),
+            tuple(-v for v in sorted(mono, reverse=True)),
+        )
+
+    def leading(self, m1, m2):
+        """The larger of two quadratic monomials (the sides of a candidate
+        binomial), by their two weights added unless the sums tie."""
+        w = self.weights
+        k1, k2 = w[m1[0]] + w[m1[1]], w[m2[0]] + w[m2[1]]
+        if k1 == k2:
+            k1, k2 = self.monomial_key(m1), self.monomial_key(m2)
+        return m1 if k1 >= k2 else m2
 
 
 def normal_form_oracle(mono, lead_map):

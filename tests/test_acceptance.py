@@ -135,10 +135,10 @@ def test_criterion_06_groebner_certificates():
             lead = binomial.lead
             if len(lead) != 2 or lead[0] == lead[1] or 0 in lead:
                 ok = False
-        order = toric.construct_order(poset)
-        if not toric.leading_terms_agree(basis, order):
+        weights = toric.construct_order(poset)
+        if not toric.leading_terms_agree(basis, weights):
             ok = False
-        if not toric.buchberger_verify(basis, order):
+        if not toric.buchberger_verify(basis, weights):
             ok = False
     for poset in natural_posets_up_to(5):
         _, adjacency = toric.initial_graph(poset)

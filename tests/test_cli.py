@@ -347,7 +347,7 @@ class TestAlarmsNameTheirValues:
         assert "buchberger verification failed: basis size 2, leading terms agree: True" in err
 
     def test_buchberger_leading_terms(self, capsys, chain2, monkeypatch):
-        monkeypatch.setattr(toric, "leading_terms_agree", lambda basis, order: False)
+        monkeypatch.setattr(toric, "leading_terms_agree", lambda basis, weights: False)
         assert main(["grobner", chain2]) == 2
         err = capsys.readouterr().err
         assert "buchberger verification failed: basis size 2, leading terms agree: False" in err
@@ -376,7 +376,7 @@ class TestAlarmsNameTheirValues:
         ]
 
     def test_verify_all_buchberger_leading_terms(self, capsys, chain2, monkeypatch):
-        monkeypatch.setattr(toric, "leading_terms_agree", lambda basis, order: False)
+        monkeypatch.setattr(toric, "leading_terms_agree", lambda basis, weights: False)
         assert self.verify_all_alarms(capsys, chain2) == [
             "buchberger verification failed: basis size 2, leading terms agree: False"
         ]
@@ -593,10 +593,13 @@ class TestWorkBounds:
             ({"max_m": 0}, "max_m must be at least 1, got 0"),
             ({"max_m": -3}, "max_m must be at least 1, got -3"),
             ({"truncation": -1}, "truncation must be at least 1, got -1"),
+            ({"guard_points": -5}, "guard_points must be at least 1, got -5"),
+            ({"guard_spairs": 0}, "guard_spairs must be at least 1, got 0"),
         ],
     )
     def test_bounds_below_one_are_refused(self, bounds, message):
-        # a row past no bound compares nothing, so it must not read as a pass
+        # a row past no bound compares nothing, and a guard below 1 skips
+        # what it guards, so neither may read as a pass
         with pytest.raises(SizeLimit) as exc:
             verify.verify_poset(parse_poset("2\n1 < 2\n"), **bounds)
         assert str(exc.value) == message

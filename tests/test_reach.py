@@ -92,9 +92,6 @@ ALLOWED = {
     "posets.ideal_lattice": BENCHMARK,
     "posets._view": BENCHMARK + " (the helper of ideal_lattice)",
     "verify.kruskal_katona_alarm": ALARM,
-    "toric.TermOrder.monomial_key": (
-        "the tie-break that makes the term order total; no two candidate monomials tie in weight"
-    ),
     "gamma_complex.GammaComplex.vertices": COLORED_VIEW,
     "gamma_complex.GammaComplex.edges": COLORED_VIEW,
     "gamma_complex.DecoratedPermutation.recolored": "the vertices view calls it",

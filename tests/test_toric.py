@@ -27,6 +27,7 @@ from enchain.toric import (
 
 from oracles import (
     SignedVariable,
+    TermOrder,
     antichain_weights,
     clique_counts_oracle,
     edge_set,
@@ -81,15 +82,16 @@ def _reduce_to_zero(poly, lead_map, key_fn):
     return True
 
 
-def _leads_and_tails(binomials, order):
-    leads = [order.leading(b.lead, b.tail) for b in binomials]
+def _leads_and_tails(binomials, weights):
+    leading = TermOrder(weights).leading
+    leads = [leading(b.lead, b.tail) for b in binomials]
     tails = [b.tail if lead == b.lead else b.lead for b, lead in zip(binomials, leads)]
     return leads, tails
 
 
-def _distinct_spairs(binomials, order):
+def _distinct_spairs(binomials, weights):
     """Index pairs of basis elements whose leads share a variable."""
-    leads, _ = _leads_and_tails(binomials, order)
+    leads, _ = _leads_and_tails(binomials, weights)
     incidence = {}
     for g, lead in enumerate(leads):
         for v in lead:
@@ -100,9 +102,9 @@ def _distinct_spairs(binomials, order):
     return pairs
 
 
-def _lcm_classes(binomials, order):
+def _lcm_classes(binomials, weights):
     """The distinct lcms of two distinct leads that share a variable."""
-    leads = set(_leads_and_tails(binomials, order)[0])
+    leads = set(_leads_and_tails(binomials, weights)[0])
     return {
         tuple(sorted(set(a) | set(b)))
         for a, b in combinations(leads, 2)
@@ -110,20 +112,21 @@ def _lcm_classes(binomials, order):
     }
 
 
-def reference_buchberger(binomials, order):
+def reference_buchberger(binomials, weights):
     """Buchberger's criterion by leading-monomial reduction of each
     S-polynomial, in sorted pair order."""
-    leads, tails = _leads_and_tails(binomials, order)
+    leads, tails = _leads_and_tails(binomials, weights)
+    key_fn = TermOrder(weights).monomial_key
     lead_map = {}
     for lead, tail in zip(leads, tails):
         lead_map.setdefault(lead, tail)
-    for i, j in sorted(_distinct_spairs(binomials, order)):
+    for i, j in sorted(_distinct_spairs(binomials, weights)):
         li, lj = leads[i], leads[j]
         union = tuple(sorted(set(li) | set(lj)))
         m1 = tuple(sorted(tails[i] + tuple(v for v in union if v not in li)))
         m2 = tuple(sorted(tails[j] + tuple(v for v in union if v not in lj)))
         poly = {m1: 1, m2: -1} if m1 != m2 else {}
-        if not _reduce_to_zero(poly, lead_map, order.monomial_key):
+        if not _reduce_to_zero(poly, lead_map, key_fn):
             return False
     return True
 
@@ -234,14 +237,14 @@ def broken_bases(basis):
     }
 
 
-def duplicate_leads(poset, basis, order, same_image):
+def duplicate_leads(poset, basis, weights, same_image):
     """Binomials that repeat the lead of a basis element with another tail
-    below it in the order, taken from the monomials the basis mentions:
-    tails with the lead's image (the basis stays a Groebner basis) if
-    same_image, else any."""
+    of smaller weight sum (a tie would leave the binomial no lead), taken
+    from the monomials the basis mentions: tails with the lead's image
+    (the basis stays a Groebner basis) if same_image, else any."""
     variables = variables_and_map(poset)
     monomials = {m for b in basis for m in (b.lead, b.tail)}
-    key = {m: order.monomial_key(m) for m in monomials}
+    key = {m: sum(weights[v] for v in m) for m in monomials}
     image = {
         m: tuple(map(sum, zip(*(variables[v].image(poset.n) for v in m))))
         for m in monomials
@@ -258,13 +261,28 @@ def duplicate_leads(poset, basis, order, same_image):
 
 class LexOrder:
     """Lexicographic order on monomials of one degree, x0 < x1 < ...: the
-    part of TermOrder that buchberger_verify and reference_buchberger read."""
+    reference that lex_weights is checked against."""
 
     def monomial_key(self, mono):
         return tuple(sorted(mono, reverse=True))
 
     def leading(self, m1, m2):
         return m1 if self.monomial_key(m1) >= self.monomial_key(m2) else m2
+
+
+def lex_weights(count):
+    """The weights 3^i of count variables, which rank quadratic monomials
+    as LexOrder does: for b > d >= c, 3^b >= 3 * 3^d > 3^c + 3^d.  Checked
+    here on every pair of quadratic monomials in 6 variables, no two
+    distinct ones tying."""
+    weights = tuple(3**i for i in range(max(count, 6)))
+    lex = LexOrder()
+    monomials = list(combinations_with_replacement(range(6), 2))
+    for m1 in monomials:
+        for m2 in monomials:
+            w1, w2 = (weights[a] + weights[b] for a, b in (m1, m2))
+            assert (w1 > w2) == (lex.leading(m1, m2) == m1 != m2) and (w1 == w2) == (m1 == m2)
+    return weights[:count]
 
 
 def _image(rule, sigma):
@@ -438,18 +456,18 @@ class TestCandidates:
 
 class TestOrder:
     def test_two_antichain_constraint(self):
-        order = construct_order(anti2)
-        w = antichain_weights(anti2, order)
+        weights = construct_order(anti2)
+        w = antichain_weights(anti2, weights)
         assert w[(1,)] + w[(2,)] >= 1 + w[(1, 2)] + w[()]
         assert all(value >= 0 for value in w.values())
 
     def test_two_chain_closed_form_weights(self):
         # w(I) = 2n|I| - |I|^2 with n = 2 on the ideals {}, {1}, {1, 2}
-        order = construct_order(chain2)
-        assert antichain_weights(chain2, order) == {(): 0, (1,): 3, (2,): 4}
+        weights = construct_order(chain2)
+        assert antichain_weights(chain2, weights) == {(): 0, (1,): 3, (2,): 4}
 
     def test_cardinality_beats_origin(self):
-        order = construct_order(chain2)
+        order = TermOrder(construct_order(chain2))
         pair = (var_id(chain2, (1,), (1,)), var_id(chain2, (1,), (-1,)))
         origin = var_id(chain2, (), ())
         assert order.leading(tuple(sorted(pair)), (origin, origin)) == tuple(
@@ -483,9 +501,16 @@ class TestOrder:
         assert min(margins) == 2
 
     def test_margin_shortfall_is_an_alarm(self, monkeypatch):
-        # Weights linear in |I| leave the margin of a pair whose meet is
-        # its star at 0, so the re-check must refuse them.
-        monkeypatch.setattr(toric, "_ideal_weight", lambda n, size: size)
+        # Each row read with its two sides swapped, x_max(I u J) x_max(I*J)
+        # as the intended lead, negates its margin, to at most -2 (on the
+        # 2-antichain the lead weighs 4 and the tail 6), so the re-check
+        # must refuse the weights against it.
+        pairs = toric._ideal_pairs
+
+        def swapped(poset):
+            return tuple((u, s, i, j) for i, j, u, s in pairs(poset))
+
+        monkeypatch.setattr(toric, "_ideal_pairs", swapped)
         with pytest.raises(Infeasible):
             construct_order(anti2)
         row = verify.verify_poset(anti2)
@@ -501,8 +526,8 @@ class TestOrder:
     def test_five_element_margins(self):
         # n = 5 lies beyond BUCHBERGER_MAX_N; the order alone is checked.
         poset = poset_from_covers(5, [(1, 2)])
-        order = construct_order(poset)
-        w = antichain_weights(poset, order)
+        weights = construct_order(poset)
+        w = antichain_weights(poset, weights)
         assert all(value >= 0 for value in w.values())
         pairs = list(incomparable_ideal_pairs(poset))
         assert pairs
@@ -513,7 +538,7 @@ class TestOrder:
                 + w[star_oracle(poset, ideal_i, ideal_j).max_elements]
             )
             assert lead - tail >= 1
-        assert leading_terms_agree(generate_groebner_candidates(poset), order)
+        assert leading_terms_agree(generate_groebner_candidates(poset), weights)
 
 
 class TestBuchberger:
@@ -527,11 +552,11 @@ class TestBuchberger:
 
     def test_deletion_breaks_some_basis(self):
         basis = list(generate_groebner_candidates(anti2))
-        order = construct_order(anti2)
+        weights = construct_order(anti2)
         broken = []
         for drop in range(len(basis)):
             reduced = basis[:drop] + basis[drop + 1 :]
-            broken.append(not buchberger_verify(reduced, order))
+            broken.append(not buchberger_verify(reduced, weights))
         assert any(broken)
 
     def test_equal_leads_with_distinct_standard_tails_fail(self):
@@ -539,12 +564,12 @@ class TestBuchberger:
         # binomial x1 x2 - x0 x1 leaves an S-pair x0^2 - x0 x1 of two
         # standard monomials, which only the equal-lead branch compares
         basis = list(generate_groebner_candidates(single))
-        order = construct_order(single)
+        weights = construct_order(single)
         assert [(b.lead, b.tail) for b in basis] == [((1, 2), (0, 0))]
         broken = basis + [ToricBinomial((1, 2), (0, 1), 1)]
-        assert leading_terms_agree(broken, order)
-        assert not reference_buchberger(broken, order)
-        assert not buchberger_verify(broken, order)
+        assert leading_terms_agree(broken, weights)
+        assert not reference_buchberger(broken, weights)
+        assert not buchberger_verify(broken, weights)
 
     def test_guard(self):
         basis = generate_groebner_candidates(anti2)
@@ -555,40 +580,40 @@ class TestBuchberger:
         for n in (1, 2, 3):
             for poset in all_natural_posets(n):
                 basis = generate_groebner_candidates(poset)
-                order = construct_order(poset)
-                count = len(_lcm_classes(basis, order))
-                assert buchberger_verify(basis, order, guard_spairs=count)
+                weights = construct_order(poset)
+                count = len(_lcm_classes(basis, weights))
+                assert buchberger_verify(basis, weights, guard_spairs=count)
                 with pytest.raises(SizeLimit, match=f"^{count} S-pair lcm classes"):
-                    buchberger_verify(basis, order, guard_spairs=count - 1)
+                    buchberger_verify(basis, weights, guard_spairs=count - 1)
 
     def test_matches_reference_up_to_three(self):
         for n in (1, 2, 3):
             for poset in all_natural_posets(n):
                 basis = list(generate_groebner_candidates(poset))
-                order = construct_order(poset)
+                weights = construct_order(poset)
                 symmetries = _symmetries(poset)
                 bases = {"full": basis, **broken_bases(basis)}
                 for name, candidate in bases.items():
-                    expected = reference_buchberger(candidate, order)
-                    assert buchberger_verify(candidate, order) == expected, (
+                    expected = reference_buchberger(candidate, weights)
+                    assert buchberger_verify(candidate, weights) == expected, (
                         poset.pairs,
                         name,
                     )
-                    assert buchberger_verify(candidate, order, symmetries=symmetries) == expected
+                    assert buchberger_verify(candidate, weights, symmetries=symmetries) == expected
 
     def test_broken_bases_match_reference_at_four(self):
         verdicts = set()
         for poset in all_natural_posets(4):
             basis = list(generate_groebner_candidates(poset))
-            order = construct_order(poset)
+            weights = construct_order(poset)
             symmetries = _symmetries(poset)
             for name, candidate in broken_bases(basis).items():
-                expected = reference_buchberger(candidate, order)
-                assert buchberger_verify(candidate, order) == expected, (
+                expected = reference_buchberger(candidate, weights)
+                assert buchberger_verify(candidate, weights) == expected, (
                     poset.pairs,
                     name,
                 )
-                assert buchberger_verify(candidate, order, symmetries=symmetries) == expected
+                assert buchberger_verify(candidate, weights, symmetries=symmetries) == expected
                 verdicts.add(expected)
         assert verdicts == {True, False}
 
@@ -602,20 +627,20 @@ class TestBuchberger:
         for _ in range(150):
             poset = rng.choice(posets)
             basis = list(generate_groebner_candidates(poset))
-            order = construct_order(poset)
+            weights = construct_order(poset)
             drop = rng.choice((0.0, 0.0, 0.02, 0.2))
             candidate = [b for b in basis if rng.random() >= drop]
-            pool = duplicate_leads(poset, basis, order, rng.random() < 0.7)
+            pool = duplicate_leads(poset, basis, weights, rng.random() < 0.7)
             duplicates = rng.randrange(4) if pool else 0
             for _ in range(duplicates):
                 extra = rng.choice(pool)
                 candidate.insert(rng.randrange(len(candidate) + 1), extra)
-            expected = reference_buchberger(candidate, order)
-            assert buchberger_verify(candidate, order) == expected, (
+            expected = reference_buchberger(candidate, weights)
+            assert buchberger_verify(candidate, weights) == expected, (
                 poset.pairs,
                 candidate,
             )
-            assert buchberger_verify(candidate, order, symmetries=_symmetries(poset)) == expected
+            assert buchberger_verify(candidate, weights, symmetries=_symmetries(poset)) == expected
             seen[expected, duplicates > 0] += 1
         assert set(seen) == {(v, d) for v in (True, False) for d in (True, False)}
 
@@ -630,7 +655,7 @@ class TestBuchberger:
         for n in (1, 2, 3, 4):
             for poset in all_natural_posets(n):
                 basis = list(generate_groebner_candidates(poset))
-                order = construct_order(poset)
+                weights = construct_order(poset)
                 symmetries = _symmetries(poset)
                 assert len(symmetries) >= n
                 if n < 4:
@@ -643,9 +668,9 @@ class TestBuchberger:
                     rules = {(b.lead, b.tail) for b in candidate}
                     for sigma in symmetries:
                         assert {_image(r, sigma) for r in rules} == rules
-                    expected = reference_buchberger(candidate, order)
-                    assert buchberger_verify(candidate, order) == expected
-                    assert buchberger_verify(candidate, order, symmetries=symmetries) == expected
+                    expected = reference_buchberger(candidate, weights)
+                    assert buchberger_verify(candidate, weights) == expected
+                    assert buchberger_verify(candidate, weights, symmetries=symmetries) == expected
                     verdicts[expected] += 1
         assert verdicts[False] > 100
 
@@ -654,7 +679,7 @@ class TestBuchberger:
         # wedge, which a kept swap of the non-twins 1 and 2 would skip.
         poset = poset_from_covers(3, [(1, 2)])
         basis = list(generate_groebner_candidates(poset))
-        order = construct_order(poset)
+        weights = construct_order(poset)
         assert (basis[6].lead, basis[6].tail) == ((3, 5), (13, 13))
         plus, minus, index = toric._sign_masks(poset)
 
@@ -666,13 +691,13 @@ class TestBuchberger:
         for candidate, expected in ((basis, True), (basis[:6] + basis[7:], False)):
             rules = [(*b.lead, *b.tail) for b in candidate]
             assert toric._centers(rules, [swap]) == toric._centers(rules, ())
-            assert buchberger_verify(candidate, order, symmetries=[swap]) is expected
-            assert reference_buchberger(candidate, order) is expected
+            assert buchberger_verify(candidate, weights, symmetries=[swap]) is expected
+            assert reference_buchberger(candidate, weights) is expected
         # The failing triangle 12, 13, 23 -> x1^2 of the test below, beside a
         # joinable one on 4, 5, 6: sending 0 and 1 to 4, 2 to 5 and 3 to 6
         # maps every rule to a rule but is no bijection, and kept it would
         # leave 1, 2 and 3 no center.
-        order = LexOrder()
+        weights = lex_weights(7)
         basis = [
             ToricBinomial((1, 2), (0, 1), 1),
             ToricBinomial((1, 3), (0, 1), 1),
@@ -684,8 +709,8 @@ class TestBuchberger:
         assert {_image(rule, collapse) for rule in rules} < rules
         flat = [(*lead, *tail) for lead, tail in rules]
         assert toric._centers(flat, [collapse]) == toric._centers(flat, ())
-        assert not buchberger_verify(basis, order, symmetries=[collapse])
-        assert not reference_buchberger(basis, order)
+        assert not buchberger_verify(basis, weights, symmetries=[collapse])
+        assert not reference_buchberger(basis, weights)
 
     def test_symmetries_cut_the_normal_forms_on_the_four_antichain(self, monkeypatch):
         calls = Counter()
@@ -698,9 +723,9 @@ class TestBuchberger:
         monkeypatch.setattr(toric, "_normal_form", record)
         poset = poset_from_covers(4, [])
         basis = generate_groebner_candidates(poset)
-        order = construct_order(poset)
+        weights = construct_order(poset)
         for key in ((), _symmetries(poset)):
-            assert buchberger_verify(basis, order, symmetries=key)
+            assert buchberger_verify(basis, weights, symmetries=key)
         assert 14 * calls[_symmetries(poset)] <= calls[()]
 
     def test_checked_wedges_meet_every_orbit(self, monkeypatch):
@@ -720,13 +745,13 @@ class TestBuchberger:
         totals = Counter()
         for poset in [*(p for n in (1, 2, 3, 4) for p in all_natural_posets(n)), bowtie]:
             basis = generate_groebner_candidates(poset)
-            order = construct_order(poset)
+            weights = construct_order(poset)
             symmetries = _symmetries(poset)
             rules = {(b.lead, b.tail) for b in basis}
             _, kept = toric._centers([(*lead, *tail) for lead, tail in rules], symmetries)
             assert [sigma for sigma, _ in kept] == list(symmetries)
             checked.clear()
-            assert buchberger_verify(basis, order, symmetries=symmetries)
+            assert buchberger_verify(basis, weights, symmetries=symmetries)
             done = set(checked)
             assert len(done) == len(checked)
             around = {}
@@ -758,31 +783,49 @@ class TestBuchberger:
         # With x2 x3 -> x0^2 all three rewrites of x1 x2 x3 reach x0^2 x1;
         # with x2 x3 -> x1^2 only the rewrite by 23 (x1^3) differs, so only
         # the third check of the triangle can see it.
-        order = LexOrder()
+        weights = lex_weights(4)
         good = [
             ToricBinomial((1, 2), (0, 1), 1),
             ToricBinomial((1, 3), (0, 1), 1),
             ToricBinomial((2, 3), (0, 0), 1),
         ]
         bad = good[:2] + [ToricBinomial((2, 3), (1, 1), 1)]
-        assert leading_terms_agree(bad, order)
-        assert reference_buchberger(good, order) and buchberger_verify(good, order)
-        assert not reference_buchberger(bad, order)
-        assert not buchberger_verify(bad, order)
+        assert leading_terms_agree(bad, weights)
+        assert reference_buchberger(good, weights) and buchberger_verify(good, weights)
+        assert not reference_buchberger(bad, weights)
+        assert not buchberger_verify(bad, weights)
         for rotated in (bad[1:] + bad[:1], bad[2:] + bad[:2]):
-            assert not buchberger_verify(rotated, order)
+            assert not buchberger_verify(rotated, weights)
+
+    def test_weight_tie_is_no_win(self):
+        # x0 x2 - x0 x1 on the one-element poset: x1 and x2 sign the one
+        # element - and +, both weighing w({1}) = 1, so neither side wins.
+        # The tests' TermOrder breaks the tie by grevlex, making x0 x1 the
+        # lead; the library refuses to pick one.
+        weights = construct_order(single)
+        assert weights == (0, 1, 1)
+        tie = ToricBinomial((0, 2), (0, 1), 1)
+        assert TermOrder(weights).leading(tie.lead, tie.tail) == (0, 1)
+        assert not leading_terms_agree([tie], weights)
+        message = "^" + re.escape(f"{tie} has no lead: both sides weigh 1") + "$"
+        with pytest.raises(IdentityViolation, match=message):
+            buchberger_verify([tie], weights)
+        full = list(generate_groebner_candidates(single))
+        assert leading_terms_agree(full, weights)
+        with pytest.raises(IdentityViolation, match=message):
+            buchberger_verify(full + [tie], weights)
 
     def test_square_lead_raises(self):
         # x0 x1 - x2^2 on the one-element poset: the order ranks x2^2 (two
         # signed elements) above x0 x1, so the lead has a repeated variable.
-        order = construct_order(single)
+        weights = construct_order(single)
         basis = [ToricBinomial((0, 1), (2, 2), 1)]
-        assert not leading_terms_agree(basis, order)
+        assert not leading_terms_agree(basis, weights)
         with pytest.raises(IdentityViolation, match=r"^lead \(2, 2\) of "):
-            buchberger_verify(basis, order)
+            buchberger_verify(basis, weights)
         full = list(generate_groebner_candidates(single))
         with pytest.raises(IdentityViolation, match=r"^lead \(2, 2\) of "):
-            buchberger_verify(full + basis, order)
+            buchberger_verify(full + basis, weights)
 
 
 class TestNormalFormKernel:
@@ -801,10 +844,10 @@ class TestNormalFormKernel:
         for n in (1, 2, 3):
             for poset in all_natural_posets(n):
                 basis = list(generate_groebner_candidates(poset))
-                order = construct_order(poset)
+                weights = construct_order(poset)
                 for candidate in (basis, *broken_bases(basis).values()):
                     calls.clear()
-                    buchberger_verify(candidate, order)
+                    buchberger_verify(candidate, weights)
                     if not calls:
                         continue
                     lead_map, memo = calls[0]
@@ -880,6 +923,17 @@ class TestStandardMonomials:
                 assert ok
                 for m, standard, points in rows:
                     assert standard == points == count_dilation(poset, m)
+
+    def test_certificate_degrees_outside_one_to_three_are_refused(self):
+        # a certificate with no row compares nothing, so it must not read
+        # as a pass
+        for max_m in (0, -2):
+            with pytest.raises(SizeLimit, match=f"^max_m must be at least 1, got {max_m}$"):
+                hilbert_certificate(chain2, max_m=max_m)
+        with pytest.raises(SizeLimit, match="^standard monomial counts implemented for m <= 3$"):
+            hilbert_certificate(chain2, max_m=4)
+        rows, ok = hilbert_certificate(chain2, max_m=1)
+        assert rows == ((1, 5, 5),) and ok
 
     def test_graph_matches_reference(self):
         for n in (1, 2, 3, 4, 5):
