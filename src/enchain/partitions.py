@@ -29,7 +29,9 @@ complex read; its interior peaks are the left peaks past position 1.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import comb
+from operator import itemgetter
 
 from .errors import (
     IdentityViolation,
@@ -131,7 +133,9 @@ def frontier_count(poset, m, kind="left", guard=PARTITION_GUARD_DEFAULT):
     later element still reads as a lower cover.  An element whose lower
     covers reach at most `base` takes |f| = base with weight 1 (the sign is
     forced) and each larger |f| up to m with weight 2; for the enriched
-    kind a minimal element takes |f| in 1..m, each with weight 2.  The DP
+    kind a minimal element takes |f| in 1..m, each with weight 2.  Per
+    element, C-level readers (_slot_reader) of the kept and the read slots
+    are mapped over the states, with no Python loop per slot.  The DP
     shares nothing with the ideal lattice or the psi map, so it is an
     independent route to the counts of posets.ideal_chain_count.  More than
     `guard` live states at once raise SizeLimit, within m + 1 states of it,
@@ -146,12 +150,15 @@ def frontier_count(poset, m, kind="left", guard=PARTITION_GUARD_DEFAULT):
             last_read[c] = e
     live, work = [], 0
     states = {(): 1}
+    # tails[a] = (a,), built only when some element is read later: a
+    # minimal one then adds m + 1 states, or m, anyway
+    tails = [(a,) for a in range(m + 1)] if any(last_read) else []
     for e in poset.elements():
-        reads = [live.index(c) for c in lowers[e]]
         keep = [i for i, c in enumerate(live) if last_read[c] > e]
+        reads = [live.index(c) for c in lowers[e]]
+        bases = map(max, map(_slot_reader(reads), states)) if reads else repeat(0)
         by_base = {}
-        for state, count in states.items():
-            key = (tuple(state[i] for i in keep), max((state[i] for i in reads), default=0))
+        for key, count in zip(zip(map(_slot_reader(keep), states), bases), states.values()):
             by_base[key] = by_base.get(key, 0) + count
         free_only = kind == "enriched" and not lowers[e]
         states = {}
@@ -162,9 +169,12 @@ def frontier_count(poset, m, kind="left", guard=PARTITION_GUARD_DEFAULT):
                 work += 1
             else:
                 if not free_only:
-                    states[kept + (base,)] = states.get(kept + (base,), 0) + count
-                for a in range(base + 1, m + 1):
-                    states[kept + (a,)] = states.get(kept + (a,), 0) + 2 * count
+                    state = kept + tails[base]
+                    states[state] = states.get(state, 0) + count
+                double = 2 * count
+                for tail in tails[base + 1 :]:
+                    state = kept + tail
+                    states[state] = states.get(state, 0) + double
                 work += m - base + (0 if free_only else 1)
             if len(states) > guard:  # tested as they grow, at most m + 1 at a time
                 raise SizeLimit(f"{len(states)} partition DP states exceed guard {guard}")
@@ -172,6 +182,15 @@ def frontier_count(poset, m, kind="left", guard=PARTITION_GUARD_DEFAULT):
                 raise SizeLimit(f"{work} partition DP steps exceed guard {FRONTIER_WORK_GUARD}")
         live = [live[i] for i in keep] + ([e] if last_read[e] else [])
     return sum(states.values())
+
+
+def _slot_reader(slots):
+    """The C-level reader of a DP state's values at ascending slots, as a
+    tuple: one slice if they run contiguously (none or one too), else an itemgetter."""
+    first = slots[0] if slots else 0
+    if slots == list(range(first, first + len(slots))):
+        return itemgetter(slice(first, first + len(slots)))
+    return itemgetter(*slots)
 
 
 def roundtrip_maps(poset):

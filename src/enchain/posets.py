@@ -80,17 +80,21 @@ class Poset:
         return [i for i in self.elements() if not self._below[i]]
 
     def topological_order(self):
-        """Lexicographically smallest linear extension, computed greedily."""
+        """Lexicographically smallest linear extension, computed greedily:
+        each step places the lowest unplaced bit with nothing unplaced below."""
         if self.naturally_labeled:
             return tuple(self.elements())
-        placed = 0
-        order = []
-        remaining = set(self.elements())
-        while remaining:
-            e = min(i for i in remaining if self._below[i] & ~placed == 0)
+        below, order, unplaced = self._below, [], (1 << self.n + 1) - 2
+        while unplaced:
+            ready = unplaced
+            while True:
+                low = ready & -ready
+                e = low.bit_length() - 1
+                if not below[e] & unplaced:
+                    break
+                ready ^= low
             order.append(e)
-            placed |= 1 << e
-            remaining.remove(e)
+            unplaced ^= low
         return tuple(order)
 
     @property

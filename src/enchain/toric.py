@@ -10,8 +10,8 @@ lies in the toric ideal iff its two monomials have equal images.
 The candidate Groebner basis has two families of quadratic binomials,
 each defined in one place.  A candidate is a ToricBinomial, the named
 tuple (lead, tail, family).  The candidates read both; the margin check
-of the term order reads the rows of (2); the leads-only leading-term
-graph reads the leads of both:
+of the term order reads the rows of (2); the leading-term graph reads
+only the leads, of (1) per element and of (2) by sign blocks:
 
   (1) _sign_index holds, per element e, the bitsets of the variables
       signing e + and e -; a pair u < v across the two, with e, gives
@@ -25,7 +25,8 @@ graph reads the leads of both:
       each entry by every pattern on max(I) u max(J), the submasks of that
       support in increasing order: x_max(I) x_max(J) minus
       x_max(I u J) x_max(I*J).  One pattern covers every index, so a
-      shared index gets consistent signs.
+      shared index gets consistent signs.  The graph reads the same
+      entries by sign blocks (see initial_graph).
 
 The term order is its weights: a variable weighs w(I) = 2n|I| - |I|^2
 for the ideal I its antichain generates, and a binomial's lead is the
@@ -510,8 +511,12 @@ def initial_graph(poset):
     Family (1) joins u and v when they sign some element e oppositely, so
     u gains, from _sign_index, every variable signing e - for each e it
     signs +, and every variable signing e + for each e it signs -: one
-    bitset per element, not a walk over pairs.  Family (2) adds the lead
-    of every _family_two entry."""
+    bitset per element, not a walk over pairs.  Family (2) goes by sign
+    blocks: in an _ideal_pairs entry with A = max I and B = max J, each
+    signing of A leads with the signings of B agreeing with it on A & B,
+    one bitset per (B, A & B, signs) built once a call from B's contiguous
+    ids, and the other way round: 2^|A| + 2^|B| ORs an entry, not one
+    _family_two lookup per signing of A | B."""
     plus, minus, index = _sign_masks(poset)
     origin = index[(0, 0)]
     if origin != 0:
@@ -525,10 +530,20 @@ def initial_graph(poset):
         for e in _bits(q):
             row |= signs_plus[e]
         adjacency.append(row)
-    for masks, pattern in _family_two(poset):
-        u, v = _signed_pair(index, masks[0], masks[1], pattern)
-        adjacency[u] |= 1 << v
-        adjacency[v] |= 1 << u
+    blocks = {}  # (antichain, common mask) -> {signs on common: its signings that agree}
+    for a, b, _, _ in _ideal_pairs(poset):
+        common = a & b
+        for mask, other in ((a, b), (b, a)):
+            agreeing = blocks.get((other, common))
+            if agreeing is None:
+                agreeing = blocks[other, common] = {}
+                first = index[(0, other)]
+                for vid in range(first, first + (1 << other.bit_count())):
+                    signs = plus[vid] & common
+                    agreeing[signs] = agreeing.get(signs, 0) | 1 << vid
+            first = index[(0, mask)]
+            for vid in range(first, first + (1 << mask.bit_count())):
+                adjacency[vid] |= agreeing[plus[vid] & common]
     if adjacency[0]:
         v = next(_bits(adjacency[0]))
         raise IdentityViolation(f"initial graph edge (0, {v}) meets the origin")

@@ -61,7 +61,10 @@ scan peak_positions lives here too, as the reference for the peak
 polynomial that the library reads off the left peaks.  The poset
 builder keeps the construction it replaced: the relation closed as a
 pair set by Warshall's loop, and the covers, lower covers and natural
-labelling read off those pairs.
+labelling read off those pairs.  The frontier DP keeps its former body,
+which picked each state's kept and read slots by generator expressions,
+and the topological order keeps its greedy min over a set of the
+elements not yet placed.
 """
 
 from dataclasses import dataclass
@@ -559,6 +562,62 @@ def chain_counts_oracle(poset, max_m, from_empty=False):
         weights = [sum(weights[i] << k for i, k in row) for row in rows]
         counts.append(weights[-1])
     return counts
+
+
+def frontier_count_oracle(poset, m, kind="left", guard=partitions.PARTITION_GUARD_DEFAULT):
+    """partitions.frontier_count with its former body: the same states in
+    the same order, the same work units and guard texts, with each
+    state's kept and read slots picked by generator expressions."""
+    partitions._check_partition_args(poset, m, kind)
+    lowers = poset.lower_covers()
+    last_read = [0] * (poset.n + 1)
+    for e in poset.elements():
+        for c in lowers[e]:
+            last_read[c] = e
+    live, work = [], 0
+    states = {(): 1}
+    for e in poset.elements():
+        reads = [live.index(c) for c in lowers[e]]
+        keep = [i for i, c in enumerate(live) if last_read[c] > e]
+        by_base = {}
+        for state, count in states.items():
+            key = (tuple(state[i] for i in keep), max((state[i] for i in reads), default=0))
+            by_base[key] = by_base.get(key, 0) + count
+        free_only = kind == "enriched" and not lowers[e]
+        states = {}
+        for (kept, base), count in by_base.items():
+            if not last_read[e]:
+                weight = 2 * (m - base) + (0 if free_only else 1)
+                states[kept] = states.get(kept, 0) + count * weight
+                work += 1
+            else:
+                if not free_only:
+                    states[kept + (base,)] = states.get(kept + (base,), 0) + count
+                for a in range(base + 1, m + 1):
+                    states[kept + (a,)] = states.get(kept + (a,), 0) + 2 * count
+                work += m - base + (0 if free_only else 1)
+            if len(states) > guard:  # tested as they grow, at most m + 1 at a time
+                raise SizeLimit(f"{len(states)} partition DP states exceed guard {guard}")
+            if work > partitions.FRONTIER_WORK_GUARD:
+                raise SizeLimit(f"{work} partition DP steps exceed guard {partitions.FRONTIER_WORK_GUARD}")
+        live = [live[i] for i in keep] + ([e] if last_read[e] else [])
+    return sum(states.values())
+
+
+def topological_order_oracle(poset):
+    """Poset.topological_order with its former body: the least element
+    with nothing unplaced below it, by min over a set of the rest."""
+    if poset.naturally_labeled:
+        return tuple(poset.elements())
+    placed = 0
+    order = []
+    remaining = set(poset.elements())
+    while remaining:
+        e = min(i for i in remaining if poset._below[i] & ~placed == 0)
+        order.append(e)
+        placed |= 1 << e
+        remaining.remove(e)
+    return tuple(order)
 
 
 def left_partition_oracle(poset, f, m=None):

@@ -43,6 +43,7 @@ from oracles import (
     bijection_failure_oracle,
     comparability_invariance,
     ehrhart_polynomial,
+    frontier_count_oracle,
     is_left_partition,
     left_partition_oracle,
     peak_positions,
@@ -193,6 +194,35 @@ class TestFrontierCount:
         with pytest.raises(SizeLimit, match=f"partition DP steps exceed guard {bound}$") as trip:
             frontier_count(stacked, 3)
         assert int(str(trip.value).split()[0]) <= bound + 3 + 1
+
+    def test_matches_former_body_up_to_five(self):
+        for n in (1, 2, 3, 4, 5):
+            for poset in all_natural_posets(n):
+                for m in range(5):
+                    for kind in ("left", "enriched"):
+                        expected = frontier_count_oracle(poset, m, kind)
+                        assert frontier_count(poset, m, kind) == expected, (poset.pairs, m, kind)
+
+    def test_matches_former_body_on_six_element_sample(self):
+        rng = random.Random(36)
+        for poset in rng.sample(all_natural_posets(6), 300):
+            m, kind = rng.randrange(5), rng.choice(("left", "enriched"))
+            assert frontier_count(poset, m, kind) == frontier_count_oracle(poset, m, kind), (poset.pairs, m)
+
+    def test_guard_texts_match_former_body(self):
+        crown = poset_from_covers(16, [(i, 8 + j) for i in range(1, 9) for j in range(1, 9) if i != j])
+        stacked = poset_from_covers(16, [(a, b) for a in range(1, 9) for b in range(9, 17)])
+        steps = "262145 partition DP steps exceed guard 262144"
+        cases = (
+            (crown, 4, 10**8, steps),
+            (stacked, 3, 10**8, steps),
+            (stacked, 4, 10**5, "100005 partition DP states exceed guard 100000"),
+        )
+        for poset, m, guard, text in cases:
+            for count in (frontier_count, frontier_count_oracle):
+                with pytest.raises(SizeLimit) as trip:
+                    count(poset, m, guard=guard)
+                assert str(trip.value) == text, (count.__name__, m, guard)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="unknown kind"):

@@ -1,4 +1,5 @@
 import hashlib
+import random
 import time
 from itertools import combinations, permutations, product
 from math import comb
@@ -34,6 +35,7 @@ from oracles import (
     pair_facts,
     star,
     star_oracle,
+    topological_order_oracle,
 )
 
 
@@ -94,6 +96,33 @@ class TestConstruction:
         assert first.covers() is second.covers()
         after = Poset.covers.cache_info()
         assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+
+
+class TestTopologicalOrder:
+    """Poset.topological_order, and canonicalized() built from it, against
+    the greedy min over a set that the bitmask walk replaced."""
+
+    @staticmethod
+    def assert_matches_oracle(poset):
+        order = topological_order_oracle(poset)
+        assert poset.topological_order() == order, poset.pairs
+        assert poset.canonicalized() == (poset if poset.naturally_labeled else poset.relabeled(order))
+
+    def test_relabelings_and_orientations_up_to_five(self):
+        for n in range(1, 6):
+            for natural in all_natural_posets(n):
+                for sigma in verify._relabelings(n):
+                    self.assert_matches_oracle(natural.relabeled(sigma))
+                for orientation in comparability_orientations(natural):
+                    self.assert_matches_oracle(orientation)
+
+    def test_random_labelled_seven_element_posets(self):
+        rng = random.Random(7)
+        for _ in range(50):
+            # a random relation along a random order of the labels is acyclic
+            order = rng.sample(range(1, 8), 7)
+            relation = [(a, b) for a, b in combinations(order, 2) if rng.random() < 0.3]
+            self.assert_matches_oracle(poset_from_covers(7, relation))
 
 
 class TestMaskBuilder:

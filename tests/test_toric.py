@@ -971,6 +971,15 @@ class TestBitsetKernels:
             for poset in all_natural_posets(n):
                 assert generate_groebner_candidates(poset) == groebner_candidates_oracle(poset), poset.pairs
 
+    def test_graph_on_every_sixteenth_six_element_poset(self):
+        for poset in all_natural_posets(6)[::16]:
+            count, edges = initial_graph_oracle(poset)
+            expected = [0] * count
+            for u, v in edges:
+                expected[u] |= 1 << v
+                expected[v] |= 1 << u
+            assert initial_graph(poset) == (count, tuple(expected)), poset.pairs
+
     @given(labelled_six_posets())
     @example(poset_from_covers(6, []))
     @settings(max_examples=10, deadline=None)
