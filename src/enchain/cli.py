@@ -228,8 +228,7 @@ def cmd_complex(poset, cfg):
     complex_ = gamma_complex.build_complex(poset)
     # stored uncolored: cut each base's word at its peak before joining (labels may pass 9)
     colored = []
-    for base in complex_.bases:
-        word, ((peak, _),) = base.word, base.bars
+    for word, peak in complex_.bases:
         head, tail = "".join(map(str, word[:peak])), "".join(map(str, word[peak:]))
         colored.append([f"{head}|^{c} {tail}" for c in gamma_complex.COLORS])
     payload = {

@@ -9,12 +9,15 @@ decreasing prefix with increasing remainder (see grave_acute).  A word
 that admits no such split raises MalformedResult.
 
 Vertices of the complex are the one-bar decorated linear extensions,
-four to a word, one per bar color.  The complex is stored uncolored: its
-bases are the color-0 vertices and its pairs are the edges between
-bases.  Bar colors pass through the face map unchanged, so the colors
-are applied only where the complex is written out (cli.cmd_complex
-writes each base's colored texts from its word and peak); GammaComplex
-builds its colored vertices and edges on their first read.  The face map
+four to a word, one per bar color.  The complex is stored uncolored, as
+plain data: its bases are (word, peak) pairs, the one-peak extensions
+with their left peaks, which stand for the color-0 vertices, and its
+pairs are the edges between bases.  Bar colors pass through the face map
+unchanged, so the colors are applied only where the complex is written
+out (cli.cmd_complex writes each base's colored texts from its word and
+peak).  GammaComplex builds its colored vertices, each a validated
+DecoratedPermutation, and its edges on their first read; only the tests
+and the benchmark's item count read them.  The face map
 sends a decorated permutation with k bars to a k-set of vertices, one
 per bar, so the pairs are the images of the two-bar decorated extensions
 with their bars in color 0, and build_complex reads them off the
@@ -81,29 +84,10 @@ class DecoratedPermutation:
     def bar_count(self):
         return len(self.bars)
 
-    def recolored(self, color):
-        """This one-bar element with its bar in `color`.  The bar of self
-        already sits at the word's left peak, so only the color is checked
-        and the left peaks are not recomputed."""
-        if self.bar_count() != 1:
-            raise ValueError("recoloring is defined for one-bar elements")
-        if color not in COLORS:
-            raise MalformedResult(f"bar colors must lie in 0..3: {color}")
-        return _trusted(self.word, ((self.bars[0][0], color),))
-
-
-def _trusted(word, bars):
-    """A DecoratedPermutation whose bars are known to sit at the word's
-    left peaks with valid colors, built without recomputing the peaks."""
-    out = object.__new__(DecoratedPermutation)
-    object.__setattr__(out, "word", word)
-    object.__setattr__(out, "bars", bars)
-    return out
-
 
 @dataclass(frozen=True)
 class GammaComplex:
-    bases: tuple  # color-0 one-bar DecoratedPermutation, one per one-peak word, sorted
+    bases: tuple  # (word, peak), one per one-peak extension, sorted: the color-0 vertices
     pairs: tuple  # index pairs (a, b) into bases, a < b, sorted: the uncolored edges
     f_vector: tuple  # (1, f_0, f_1, ...) by face size, colored faces counted
     f_polynomial: IntPolynomial
@@ -111,8 +95,11 @@ class GammaComplex:
 
     @cached_property
     def vertices(self):
-        """Each base in colors 0..3, four to a word, built on first read."""
-        return tuple(base.recolored(c) if c else base for base in self.bases for c in COLORS)
+        """Each base in colors 0..3, four to a word, built and validated
+        on first read."""
+        return tuple(
+            DecoratedPermutation(word, ((peak, c),)) for word, peak in self.bases for c in COLORS
+        )
 
     @cached_property
     def edges(self):
@@ -156,17 +143,17 @@ def build_complex(poset):
 
     The words and their left peaks come from partitions.extension_peaks,
     the walk that peak_polynomials reads too, in lexicographic order, so
-    each base is built once from its known peak and the bases come out
+    each base is read off with its known peak and the bases come out
     sorted.  The oracles in tests/oracles.py check the pairs by splicing
     pairs of vertices (vertex_adjacent, splice_adjacency)."""
     n = poset.n
     if n > COMPLEX_GUARD_N:
         raise SizeLimit(f"complex construction guarded at n <= {COMPLEX_GUARD_N}")
     words = extension_peaks(poset)
-    underlying = [_trusted(w, ((peaks[0], 0),)) for w, peaks in words if len(peaks) == 1]
-    index = {base.word: (b, base.bars[0][0]) for b, base in enumerate(underlying)}
+    bases = tuple((w, peaks[0]) for w, peaks in words if len(peaks) == 1)
+    index = {w: (b, peak) for b, (w, peak) in enumerate(bases)}
 
-    adj = [0] * len(underlying)
+    adj = [0] * len(bases)
     for w, peaks in words:
         if len(peaks) == 2:
             p, q = peaks
@@ -188,7 +175,7 @@ def build_complex(poset):
         )
 
     return GammaComplex(
-        bases=tuple(underlying),
+        bases=bases,
         pairs=tuple((a, b) for a, row in enumerate(adj) for b in _bits(row >> a << a)),
         f_vector=f_vector,
         f_polynomial=f_polynomial,

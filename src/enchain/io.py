@@ -73,7 +73,7 @@ def load_poset(path):
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read poset file {path}: {exc}") from exc
     return parse_poset(text)
 

@@ -197,7 +197,9 @@ def _walk_maximal_chains(poset):
 
 
 def linear_extensions(poset):
-    """All linear extensions as permutations of 1..n, lexicographically."""
+    """All linear extensions as permutations of 1..n, lexicographically:
+    each node places, lowest first, each unplaced element with nothing
+    unplaced below it."""
     n = poset.n
     if n > LINEAR_EXTENSION_GUARD:
         raise SizeLimit(f"linear extension enumeration guarded at n <= {LINEAR_EXTENSION_GUARD}")
@@ -205,17 +207,17 @@ def linear_extensions(poset):
     out = []
     perm = []
 
-    def backtrack(placed, remaining):
-        if not remaining:
+    def backtrack(unplaced):
+        if not unplaced:
             out.append(tuple(perm))
             return
-        for e in sorted(remaining):
-            if below[e] & ~placed == 0:
+        for e in _bits(unplaced):
+            if not below[e] & unplaced:
                 perm.append(e)
-                backtrack(placed | 1 << e, remaining - {e})
+                backtrack(unplaced ^ 1 << e)
                 perm.pop()
 
-    backtrack(0, set(poset.elements()))
+    backtrack((1 << n + 1) - 2)
     return out
 
 

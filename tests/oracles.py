@@ -33,9 +33,10 @@ built the edges with it.  That pair test keeps its object-level
 predecessor here too: the two-bar decorated permutation built and
 validated, and its face map compared with the pair.  The complex's
 colored vertices and edges keep the eager expansion that build_complex
-made before the complex kept only its color-0 bases and the pairs
-between them, and a decorated permutation keeps here the blocks and the
-text that only the tests read.  The bijection
+made before the complex kept only its bases, the (word, peak) pairs that
+stand for the color-0 vertices, and the pairs between them, and a
+decorated permutation keeps here the blocks and the text that only the
+tests read.  The bijection
 check keeps its per-bound routine, which runs every check on every
 partition at every bound, and the comparability orientations keep their
 scan of all 2^E edge masks.  The toric ring
@@ -1015,11 +1016,11 @@ def splice_adjacency(poset):
 
 def eager_colored_views(complex_):
     """The colored vertices and edges of a GammaComplex as build_complex
-    once built them eagerly, before the complex kept only its bases and
-    pairs: each base in colors 0..3, and each pair of bases in every two
-    colors as index pairs into the vertices."""
+    once built them eagerly, before the complex kept only its (word, peak)
+    bases and pairs: each base in colors 0..3, and each pair of bases in
+    every two colors as index pairs into the vertices."""
     underlying, pairs = complex_.bases, complex_.pairs
-    vertices = [base.recolored(c) if c else base for base in underlying for c in COLORS]
+    vertices = [DecoratedPermutation(w, ((peak, c),)) for w, peak in underlying for c in COLORS]
     edges = [(a * 4 + ca, b * 4 + cb) for a, b in pairs for ca in COLORS for cb in COLORS]
     return tuple(vertices), tuple(edges)
 

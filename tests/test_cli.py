@@ -143,6 +143,13 @@ class TestParsing:
         assert main(["antichains", str(path)]) == 1
         assert "got 2.7" in capsys.readouterr().err
 
+    def test_non_utf8_file_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "bad.poset"
+        path.write_bytes(b"\xff\xfe3\n")
+        assert main(["ehrhart", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read poset file {path}: ") and err.count("\n") == 1
+
 
 class TestCommands:
     def test_ehrhart_two_chain(self, capsys, chain2):
@@ -258,6 +265,14 @@ class TestCommands:
         code, out = run(capsys, [command, str(path)])
         assert code == 0
         assert_matches_golden(out, f"{command}_{name}")
+
+    def test_extensions_of_a_non_natural_five_poset_are_byte_identical(self, capsys, tmp_path):
+        # labels that are not natural: the walk orders the 20 extensions as given
+        path = tmp_path / "relabeled5.poset"
+        path.write_text("5\n2 < 1\n2 < 4\n5 < 3\n")
+        code, out = run(capsys, ["extensions", str(path)])
+        assert code == 0 and json.loads(out)["count"] == 20
+        assert_matches_golden(out, "extensions_relabeled5")
 
     def test_omitted_partitions_output_is_byte_identical(self, capsys, tmp_path):
         # 9^4 = 6561 partitions, past the 5000 that are listed

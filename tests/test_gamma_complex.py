@@ -11,7 +11,7 @@ from enchain import cli, gamma_complex, verify
 from enchain.errors import IdentityViolation, MalformedResult, SizeLimit
 from enchain.io import render_json
 from enchain.gamma_complex import COLORS, DecoratedPermutation, build_complex, grave_acute
-from enchain.partitions import peak_polynomials
+from enchain.partitions import left_peak_positions, peak_polynomials
 from enchain.polynomials import IntPolynomial
 from enchain.posets import all_natural_posets, linear_extensions, poset_from_covers
 from oracles import (
@@ -71,6 +71,8 @@ class TestDecorate:
             DecoratedPermutation((1, 2), ((1, 0),))
         with pytest.raises(MalformedResult):
             DecoratedPermutation((2, 1), ())
+        with pytest.raises(MalformedResult):
+            DecoratedPermutation((2, 1), ((1, 4),))
 
 
 class TestGraveAcute:
@@ -198,9 +200,9 @@ class TestComplex:
             build_complex(poset_from_covers(7, []))
 
     def test_recolored_vertices_equal_fresh_ones(self):
-        """The vertices, recolored from their color-0 word, equal (and hash
-        like) vertices built and validated from scratch, colors 0..3 in
-        order for each word."""
+        """The vertices, built from each (word, peak) base in colors 0..3,
+        equal (and hash like) vertices built and validated from scratch,
+        colors 0..3 in order for each word."""
         posets = [p for n in range(1, 6) for p in all_natural_posets(n)]
         for poset in posets + [poset_from_covers(6, [])]:
             vertices = build_complex(poset).vertices
@@ -221,14 +223,6 @@ class TestComplex:
         monkeypatch.setattr(DecoratedPermutation, "__post_init__", forbidden)
         assert build_complex(anti4) == expected
         assert build_complex(poset_from_covers(6, [])).f_vector == (1, 716, 7664, 3904)
-
-    def test_recoloring_checks_color_and_bar_count(self):
-        vertex = DecoratedPermutation((2, 1), ((1, 0),))
-        assert vertex.recolored(3) == DecoratedPermutation((2, 1), ((1, 3),))
-        with pytest.raises(MalformedResult):
-            vertex.recolored(4)
-        with pytest.raises(ValueError):
-            DecoratedPermutation((1, 2), ()).recolored(1)
 
 
 class TestColoredViews:
@@ -263,20 +257,21 @@ class TestColoredViews:
         complex_ = build_complex(anti4)
         assert "vertices" not in vars(complex_) and "edges" not in vars(complex_)
         assert len(complex_.bases) == 18 and len(complex_.pairs) == 5
-        assert all(base.bars[0][1] == 0 for base in complex_.bases)
+        assert all(left_peak_positions(word) == [peak] for word, peak in complex_.bases)
         assert all(a < b for a, b in complex_.pairs)
         assert len(complex_.vertices) == 72
         assert "vertices" in vars(complex_) and "edges" not in vars(complex_)
 
     def test_cli_and_verify_color_no_object(self, monkeypatch):
-        """With recoloring forbidden, verify_poset and cmd_complex on the
-        6-antichain still succeed, so neither reads the colored views."""
+        """With DecoratedPermutation's constructor forbidden, verify_poset
+        and cmd_complex on the 6-antichain still succeed, so neither builds
+        a decorated permutation or reads the colored views."""
         anti6 = poset_from_covers(6, [])
 
-        def forbidden(self, color):
+        def forbidden(self):
             raise AssertionError("a colored vertex was built")
 
-        monkeypatch.setattr(DecoratedPermutation, "recolored", forbidden)
+        monkeypatch.setattr(DecoratedPermutation, "__post_init__", forbidden)
         row = verify.verify_poset(anti6)
         assert row["complex"]["f_vector"] == [1, 716, 7664, 3904]
         assert row["complex"]["kruskal_katona"] is True
@@ -290,7 +285,7 @@ class TestColoredViews:
 
 class TestColoredTexts:
     """cmd_complex writes each base's four colored texts from its word and
-    peak; they are the texts of the recolored vertices, and its edges the
+    peak; they are the texts of the colored vertices, and its edges the
     texts of GammaComplex.edges."""
 
     @staticmethod
@@ -313,10 +308,7 @@ class TestColoredTexts:
 
     def test_labels_of_ten_or_more(self, monkeypatch):
         # the word is sliced by letters, not the joined digits by position
-        bases = (
-            DecoratedPermutation((2, 10, 1, 11), ((2, 0),)),
-            DecoratedPermutation((10, 2, 11), ((1, 0),)),
-        )
+        bases = (((2, 10, 1, 11), 2), ((10, 2, 11), 1))
         stub = replace(build_complex(anti2), bases=bases, pairs=((0, 1),))
         monkeypatch.setattr(gamma_complex, "build_complex", lambda poset: stub)
         payload = cli.cmd_complex(anti2, None)

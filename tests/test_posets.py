@@ -272,15 +272,28 @@ class TestLinearExtensions:
         with pytest.raises(SizeLimit):
             linear_extensions(antichain(11))
 
+    @staticmethod
+    def assert_matches_filter(poset):
+        """The walk against the permutations that respect every pair, and
+        its first extension against the greedy topological order."""
+        expected = [
+            w
+            for w in permutations(poset.elements())
+            if all(w.index(a) < w.index(b) for a, b in poset.pairs)
+        ]
+        extensions = linear_extensions(poset)
+        assert extensions == sorted(expected), poset
+        assert extensions[0] == poset.topological_order(), poset
+
     def test_exhaustive_against_filter(self):
-        for n in range(1, 5):
+        for n in range(1, 6):
             for poset in all_natural_posets(n):
-                expected = [
-                    w
-                    for w in permutations(range(1, n + 1))
-                    if all(w.index(a) < w.index(b) for a, b in poset.pairs)
-                ]
-                assert linear_extensions(poset) == sorted(expected)
+                self.assert_matches_filter(poset)
+
+    @given(labelled_six_posets())
+    @settings(max_examples=30, deadline=None)
+    def test_random_labelled_six_posets_against_filter(self, poset):
+        self.assert_matches_filter(poset)
 
 
 class TestIdeals:

@@ -94,8 +94,9 @@ ALLOWED = {
     "verify.kruskal_katona_alarm": ALARM,
     "gamma_complex.GammaComplex.vertices": COLORED_VIEW,
     "gamma_complex.GammaComplex.edges": COLORED_VIEW,
-    "gamma_complex.DecoratedPermutation.recolored": "the vertices view calls it",
-    "gamma_complex.DecoratedPermutation.bar_count": "recolored calls it, for the vertices view",
+    "gamma_complex.DecoratedPermutation.bar_count": (
+        "the bar count of a decorated permutation, which the oracles read"
+    ),
     "posets.Poset.less": "the relation accessor of the exported Poset class, which the oracles read",
     "posets.Poset.pairs": (
         "the relation of the exported Poset class as a set, which __repr__, the orientation alarm"
