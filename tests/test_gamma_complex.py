@@ -224,6 +224,20 @@ class TestComplex:
         assert build_complex(anti4) == expected
         assert build_complex(poset_from_covers(6, [])).f_vector == (1, 716, 7664, 3904)
 
+    def test_recoloring_checks_color_and_bar_count(self):
+        """The vertices view recolors each (word, peak) base through the
+        validating constructor: one bar in each of colors 0..3, color 4
+        rejected, and a base whose peak is not the word's left peak
+        rejected on the view's first read."""
+        complex_ = build_complex(poset_from_covers(2, []))
+        assert DecoratedPermutation((2, 1), ((1, 3),)) in complex_.vertices
+        assert all(vertex.bar_count() == 1 for vertex in complex_.vertices)
+        with pytest.raises(MalformedResult):
+            DecoratedPermutation((2, 1), ((1, 4),))
+        bad = replace(complex_, bases=(((1, 2), 1),), pairs=())
+        with pytest.raises(MalformedResult):
+            bad.vertices
+
 
 class TestColoredViews:
     """The complex is stored uncolored: its colored vertices and edges are
