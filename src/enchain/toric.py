@@ -11,7 +11,7 @@ The candidate Groebner basis has two families of quadratic binomials,
 each defined in one place.  A candidate is a ToricBinomial, the named
 tuple (lead, tail, family).  The candidates read both; the margin check
 of the term order reads the rows of (2); the leading-term graph reads
-only the leads, of (1) per element and of (2) by sign blocks:
+only the leads, of (1) per element and of (2) as whole blocks:
 
   (1) _sign_index holds, per element e, the bitsets of the variables
       signing e + and e -; a pair u < v across the two, with e, gives
@@ -25,8 +25,9 @@ only the leads, of (1) per element and of (2) by sign blocks:
       each entry by every pattern on max(I) u max(J), the submasks of that
       support in increasing order: x_max(I) x_max(J) minus
       x_max(I u J) x_max(I*J).  One pattern covers every index, so a
-      shared index gets consistent signs.  The graph reads the same
-      entries by sign blocks (see initial_graph).
+      shared index gets consistent signs.  With (1), that joins every
+      signing of max I to every signing of max J, so the graph joins the
+      whole blocks of incomparable ideals (see initial_graph).
 
 The term order is its weights: a variable weighs w(I) = 2n|I| - |I|^2
 for the ideal I its antichain generates, and a binomial's lead is the
@@ -511,39 +512,32 @@ def initial_graph(poset):
     Family (1) joins u and v when they sign some element e oppositely, so
     u gains, from _sign_index, every variable signing e - for each e it
     signs +, and every variable signing e + for each e it signs -: one
-    bitset per element, not a walk over pairs.  Family (2) goes by sign
-    blocks: in an _ideal_pairs entry with A = max I and B = max J, each
-    signing of A leads with the signings of B agreeing with it on A & B,
-    one bitset per (B, A & B, signs) built once a call from B's contiguous
-    ids, and the other way round: 2^|A| + 2^|B| ORs an entry, not one
-    _family_two lookup per signing of A | B."""
+    bitset per element, not a walk over pairs.  Family (2) joins whole
+    blocks: in an _ideal_pairs entry with A = max I and B = max J, (1)
+    joins the signings of A and B that disagree somewhere on A & B, and
+    (2) those that agree there, as _family_two uses every sign pattern on
+    A | B, so every signing of A is joined to every signing of B, the
+    contiguous ids from index[(0, B)] on.  Each antichain keeps the OR of
+    its partners' blocks, two whole-block ORs an entry, and each row starts
+    from its antichain's."""
     plus, minus, index = _sign_masks(poset)
     origin = index[(0, 0)]
     if origin != 0:
         raise IdentityViolation(f"origin variable has index {origin}, not 0")
+    partners = {}  # antichain -> OR of the id blocks of the antichains it is joined to
+    for a, b, _, _ in _ideal_pairs(poset):
+        for mask, other in ((a, b), (b, a)):
+            block = ((1 << (1 << other.bit_count())) - 1) << index[(0, other)]
+            partners[mask] = partners.get(mask, 0) | block
     signs_plus, signs_minus = _sign_index(poset)
     adjacency = []
     for p, q in zip(plus, minus):
-        row = 0
+        row = partners.get(p | q, 0)
         for e in _bits(p):
             row |= signs_minus[e]
         for e in _bits(q):
             row |= signs_plus[e]
         adjacency.append(row)
-    blocks = {}  # (antichain, common mask) -> {signs on common: its signings that agree}
-    for a, b, _, _ in _ideal_pairs(poset):
-        common = a & b
-        for mask, other in ((a, b), (b, a)):
-            agreeing = blocks.get((other, common))
-            if agreeing is None:
-                agreeing = blocks[other, common] = {}
-                first = index[(0, other)]
-                for vid in range(first, first + (1 << other.bit_count())):
-                    signs = plus[vid] & common
-                    agreeing[signs] = agreeing.get(signs, 0) | 1 << vid
-            first = index[(0, mask)]
-            for vid in range(first, first + (1 << mask.bit_count())):
-                adjacency[vid] |= agreeing[plus[vid] & common]
     if adjacency[0]:
         v = next(_bits(adjacency[0]))
         raise IdentityViolation(f"initial graph edge (0, {v}) meets the origin")

@@ -240,6 +240,15 @@ class TestCommands:
         assert json.loads(out)["buchberger"] == "pass"
         assert_matches_golden(out, "grobner_chain2_plus2")
 
+    def test_grobner_on_a_reverse_labelled_six_element_fence_is_byte_identical(self, capsys, tmp_path):
+        # every element labelled against the order, at n = 6, where no sweep
+        # goes: the graph and the Hilbert rows past Buchberger's cap
+        path = tmp_path / "fence6_relabeled.poset"
+        path.write_text("6\n2 < 1\n2 < 3\n4 < 3\n4 < 5\n6 < 5\n")
+        code, out = run(capsys, ["grobner", str(path)])
+        assert code == 0
+        assert_matches_golden(out, "grobner_fence6_relabeled")
+
     @pytest.mark.parametrize("name", sorted(COMPLEX_POSETS))
     def test_complex_output_is_byte_identical(self, capsys, tmp_path, name):
         path = tmp_path / f"{name}.poset"

@@ -924,6 +924,41 @@ class TestStandardMonomials:
                 for m, standard, points in rows:
                     assert standard == points == count_dilation(poset, m)
 
+    @pytest.mark.parametrize(
+        "poset, rows",
+        [
+            (anti2, ((1, 9, 9), (2, 29, 25), (3, 65, 49))),
+            (poset_from_covers(5, [(1, 3), (2, 3), (3, 4), (3, 5)]), ((1, 19, 19), (2, 153, 149), (3, 735, 679))),
+        ],
+        ids=["anti2", "bowtie"],
+    )
+    def test_a_lost_ideal_pair_costs_its_blocks_and_the_certificate(self, monkeypatch, poset, rows):
+        """With the last _ideal_pairs row dropped, the graph loses only
+        edges between that row's blocks: the signings of A and B that agree
+        on A & B, which here is empty, so all 2^|A| * 2^|B| = 4 of them.
+        The certificate then counts more standard monomials than points
+        from degree 2 on."""
+        original = toric._ideal_pairs
+        a, b, _, _ = original(poset)[-1]
+        _, whole = initial_graph(poset)
+        monkeypatch.setattr(toric, "_ideal_pairs", lambda other: original(other)[:-1])
+        initial_graph.cache_clear()
+        hilbert_certificate.cache_clear()
+        try:
+            _, cut = initial_graph(poset)
+            got, ok = hilbert_certificate(poset)
+        finally:
+            monkeypatch.undo()
+            initial_graph.cache_clear()
+            hilbert_certificate.cache_clear()
+        plus, minus, _ = toric._sign_masks(poset)
+        lost = edge_set(whole) - edge_set(cut)
+        assert edge_set(cut) <= edge_set(whole)
+        assert {frozenset((plus[u] | minus[u], plus[v] | minus[v])) for u, v in lost} == {frozenset((a, b))}
+        assert not a & b and len(lost) == 1 << a.bit_count() << b.bit_count() == 4
+        assert not ok and got == rows
+        assert got[0][1] == got[0][2] and all(standard > points for _, standard, points in got[1:])
+
     def test_certificate_degrees_outside_one_to_three_are_refused(self):
         # a certificate with no row compares nothing, so it must not read
         # as a pass
