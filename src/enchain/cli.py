@@ -26,7 +26,7 @@ DEFAULTS = {
     "max_n": 8,
     "max_m": 4,
     "truncation": 8,
-    "guard_points": partitions.PARTITION_GUARD_DEFAULT,
+    "guard_points": partitions.FRONTIER_WORK_GUARD,
     "guard_spairs": toric.SPAIR_GUARD_DEFAULT,
 }
 BOUNDS = tuple(DEFAULTS)[1:]  # the options that must be positive
@@ -116,7 +116,7 @@ def on_natural_labels(command):
     def run(poset, cfg):
         payload = command(poset.canonicalized(), cfg)
         if not poset.naturally_labeled:
-            payload["relabeled_by"] = list(poset.natural_relabeling)
+            payload["relabeled_by"] = list(poset.topological_order())
         return payload
 
     return run
@@ -162,13 +162,10 @@ def cmd_gamma(poset, cfg):
 @on_natural_labels
 def cmd_partitions(poset, cfg):
     count = partitions.count_partitions(poset, cfg.m, cfg.kind)
-    if 5000 < count <= cfg.guard_points:
+    if count > 5000:
         listed = "omitted"
-    else:  # enumerate_partitions raises past the guard before listing any
-        items = partitions.enumerate_partitions(
-            poset, cfg.m, cfg.kind, guard=cfg.guard_points
-        )
-        listed = [list(f) for f in items]
+    else:
+        listed = [list(f) for f in partitions.iter_partitions(poset, cfg.m, cfg.kind)]
     return {"m": cfg.m, "kind": cfg.kind, "count": count, "partitions": listed}
 
 

@@ -43,11 +43,11 @@ from .errors import (
 from .polynomials import IntPolynomial, RatPolynomial, interpolate
 from .posets import _memo, ideal_chain_count, linear_extensions
 
-PARTITION_GUARD_DEFAULT = 10**8
-# frontier_count's work, one unit per (state, value) pair it adds.  The
-# costliest trip on a 2-core host: 0.56 s and 59 MiB peak RSS (four stacked
-# 7-antichains, m = 4); a natural poset with n <= 6 needs at most 3,910 at
-# m = 4 (five minimal elements below one top).
+# The default bound on frontier_count's work (and so on --guard-points),
+# one unit per (state, value) pair it adds.  The costliest trip on a 2-core
+# host: 0.56 s and 59 MiB peak RSS (four stacked 7-antichains, m = 4); a
+# natural poset with n <= 6 needs at most 3,910 at m = 4 (five minimal
+# elements below one top).
 FRONTIER_WORK_GUARD = 1 << 18
 
 
@@ -103,14 +103,6 @@ def iter_partitions(poset, m, kind="left"):
             stack.pop()
 
 
-def enumerate_partitions(poset, m, kind="left", guard=PARTITION_GUARD_DEFAULT):
-    """Materialized list of all partitions with bound m, at most `guard` of them."""
-    count = count_partitions(poset, m, kind)
-    if count > guard:
-        raise SizeLimit(f"{count} partitions exceed guard {guard}")
-    return list(iter_partitions(poset, m, kind))
-
-
 def count_partitions(poset, m, kind="left"):
     """Number of partitions with bound m, without materializing them.
 
@@ -125,7 +117,7 @@ def count_partitions(poset, m, kind="left"):
     return ideal_chain_count(poset, m, from_empty=kind == "enriched")
 
 
-def frontier_count(poset, m, kind="left", guard=PARTITION_GUARD_DEFAULT):
+def frontier_count(poset, m, kind="left", guard=FRONTIER_WORK_GUARD):
     """Number of partitions with bound m, counted straight from the
     definition by a dynamic programme over the elements in natural order.
 
@@ -137,11 +129,10 @@ def frontier_count(poset, m, kind="left", guard=PARTITION_GUARD_DEFAULT):
     element, C-level readers (_slot_reader) of the kept and the read slots
     are mapped over the states, with no Python loop per slot.  The DP
     shares nothing with the ideal lattice or the psi map, so it is an
-    independent route to the counts of posets.ideal_chain_count.  More than
-    `guard` live states at once raise SizeLimit, within m + 1 states of it,
-    and so does work past FRONTIER_WORK_GUARD, one unit per (state, value)
-    pair added, counted as the DP grows; on such a poset the counts keep
-    one route."""
+    independent route to the counts of posets.ideal_chain_count.  Its one
+    bound is on work, one unit per (state, value) pair added: past `guard`
+    units, tested as the states grow, it raises SizeLimit, and on such a
+    poset the counts keep one route."""
     _check_partition_args(poset, m, kind)
     lowers = poset.lower_covers()
     last_read = [0] * (poset.n + 1)
@@ -176,10 +167,8 @@ def frontier_count(poset, m, kind="left", guard=PARTITION_GUARD_DEFAULT):
                     state = kept + tail
                     states[state] = states.get(state, 0) + double
                 work += m - base + (0 if free_only else 1)
-            if len(states) > guard:  # tested as they grow, at most m + 1 at a time
-                raise SizeLimit(f"{len(states)} partition DP states exceed guard {guard}")
-            if work > FRONTIER_WORK_GUARD:
-                raise SizeLimit(f"{work} partition DP steps exceed guard {FRONTIER_WORK_GUARD}")
+            if work > guard:
+                raise SizeLimit(f"{work} partition DP steps exceed guard {guard}")
         live = [live[i] for i in keep] + ([e] if last_read[e] else [])
     return sum(states.values())
 

@@ -97,11 +97,6 @@ class Poset:
             unplaced ^= low
         return tuple(order)
 
-    @property
-    def natural_relabeling(self):
-        """A linear extension to relabel by; identity iff already natural."""
-        return self.topological_order()
-
     def relabeled(self, pi):
         """Relabel so the element pi[k-1] receives the new label k."""
         if sorted(pi) != list(self.elements()):
@@ -114,10 +109,10 @@ class Poset:
         return Poset(self.n, above)
 
     def canonicalized(self):
-        """Naturally labeled copy via the companion relabeling."""
+        """Naturally labeled copy, relabeled by the topological order."""
         if self.naturally_labeled:
             return self
-        return self.relabeled(self.natural_relabeling)
+        return self.relabeled(self.topological_order())
 
     def __eq__(self, other):
         return isinstance(other, Poset) and self._above == other._above

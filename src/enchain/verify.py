@@ -286,7 +286,7 @@ def verify_poset(
     poset,
     max_m=4,
     truncation=8,
-    guard_points=partitions.PARTITION_GUARD_DEFAULT,
+    guard_points=partitions.FRONTIER_WORK_GUARD,
     guard_spairs=toric.SPAIR_GUARD_DEFAULT,
 ):
     """Full identity battery for one poset: one pass over CHECKS.  A check
@@ -295,10 +295,8 @@ def verify_poset(
     its failed value and adds the alarm "<label>: <exc>".  Each check adds
     its own alarms, in check order, where it computes its verdict; the
     sweep is never aborted.
-    guard_points bounds the live states of partitions.frontier_count, and
-    partitions.FRONTIER_WORK_GUARD its work.  Every live state the DP adds
-    costs at least one unit of work, so at its default guard_points never
-    trips before the work guard does: it only lowers the work guard's reach.
+    guard_points bounds the work of partitions.frontier_count, the counts
+    check's second route, and defaults to partitions.FRONTIER_WORK_GUARD.
     max_m, truncation, guard_points or guard_spairs below 1, max_m past
     MAX_M or truncation past MAX_TRUNCATION raises SizeLimit before any
     check; the guards have no upper bound."""
@@ -326,7 +324,7 @@ def verify_poset(
             "relation": [[a, b] for a in poset.elements() for b in posets._bits(poset._above[a])],
             "covers": sorted(map(list, poset.covers())),
             "naturally_labeled": poset.naturally_labeled,
-            "relabeling": None if poset.naturally_labeled else list(poset.natural_relabeling),
+            "relabeling": None if poset.naturally_labeled else list(poset.topological_order()),
         }
     }
     for path, label, failed, cap, run in CHECKS:

@@ -55,17 +55,18 @@ interpolated from the dilation counts, (1 + x)^k, the shift p(x + c)
 that the enriched relation once took its halved difference by (it now
 interpolates the differences of the counts), the edge set of an
 adjacency bitset list, Hypothesis strategies for randomly labelled
-6-element posets and relations, and five library functions no library
+6-element posets and relations, and six library functions no library
 path called: is_left_partition, make_ideal, star (with its helper
-_ideal_mask), comparability_invariance and series_identity_check.  The interior peak
+_ideal_mask), comparability_invariance, series_identity_check and
+enumerate_partitions.  The interior peak
 scan peak_positions lives here too, as the reference for the peak
 polynomial that the library reads off the left peaks.  The poset
 builder keeps the construction it replaced: the relation closed as a
 pair set by Warshall's loop, and the covers, lower covers and natural
 labelling read off those pairs.  The frontier DP keeps its former body,
-which picked each state's kept and read slots by generator expressions,
-and the topological order keeps its greedy min over a set of the
-elements not yet placed.
+which picked each state's kept and read slots by generator expressions
+and bounded its live states besides its work, and the topological order
+keeps its greedy min over a set of the elements not yet placed.
 """
 
 from dataclasses import dataclass
@@ -96,7 +97,7 @@ from enchain.gamma_complex import (
 )
 from enchain.geometry import dilation_counts
 from enchain.linprog import feasible_point_eq
-from enchain.partitions import left_peak_positions
+from enchain.partitions import count_partitions, iter_partitions, left_peak_positions
 from enchain.polynomials import IntPolynomial, RatPolynomial, interpolate
 from enchain.posets import (
     PosetIdeal,
@@ -565,10 +566,13 @@ def chain_counts_oracle(poset, max_m, from_empty=False):
     return counts
 
 
-def frontier_count_oracle(poset, m, kind="left", guard=partitions.PARTITION_GUARD_DEFAULT):
+def frontier_count_oracle(poset, m, kind="left", guard=10**8):
     """partitions.frontier_count with its former body: the same states in
-    the same order, the same work units and guard texts, with each
-    state's kept and read slots picked by generator expressions."""
+    the same order, the same work units, with each state's kept and read
+    slots picked by generator expressions.  It has two bounds: more than
+    `guard` live states, tested as they grow, and work past
+    partitions.FRONTIER_WORK_GUARD; the library keeps only the work bound,
+    with `guard` as its limit."""
     partitions._check_partition_args(poset, m, kind)
     lowers = poset.lower_covers()
     last_read = [0] * (poset.n + 1)
@@ -738,6 +742,15 @@ def series_identity_check(poset, truncation):
     """True iff series_identity_failure finds no disagreement (moved here
     from partitions, where no library path called it)."""
     return partitions.series_identity_failure(poset, truncation) is None
+
+
+def enumerate_partitions(poset, m, kind="left", guard=10**8):
+    """Materialized list of all partitions with bound m, at most `guard` of them
+    (moved here from partitions, where no library path called it)."""
+    count = count_partitions(poset, m, kind)
+    if count > guard:
+        raise SizeLimit(f"{count} partitions exceed guard {guard}")
+    return list(iter_partitions(poset, m, kind))
 
 
 def _ideal_mask(poset, elements):

@@ -302,6 +302,21 @@ class TestCommands:
         assert code == 0
         assert_matches_golden(out, "partitions_omitted")
 
+    def test_partitions_past_the_former_guard_are_omitted(self, capsys, tmp_path, monkeypatch):
+        # 11^8 partitions: counted by the ideal-chain kernel, never listed
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the omitted case listed its partitions")
+
+        monkeypatch.setattr(partitions, "iter_partitions", forbidden)
+        path = tmp_path / "anti8.poset"
+        path.write_text("8\n")
+        start = time.perf_counter()
+        code, out = run(capsys, ["partitions", str(path), "--m", "5"])
+        assert time.perf_counter() - start < 10
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["count"] == 214358881 and payload["partitions"] == "omitted"
+
     def test_non_natural_input_notes_relabeling(self, capsys, tmp_path):
         path = tmp_path / "rev.poset"
         path.write_text("2\n2 < 1\n")
@@ -772,16 +787,26 @@ class TestVerifyAll:
         payload = json.loads(out)
         assert payload["summary"] == {"posets": 3, "alarms": 0}
         verdicts = [row["ehrhart_equals_left_order"] for row in payload["rows"]]
-        skipped = "skipped (2 partition DP states exceed guard 1)"
-        assert verdicts == [{"max_m": 4, "pass": True}] * 2 + [skipped]  # 1, anti2, chain2
+        skipped = "skipped (2 partition DP steps exceed guard 1)"
+        assert verdicts == [{"max_m": 4, "pass": True}] + [skipped] * 2  # 1, anti2, chain2
 
     def test_partition_guard_trip_keeps_a_mismatch(self, monkeypatch, cold_hstar):
-        # the 2-chain's DP holds m + 1 states, so guard 2 trips at m = 2
+        # the 2-chain's DP costs 2 (m + 1) units, so guard 4 trips at m = 2
         wrong = lambda poset, m: posets.ideal_chain_count(poset, m) + (m == 1)
         monkeypatch.setattr(geometry, "count_dilation", wrong)
-        row = verify.verify_poset(parse_poset("2\n1 < 2\n"), guard_points=2)
+        row = verify.verify_poset(parse_poset("2\n1 < 2\n"), guard_points=4)
         assert row["ehrhart_equals_left_order"] == {"max_m": 4, "pass": False}
         assert "count mismatch at m=1: 6 != 5" in row["alarms"]
+
+    def test_guard_points_bound_the_partition_dp_work(self, capsys, tmp_path):
+        # two stacked 8-antichains at m = 1: the lower elements cost 2 + 4 + ... + 256
+        # units and each upper one 256, so guard 1000 trips at the tenth element
+        path = tmp_path / "stacked.poset"
+        path.write_text(stacked(8, 2))
+        code, out = run(capsys, ["verify-all", "--poset", str(path), "--guard-points", "1000"])
+        assert code == 0
+        (row,) = json.loads(out)["rows"]
+        assert row["ehrhart_equals_left_order"] == "skipped (1001 partition DP steps exceed guard 1000)"
 
     def test_chain_past_the_extension_guard_gets_a_row(self, capsys, tmp_path):
         path = tmp_path / "chain11.poset"

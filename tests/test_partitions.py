@@ -20,7 +20,6 @@ from enchain.partitions import (
     count_partitions,
     descent_count,
     enriched_relation_report,
-    enumerate_partitions,
     extension_peaks,
     frontier_count,
     iter_partitions,
@@ -43,6 +42,7 @@ from oracles import (
     bijection_failure_oracle,
     comparability_invariance,
     ehrhart_polynomial,
+    enumerate_partitions,
     frontier_count_oracle,
     is_left_partition,
     left_partition_oracle,
@@ -163,31 +163,58 @@ class TestFrontierCount:
                 for kind in ("left", "enriched"):
                     assert frontier_count(poset, m, kind) == count_partitions(poset, m, kind)
 
-    def test_guard_counts_live_states(self):
-        # after element 1 of the 2-chain, |f(1)| takes 0..m: m + 1 states
-        assert frontier_count(chain2, 2, "left", guard=3) == count_partitions(chain2, 2)
-        with pytest.raises(SizeLimit, match="3 partition DP states exceed guard 2"):
-            frontier_count(chain2, 2, "left", guard=2)
+    def test_guard_counts_work_units(self):
+        # the 2-chain at m = 2: m + 1 units for element 1's values 0..m,
+        # then one per base 0..m for element 2
+        assert frontier_count(chain2, 2, "left", guard=6) == count_partitions(chain2, 2)
+        with pytest.raises(SizeLimit, match="^6 partition DP steps exceed guard 5$"):
+            frontier_count(chain2, 2, "left", guard=5)
 
-    def test_guard_trips_while_states_are_built(self):
+    def test_guard_trips_while_the_work_grows(self):
         # two stacked 8-antichains: after element 8, |f| on 1..8 takes 0..4
-        # freely, 5^8 = 390,625 states, each (kept, base) adding at most m + 1
+        # freely, 5^8 = 390,625 states, each (kept, base) adding at most
+        # m + 1 units of work
         stacked = poset_from_covers(16, [(a, b) for a in range(1, 9) for b in range(9, 17)])
-        with pytest.raises(SizeLimit, match="partition DP states exceed guard 100000$") as trip:
+        with pytest.raises(SizeLimit, match="partition DP steps exceed guard 100000$") as trip:
             frontier_count(stacked, 4, "left", guard=10**5)
         assert int(str(trip.value).split()[0]) <= 10**5 + 4 + 1
 
-    def test_work_guard_counts_each_state_value_pair(self, monkeypatch):
+    def test_work_guard_counts_each_state_value_pair(self):
         # five minimal elements below one top, m = 4: 5 + 25 + ... + 3125
         # pairs for the minimal elements, then one per base 0..4 for the top
         star = poset_from_covers(6, [(i, 6) for i in range(1, 6)])
-        monkeypatch.setattr(partitions, "FRONTIER_WORK_GUARD", 3910)
-        assert frontier_count(star, 4) == count_partitions(star, 4)
-        monkeypatch.setattr(partitions, "FRONTIER_WORK_GUARD", 3909)
+        assert frontier_count(star, 4, guard=3910) == count_partitions(star, 4)
         with pytest.raises(SizeLimit, match="^3910 partition DP steps exceed guard 3909$"):
-            frontier_count(star, 4)
+            frontier_count(star, 4, guard=3909)
 
-    def test_work_guard_trips_below_the_state_guard(self):
+    def test_default_guard_has_headroom_up_to_six(self):
+        # the FRONTIER_WORK_GUARD comment: at m = 4, the largest bound of a
+        # row by default, no natural poset with n <= 6 needs more than the
+        # star's 3,910 units, so no --max-n 6 row reads skipped from it
+        assert partitions.FRONTIER_WORK_GUARD >= 3910
+        for n in range(1, 7):
+            for poset in all_natural_posets(n):
+                for kind in ("left", "enriched"):
+                    frontier_count(poset, 4, kind, guard=3910)
+
+    def test_work_guard_covers_the_former_state_guard(self):
+        # wherever the former body trips on live states, the one work guard
+        # trips too: each state added costs at least one unit of work
+        state_trips = 0
+        for n in (1, 2, 3, 4, 5):
+            for poset in all_natural_posets(n):
+                for m, kind, guard in product(range(4), ("left", "enriched"), (1, 2, 3, 5, 8, 13, 21, 34)):
+                    try:
+                        frontier_count_oracle(poset, m, kind, guard=guard)
+                    except SizeLimit as exc:
+                        if "states" not in str(exc):
+                            continue
+                        state_trips += 1
+                        with pytest.raises(SizeLimit, match=f"partition DP steps exceed guard {guard}$"):
+                            frontier_count(poset, m, kind, guard=guard)
+        assert state_trips == 8073
+
+    def test_default_guard_trips_on_two_stacked_antichains(self):
         # two stacked 8-antichains at m = 3 need 546,136 units of work
         stacked = poset_from_covers(16, [(a, b) for a in range(1, 9) for b in range(9, 17)])
         bound = partitions.FRONTIER_WORK_GUARD
@@ -213,16 +240,11 @@ class TestFrontierCount:
         crown = poset_from_covers(16, [(i, 8 + j) for i in range(1, 9) for j in range(1, 9) if i != j])
         stacked = poset_from_covers(16, [(a, b) for a in range(1, 9) for b in range(9, 17)])
         steps = "262145 partition DP steps exceed guard 262144"
-        cases = (
-            (crown, 4, 10**8, steps),
-            (stacked, 3, 10**8, steps),
-            (stacked, 4, 10**5, "100005 partition DP states exceed guard 100000"),
-        )
-        for poset, m, guard, text in cases:
+        for poset, m in ((crown, 4), (stacked, 3)):
             for count in (frontier_count, frontier_count_oracle):
                 with pytest.raises(SizeLimit) as trip:
-                    count(poset, m, guard=guard)
-                assert str(trip.value) == text, (count.__name__, m, guard)
+                    count(poset, m)
+                assert str(trip.value) == steps, (count.__name__, m)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="unknown kind"):

@@ -63,7 +63,7 @@ class TestConstruction:
     def test_reversed_two_chain(self):
         p = poset_from_covers(2, [(2, 1)])
         assert not p.naturally_labeled
-        assert p.natural_relabeling == (2, 1)
+        assert p.topological_order() == (2, 1)
         assert p.canonicalized().pairs == {(1, 2)}
 
     def test_cycle(self):
@@ -147,12 +147,12 @@ class TestMaskBuilder:
         posets, equal hashes, distinct pair sets unequal."""
         n = poset.n
         reverse, shift = tuple(range(n, 0, -1)), tuple(range(2, n + 1)) + (1,)
-        for pi in (reverse, shift, poset.natural_relabeling):
+        for pi in (reverse, shift, poset.topological_order()):
             pos = {old: new + 1 for new, old in enumerate(pi)}
             relabeled = self.built(n, [(pos[a], pos[b]) for a, b in poset.pairs])
             self.same(poset.relabeled(pi), relabeled)
             self.same(relabeled.relabeled([pos[e] for e in poset.elements()]), poset)
-            if pi == poset.natural_relabeling:
+            if pi == poset.topological_order():
                 self.same(poset.canonicalized(), relabeled)
         found = comparability_orientations(poset)
         for orientation in found:
