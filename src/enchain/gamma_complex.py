@@ -21,7 +21,11 @@ and the benchmark's item count read them.  The face map
 sends a decorated permutation with k bars to a k-set of vertices, one
 per bar, so the pairs are the images of the two-bar decorated extensions
 with their bars in color 0, and build_complex reads them off the
-extensions with two left peaks.  The faces are the cliques, counted by
+extensions with two left peaks.  It takes the words with their left
+peaks from the memo entry of posets.linear_extensions, whose walk carries
+each prefix's left peaks, so no word is scanned for them; the
+validating constructor of DecoratedPermutation alone scans its word
+(partitions.left_peak_positions).  The faces are the cliques, counted by
 posets._flag_faces, the flag-complex kernel that the toric triangulation
 shares.  The tests keep the routes this one replaced as its oracles
 (tests/oracles.py): phi_face_map on decorated permutations,
@@ -35,9 +39,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import IdentityViolation, MalformedResult, SizeLimit
-from .partitions import extension_peaks, left_peak_positions, peak_polynomials
+from .partitions import left_peak_positions, peak_polynomials
 from .polynomials import IntPolynomial, kruskal_katona_check
-from .posets import _bits, _flag_faces
+from .posets import _bits, _flag_faces, linear_extensions
 
 COMPLEX_GUARD_N = 6
 COLORS = range(4)
@@ -53,7 +57,7 @@ def grave_acute(block):
     under the bar-removal merge, because the merged-in letters always
     start below the decreasing part's last letter, so recomputing the
     split returns the same decreasing part (cover_reduce in the test
-    oracles is that merge)."""
+    oracles is that merge).  A one-letter grave needs no check."""
     if not block:
         return (), ()
     j = len(block) - 1
@@ -62,7 +66,7 @@ def grave_acute(block):
     if j == 0:
         j = 1
     grave, acute = block[:j], block[j:]
-    if any(a <= b for a, b in zip(grave, grave[1:])):
+    if j > 1 and any(a <= b for a, b in zip(grave, grave[1:])):
         raise MalformedResult(f"block {block} is not decreasing-then-increasing")
     return grave, acute
 
@@ -118,7 +122,7 @@ def _face_vertex(index, word, bar, block):
     (its base index, its peak); a word that is not one, or whose peak
     is not at the bar, raises IdentityViolation naming it."""
     grave, _ = grave_acute(block)
-    face = tuple(sorted(word[:bar])) + grave + tuple(sorted(word[bar + len(grave) :]))
+    face = (*sorted(word[:bar]), *grave, *sorted(word[bar + len(grave) :]))
     b, peak = index.get(face, (None, None))
     if peak != bar:
         raise IdentityViolation(
@@ -141,20 +145,21 @@ def build_complex(poset):
     unchanged, so each pair stands for 16 colored edges, which nothing
     here builds.
 
-    The words and their left peaks come from partitions.extension_peaks,
-    the walk that peak_polynomials reads too, in lexicographic order, so
-    each base is read off with its known peak and the bases come out
-    sorted.  The oracles in tests/oracles.py check the pairs by splicing
-    pairs of vertices (vertex_adjacent, splice_adjacency)."""
+    The words and their left peaks come from the memoised walk of
+    posets.linear_extensions (with statistics), the entry whose counts
+    peak_polynomials reads, in lexicographic order, so each base is read
+    off with its known peak and the bases come out sorted.  The oracles
+    in tests/oracles.py check the pairs by splicing pairs of vertices
+    (vertex_adjacent, splice_adjacency)."""
     n = poset.n
     if n > COMPLEX_GUARD_N:
         raise SizeLimit(f"complex construction guarded at n <= {COMPLEX_GUARD_N}")
-    words = extension_peaks(poset)
-    bases = tuple((w, peaks[0]) for w, peaks in words if len(peaks) == 1)
+    words = linear_extensions(poset, statistics=True)
+    bases = tuple((w, peaks[0]) for w, peaks, _ in words if len(peaks) == 1)
     index = {w: (b, peak) for b, (w, peak) in enumerate(bases)}
 
     adj = [0] * len(bases)
-    for w, peaks in words:
+    for w, peaks, _ in words:
         if len(peaks) == 2:
             p, q = peaks
             a, b = _face_vertex(index, w, p, w[p:q]), _face_vertex(index, w, q, w[q:])

@@ -22,9 +22,11 @@ elements still read, which makes it an independent route for the
 verifier.  Peak statistics over linear extensions (with the convention
 that a virtual 0 precedes the first letter for *left* peaks) and their
 generating polynomials live here too, in posets._memo by poset value
-like the order polynomials.  Each linear extension's left peaks are found
-once, in extension_peaks, which both peak_polynomials and the gamma
-complex read; its interior peaks are the left peaks past position 1.
+like the order polynomials.  No word is scanned for them: the walk of
+posets.linear_extensions carries each prefix's left peaks and descent
+count, and peak_polynomials reads them from its memo entry, the entry the
+gamma complex reads its words and left peaks from; an extension's
+interior peaks are its left peaks past position 1.
 """
 
 from dataclasses import dataclass
@@ -276,10 +278,6 @@ def left_peak_positions(word):
     return out
 
 
-def descent_count(word):
-    return sum(1 for a, b in zip(word, word[1:]) if a > b)
-
-
 @dataclass(frozen=True)
 class PeakPolynomials:
     peak: IntPolynomial
@@ -289,35 +287,26 @@ class PeakPolynomials:
 
 
 @_memo
-def extension_peaks(poset):
-    """Every linear extension with its left peak positions, as pairs
-    (word, positions) in the lexicographic order of the words.
-
-    Memoised by the poset's value, never by isomorphism class.  Its readers,
-    peak_polynomials and gamma_complex.build_complex, ask for one poset in a
-    row's gamma and complex checks, with the invariance check's in between."""
-    return tuple((w, tuple(left_peak_positions(w))) for w in linear_extensions(poset))
-
-
-@_memo
 def peak_polynomials(poset):
     """Peak, left peak, and descent generating polynomials over all linear
     extensions.  All three evaluate to the extension count at 1.
 
     Memoised by the poset's value (n and relation), never by isomorphism
     class: two labelings of one poset are computed separately, which is
-    what the relabeling-invariance check compares."""
+    what the relabeling-invariance check compares.  Each extension's left
+    peaks and descent count come with it from the walk
+    (posets.linear_extensions with statistics)."""
     _require_natural(poset)
-    exts = extension_peaks(poset)
+    exts = linear_extensions(poset, statistics=True)
     n = poset.n
     pk = [0] * (n + 1)
     pkl = [0] * (n + 1)
     des = [0] * (n + 1)
-    for w, left_peaks in exts:
+    for _, left_peaks, descents in exts:
         # a left peak past position 1 is an interior peak: the virtual 0 is below every letter
         pk[len(left_peaks) - (left_peaks[:1] == (1,))] += 1
         pkl[len(left_peaks)] += 1
-        des[descent_count(w)] += 1
+        des[descents] += 1
     polys = PeakPolynomials(
         peak=IntPolynomial(pk),
         left_peak=IntPolynomial(pkl),

@@ -60,7 +60,9 @@ path called: is_left_partition, make_ideal, star (with its helper
 _ideal_mask), comparability_invariance, series_identity_check and
 enumerate_partitions.  The interior peak
 scan peak_positions lives here too, as the reference for the peak
-polynomial that the library reads off the left peaks.  The poset
+polynomial that the library reads off the left peaks, and so does the
+descent scan descent_count (moved from partitions), the reference for
+the descent counts that the extension walk carries.  The poset
 builder keeps the construction it replaced: the relation closed as a
 pair set by Warshall's loop, and the covers, lower covers and natural
 labelling read off those pairs.  The frontier DP keeps its former body,
@@ -863,6 +865,10 @@ def peak_positions(word):
         for p in range(1, len(word) - 1)
         if word[p - 1] < word[p] > word[p + 1]
     ]
+
+
+def descent_count(word):
+    return sum(1 for a, b in zip(word, word[1:]) if a > b)
 
 
 def decorated_blocks(decorated):

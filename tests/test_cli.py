@@ -68,6 +68,14 @@ COMPLEX_POSETS = {
     "anti6": "6\n",
 }
 
+# Posets whose peaks and gamma outputs are stored in tests/data: the
+# 6-antichain's 720 extensions, and 5 elements labelled against the order,
+# whose payloads carry relabeled_by.
+PEAK_POSETS = {
+    "anti6": "6\n",
+    "relabeled5": "5\n2 < 1\n2 < 4\n5 < 3\n",
+}
+
 # Posets whose outputs of the plain JSON commands are stored in tests/data;
 # relabeled3 is not naturally labelled, so the payloads that canonicalize
 # carry relabeled_by.
@@ -282,6 +290,15 @@ class TestCommands:
         code, out = run(capsys, ["extensions", str(path)])
         assert code == 0 and json.loads(out)["count"] == 20
         assert_matches_golden(out, "extensions_relabeled5")
+
+    @pytest.mark.parametrize("name", sorted(PEAK_POSETS))
+    @pytest.mark.parametrize("command", ["peaks", "gamma"])
+    def test_peak_outputs_past_three_elements_are_byte_identical(self, capsys, tmp_path, command, name):
+        path = tmp_path / f"{name}.poset"
+        path.write_text(PEAK_POSETS[name])
+        code, out = run(capsys, [command, str(path)])
+        assert code == 0
+        assert_matches_golden(out, f"{command}_{name}")
 
     def test_omitted_partitions_output_is_byte_identical(self, capsys, tmp_path):
         # 9^4 = 6561 partitions, past the 5000 that are listed

@@ -86,6 +86,19 @@ class TestGraveAcute:
         with pytest.raises(MalformedResult):
             grave_acute((1, 3, 2))
 
+    def test_ascending_block_has_a_one_letter_grave(self):
+        # the first letter is claimed, and a one-letter grave needs no check
+        assert grave_acute((1, 2, 4)) == ((1,), (2, 4))
+
+    def test_two_letter_grave_is_checked_and_kept(self):
+        assert grave_acute((3, 2, 1, 4)) == ((3, 2), (1, 4))
+
+    def test_rising_two_letter_grave_is_refused(self):
+        with pytest.raises(
+            MalformedResult, match=r"^block \(2, 3, 1, 4\) is not decreasing-then-increasing$"
+        ):
+            grave_acute((2, 3, 1, 4))
+
 
 class TestCoverReduce:
     def test_middle_bar_of_running_example(self):
@@ -371,10 +384,10 @@ class TestFaceMapEdges:
         """Without the one-peak word 2134, the face map's image of 2|14|3
         at its first bar is no vertex: build_complex names the word, and
         the row's complex check fails with an alarm."""
-        words = gamma_complex.extension_peaks(anti4)
-        assert ((2, 1, 3, 4), (1,)) in words and ((2, 1, 4, 3), (1, 3)) in words
+        words = gamma_complex.linear_extensions(anti4, statistics=True)
+        assert ((2, 1, 3, 4), (1,), 1) in words and ((2, 1, 4, 3), (1, 3), 2) in words
         kept = tuple(entry for entry in words if entry[0] != (2, 1, 3, 4))
-        monkeypatch.setattr(gamma_complex, "extension_peaks", lambda poset: kept)
+        monkeypatch.setattr(gamma_complex, "linear_extensions", lambda poset, statistics: kept)
         with pytest.raises(IdentityViolation, match=r"\(2, 1, 4, 3\) at bar 1 to \(2, 1, 3, 4\)"):
             build_complex(anti4)
         row = verify.verify_poset(anti4)

@@ -18,9 +18,7 @@ from enchain.errors import (
 from enchain.geometry import count_dilation, in_enriched_polytope
 from enchain.partitions import (
     count_partitions,
-    descent_count,
     enriched_relation_report,
-    extension_peaks,
     frontier_count,
     iter_partitions,
     left_peak_positions,
@@ -41,6 +39,7 @@ from enchain.posets import (
 from oracles import (
     bijection_failure_oracle,
     comparability_invariance,
+    descent_count,
     ehrhart_polynomial,
     enumerate_partitions,
     frontier_count_oracle,
@@ -630,7 +629,7 @@ class TestCountsMatchDilations:
 
 
 class TestMemo:
-    """order_polynomial, peak_polynomials, extension_peaks and the
+    """order_polynomial, peak_polynomials, the extension walk and the
     ideal-chain counts are memoised by the poset's value, never by
     isomorphism class."""
 
@@ -640,7 +639,7 @@ class TestMemo:
 
     @pytest.fixture(autouse=True)
     def cold(self):
-        memos = (order_polynomial, peak_polynomials, extension_peaks, posets._chain_counts)
+        memos = (order_polynomial, peak_polynomials, posets._extension_walk, posets._chain_counts)
         for memo in memos:
             memo.cache_clear()
         yield
@@ -676,15 +675,15 @@ class TestMemo:
             complex_ = gamma_complex.build_complex(poset)
             assert complex_.f_polynomial == peak_polynomials(poset).left_peak.scale_powers(4)
         assert extended == [self.first, self.second]
-        words = [w for w, _ in extension_peaks(self.first)]
+        assert posets._extension_walk.cache_info().misses == 2
+        walked = posets.linear_extensions(self.first, statistics=True)
+        words = [w for w, _, _ in walked]
         assert words == posets.linear_extensions(self.first)
-        assert all(
-            list(peaks) == left_peak_positions(w) for w, peaks in extension_peaks(self.first)
-        )
+        assert all(list(peaks) == left_peak_positions(w) for w, peaks, _ in walked)
 
     def test_labeling_dependent_fault_is_caught(self, monkeypatch):
         assert comparability_invariance(self.first)
-        for memo in (order_polynomial, peak_polynomials, extension_peaks):
+        for memo in (order_polynomial, peak_polynomials, posets._extension_walk):
             memo.cache_clear()
         original = partitions.linear_extensions
 

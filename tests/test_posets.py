@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 
 from enchain import gamma_complex, geometry, io, partitions, posets, toric, verify
 from enchain.errors import CycleDetected, LabelOutOfRange, NotAnIdeal, SizeLimit
+from enchain.partitions import left_peak_positions
 from enchain.posets import (
     Poset,
     all_natural_posets,
@@ -25,6 +26,7 @@ from oracles import (
     antichains_oracle,
     chain_counts_oracle,
     comparability_orientations_oracle,
+    descent_count,
     ideal_lattice_oracle,
     ideal_transfer,
     ideal_transfer_oracle,
@@ -295,6 +297,40 @@ class TestLinearExtensions:
     def test_random_labelled_six_posets_against_filter(self, poset):
         self.assert_matches_filter(poset)
 
+    def test_guard_holds_with_statistics(self):
+        with pytest.raises(SizeLimit, match=r"^linear extension enumeration guarded at n <= 10$"):
+            linear_extensions(antichain(11), statistics=True)
+
+    @staticmethod
+    def assert_carried_statistics(poset):
+        """The walk's words with their carried left peaks and descent
+        counts, against the words alone and a scan of each word."""
+        walked = linear_extensions(poset, statistics=True)
+        assert [word for word, _, _ in walked] == linear_extensions(poset), poset
+        for word, peaks, descents in walked:
+            assert list(peaks) == left_peak_positions(word), word
+            assert descents == descent_count(word), word
+
+    def test_carried_statistics_on_every_natural_poset_up_to_six(self):
+        for n in range(1, 7):
+            for poset in all_natural_posets(n):
+                self.assert_carried_statistics(poset)
+
+    @given(labelled_six_posets())
+    @settings(max_examples=30, deadline=None)
+    def test_carried_statistics_on_random_labelled_six_posets(self, poset):
+        self.assert_carried_statistics(poset)
+        self.assert_carried_statistics(poset.canonicalized())
+
+    def test_carried_statistics_on_the_seven_and_eight_antichains(self):
+        for n in (7, 8):
+            self.assert_carried_statistics(antichain(n))
+
+    def test_each_set_of_peaks_is_one_tuple(self):
+        # the 8-antichain's 40,320 words: 34 sets of positions in 1..7, no two adjacent
+        walked = linear_extensions(antichain(8), statistics=True)
+        assert len({peaks for _, peaks, _ in walked}) == len({id(peaks) for _, peaks, _ in walked}) == 34
+
 
 class TestIdeals:
     def test_two_chain_lattice(self):
@@ -547,13 +583,14 @@ class TestComputedOncePerRow:
         for _, memo in memos():
             memo.cache_clear()
         walked = []
-        original = partitions.linear_extensions
+        walk = posets._extension_walk.__wrapped__
 
         def counted(poset):
             walked.append(poset)
-            return original(poset)
+            return walk(poset)
 
-        monkeypatch.setattr(partitions, "linear_extensions", counted)
+        # a memo of its own, so each call recorded is a walk, whoever asks
+        monkeypatch.setattr(posets, "_extension_walk", posets._memo(counted))
         return walked
 
     def test_sweep_to_four_computes_each_fact_once(self, walks):

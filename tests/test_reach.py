@@ -94,6 +94,10 @@ ALLOWED = {
     "verify.kruskal_katona_alarm": ALARM,
     "gamma_complex.GammaComplex.vertices": COLORED_VIEW,
     "gamma_complex.GammaComplex.edges": COLORED_VIEW,
+    "partitions.left_peak_positions": (
+        "the left peak scan that DecoratedPermutation's validating constructor reads, which builds"
+        " the colored views; moves to the oracles with the views at the benchmark's revision"
+    ),
     "gamma_complex.DecoratedPermutation.bar_count": (
         "the bar count of a decorated permutation, which the oracles read"
     ),
