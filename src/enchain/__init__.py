@@ -14,7 +14,6 @@ from .errors import (
     EnchainError,
     FaceCountMismatch,
     GammaNegative,
-    GuardExceeded,
     IdentityAlarm,
     IdentityViolation,
     ImageMismatch,
@@ -26,7 +25,6 @@ from .errors import (
     NegativeHStar,
     NonInteger,
     NonUnimodularSimplex,
-    NotAnIdeal,
     NotNaturallyLabeled,
     NotPalindromic,
     ParseError,

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 from itertools import chain, product
 
 from . import gamma_complex, geometry, partitions, polynomials, posets, toric, verify
-from .errors import GuardExceeded, IdentityAlarm, InputError
+from .errors import IdentityAlarm, InputError, SizeLimit
 from .io import RENDERERS, load_poset
 from .verify import int_coeffs, rat_coeffs
 
@@ -53,9 +53,9 @@ class RunConfig:
             )
         for name in BOUNDS:
             if getattr(self, name) <= 0:
-                raise GuardExceeded(f"{name} must be positive")
+                raise SizeLimit(f"{name} must be positive")
         if self.m < 0:
-            raise GuardExceeded("m must be nonnegative")
+            raise SizeLimit("m must be nonnegative")
 
 
 def build_parser():
@@ -95,7 +95,7 @@ def config_from_args(args):
             try:
                 value = type(default)(text)
             except ValueError:
-                raise GuardExceeded(f"bad {variable} value {text!r}") from None
+                raise SizeLimit(f"bad {variable} value {text!r}") from None
         options[name] = default if value is None else value
     return RunConfig(
         command=args.command,
@@ -129,7 +129,7 @@ def cmd_antichains(poset, cfg):
 
 def cmd_extensions(poset, cfg):
     exts = posets.linear_extensions(poset)
-    return {"n": poset.n, "count": len(exts), "extensions": [list(w) for w in exts]}
+    return {"n": poset.n, "count": len(exts), "extensions": exts}
 
 
 def cmd_ehrhart(poset, cfg):
@@ -244,7 +244,7 @@ def cmd_verify_all(cfg):
     if cfg.input_path:
         chosen = [load_poset(cfg.input_path)]
     elif cfg.max_n > VERIFY_ALL_MAX_N:
-        raise GuardExceeded(
+        raise SizeLimit(
             f"verify-all sweeps are guarded at max-n <= {VERIFY_ALL_MAX_N}"
         )
     else:  # every naturally labelled poset with up to max_n elements, in generator order
@@ -278,7 +278,7 @@ def run_command(cfg):
     poset = load_poset(cfg.input_path)
     command = COMMANDS[cfg.command]
     if poset.n > cfg.max_n and command not in (cmd_antichains, cmd_extensions):
-        raise GuardExceeded(f"poset has n={poset.n} > max-n={cfg.max_n}")
+        raise SizeLimit(f"poset has n={poset.n} > max-n={cfg.max_n}")
     return command(poset, cfg), 0
 
 

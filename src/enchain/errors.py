@@ -32,14 +32,6 @@ class SizeLimit(InputError):
     """A size guard tripped before a computation was attempted."""
 
 
-class GuardExceeded(SizeLimit):
-    """A CLI-level guard tripped."""
-
-
-class NotAnIdeal(InputError):
-    """A subset passed where a poset ideal (down-closed set) was required."""
-
-
 class NotNaturallyLabeled(InputError):
     """An operation that requires a naturally labeled poset got one that
     is not; canonicalize with Poset.canonicalized() first."""

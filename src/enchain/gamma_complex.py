@@ -21,9 +21,9 @@ and the benchmark's item count read them.  The face map
 sends a decorated permutation with k bars to a k-set of vertices, one
 per bar, so the pairs are the images of the two-bar decorated extensions
 with their bars in color 0, and build_complex reads them off the
-extensions with two left peaks.  It takes the words with their left
-peaks from the memo entry of posets.linear_extensions, whose walk carries
-each prefix's left peaks, so no word is scanned for them; the
+extensions with two left peaks.  It zips two columns of the memo entry
+of posets._extension_walk, the words and their left peaks, which the
+walk carries with each prefix, so no word is scanned for them; the
 validating constructor of DecoratedPermutation alone scans its word
 (partitions.left_peak_positions).  The faces are the cliques, counted by
 posets._flag_faces, the flag-complex kernel that the toric triangulation
@@ -38,10 +38,11 @@ do a decorated permutation's blocks and text, which only the tests read.
 from dataclasses import dataclass
 from functools import cached_property
 
+from . import posets
 from .errors import IdentityViolation, MalformedResult, SizeLimit
-from .partitions import left_peak_positions, peak_polynomials
+from .partitions import _require_natural, left_peak_positions, peak_polynomials
 from .polynomials import IntPolynomial, kruskal_katona_check
-from .posets import _bits, _flag_faces, linear_extensions
+from .posets import _bits, _flag_faces
 
 COMPLEX_GUARD_N = 6
 COLORS = range(4)
@@ -145,21 +146,24 @@ def build_complex(poset):
     unchanged, so each pair stands for 16 colored edges, which nothing
     here builds.
 
-    The words and their left peaks come from the memoised walk of
-    posets.linear_extensions (with statistics), the entry whose counts
-    peak_polynomials reads, in lexicographic order, so each base is read
-    off with its known peak and the bases come out sorted.  The oracles
-    in tests/oracles.py check the pairs by splicing pairs of vertices
-    (vertex_adjacent, splice_adjacency)."""
+    The words and their left peaks are two columns of the memoised walk
+    posets._extension_walk, whose columns peak_polynomials counts, in
+    lexicographic order, so each base is read off with its known peak
+    and the bases come out sorted.  A poset that is not naturally labeled
+    raises NotNaturallyLabeled before any walk, as the left peak
+    polynomial the complex is checked against needs natural labels.  The
+    oracles in tests/oracles.py check the pairs by splicing pairs of
+    vertices (vertex_adjacent, splice_adjacency)."""
+    _require_natural(poset)
     n = poset.n
     if n > COMPLEX_GUARD_N:
         raise SizeLimit(f"complex construction guarded at n <= {COMPLEX_GUARD_N}")
-    words = linear_extensions(poset, statistics=True)
-    bases = tuple((w, peaks[0]) for w, peaks, _ in words if len(peaks) == 1)
+    words, peak_sets, _ = posets._extension_walk(poset)
+    bases = tuple((w, peaks[0]) for w, peaks in zip(words, peak_sets) if len(peaks) == 1)
     index = {w: (b, peak) for b, (w, peak) in enumerate(bases)}
 
     adj = [0] * len(bases)
-    for w, peaks, _ in words:
+    for w, peaks in zip(words, peak_sets):
         if len(peaks) == 2:
             p, q = peaks
             a, b = _face_vertex(index, w, p, w[p:q]), _face_vertex(index, w, q, w[q:])

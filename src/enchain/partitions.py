@@ -22,19 +22,22 @@ elements still read, which makes it an independent route for the
 verifier.  Peak statistics over linear extensions (with the convention
 that a virtual 0 precedes the first letter for *left* peaks) and their
 generating polynomials live here too, in posets._memo by poset value
-like the order polynomials.  No word is scanned for them: the walk of
-posets.linear_extensions carries each prefix's left peaks and descent
-count, and peak_polynomials reads them from its memo entry, the entry the
-gamma complex reads its words and left peaks from; an extension's
+like the order polynomials.  No word is scanned for them: the walk
+posets._extension_walk carries each prefix's left peaks and descent
+count, and its memo entry holds three columns, the words, their left
+peaks and their descent counts.  peak_polynomials counts the last two
+whole, and the gamma complex zips the first two; an extension's
 interior peaks are its left peaks past position 1.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import comb
 from operator import itemgetter
 
+from . import posets
 from .errors import (
     IdentityViolation,
     InvalidPartition,
@@ -43,7 +46,7 @@ from .errors import (
     SizeLimit,
 )
 from .polynomials import IntPolynomial, RatPolynomial, interpolate
-from .posets import _memo, ideal_chain_count, linear_extensions
+from .posets import _memo, ideal_chain_count
 
 # The default bound on frontier_count's work (and so on --guard-points),
 # one unit per (state, value) pair it adds.  The costliest trip on a 2-core
@@ -293,30 +296,29 @@ def peak_polynomials(poset):
 
     Memoised by the poset's value (n and relation), never by isomorphism
     class: two labelings of one poset are computed separately, which is
-    what the relabeling-invariance check compares.  Each extension's left
-    peaks and descent count come with it from the walk
-    (posets.linear_extensions with statistics)."""
+    what the relabeling-invariance check compares.  The left peaks and
+    descent counts are columns of the walk's memo entry
+    (posets._extension_walk), counted whole: the shared peak tuples by one
+    Counter, the descent counts by one tuple.count per value."""
     _require_natural(poset)
-    exts = linear_extensions(poset, statistics=True)
+    words, peak_sets, descent_counts = posets._extension_walk(poset)
     n = poset.n
     pk = [0] * (n + 1)
     pkl = [0] * (n + 1)
-    des = [0] * (n + 1)
-    for _, left_peaks, descents in exts:
+    for left_peaks, count in Counter(peak_sets).items():
         # a left peak past position 1 is an interior peak: the virtual 0 is below every letter
-        pk[len(left_peaks) - (left_peaks[:1] == (1,))] += 1
-        pkl[len(left_peaks)] += 1
-        des[descents] += 1
+        pk[len(left_peaks) - (left_peaks[:1] == (1,))] += count
+        pkl[len(left_peaks)] += count
     polys = PeakPolynomials(
         peak=IntPolynomial(pk),
         left_peak=IntPolynomial(pkl),
-        descent=IntPolynomial(des),
-        extension_count=len(exts),
+        descent=IntPolynomial(list(map(descent_counts.count, range(n + 1)))),
+        extension_count=len(words),
     )
-    if not polys.peak(1) == polys.left_peak(1) == polys.descent(1) == len(exts):
+    if not polys.peak(1) == polys.left_peak(1) == polys.descent(1) == len(words):
         raise IdentityViolation(
             f"peak polynomials at 1 ({polys.peak(1)}, {polys.left_peak(1)}, "
-            f"{polys.descent(1)}) != {len(exts)} linear extensions"
+            f"{polys.descent(1)}) != {len(words)} linear extensions"
         )
     return polys
 

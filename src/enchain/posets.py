@@ -5,9 +5,9 @@ which gives its value (equality and hash), and of those below it; every
 kernel reads these, and the pair set of the relation is only derived for
 output.  Instances are immutable and hashable, safe to share between threads.
 Facts derived from a poset (covers, lower covers, maximal chains, the linear
-extensions with their left peaks and descents, the ideal table, its cover
-edges, the ideal-chain counts) are computed once and kept in _memo,
-MEMO_SIZE entries per fact keyed by the poset's value: a row of
+extensions with their left peaks and descents as three columns, the ideal
+table, its cover edges, the ideal-chain counts) are computed once and kept
+in _memo, MEMO_SIZE entries per fact keyed by the poset's value: a row of
 verify_poset reads up to 120 ideal tables (the 5-chain's orientations), and
 a sweep reuses peak and order polynomials across rows from 128 up.  Entries
 are only filled or replaced whole, so no caller can see a value change.
@@ -192,12 +192,10 @@ def _walk_maximal_chains(poset):
     return tuple(chains)
 
 
-def linear_extensions(poset, statistics=False):
+def linear_extensions(poset):
     """All linear extensions as permutations of 1..n, lexicographically,
-    as a fresh list; with statistics, the memoised walk itself: a tuple of
-    (word, left peak positions, descent count), one per extension."""
-    walked = _extension_walk(poset)
-    return walked if statistics else [word for word, _, _ in walked]
+    as a fresh list."""
+    return list(_extension_walk(poset)[0])
 
 
 @_memo
@@ -207,13 +205,15 @@ def _extension_walk(poset):
     carries its last letter, whether the step into it rose (a virtual 0
     precedes the word, so the first step rises), its left peaks, 1-based,
     and its descent count, so a word's statistics come with it and no word
-    is scanned again.  Each set of peaks is one tuple, shared by every word
-    that has it (the 9-antichain's 362,880 words share 55)."""
+    is scanned again.  Returns three columns in lexicographic order: the
+    words, their left peaks and their descent counts.  Each set of peaks
+    is one tuple, shared by every word that has it (the 9-antichain's
+    362,880 words share 55)."""
     n = poset.n
     if n > LINEAR_EXTENSION_GUARD:
         raise SizeLimit(f"linear extension enumeration guarded at n <= {LINEAR_EXTENSION_GUARD}")
     below = poset._below
-    out = []
+    words, peak_sets, descent_counts = [], [], []
     shared = {}
 
     def walk(prefix, unplaced, last, rose, peaks, descents):
@@ -225,23 +225,21 @@ def _extension_walk(poset):
             if below[e] & unplaced:
                 continue
             word, rest = prefix + (e,), unplaced ^ low
-            if e > last:
-                if rest:
-                    walk(word, rest, e, True, peaks, descents)
-                else:
-                    out.append((word, peaks, descents))
-            else:  # a descent, and a left peak at last if the step into it rose
-                fallen = peaks
+            new_peaks, new_descents = peaks, descents
+            if e < last:  # a descent, and a left peak at last if the step into it rose
+                new_descents += 1
                 if rose:
-                    fallen = peaks + (len(prefix),)
-                    fallen = shared.setdefault(fallen, fallen)
-                if rest:
-                    walk(word, rest, e, False, fallen, descents + 1)
-                else:
-                    out.append((word, fallen, descents + 1))
+                    new_peaks = peaks + (len(prefix),)
+                    new_peaks = shared.setdefault(new_peaks, new_peaks)
+            if rest:
+                walk(word, rest, e, e > last, new_peaks, new_descents)
+            else:
+                words.append(word)
+                peak_sets.append(new_peaks)
+                descent_counts.append(new_descents)
 
     walk((), (1 << n + 1) - 2, 0, False, (), 0)
-    return tuple(out)
+    return tuple(words), tuple(peak_sets), tuple(descent_counts)
 
 
 @dataclass(frozen=True)

@@ -56,9 +56,9 @@ that the enriched relation once took its halved difference by (it now
 interpolates the differences of the counts), the edge set of an
 adjacency bitset list, Hypothesis strategies for randomly labelled
 6-element posets and relations, and six library functions no library
-path called: is_left_partition, make_ideal, star (with its helper
-_ideal_mask), comparability_invariance, series_identity_check and
-enumerate_partitions.  The interior peak
+path called: is_left_partition, make_ideal (with NotAnIdeal, the error
+it raises), star (with its helper _ideal_mask), comparability_invariance,
+series_identity_check and enumerate_partitions.  The interior peak
 scan peak_positions lives here too, as the reference for the peak
 polynomial that the library reads off the left peaks, and so does the
 descent scan descent_count (moved from partitions), the reference for
@@ -84,10 +84,10 @@ from enchain import geometry, partitions, toric, verify
 from enchain.errors import (
     CycleDetected,
     IdentityViolation,
+    InputError,
     InvalidPartition,
     LabelOutOfRange,
     MalformedResult,
-    NotAnIdeal,
     PointOutsidePolytope,
     SizeLimit,
 )
@@ -112,6 +112,10 @@ from enchain.posets import (
     poset_from_covers,
     poset_predicates,
 )
+
+
+class NotAnIdeal(InputError):
+    """A subset passed where a poset ideal (down-closed set) was required."""
 
 
 def antichains_oracle(poset):

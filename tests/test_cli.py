@@ -96,7 +96,8 @@ def run(capsys, argv):
 def assert_matches_golden(out, stem):
     """Compare output with tests/data/<stem>.json byte for byte, or with
     the SHA-256 digest in <stem>.sha256 where the output is large (the
-    5-antichain triangulation, 396 KB; the 6-antichain complex, 412 KB)."""
+    5-antichain triangulation, 396 KB; the 6-antichain complex, 412 KB;
+    the 8-antichain's extensions, 3.4 MB in json)."""
     digest = DATA / f"{stem}.sha256"
     if digest.exists():
         assert hashlib.sha256(out.encode()).hexdigest() == digest.read_text().strip()
@@ -290,6 +291,22 @@ class TestCommands:
         code, out = run(capsys, ["extensions", str(path)])
         assert code == 0 and json.loads(out)["count"] == 20
         assert_matches_golden(out, "extensions_relabeled5")
+
+    @pytest.mark.parametrize(
+        "argv, stem",
+        [
+            (["extensions"], "extensions_anti8"),
+            (["extensions", "--format", "tsv"], "extensions_anti8.tsv"),
+            (["peaks"], "peaks_anti8"),
+        ],
+    )
+    def test_eight_antichain_outputs_are_byte_identical(self, capsys, tmp_path, argv, stem):
+        # 40,320 extensions: 40 pieces of io.ROWS_PER_PIECE rows in tsv
+        path = tmp_path / "anti8.poset"
+        path.write_text("8\n")
+        code, out = run(capsys, [*argv, str(path)])
+        assert code == 0
+        assert_matches_golden(out, stem)
 
     @pytest.mark.parametrize("name", sorted(PEAK_POSETS))
     @pytest.mark.parametrize("command", ["peaks", "gamma"])

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from enchain import cli, gamma_complex, verify
-from enchain.errors import IdentityViolation, MalformedResult, SizeLimit
+from enchain import cli, gamma_complex, posets, verify
+from enchain.errors import IdentityViolation, MalformedResult, NotNaturallyLabeled, SizeLimit
 from enchain.io import render_json
 from enchain.gamma_complex import COLORS, DecoratedPermutation, build_complex, grave_acute
 from enchain.partitions import left_peak_positions, peak_polynomials
@@ -212,6 +212,26 @@ class TestComplex:
         with pytest.raises(SizeLimit):
             build_complex(poset_from_covers(7, []))
 
+    def test_rejects_every_labelling_that_is_not_natural(self, monkeypatch):
+        """Every relabelling of a natural poset with n <= 4 that is not
+        natural is refused before any walk; read through the face map,
+        most of them would raise an identity alarm instead."""
+        def unreachable(poset):
+            raise AssertionError("build_complex walked a poset that is not naturally labelled")
+
+        relabelled = {
+            poset.relabeled(pi)
+            for n in range(1, 5)
+            for poset in all_natural_posets(n)
+            for pi in permutations(range(1, n + 1))
+        }
+        refused = [poset for poset in relabelled if not poset.naturally_labeled]
+        assert sum(poset.n == 4 for poset in refused) == 179
+        monkeypatch.setattr(posets, "_extension_walk", unreachable)
+        for poset in refused:
+            with pytest.raises(NotNaturallyLabeled, match="require a naturally labeled poset"):
+                build_complex(poset)
+
     def test_vertices_take_colors_zero_to_three_in_order_by_word(self):
         """The vertices view recolors each (word, peak) base in colors
         0..3, in that order, so every run of four vertices shares a word."""
@@ -384,10 +404,11 @@ class TestFaceMapEdges:
         """Without the one-peak word 2134, the face map's image of 2|14|3
         at its first bar is no vertex: build_complex names the word, and
         the row's complex check fails with an alarm."""
-        words = gamma_complex.linear_extensions(anti4, statistics=True)
-        assert ((2, 1, 3, 4), (1,), 1) in words and ((2, 1, 4, 3), (1, 3), 2) in words
-        kept = tuple(entry for entry in words if entry[0] != (2, 1, 3, 4))
-        monkeypatch.setattr(gamma_complex, "linear_extensions", lambda poset, statistics: kept)
+        entries = list(zip(*posets._extension_walk(anti4)))
+        assert ((2, 1, 3, 4), (1,), 1) in entries and ((2, 1, 4, 3), (1, 3), 2) in entries
+        kept = tuple(zip(*(entry for entry in entries if entry[0] != (2, 1, 3, 4))))
+        peak_polynomials(anti4)  # memoised whole, so only the complex reads the drop
+        monkeypatch.setattr(posets, "_extension_walk", lambda poset: kept)
         with pytest.raises(IdentityViolation, match=r"\(2, 1, 4, 3\) at bar 1 to \(2, 1, 3, 4\)"):
             build_complex(anti4)
         row = verify.verify_poset(anti4)

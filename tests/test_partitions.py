@@ -659,7 +659,7 @@ class TestMemo:
 
     def test_each_labeling_is_computed(self, monkeypatch):
         counted = self.recorder(monkeypatch, partitions, "count_partitions")
-        extended = self.recorder(monkeypatch, partitions, "linear_extensions")
+        extended = self.recorder(monkeypatch, posets, "_extension_walk")
         transfers = self.recorder(monkeypatch, posets, "_cover_edges")
         for poset in (self.first, self.second, self.first):
             order_polynomial(poset, "left")
@@ -670,26 +670,27 @@ class TestMemo:
         assert transfers == [self.first, self.second]
 
     def test_one_extension_walk_serves_complex_and_peaks(self, monkeypatch):
-        extended = self.recorder(monkeypatch, partitions, "linear_extensions")
+        walk = posets._extension_walk
+        extended = self.recorder(monkeypatch, posets, "_extension_walk")
         for poset in (self.first, self.second):
             complex_ = gamma_complex.build_complex(poset)
             assert complex_.f_polynomial == peak_polynomials(poset).left_peak.scale_powers(4)
-        assert extended == [self.first, self.second]
-        assert posets._extension_walk.cache_info().misses == 2
-        walked = posets.linear_extensions(self.first, statistics=True)
-        words = [w for w, _, _ in walked]
-        assert words == posets.linear_extensions(self.first)
-        assert all(list(peaks) == left_peak_positions(w) for w, peaks, _ in walked)
+        # build_complex asks for the walk, then peak_polynomials inside it; one walk each
+        assert extended == [self.first, self.first, self.second, self.second]
+        assert walk.cache_info().misses == 2
+        words, peak_sets, _ = walk(self.first)
+        assert list(words) == posets.linear_extensions(self.first)
+        assert all(list(peaks) == left_peak_positions(w) for w, peaks in zip(words, peak_sets))
 
     def test_labeling_dependent_fault_is_caught(self, monkeypatch):
         assert comparability_invariance(self.first)
         for memo in (order_polynomial, peak_polynomials, posets._extension_walk):
             memo.cache_clear()
-        original = partitions.linear_extensions
+        original = posets._extension_walk
 
-        def faulty(poset, **kwargs):
-            exts = original(poset, **kwargs)
-            return exts[:-1] if poset.less(1, 2) else exts
+        def faulty(poset):
+            columns = original(poset)
+            return tuple(column[:-1] for column in columns) if poset.less(1, 2) else columns
 
-        monkeypatch.setattr(partitions, "linear_extensions", faulty)
+        monkeypatch.setattr(posets, "_extension_walk", faulty)
         assert not comparability_invariance(self.first)

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+from collections import Counter
 from itertools import combinations, permutations, product
 from math import comb
 
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 
 from enchain import gamma_complex, geometry, io, partitions, posets, toric, verify
-from enchain.errors import CycleDetected, LabelOutOfRange, NotAnIdeal, SizeLimit
+from enchain.errors import CycleDetected, LabelOutOfRange, SizeLimit
 from enchain.partitions import left_peak_positions
+from enchain.polynomials import IntPolynomial
 from enchain.posets import (
     Poset,
     all_natural_posets,
@@ -23,6 +25,7 @@ from enchain.posets import (
 )
 
 from oracles import (
+    NotAnIdeal,
     antichains_oracle,
     chain_counts_oracle,
     comparability_orientations_oracle,
@@ -35,6 +38,7 @@ from oracles import (
     make_ideal,
     pair_closure,
     pair_facts,
+    peak_positions,
     star,
     star_oracle,
     topological_order_oracle,
@@ -299,17 +303,32 @@ class TestLinearExtensions:
 
     def test_guard_holds_with_statistics(self):
         with pytest.raises(SizeLimit, match=r"^linear extension enumeration guarded at n <= 10$"):
-            linear_extensions(antichain(11), statistics=True)
+            posets._extension_walk(antichain(11))
 
     @staticmethod
     def assert_carried_statistics(poset):
-        """The walk's words with their carried left peaks and descent
-        counts, against the words alone and a scan of each word."""
-        walked = linear_extensions(poset, statistics=True)
-        assert [word for word, _, _ in walked] == linear_extensions(poset), poset
-        for word, peaks, descents in walked:
+        """The walk's three columns, each of length e(P): the words against
+        linear_extensions, the left peaks and descent counts against a scan
+        of each word, and on a natural poset the peak, left peak and
+        descent polynomials against the counts of per-word scans."""
+        columns = posets._extension_walk(poset)
+        assert len(columns) == 3 and all(type(column) is tuple for column in columns), poset
+        words, peak_sets, descent_counts = columns
+        assert list(words) == linear_extensions(poset), poset
+        assert len(peak_sets) == len(descent_counts) == len(words), poset
+        for word, peaks, descents in zip(words, peak_sets, descent_counts):
             assert list(peaks) == left_peak_positions(word), word
             assert descents == descent_count(word), word
+        if poset.naturally_labeled:
+            polys = partitions.peak_polynomials(poset)
+            for poly, statistic in (
+                (polys.peak, lambda word: len(peak_positions(word))),
+                (polys.left_peak, lambda word: len(left_peak_positions(word))),
+                (polys.descent, descent_count),
+            ):
+                counts = Counter(map(statistic, words))
+                assert poly == IntPolynomial([counts[k] for k in range(poset.n + 1)]), poset
+            assert polys.extension_count == len(words), poset
 
     def test_carried_statistics_on_every_natural_poset_up_to_six(self):
         for n in range(1, 7):
@@ -328,8 +347,8 @@ class TestLinearExtensions:
 
     def test_each_set_of_peaks_is_one_tuple(self):
         # the 8-antichain's 40,320 words: 34 sets of positions in 1..7, no two adjacent
-        walked = linear_extensions(antichain(8), statistics=True)
-        assert len({peaks for _, peaks, _ in walked}) == len({id(peaks) for _, peaks, _ in walked}) == 34
+        _, peak_sets, _ = posets._extension_walk(antichain(8))
+        assert len(set(peak_sets)) == len(set(map(id, peak_sets))) == 34
 
 
 class TestIdeals:

@@ -1184,7 +1184,6 @@ class TestTriangulation:
         def unreachable(poset):
             raise AssertionError("linear extensions walked a second time")
 
-        for module in (posets, partitions, geometry, toric):
-            monkeypatch.setattr(module, "linear_extensions", unreachable, raising=False)
+        monkeypatch.setattr(posets, "_extension_walk", unreachable)
         assert triangulation_extract(poset).simplex_count == 2**3 * 3
         assert geometry.volume_and_reflexivity(poset).volume == 2**3 * 3
