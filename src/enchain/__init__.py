@@ -9,28 +9,7 @@ unimodular triangulation, and a flag complex of decorated permutations
 whose f-polynomial is the gamma polynomial of h*.
 """
 
-from .errors import (
-    CycleDetected,
-    EnchainError,
-    FaceCountMismatch,
-    GammaNegative,
-    IdentityAlarm,
-    IdentityViolation,
-    ImageMismatch,
-    Infeasible,
-    InputError,
-    InvalidPartition,
-    LabelOutOfRange,
-    MalformedResult,
-    NegativeHStar,
-    NonInteger,
-    NonUnimodularSimplex,
-    NotNaturallyLabeled,
-    NotPalindromic,
-    ParseError,
-    PointOutsidePolytope,
-    SizeLimit,
-)
+from .errors import EnchainError, IdentityAlarm, InputError, SizeLimit
 from .polynomials import (
     IntPolynomial,
     PolyProperties,

@@ -6,7 +6,7 @@ position, each bar colored 0..3, so a permutation with k left peaks has
 strictly decreasing part (the grave) followed by a strictly increasing
 part (the acute); the split used everywhere is the shortest nonempty
 decreasing prefix with increasing remainder (see grave_acute).  A word
-that admits no such split raises MalformedResult.
+that admits no such split raises IdentityAlarm.
 
 Vertices of the complex are the one-bar decorated linear extensions,
 four to a word, one per bar color.  The complex is stored uncolored, as
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import posets
-from .errors import IdentityViolation, MalformedResult, SizeLimit
+from .errors import IdentityAlarm, SizeLimit
 from .partitions import _require_natural, left_peak_positions, peak_polynomials
 from .polynomials import IntPolynomial, kruskal_katona_check
 from .posets import _bits, _flag_faces
@@ -68,7 +68,7 @@ def grave_acute(block):
         j = 1
     grave, acute = block[:j], block[j:]
     if j > 1 and any(a <= b for a, b in zip(grave, grave[1:])):
-        raise MalformedResult(f"block {block} is not decreasing-then-increasing")
+        raise IdentityAlarm(f"block {block} is not decreasing-then-increasing")
     return grave, acute
 
 
@@ -80,14 +80,11 @@ class DecoratedPermutation:
     def __post_init__(self):
         positions = [p for p, _ in self.bars]
         if positions != left_peak_positions(self.word):
-            raise MalformedResult(
+            raise IdentityAlarm(
                 f"bars {positions} are not the left peaks of {self.word}"
             )
         if any(c not in COLORS for _, c in self.bars):
-            raise MalformedResult(f"bar colors must lie in 0..3: {self.bars}")
-
-    def bar_count(self):
-        return len(self.bars)
+            raise IdentityAlarm(f"bar colors must lie in 0..3: {self.bars}")
 
 
 @dataclass(frozen=True)
@@ -121,12 +118,12 @@ def _face_vertex(index, word, bar, block):
     the word sorted(word[:bar]) + grave + the rest sorted, grave the
     decreasing part of the block.  index maps each one-peak extension to
     (its base index, its peak); a word that is not one, or whose peak
-    is not at the bar, raises IdentityViolation naming it."""
+    is not at the bar, raises IdentityAlarm naming it."""
     grave, _ = grave_acute(block)
     face = (*sorted(word[:bar]), *grave, *sorted(word[bar + len(grave) :]))
     b, peak = index.get(face, (None, None))
     if peak != bar:
-        raise IdentityViolation(
+        raise IdentityAlarm(
             f"face map sends {word} at bar {bar} to {face}, "
             f"not a one-peak extension with its peak at {bar}"
         )
@@ -150,7 +147,7 @@ def build_complex(poset):
     posets._extension_walk, whose columns peak_polynomials counts, in
     lexicographic order, so each base is read off with its known peak
     and the bases come out sorted.  A poset that is not naturally labeled
-    raises NotNaturallyLabeled before any walk, as the left peak
+    raises InputError before any walk, as the left peak
     polynomial the complex is checked against needs natural labels.  The
     oracles in tests/oracles.py check the pairs by splicing pairs of
     vertices (vertex_adjacent, splice_adjacency)."""
@@ -178,7 +175,7 @@ def build_complex(poset):
 
     expected = peak_polynomials(poset).left_peak.scale_powers(4)
     if overflow or f_polynomial != expected:
-        raise IdentityViolation(
+        raise IdentityAlarm(
             f"f-polynomial {f_polynomial!r} != scaled left peak polynomial "
             f"{expected!r} (faces beyond gamma length: {overflow})"
         )

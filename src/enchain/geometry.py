@@ -24,7 +24,7 @@ Ehrhart polynomial has exact rational coefficients.
 
 from dataclasses import dataclass
 
-from .errors import GammaNegative, IdentityViolation
+from .errors import IdentityAlarm
 from .partitions import peak_polynomials
 from .polynomials import (
     IntPolynomial,
@@ -121,20 +121,20 @@ def hstar_and_gamma(poset):
 
     Asserts gamma_i >= 0 and the coefficientwise identity
     gamma_i = 4^i * [x^i] W_left with the left peak polynomial, raising
-    GammaNegative / IdentityViolation on failure (both would contradict
-    facts that hold for every poset, so they are alarms, not data).
+    IdentityAlarm on failure (either would contradict facts that hold for
+    every poset, so they are alarms, not data).
     """
     n = poset.n
     ehrhart, hstar = ehrhart_and_hstar(poset)
     if not hstar.is_palindromic(n):
-        raise IdentityViolation(f"h* not palindromic at degree {n}: {hstar!r}")
+        raise IdentityAlarm(f"h* not palindromic at degree {n}: {hstar!r}")
     gamma = gamma_expansion(hstar, n)
     if any(g < 0 for g in gamma):
-        raise GammaNegative(f"negative gamma coefficient in {gamma}")
+        raise IdentityAlarm(f"negative gamma coefficient in {gamma}")
     w_left = peak_polynomials(poset.canonicalized()).left_peak
     expected = tuple(4**i * w_left.coefficient(i) for i in range(n // 2 + 1))
     if gamma != expected:
-        raise IdentityViolation(
+        raise IdentityAlarm(
             f"gamma {gamma} != scaled left peak coefficients {expected}"
         )
     return EhrhartData(
@@ -159,7 +159,7 @@ def volume_and_reflexivity(poset):
     volume = hstar(1)
     extensions = peak_polynomials(poset.canonicalized()).extension_count
     if volume != 2**n * extensions:
-        raise IdentityViolation(
+        raise IdentityAlarm(
             f"volume {volume} != 2^{n} * {extensions} linear extensions"
         )
     return VolumeReflexivity(volume=volume, reflexive=hstar.is_palindromic(n))

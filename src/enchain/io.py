@@ -21,7 +21,7 @@ import re
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 
-from .errors import ParseError, SizeLimit
+from .errors import InputError, SizeLimit
 from .posets import poset_from_covers
 
 MAX_INPUT_N = 256  # verify-all --poset on the 256-chain: 0.43-0.48 s, 36 MiB on a 2-core host
@@ -32,30 +32,33 @@ def parse_poset(text):
     if text.lstrip().startswith("{"):
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON poset: {exc}") from exc
+        except (ValueError, RecursionError) as exc:  # a number past int's digit limit, deep nesting
+            raise InputError(f"invalid JSON poset: {exc}") from exc
         if not isinstance(obj, dict) or "n" not in obj or "covers" not in obj:
-            raise ParseError("JSON poset needs 'n' and 'covers' fields")
+            raise InputError("JSON poset needs 'n' and 'covers' fields")
         try:
             covers = [(_json_int(a), _json_int(b)) for a, b in obj["covers"]]
         except (TypeError, ValueError) as exc:
-            raise ParseError(f"malformed JSON poset: {exc}") from exc
+            raise InputError(f"malformed JSON poset: {exc}") from exc
         n = _json_int(obj["n"])
     else:
         lines = [ln.strip() for ln in text.splitlines()]
         lines = [ln for ln in lines if ln and not ln.startswith("#")]
         if not lines:
-            raise ParseError("empty poset file")
+            raise InputError("empty poset file")
         try:
             n = int(lines[0])
         except ValueError as exc:
-            raise ParseError(f"first line must be the element count: {lines[0]!r}") from exc
+            raise InputError(f"first line must be the element count: {lines[0]!r}") from exc
         covers = []
         for line in lines[1:]:
             match = _COVER_LINE.match(line)
             if not match:
-                raise ParseError(f"malformed cover line {line!r} (expected 'a < b')")
-            covers.append((int(match.group(1)), int(match.group(2))))
+                raise InputError(f"malformed cover line {line!r} (expected 'a < b')")
+            try:
+                covers.append((int(match.group(1)), int(match.group(2))))
+            except ValueError as exc:  # a label past int's digit limit
+                raise InputError(f"label too long in cover line {line!r}") from exc
     if n > MAX_INPUT_N:
         raise SizeLimit(f"a poset file may give at most {MAX_INPUT_N} elements, got n={n}")
     return poset_from_covers(n, covers)
@@ -65,7 +68,7 @@ def _json_int(value):
     """A JSON integer as is; a float, bool, string or anything else is an
     error rather than a number to truncate."""
     if type(value) is not int:
-        raise ParseError(f"JSON poset numbers must be integers, got {json.dumps(value)}")
+        raise InputError(f"JSON poset numbers must be integers, got {json.dumps(value)}")
     return value
 
 
@@ -74,7 +77,7 @@ def load_poset(path):
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read poset file {path}: {exc}") from exc
+        raise InputError(f"cannot read poset file {path}: {exc}") from exc
     return parse_poset(text)
 
 

@@ -38,13 +38,7 @@ from math import comb
 from operator import itemgetter
 
 from . import posets
-from .errors import (
-    IdentityViolation,
-    InvalidPartition,
-    NotNaturallyLabeled,
-    PointOutsidePolytope,
-    SizeLimit,
-)
+from .errors import IdentityAlarm, InputError, SizeLimit
 from .polynomials import IntPolynomial, RatPolynomial, interpolate
 from .posets import _memo, ideal_chain_count
 
@@ -57,8 +51,10 @@ FRONTIER_WORK_GUARD = 1 << 18
 
 
 def _require_natural(poset):
+    """Raise InputError unless the poset is naturally labeled; canonicalize
+    with Poset.canonicalized() first."""
     if not poset.naturally_labeled:
-        raise NotNaturallyLabeled(
+        raise InputError(
             "enriched partition operations require a naturally labeled poset"
         )
 
@@ -254,7 +250,7 @@ def phi_map(poset, f):
     left enriched partition (the phi of roundtrip_maps)."""
     x = roundtrip_maps(poset)[0](f)
     if x is None:
-        raise InvalidPartition(f"{f} violates the left enriched conditions")
+        raise InputError(f"{f} violates the left enriched conditions")
     return x
 
 
@@ -263,10 +259,10 @@ def psi_map(poset, point, m):
     dilation (the psi of roundtrip_maps)."""
     _require_natural(poset)
     if len(point) != poset.n or any(not isinstance(c, int) for c in point):
-        raise PointOutsidePolytope(f"{point} is not an integer vector of length n")
+        raise InputError(f"{point} is not an integer vector of length n")
     f, top = roundtrip_maps(poset)[1](point)
     if top > m:
-        raise PointOutsidePolytope(f"{point} lies outside the {m}-th dilation")
+        raise InputError(f"{point} lies outside the {m}-th dilation")
     return f
 
 
@@ -316,7 +312,7 @@ def peak_polynomials(poset):
         extension_count=len(words),
     )
     if not polys.peak(1) == polys.left_peak(1) == polys.descent(1) == len(words):
-        raise IdentityViolation(
+        raise IdentityAlarm(
             f"peak polynomials at 1 ({polys.peak(1)}, {polys.left_peak(1)}, "
             f"{polys.descent(1)}) != {len(words)} linear extensions"
         )
@@ -333,7 +329,7 @@ def order_polynomial(poset, kind="left"):
     values = [count_partitions(poset, m, kind) for m in range(1, n + 2)]
     poly = interpolate(values, start=1)
     if poly.degree != n:
-        raise IdentityViolation(f"order polynomial degree {poly.degree} != {n}")
+        raise IdentityAlarm(f"order polynomial degree {poly.degree} != {n}")
     return poly
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import NegativeHStar, NonInteger, NotPalindromic, SizeLimit
+from .errors import IdentityAlarm, InputError, SizeLimit
 
 
 def _trim(coeffs):
@@ -230,7 +230,7 @@ def hstar_from_counts(counts, n):
 
     h*_j = sum_{i=0..j} (-1)^i C(n+1, i) counts[j-i].  The result must have
     nonnegative integer coefficients; a violation signals an upstream
-    counting bug and raises NegativeHStar or NonInteger.
+    counting bug and raises IdentityAlarm.
     """
     if len(counts) != n + 1:
         raise ValueError(f"expected {n + 1} counts, got {len(counts)}")
@@ -241,10 +241,10 @@ def hstar_from_counts(counts, n):
         hj = sum((-1) ** i * comb(n + 1, i) * counts[j - i] for i in range(j + 1))
         if isinstance(hj, Fraction):
             if hj.denominator != 1:
-                raise NonInteger(f"h*_{j} = {hj} is not an integer")
+                raise IdentityAlarm(f"h*_{j} = {hj} is not an integer")
             hj = int(hj)
         if hj < 0:
-            raise NegativeHStar(f"h*_{j} = {hj} < 0")
+            raise IdentityAlarm(f"h*_{j} = {hj} < 0")
         coeffs.append(hj)
     return IntPolynomial(coeffs)
 
@@ -257,7 +257,7 @@ def gamma_expansion(h, n):
     triangular so the expansion is exact and unique.
     """
     if not h.is_palindromic(n):
-        raise NotPalindromic(f"{h!r} is not palindromic for degree {n}")
+        raise InputError(f"{h!r} is not palindromic for degree {n}")
     residual = list(h.coeffs) + [0] * (n + 1 - len(h.coeffs))
     gamma = []
     for i in range(n // 2 + 1):
@@ -267,7 +267,7 @@ def gamma_expansion(h, n):
             for k in range(n - 2 * i + 1):
                 residual[i + k] -= g * comb(n - 2 * i, k)
     if any(residual):
-        raise NotPalindromic(f"gamma expansion of {h!r} left a residue")
+        raise InputError(f"gamma expansion of {h!r} left a residue")
     return tuple(gamma)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache, wraps
 from types import MappingProxyType
 
-from .errors import CycleDetected, LabelOutOfRange, SizeLimit
+from .errors import InputError, SizeLimit
 
 LINEAR_EXTENSION_GUARD = 10
 IDEAL_GUARD = 1 << 16
@@ -136,11 +136,11 @@ def poset_from_covers(n, covers):
     relabeling (a linear extension) for callers that need to canonicalize.
     """
     if n < 1:
-        raise LabelOutOfRange(f"poset must have at least one element, got n={n}")
+        raise InputError(f"poset must have at least one element, got n={n}")
     above, below = [0] * (n + 1), [0] * (n + 1)
     for a, b in covers:
         if not (1 <= a <= n and 1 <= b <= n):
-            raise LabelOutOfRange(f"label outside 1..{n} in cover ({a}, {b})")
+            raise InputError(f"label outside 1..{n} in cover ({a}, {b})")
         above[a] |= 1 << b
         below[b] |= 1 << a
     order, placed = [e for e in range(1, n + 1) if not below[e]], 0
@@ -149,7 +149,7 @@ def poset_from_covers(n, covers):
         order.extend(b for b in _bits(above[e]) if not below[b] & ~placed)
     if len(order) < n:
         least = next(e for e in range(1, n + 1) if not placed >> e & 1)
-        raise CycleDetected(f"element {least} lies on or above a cycle of the relation")
+        raise InputError(f"element {least} lies on or above a cycle of the relation")
     for e in reversed(order):
         for b in _bits(above[e]):
             above[e] |= above[b]

@@ -70,14 +70,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import (
-    FaceCountMismatch,
-    IdentityViolation,
-    ImageMismatch,
-    Infeasible,
-    NonUnimodularSimplex,
-    SizeLimit,
-)
+from .errors import IdentityAlarm, SizeLimit
 from .geometry import count_dilation, ehrhart_and_hstar
 from .partitions import peak_polynomials
 from .polynomials import IntPolynomial
@@ -151,14 +144,14 @@ def _ideal_pairs(poset):
     order.  max(I*J) is max(I cap J) & (max I | max J), as a subset of an
     antichain generates the ideal whose maxima it is.  A table that lacks
     the union or intersection of a pair is not a lattice, and raises
-    IdentityViolation naming both ideals."""
+    IdentityAlarm naming both ideals."""
     maxima = _ideal_table(poset)
     rows = []
     for (i, max_i), (j, max_j) in combinations(maxima.items(), 2):
         if i & ~j and j & ~i:
             if i | j not in maxima or i & j not in maxima:
                 pair = f"{list(_bits(i))} and {list(_bits(j))}"
-                raise IdentityViolation(f"ideals {pair} lack a union or meet in the table")
+                raise IdentityAlarm(f"ideals {pair} lack a union or meet in the table")
             rows.append((max_i, max_j, maxima[i | j], maxima[i & j] & (max_i | max_j)))
     return tuple(rows)
 
@@ -193,8 +186,8 @@ its three fields."""
 
 def generate_groebner_candidates(poset):
     """Family (1) in (u, v, e) order, then family (2) in _family_two
-    order, each verified to lie in the toric ideal by image equality (an
-    ImageMismatch is an alarm).  No binomial comes twice: a family-(1)
+    order, each verified to lie in the toric ideal by image equality (a
+    mismatch raises IdentityAlarm).  No binomial comes twice: a family-(1)
     lead signs e both ways and a family-(2) lead signs each element of its
     support one way, so no lead is in both; in (1) a tail variable lacks
     e, so another e gives another tail; in (2) a lead fixes its ideal pair
@@ -205,7 +198,7 @@ def generate_groebner_candidates(poset):
     plus, minus, index = _sign_masks(poset)
     for vid, (p, q) in enumerate(zip(plus, minus)):
         if p & q:
-            raise ImageMismatch(f"variable {vid} signs {list(_bits(p & q))} both + and -")
+            raise IdentityAlarm(f"variable {vid} signs {list(_bits(p & q))} both + and -")
     signs_plus, signs_minus = _sign_index(poset)
     rows = []  # (u, v, e, id of u less e, id of v less e), u < v
     for e in poset.elements():
@@ -228,7 +221,7 @@ def generate_groebner_candidates(poset):
         if packed[x] + packed[y] != packed[z] + packed[w]:
             images = _images(poset)
             left, right = (tuple(map(sum, zip(images[p], images[q]))) for p, q in b[:2])
-            raise ImageMismatch(f"binomial {b} maps to {left} vs {right}")
+            raise IdentityAlarm(f"binomial {b} maps to {left} vs {right}")
     return tuple(out)
 
 
@@ -236,7 +229,7 @@ def construct_order(poset):
     """The term order's weights, one per variable id: a variable signing
     antichain A weighs w(I) = 2n|I| - |I|^2, I the ideal that A generates,
     and every family-(2) lead is checked to win by its proven margin of 2
-    (a shortfall raises Infeasible).
+    (a shortfall raises IdentityAlarm).
 
     Family (1): dropping e from an antichain drops e from its ideal, and
     w(k) = 2nk - k^2 rises strictly on 0..n, so each lead variable
@@ -251,7 +244,7 @@ def construct_order(poset):
         w_i, w_j, w_union, w_star = (weights[a] for a in entry)
         if w_i + w_j - w_union - w_star < 2:
             pair = tuple(tuple(_bits(a)) for a in entry)
-            raise Infeasible(f"ideal pair {pair} misses the margin of 2")
+            raise IdentityAlarm(f"ideal pair {pair} misses the margin of 2")
     plus, minus, _ = _sign_masks(poset)
     return tuple(weights[p | q] for p, q in zip(plus, minus))
 
@@ -393,7 +386,7 @@ def buchberger_verify(binomials, weights, guard_spairs=SPAIR_GUARD_DEFAULT, symm
     weights holds one weight per variable id, and each binomial's lead is
     its side of larger weight sum.  A binomial whose sides weigh the same,
     or whose lead is not a sorted pair of distinct variables (possible
-    only when leading_terms_agree is False), raises IdentityViolation.  The
+    only when leading_terms_agree is False), raises IdentityAlarm.  The
     guard counts the cubic lcm classes of all pairs of distinct leads at
     a shared variable, less two per triangle of leads, before any
     reduction: a bound on the checks the walk makes.  Tails are
@@ -435,9 +428,9 @@ def buchberger_verify(binomials, weights, guard_spairs=SPAIR_GUARD_DEFAULT, symm
         if margin < 0:
             x, y, p, q = p, q, x, y
         elif not margin:
-            raise IdentityViolation(f"{b} has no lead: both sides weigh {w[x] + w[y]}")
+            raise IdentityAlarm(f"{b} has no lead: both sides weigh {w[x] + w[y]}")
         if not x < y:
-            raise IdentityViolation(f"lead {(x, y)} of {b} is not squarefree")
+            raise IdentityAlarm(f"lead {(x, y)} of {b} is not squarefree")
         rules.append((x, y, p, q))
         lead_map.setdefault((x, y), (p, q))
     # Distinct squarefree quadratic leads cx, cy meet at one variable c
@@ -523,7 +516,7 @@ def initial_graph(poset):
     plus, minus, index = _sign_masks(poset)
     origin = index[(0, 0)]
     if origin != 0:
-        raise IdentityViolation(f"origin variable has index {origin}, not 0")
+        raise IdentityAlarm(f"origin variable has index {origin}, not 0")
     partners = {}  # antichain -> OR of the id blocks of the antichains it is joined to
     for a, b, _, _ in _ideal_pairs(poset):
         for mask, other in ((a, b), (b, a)):
@@ -540,10 +533,10 @@ def initial_graph(poset):
         adjacency.append(row)
     if adjacency[0]:
         v = next(_bits(adjacency[0]))
-        raise IdentityViolation(f"initial graph edge (0, {v}) meets the origin")
+        raise IdentityAlarm(f"initial graph edge (0, {v}) meets the origin")
     for u, row in enumerate(adjacency):
         if row >> u & 1:
-            raise IdentityViolation(f"initial graph has a loop at vertex {u}")
+            raise IdentityAlarm(f"initial graph has a loop at vertex {u}")
     return len(index), tuple(adjacency)
 
 
@@ -613,7 +606,7 @@ def triangulation_extract(poset):
         raise SizeLimit(f"triangulation extraction guarded at n <= {EXTRACT_MAX_N}")
     rows, ok = hilbert_certificate(poset)
     if not ok:
-        raise IdentityViolation(f"initial ideal certificate failed: {list(rows)}")
+        raise IdentityAlarm(f"initial ideal certificate failed: {list(rows)}")
     vertex_count, adjacency = initial_graph(poset)
     images = _images(poset)
     full = (1 << vertex_count) - 1
@@ -621,18 +614,18 @@ def triangulation_extract(poset):
     boundary = [(full ^ row ^ (1 << u)) >> 1 for u, row in enumerate(adjacency)][1:]
     counts, boundary_maximal = _flag_faces(boundary, n + 1)
     if counts[n + 1]:
-        raise FaceCountMismatch(f"{counts[n + 1]} boundary faces larger than n")
+        raise IdentityAlarm(f"{counts[n + 1]} boundary faces larger than n")
 
     maximal = [(0, *(v + 1 for v in _bits(face))) for face in boundary_maximal]
     for face in maximal:
         if len(face) != n + 1:
-            raise FaceCountMismatch(f"maximal face {face} does not have n+1 vertices")
+            raise IdentityAlarm(f"maximal face {face} does not have n+1 vertices")
         det = _int_det([images[v] for v in face[1:]])
         if det not in (1, -1):
-            raise NonUnimodularSimplex(f"face {face} has determinant {det}")
+            raise IdentityAlarm(f"face {face} has determinant {det}")
     expected = 2**n * peak_polynomials(poset.canonicalized()).extension_count
     if len(maximal) != expected:
-        raise FaceCountMismatch(f"{len(maximal)} maximal faces, expected {expected}")
+        raise IdentityAlarm(f"{len(maximal)} maximal faces, expected {expected}")
 
     f_vector = counts[: n + 1]
     h_coeffs = [0] * (n + 1)
@@ -644,7 +637,7 @@ def triangulation_extract(poset):
 
     _, hstar = ehrhart_and_hstar(poset)
     if boundary_h != hstar:
-        raise IdentityViolation(
+        raise IdentityAlarm(
             f"boundary h-polynomial {boundary_h!r} != h* {hstar!r}"
         )
     return TriangulationData(

@@ -81,16 +81,7 @@ from typing import NamedTuple
 from hypothesis import strategies as st
 
 from enchain import geometry, partitions, toric, verify
-from enchain.errors import (
-    CycleDetected,
-    IdentityViolation,
-    InputError,
-    InvalidPartition,
-    LabelOutOfRange,
-    MalformedResult,
-    PointOutsidePolytope,
-    SizeLimit,
-)
+from enchain.errors import IdentityAlarm, InputError, SizeLimit
 from enchain.gamma_complex import (
     COLORS,
     DecoratedPermutation,
@@ -267,13 +258,13 @@ def pair_closure(n, covers):
     Warshall loop on the above-masks, with separate scans for self-loops
     and cycles."""
     if n < 1:
-        raise LabelOutOfRange(f"poset must have at least one element, got n={n}")
+        raise InputError(f"poset must have at least one element, got n={n}")
     above = [0] * (n + 1)
     for a, b in covers:
         if not (1 <= a <= n and 1 <= b <= n):
-            raise LabelOutOfRange(f"label outside 1..{n} in cover ({a}, {b})")
+            raise InputError(f"label outside 1..{n} in cover ({a}, {b})")
         if a == b:
-            raise CycleDetected(f"relation {a} < {a} is a cycle")
+            raise InputError(f"relation {a} < {a} is a cycle")
         above[a] |= 1 << b
     for k in range(1, n + 1):
         bit = 1 << k
@@ -282,7 +273,7 @@ def pair_closure(n, covers):
                 above[i] |= above[k]
     for i in range(1, n + 1):
         if above[i] & (1 << i):
-            raise CycleDetected(f"element {i} precedes itself after closure")
+            raise InputError(f"element {i} precedes itself after closure")
     return frozenset(
         (a, b) for a in range(1, n + 1) for b in range(1, n + 1) if above[a] >> b & 1
     )
@@ -662,7 +653,7 @@ def phi_map_oracle(poset, f):
     relation, then give each non-minimal element i the least
     |f(i)| - |f(j)| over its lower covers j, signed like f(i)."""
     if not left_partition_oracle(poset, f):
-        raise InvalidPartition(f"{f} violates the left enriched conditions")
+        raise InputError(f"{f} violates the left enriched conditions")
     lowers = poset.lower_covers()
     coords = []
     for i in poset.elements():
@@ -708,13 +699,13 @@ def psi_map_oracle(poset, point, m):
     """partitions.psi_map before the roundtrip kernel: the largest chain
     sums of |x| in topological order, signed like x."""
     if len(point) != poset.n or any(not isinstance(c, int) for c in point):
-        raise PointOutsidePolytope(f"{point} is not an integer vector of length n")
+        raise InputError(f"{point} is not an integer vector of length n")
     lowers = poset.lower_covers()
     sums = [0] * (poset.n + 1)
     for e in poset.topological_order():
         sums[e] = abs(point[e - 1]) + max((sums[c] for c in lowers[e]), default=0)
     if max(sums) > m:
-        raise PointOutsidePolytope(f"{point} lies outside the {m}-th dilation")
+        raise InputError(f"{point} lies outside the {m}-th dilation")
     return tuple(
         sums[i] if point[i - 1] >= 0 else -sums[i] for i in poset.elements()
     )
@@ -763,7 +754,7 @@ def _ideal_mask(poset, elements):
     """The element mask of a down-closed set of labels in 1..n."""
     elements = frozenset(elements)
     if not all(1 <= e <= poset.n for e in elements):
-        raise LabelOutOfRange(f"label outside 1..{poset.n} in {sorted(elements)}")
+        raise InputError(f"label outside 1..{poset.n} in {sorted(elements)}")
     mask = sum(1 << e for e in elements)
     for e in elements:
         for i in _bits(poset._below[e] & ~mask):
@@ -836,9 +827,9 @@ def ehrhart_polynomial(poset):
     n = poset.n
     poly = interpolate(dilation_counts(poset, n))
     if poly.degree != n or poly.leading <= 0:
-        raise IdentityViolation(f"Ehrhart polynomial degenerate: {poly!r}")
+        raise IdentityAlarm(f"Ehrhart polynomial degenerate: {poly!r}")
     if poly(0) != 1:
-        raise IdentityViolation("Ehrhart polynomial has constant term != 1")
+        raise IdentityAlarm("Ehrhart polynomial has constant term != 1")
     return poly
 
 
@@ -907,9 +898,9 @@ def cover_reduce(decorated, bar_index):
     separated as grave(w_i) + sort(acute(w_i) + w_{i+1}), uniformly for
     every block including the first.  When the result's remaining bars
     no longer sit at its left peaks (whenever the first block's head is
-    not the minimum of the merged letters), raise MalformedResult rather
+    not the minimum of the merged letters), raise IdentityAlarm rather
     than silently re-barring; iso_check counts how often that happens."""
-    if not 1 <= bar_index <= decorated.bar_count():
+    if not 1 <= bar_index <= len(decorated.bars):
         raise ValueError(f"bar index {bar_index} out of range")
     blocks = decorated_blocks(decorated)
     i = bar_index - 1
@@ -947,7 +938,7 @@ class _VertexKey(NamedTuple):
 
 
 def _vertex_key(vertex):
-    if vertex.bar_count() != 1:
+    if len(vertex.bars) != 1:
         raise ValueError("vertex adjacency is defined for one-bar elements")
     p = vertex.bars[0][0]
     prefix = vertex.word[:p]
@@ -1054,9 +1045,9 @@ def spliced_adjacent_oracle(u, v):
     u's prefix and grave with the letters shared by its acute and v's
     prefix, then v's tail; build the two-bar DecoratedPermutation, which
     checks its bars against the left peaks, and compare its face map with
-    the pair.  The face map raises MalformedResult when one of its
+    the pair.  The face map raises IdentityAlarm when one of its
     vertices is not a valid one-bar element."""
-    if u.bar_count() != 1 or v.bar_count() != 1:
+    if len(u.bars) != 1 or len(v.bars) != 1:
         raise ValueError("vertex adjacency is defined for one-bar elements")
     if u.bars[0][0] == v.bars[0][0]:
         return False
@@ -1071,7 +1062,7 @@ def spliced_adjacent_oracle(u, v):
     bars = ((pu, cu), (pu + len(grave) + len(bridge), cv))
     try:
         composite = DecoratedPermutation(word, bars)
-    except MalformedResult:
+    except IdentityAlarm:
         return False
     return phi_face_map(composite) == [u, v]
 
@@ -1121,7 +1112,7 @@ def iso_check(poset, max_n=5):
     for d in elements:
         img = phi_face_map(d)
         images[d] = img
-        if len(img) != d.bar_count():
+        if len(img) != len(d.bars):
             grade_ok = False
     image_sets = [frozenset(img) for img in images.values()]
     bijective = (
@@ -1133,11 +1124,11 @@ def iso_check(poset, max_n=5):
     covers_ok = True
     element_set = set(elements)
     for d in elements:
-        for i in range(1, d.bar_count() + 1):
+        for i in range(1, len(d.bars) + 1):
             total += 1
             try:
                 reduced = cover_reduce(d, i)
-            except MalformedResult:
+            except IdentityAlarm:
                 malformed += 1
                 continue
             if reduced not in element_set:

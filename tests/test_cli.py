@@ -14,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enchain import gamma_complex, geometry, io, partitions, polynomials, posets, toric, verify
+import enchain
+from enchain import errors, gamma_complex, geometry, io, partitions, polynomials, posets, toric, verify
 from enchain.cli import COMMANDS, DEFAULTS, build_parser, config_from_args, main
 from enchain.io import MAX_INPUT_N, parse_poset, render_json, render_tsv
 from enchain.polynomials import IntPolynomial
-from enchain.errors import IdentityViolation, ParseError, SizeLimit
+from enchain.errors import EnchainError, IdentityAlarm, InputError, SizeLimit
 
 
 @pytest.fixture
@@ -119,11 +120,11 @@ class TestParsing:
         assert poset.pairs == {(1, 2)}
 
     def test_malformed_cover(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError, match=r"^malformed cover line '1 <' \(expected 'a < b'\)$"):
             parse_poset("2\n1 <\n")
 
     def test_empty(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError, match="^empty poset file$"):
             parse_poset("\n\n")
 
     @pytest.mark.parametrize(
@@ -139,7 +140,7 @@ class TestParsing:
         ],
     )
     def test_json_numbers_must_be_integers(self, text, value):
-        with pytest.raises(ParseError, match=f"must be integers, got {re.escape(value)}$"):
+        with pytest.raises(InputError, match=f"must be integers, got {re.escape(value)}$"):
             parse_poset(text)
 
     @pytest.mark.parametrize("text", ['{"n": 256, "covers": []}', "256\n", "256\n255 < 256\n"])
@@ -158,6 +159,49 @@ class TestParsing:
         assert main(["ehrhart", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read poset file {path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "3\n1 < " + "9" * 5000 + "\n",
+            '{"n": 3, "covers": [[1, ' + "9" * 5000 + "]]}",
+            '{"n": 3, "covers": ' + "[" * 100_000,
+        ],
+        ids=["text-label-5000-digits", "json-number-5000-digits", "json-nesting-100000-deep"],
+    )
+    def test_overlong_number_or_deep_nesting_exits_one(self, capsys, tmp_path, text):
+        """A 5,000-digit label is past int's 4,300-digit limit (or, on a
+        Python without it, outside 1..n), and 100,000 open brackets are past
+        the JSON decoder's recursion limit: each is one error line."""
+        path = tmp_path / "bad.poset"
+        path.write_text(text)
+        assert main(["ehrhart", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+class TestErrorVocabulary:
+    """Callers tell apart unusable input (exit 1), a size guard that
+    tripped (a skipped check) and a broken identity (exit 2), and no more."""
+
+    FOUR = {"EnchainError", "InputError", "SizeLimit", "IdentityAlarm"}
+
+    @staticmethod
+    def exception_names(module, names):
+        return {
+            name
+            for name in names
+            if isinstance(value := getattr(module, name), type) and issubclass(value, BaseException)
+        }
+
+    def test_errors_defines_exactly_four_classes(self):
+        assert self.exception_names(errors, vars(errors)) == self.FOUR
+        assert issubclass(SizeLimit, InputError)
+        assert issubclass(InputError, EnchainError) and issubclass(IdentityAlarm, EnchainError)
+        assert not issubclass(IdentityAlarm, InputError)
+
+    def test_package_exports_exactly_the_four_classes(self):
+        assert self.exception_names(enchain, enchain.__all__) == self.FOUR
 
 
 class TestCommands:
@@ -864,7 +908,7 @@ class TestVerifyAll:
 
     def test_alarm_in_a_formerly_unguarded_check(self, capsys, chain2, monkeypatch):
         def violated(poset, truncation):
-            raise IdentityViolation("series coefficient 3 != 4")
+            raise IdentityAlarm("series coefficient 3 != 4")
 
         monkeypatch.setattr(partitions, "series_identity_failure", violated)
         code, out = run(capsys, ["verify-all", "--poset", chain2])

@@ -8,13 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enchain import gamma_complex, geometry, partitions, posets, verify
-from enchain.errors import (
-    IdentityViolation,
-    InvalidPartition,
-    NotNaturallyLabeled,
-    PointOutsidePolytope,
-    SizeLimit,
-)
+from enchain.errors import IdentityAlarm, InputError, SizeLimit
 from enchain.geometry import count_dilation, in_enriched_polytope
 from enchain.partitions import (
     count_partitions,
@@ -118,7 +112,7 @@ class TestEnumeration:
 
     def test_requires_natural_labeling(self):
         flipped = poset_from_covers(2, [(2, 1)])
-        with pytest.raises(NotNaturallyLabeled):
+        with pytest.raises(InputError, match="require a naturally labeled poset"):
             enumerate_partitions(flipped, 1, "left")
 
     def test_guard(self):
@@ -250,7 +244,7 @@ class TestFrontierCount:
             frontier_count(single, 1, "right")
         with pytest.raises(ValueError, match="nonnegative"):
             frontier_count(single, -1)
-        with pytest.raises(NotNaturallyLabeled):
+        with pytest.raises(InputError, match="require a naturally labeled poset"):
             frontier_count(poset_from_covers(2, [(2, 1)]), 1)
 
 
@@ -262,7 +256,7 @@ class TestOrderPolynomial:
         constant = RatPolynomial([1])
         order_polynomial.cache_clear()
         monkeypatch.setattr(partitions, "interpolate", lambda values, start: constant)
-        with pytest.raises(IdentityViolation, match="degree 0 != 2"):
+        with pytest.raises(IdentityAlarm, match="degree 0 != 2"):
             order_polynomial(chain2, "left")
 
     def test_two_chain_matches_ehrhart(self):
@@ -285,11 +279,11 @@ class TestBijection:
         assert psi_map(V, (0, 0, 0), 1) == (0, 0, 0)
 
     def test_phi_rejects_invalid(self):
-        with pytest.raises(InvalidPartition):
+        with pytest.raises(InputError, match=r"^\(1, -1\) violates the left enriched conditions$"):
             phi_map(chain2, (1, -1))  # equal magnitudes need f(2) >= 0
 
     def test_psi_rejects_outside(self):
-        with pytest.raises(PointOutsidePolytope):
+        with pytest.raises(InputError, match=r"^\(1, 1\) lies outside the 1-th dilation$"):
             psi_map(chain2, (1, 1), 1)
 
     def test_roundtrip_small(self):
@@ -321,23 +315,23 @@ class TestBijection:
                         if valid:
                             assert phi_map(poset, v) == phi_map_oracle(poset, v)
                         else:
-                            with pytest.raises(InvalidPartition):
+                            with pytest.raises(InputError, match="violates the left enriched"):
                                 phi_map(poset, v)
                         if in_enriched_polytope(poset, v, m):
                             assert psi_map(poset, v, m) == psi_map_oracle(poset, v, m)
                         else:
-                            with pytest.raises(PointOutsidePolytope):
+                            with pytest.raises(InputError, match=f"outside the {m}-th dilation$"):
                                 psi_map(poset, v, m)
 
     def test_maps_reject_malformed_input(self):
         assert not is_left_partition(chain2, (0,))
-        with pytest.raises(InvalidPartition):
+        with pytest.raises(InputError, match=r"^\(0, 0, 0\) violates the left enriched conditions$"):
             phi_map(chain2, (0, 0, 0))
-        with pytest.raises(PointOutsidePolytope):
+        with pytest.raises(InputError, match=r"^\(0,\) is not an integer vector of length n$"):
             psi_map(chain2, (0,), 1)
-        with pytest.raises(PointOutsidePolytope):
+        with pytest.raises(InputError, match=r"^\(0, 0\.5\) is not an integer vector of length n$"):
             psi_map(chain2, (0, 0.5), 1)
-        with pytest.raises(NotNaturallyLabeled):
+        with pytest.raises(InputError, match="require a naturally labeled poset"):
             phi_map(poset_from_covers(2, [(2, 1)]), (0, 0))
 
 
@@ -401,7 +395,7 @@ class TestBijectionRoundtrip:
 
     def test_invalid_partition_is_a_failed_row(self, monkeypatch):
         """A partition breaking the conditions fails the check and the row
-        carries on; it used to raise InvalidPartition out of the sweep."""
+        carries on; it used to raise phi_map's InputError out of the sweep."""
 
         def invalid(poset, m, kind="left"):
             yield (1, -1)  # equal magnitudes need f(2) >= 0
@@ -585,7 +579,7 @@ class TestSeriesIdentity:
 
     def test_rejects_a_labelling_that_is_not_natural(self):
         # peak_polynomials makes the one natural-label check
-        with pytest.raises(NotNaturallyLabeled, match="require a naturally labeled poset"):
+        with pytest.raises(InputError, match="require a naturally labeled poset"):
             partitions.series_identity_failure(poset_from_covers(2, [(2, 1)]), 2)
 
 

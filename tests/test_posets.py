@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from enchain import gamma_complex, geometry, io, partitions, posets, toric, verify
-from enchain.errors import CycleDetected, LabelOutOfRange, SizeLimit
+from enchain.errors import InputError, SizeLimit
 from enchain.partitions import left_peak_positions
 from enchain.polynomials import IntPolynomial
 from enchain.posets import (
@@ -73,15 +73,15 @@ class TestConstruction:
         assert p.canonicalized().pairs == {(1, 2)}
 
     def test_cycle(self):
-        with pytest.raises(CycleDetected):
+        with pytest.raises(InputError, match="^element 1 lies on or above a cycle of the relation$"):
             poset_from_covers(2, [(1, 2), (2, 1)])
 
     def test_self_loop(self):
-        with pytest.raises(CycleDetected):
+        with pytest.raises(InputError, match="^element 1 lies on or above a cycle of the relation$"):
             poset_from_covers(2, [(1, 1)])
 
     def test_label_out_of_range(self):
-        with pytest.raises(LabelOutOfRange):
+        with pytest.raises(InputError, match=r"^label outside 1\.\.2 in cover \(1, 3\)$"):
             poset_from_covers(2, [(1, 3)])
 
     def test_relabel_roundtrip(self):
@@ -203,7 +203,7 @@ class TestMaskBuilder:
     )
     def test_cycles(self, covers):
         for build in (poset_from_covers, pair_closure):
-            with pytest.raises(CycleDetected):
+            with pytest.raises(InputError, match="cycle|precedes itself after closure"):
                 build(5, covers)
 
 
@@ -366,15 +366,15 @@ class TestIdeals:
             make_ideal(chain(2), {2})
 
     def test_label_above_n(self):
-        with pytest.raises(LabelOutOfRange):
+        with pytest.raises(InputError, match=r"^label outside 1\.\.2 in \[5\]$"):
             make_ideal(chain(2), {5})
 
     def test_label_zero(self):
-        with pytest.raises(LabelOutOfRange):
+        with pytest.raises(InputError, match=r"^label outside 1\.\.2 in \[0\]$"):
             make_ideal(chain(2), {0})
 
     def test_star_label_zero(self):
-        with pytest.raises(LabelOutOfRange):
+        with pytest.raises(InputError, match=r"^label outside 1\.\.2 in \[0\]$"):
             star(chain(2), {0}, {1})
 
     def test_lattice_matches_oracle(self):

@@ -98,9 +98,6 @@ ALLOWED = {
         "the left peak scan that DecoratedPermutation's validating constructor reads, which builds"
         " the colored views; moves to the oracles with the views at the benchmark's revision"
     ),
-    "gamma_complex.DecoratedPermutation.bar_count": (
-        "the bar count of a decorated permutation, which the oracles read"
-    ),
     "posets.Poset.less": "the relation accessor of the exported Poset class, which the oracles read",
     "posets.Poset.pairs": (
         "the relation of the exported Poset class as a set, which __repr__, the orientation alarm"

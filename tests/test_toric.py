@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from enchain import gamma_complex, geometry, partitions, posets, toric, verify
-from enchain.errors import IdentityViolation, ImageMismatch, Infeasible, SizeLimit
+from enchain.errors import IdentityAlarm, SizeLimit
 from enchain.gamma_complex import build_complex
 from enchain.geometry import count_dilation
 from enchain.polynomials import IntPolynomial
@@ -364,7 +364,7 @@ class TestCandidates:
             yield from entries
 
         monkeypatch.setattr(toric, "_family_two", replaced)
-        with pytest.raises(ImageMismatch, match=r"family=2\) maps to \(-1, -1\) vs \(-2, -2\)$"):
+        with pytest.raises(IdentityAlarm, match=r"family=2\) maps to \(-1, -1\) vs \(-2, -2\)$"):
             generate_groebner_candidates(anti2)
 
     def test_candidates_are_named_binomials(self):
@@ -511,7 +511,7 @@ class TestOrder:
             return tuple((u, s, i, j) for i, j, u, s in pairs(poset))
 
         monkeypatch.setattr(toric, "_ideal_pairs", swapped)
-        with pytest.raises(Infeasible):
+        with pytest.raises(IdentityAlarm, match=r"^ideal pair .* misses the margin of 2$"):
             construct_order(anti2)
         row = verify.verify_poset(anti2)
         assert row["groebner"]["buchberger"] == "fail"
@@ -808,11 +808,11 @@ class TestBuchberger:
         assert TermOrder(weights).leading(tie.lead, tie.tail) == (0, 1)
         assert not leading_terms_agree([tie], weights)
         message = "^" + re.escape(f"{tie} has no lead: both sides weigh 1") + "$"
-        with pytest.raises(IdentityViolation, match=message):
+        with pytest.raises(IdentityAlarm, match=message):
             buchberger_verify([tie], weights)
         full = list(generate_groebner_candidates(single))
         assert leading_terms_agree(full, weights)
-        with pytest.raises(IdentityViolation, match=message):
+        with pytest.raises(IdentityAlarm, match=message):
             buchberger_verify(full + [tie], weights)
 
     def test_square_lead_raises(self):
@@ -821,10 +821,10 @@ class TestBuchberger:
         weights = construct_order(single)
         basis = [ToricBinomial((0, 1), (2, 2), 1)]
         assert not leading_terms_agree(basis, weights)
-        with pytest.raises(IdentityViolation, match=r"^lead \(2, 2\) of "):
+        with pytest.raises(IdentityAlarm, match=r"^lead \(2, 2\) of "):
             buchberger_verify(basis, weights)
         full = list(generate_groebner_candidates(single))
-        with pytest.raises(IdentityViolation, match=r"^lead \(2, 2\) of "):
+        with pytest.raises(IdentityAlarm, match=r"^lead \(2, 2\) of "):
             buchberger_verify(full + basis, weights)
 
 
@@ -1132,7 +1132,7 @@ class TestIdealPairs:
         self.clear_caches()
         try:
             message = "ideals [2] and [1, 3] lack a union or meet in the table"
-            with pytest.raises(IdentityViolation, match=rf"^{re.escape(message)}$"):
+            with pytest.raises(IdentityAlarm, match=rf"^{re.escape(message)}$"):
                 toric._ideal_pairs(poset)
             row = verify.verify_poset(poset)
         finally:
