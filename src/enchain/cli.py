@@ -2,9 +2,9 @@
 
 One subcommand per library surface plus verify-all for identity sweeps.
 Exit status: 0 on success, 1 on input or guard errors, 2 when any
-identity alarm fires.  Each option of DEFAULTS is read from its flag
-(--max-n for max_n), else from its ENCHAIN_ variable (ENCHAIN_MAX_N),
-else from DEFAULTS.
+identity alarm fires.  Each subcommand reads --format and the options
+OPTIONS gives it, each from its flag (--max-n for max_n), else from its
+ENCHAIN_ variable (ENCHAIN_MAX_N), else from DEFAULTS.
 """
 
 import argparse
@@ -20,10 +20,9 @@ from .io import RENDERERS, load_poset
 from .verify import int_coeffs, rat_coeffs
 
 VERIFY_ALL_MAX_N = 6
-VERIFY_ALL_SWEEP_DEFAULT = 4
 DEFAULTS = {
     "format": "json",
-    "max_n": 8,
+    "max_n": 4,
     "max_m": 4,
     "truncation": 8,
     "guard_points": partitions.FRONTIER_WORK_GUARD,
@@ -31,10 +30,12 @@ DEFAULTS = {
 }
 BOUNDS = tuple(DEFAULTS)[1:]  # the options that must be positive
 ROW_BOUNDS = BOUNDS[1:]  # the keyword arguments of verify.verify_poset
+OPTIONS = {"grobner": ("guard_spairs",), "verify-all": BOUNDS}  # read besides format
 
 
 @dataclass
 class RunConfig:
+    # a field for every option, read or not: perfbench builds it from DEFAULTS
     command: str
     input_path: str
     fmt: str
@@ -59,47 +60,48 @@ class RunConfig:
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    for name, default in DEFAULTS.items():
-        choices = RENDERERS if name == "format" else None
-        common.add_argument("--" + name.replace("_", "-"), type=type(default), choices=choices)
-
     parser = argparse.ArgumentParser(
         prog="enchain",
         description="Exact computations on enriched chain polytopes of posets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        p = sub.add_parser(name, parents=[common])
-        p.add_argument("poset", help="poset file (text or JSON format)")
-        if command is cmd_partitions:
+    for name in [*COMMANDS, "verify-all"]:
+        p = sub.add_parser(name)
+        if name == "verify-all":  # a sweep to --max-n, or the one --poset file
+            group = p.add_mutually_exclusive_group()
+            group.add_argument("--poset", default=None, help="verify a single poset file")
+        else:
+            p.add_argument("poset", help="poset file (text or JSON format)")
+        for option in ("format", *OPTIONS.get(name, ())):
+            default = DEFAULTS[option]
+            choices = RENDERERS if option == "format" else None
+            (group if option == "max_n" else p).add_argument(
+                "--" + option.replace("_", "-"), type=type(default), choices=choices
+            )
+        if name == "partitions":
             p.add_argument("--m", type=int, default=1)
             p.add_argument("--kind", choices=("left", "enriched"), default="left")
-    p = sub.add_parser("verify-all", parents=[common])
-    p.add_argument("--poset", default=None, help="verify a single poset file")
     return parser
 
 
 def config_from_args(args):
-    """Each option from its flag (0 included), else from its ENCHAIN_
-    variable, else from its default; verify-all sweeps to
-    VERIFY_ALL_SWEEP_DEFAULT unless a flag or variable sets max_n."""
-    defaults = dict(DEFAULTS)
-    if args.command == "verify-all":
-        defaults["max_n"] = VERIFY_ALL_SWEEP_DEFAULT
-    options = {}
-    for name, default in defaults.items():
+    """Each option the subcommand reads from its flag (0 included), else
+    from its ENCHAIN_ variable, else from DEFAULTS; every other option
+    from DEFAULTS."""
+    options = dict(DEFAULTS)
+    for name in ("format", *OPTIONS.get(args.command, ())):
         value, variable = getattr(args, name), f"ENCHAIN_{name.upper()}"
         if value is None and variable in os.environ:
             text = os.environ[variable]
             try:
-                value = type(default)(text)
+                value = type(options[name])(text)
             except ValueError:
                 raise SizeLimit(f"bad {variable} value {text!r}") from None
-        options[name] = default if value is None else value
+        if value is not None:
+            options[name] = value
     return RunConfig(
         command=args.command,
-        input_path=getattr(args, "poset", None),
+        input_path=args.poset,
         fmt=options.pop("format"),
         m=getattr(args, "m", 1),
         kind=getattr(args, "kind", "left"),
@@ -275,11 +277,7 @@ COMMANDS = {
 def run_command(cfg):
     if cfg.command == "verify-all":
         return cmd_verify_all(cfg)
-    poset = load_poset(cfg.input_path)
-    command = COMMANDS[cfg.command]
-    if poset.n > cfg.max_n and command not in (cmd_antichains, cmd_extensions):
-        raise SizeLimit(f"poset has n={poset.n} > max-n={cfg.max_n}")
-    return command(poset, cfg), 0
+    return COMMANDS[cfg.command](load_poset(cfg.input_path), cfg), 0
 
 
 def main(argv=None):

@@ -395,6 +395,27 @@ class TestCommands:
         payload = json.loads(out)
         assert payload["count"] == 214358881 and payload["partitions"] == "omitted"
 
+    @pytest.mark.parametrize("command", ["ehrhart", "hstar", "gamma", "peaks", "partitions"])
+    def test_nine_antichain_is_computed(self, capsys, tmp_path, command):
+        # past the n <= 8 that these commands once refused; 9! extensions
+        path = tmp_path / "anti9.poset"
+        path.write_text("9\n")
+        code, out = run(capsys, [command, str(path)])
+        assert code == 0
+        json.loads(out)
+
+    def test_nine_antichain_ehrhart_agrees_with_its_row(self, capsys, tmp_path):
+        path = tmp_path / "anti9.poset"
+        path.write_text("9\n")
+        code, out = run(capsys, ["ehrhart", str(path)])
+        assert code == 0
+        assert_matches_golden(out, "ehrhart_anti9")
+        code, row_out = run(capsys, ["verify-all", "--poset", str(path)])
+        assert code == 0
+        section = json.loads(row_out)["rows"][0]["ehrhart"]
+        section["gamma"] = list(polynomials._trim(section["gamma"]))
+        assert json.loads(out) == section
+
     def test_non_natural_input_notes_relabeling(self, capsys, tmp_path):
         path = tmp_path / "rev.poset"
         path.write_text("2\n2 < 1\n")
@@ -499,16 +520,22 @@ class TestAlarmsNameTheirValues:
         ]
 
 
+# The flags that a subcommand takes besides --help and --format.
+FLAGS = {
+    "partitions": {"--m", "--kind"},
+    "grobner": {"--guard-spairs"},
+    "verify-all": {"--poset", "--max-n", "--max-m", "--truncation", "--guard-points", "--guard-spairs"},
+}
+
+
 class TestParser:
     @pytest.mark.parametrize("name", [*COMMANDS, "verify-all"])
     def test_help_lists_the_flags_of_each_command(self, capsys, name):
         with pytest.raises(SystemExit) as exc:
             main([name, "--help"])
         assert exc.value.code == 0
-        out = capsys.readouterr().out
-        assert "--guard-points" in out
-        assert bool(re.search(r"--m\b", out)) == (name == "partitions")
-        assert ("--kind" in out) == (name == "partitions")
+        flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert flags == {"--help", "--format", *FLAGS.get(name, ())}
 
 
 class TestExitCodes:
@@ -540,18 +567,19 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "flag", ["--max-n", "--max-m", "--truncation", "--guard-points", "--guard-spairs"]
     )
-    def test_zero_is_rejected(self, capsys, chain2, flag):
-        assert main(["ehrhart", chain2, flag, "0"]) == 1
+    def test_zero_is_rejected(self, capsys, flag):
+        # refused by RunConfig, before the sweep starts
+        assert main(["verify-all", flag, "0"]) == 1
         assert "must be positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["grobner", "triangulation"])
     def test_guard_points_leave_toric_commands_alone(self, capsys, tmp_path, command):
-        # the point guard bounds partition work only, which no toric command does
+        # the point guard bounds partition work only, which no toric command
+        # does, so neither takes the flag
         path = tmp_path / "anti4.poset"
         path.write_text("4\n")
-        code, out = run(capsys, [command, str(path), "--guard-points", "1"])
-        assert code == 0
-        assert_matches_golden(out, f"{command}_anti4")
+        assert main([command, str(path), "--guard-points", "1"]) == 1
+        assert capsys.readouterr().err.startswith("usage: enchain")
 
     @pytest.mark.parametrize("command", ["ehrhart", "verify-all"])
     def test_unknown_format_is_rejected_before_any_work(
@@ -574,7 +602,8 @@ class TestExitCodes:
             ["ehrhart", "--format", "xml", "x"],
             ["ehrhart"],
             ["nosuch"],
-            ["ehrhart", "--max-n", "abc", "x"],
+            ["verify-all", "--max-n", "abc"],
+            ["ehrhart", "x", "--max-m", "3"],
         ],
     )
     def test_usage_error_is_an_input_error(self, capsys, argv):
@@ -610,9 +639,16 @@ def option(argv, name):
     return str(cfg.fmt if name == "format" else getattr(cfg, name))
 
 
+def reader(name, path):
+    """The argv of a subcommand that reads the option: grobner on path for
+    guard_spairs, else the verify-all sweep, which a bad value stops before
+    its first poset."""
+    return ["grobner", path] if name == "guard_spairs" else ["verify-all"]
+
+
 class TestOptions:
-    """Every option is read from its flag, else its ENCHAIN_ variable, else
-    its default."""
+    """Every option that a subcommand reads is read from its flag, else its
+    ENCHAIN_ variable, else its default; the others take their defaults."""
 
     @pytest.fixture(autouse=True)
     def no_variables(self, monkeypatch):
@@ -623,22 +659,33 @@ class TestOptions:
     def test_variable_sets_the_option_and_the_flag_wins(self, monkeypatch, name):
         from_variable, from_flag = OPTION_VALUES[name]
         flag = "--" + name.replace("_", "-")
-        assert option(["ehrhart", "p"], name) == str(DEFAULTS[name])
+        argv = reader(name, "p")
+        assert option(argv, name) == str(DEFAULTS[name])
         monkeypatch.setenv(f"ENCHAIN_{name.upper()}", from_variable)
-        assert option(["ehrhart", "p"], name) == from_variable
-        assert option(["ehrhart", "p", flag, from_flag], name) == from_flag
+        assert option(argv, name) == from_variable
+        assert option([*argv, flag, from_flag], name) == from_flag
 
     @pytest.mark.parametrize("name", INT_OPTIONS)
     def test_a_variable_that_is_no_integer_exits_one(self, capsys, chain2, monkeypatch, name):
         monkeypatch.setenv(f"ENCHAIN_{name.upper()}", "abc")
-        assert main(["ehrhart", chain2]) == 1
+        assert main(reader(name, chain2)) == 1
         assert capsys.readouterr().err == f"error: bad ENCHAIN_{name.upper()} value 'abc'\n"
 
     @pytest.mark.parametrize("name", INT_OPTIONS)
     def test_a_zero_variable_exits_one(self, capsys, chain2, monkeypatch, name):
         monkeypatch.setenv(f"ENCHAIN_{name.upper()}", "0")
-        assert main(["ehrhart", chain2]) == 1
+        assert main(reader(name, chain2)) == 1
         assert "must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", INT_OPTIONS)
+    def test_a_variable_the_command_does_not_read_is_not_read(self, capsys, chain2, monkeypatch, name):
+        monkeypatch.setenv(f"ENCHAIN_{name.upper()}", "abc")
+        code, out = run(capsys, ["ehrhart", chain2])
+        assert code == 0
+        assert out.encode() == (DATA / "ehrhart_chain2.json").read_bytes()
+        if name != "guard_spairs":
+            code, out = run(capsys, ["grobner", chain2])
+            assert code == 0 and json.loads(out)["buchberger"] == "pass"
 
     def test_verify_all_sweeps_to_four_without_max_n(self, capsys):
         code, out = run(capsys, ["verify-all"])
@@ -650,6 +697,17 @@ class TestOptions:
         code, out = run(capsys, ["verify-all"])
         assert code == 0
         assert out.encode() == (DATA / "verify_all_max_n3.json").read_bytes()
+
+    def test_one_poset_ignores_the_sweep_variable(self, capsys, chain2, monkeypatch):
+        monkeypatch.setenv("ENCHAIN_MAX_N", "3")
+        code, out = run(capsys, ["verify-all", "--poset", chain2])
+        assert code == 0
+        assert json.loads(out)["summary"] == {"posets": 1, "alarms": 0}
+
+    def test_one_poset_with_max_n_is_a_usage_error(self, capsys, chain2):
+        # the flag bounds only the sweep, so --poset cannot take it
+        assert main(["verify-all", "--poset", chain2, "--max-n", "3"]) == 1
+        assert "argument --max-n: not allowed with argument --poset" in capsys.readouterr().err
 
 
 class TestWorkBounds:
@@ -748,41 +806,58 @@ HOSTILE = {
     "256-chain": stacked(1, 256),
 }
 
-# Run in a fresh interpreter that caps its own address space at 1 GiB, a
-# limit on that process alone: argv[1] is the poset file.
+# Run main on argv[1:] in a fresh interpreter that caps its own address
+# space at 1 GiB, a limit on that process alone.
 CAPPED = r"""
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from enchain.cli import main
-sys.exit(main(["verify-all", "--poset", sys.argv[1]]))
+sys.exit(main(sys.argv[1:]))
 """
+
+
+def run_capped(tmp_path, name, argv):
+    """Run argv on the hostile poset name under CAPPED, within 10 s."""
+    path = tmp_path / "hostile.poset"
+    path.write_text(HOSTILE[name])
+    env = {k: v for k, v in os.environ.items() if not k.startswith("ENCHAIN_")}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", CAPPED, *argv, str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
 
 
 class TestHostileInputs:
     """verify-all --poset on each hostile poset finishes within 10 s under
     a 1 GiB address-space cap, exiting 0 or 2; a tripped guard reads
-    skipped."""
+    skipped.  Each single-poset command finishes there too, exiting 0, or
+    1 on one error line that names its guard."""
 
     @pytest.mark.parametrize("name", list(HOSTILE))
     def test_finishes_under_a_memory_cap(self, tmp_path, name):
-        path = tmp_path / "hostile.poset"
-        path.write_text(HOSTILE[name])
-        env = {k: v for k, v in os.environ.items() if not k.startswith("ENCHAIN_")}
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-c", CAPPED, str(path)],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=10,
-        )
+        done = run_capped(tmp_path, name, ["verify-all", "--poset"])
         assert done.returncode in (0, 2), done.stderr
         (row,) = json.loads(done.stdout)["rows"]
         counts = row["ehrhart_equals_left_order"]
         assert counts == {"max_m": 4, "pass": True} or counts.startswith("skipped (")
         if name == "8-antichains stacked 4 deep":
             assert counts.endswith(f"partition DP steps exceed guard {partitions.FRONTIER_WORK_GUARD})")
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize("name", ["256-chain", "8 parallel 32-chains", "16-element crown"])
+    def test_single_commands_finish_under_a_memory_cap(self, tmp_path, name, command):
+        done = run_capped(tmp_path, name, [command])
+        assert done.returncode in (0, 1), done.stderr
+        if done.returncode == 0:
+            json.loads(done.stdout)
+        else:
+            assert done.stdout == ""
+            assert re.fullmatch(r"error: [^\n]+\n", done.stderr), done.stderr
 
 
 class TestVerifyAll:
