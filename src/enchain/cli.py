@@ -1,10 +1,11 @@
 """Command line interface.
 
 One subcommand per library surface plus verify-all for identity sweeps.
-Exit status: 0 on success, 1 on input or guard errors, 2 when any
-identity alarm fires.  Each subcommand reads --format and the options
-OPTIONS gives it, each from its flag (--max-n for max_n), else from its
-ENCHAIN_ variable (ENCHAIN_MAX_N), else from DEFAULTS.
+Exit status: 0 on success, 1 on input or guard errors or when memory
+runs out, 2 when any identity alarm fires.  Each subcommand reads
+--format and the options OPTIONS gives it, each from its flag (--max-n
+for max_n), else from its ENCHAIN_ variable (ENCHAIN_MAX_N), else from
+DEFAULTS.
 """
 
 import argparse
@@ -290,13 +291,17 @@ def main(argv=None):
     try:
         cfg = config_from_args(args)
         payload, alarms = run_command(cfg)
+        text = RENDERERS[cfg.fmt](payload)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except IdentityAlarm as exc:
         print(f"alarm: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(RENDERERS[cfg.fmt](payload))
+    except MemoryError:
+        print(f"error: {args.command} ran out of memory", file=sys.stderr)
+        return 1
+    sys.stdout.write(text)
     return 2 if alarms else 0
 
 

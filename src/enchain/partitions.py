@@ -33,7 +33,7 @@ interior peaks are its left peaks past position 1.
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from math import comb
 from operator import itemgetter
 
@@ -70,38 +70,32 @@ def _check_partition_args(poset, m, kind):
 
 def iter_partitions(poset, m, kind="left"):
     """Yield every partition with bound m as a tuple indexed by element,
-    by backtracking along the natural order so constraints propagate.
+    lexicographically in each element's choice order.
 
     Element e takes the largest absolute value `base` among its lower
     covers with the nonnegative sign (condition (ii)), or any larger
     absolute value up to m with either sign, smallest first; for the
-    enriched kind a minimal element avoids 0.  One frame walks the tree:
-    stack[e - 1] holds the values element e has left to try."""
+    enriched kind a minimal element avoids 0.  The partitions are built
+    one element at a time in natural order: each level extends every
+    prefix of the last by the values admitted[base] lists for it.  The
+    whole sequence is held in memory: cmd_partitions lists at most 5,000
+    partitions, and the bijection check at most 2,401 (the 4-antichain at
+    m = 3)."""
     _check_partition_args(poset, m, kind)
-    n = poset.n
-    lowers = poset.lower_covers()
-    values = [0] * (n + 1)
-
-    def choices(e):
-        covs = lowers[e]
-        base = max((abs(values[c]) for c in covs), default=0)
-        out = [] if kind == "enriched" and not covs else [base]
-        for b in range(base + 1, m + 1):
-            out += (b, -b)
-        return iter(out)
-
-    stack = [choices(1)]
-    while stack:
-        e = len(stack)
-        for v in stack[-1]:
-            values[e] = v
-            if e == n:
-                yield tuple(values[1:])
-            else:
-                stack.append(choices(e + 1))
-                break
+    pairs = [(b, -b) for b in range(1, m + 1)]
+    admitted = [(base, *chain.from_iterable(pairs[base:])) for base in range(m + 1)]
+    level = [()]
+    for covers in poset.lower_covers()[1:]:
+        slots = [c - 1 for c in covers]
+        if not slots:
+            values = admitted[0][kind == "enriched" :]
+            level = [f + (v,) for f in level for v in values]
+        elif len(slots) == 1:
+            (c,) = slots
+            level = [f + (v,) for f in level for v in admitted[abs(f[c])]]
         else:
-            stack.pop()
+            level = [f + (v,) for f in level for v in admitted[max([abs(f[c]) for c in slots])]]
+    yield from level
 
 
 def count_partitions(poset, m, kind="left"):

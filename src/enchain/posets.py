@@ -43,14 +43,23 @@ class Poset:
         e (index 0 unused), which must already be a strict partial order
         (irreflexive, antisymmetric, transitively closed).  Use
         poset_from_covers() for unvalidated input."""
-        self.n = n
-        self._above = tuple(above)
+        above = tuple(above)
         below = [0] * (n + 1)
         for a in range(1, n + 1):
-            for b in _bits(self._above[a]):
+            for b in _bits(above[a]):
                 below[b] |= 1 << a
-        self._below = tuple(below)
+        self._fill(n, above, below)
+
+    def _fill(self, n, above, below):
+        self.n, self._above, self._below = n, tuple(above), tuple(below)
         self.naturally_labeled = not any(up & ((2 << a) - 1) for a, up in enumerate(self._above))
+
+    @classmethod
+    def _from_bitsets(cls, n, above, below):
+        """Poset(n, above) given below as well, for a builder that holds both."""
+        poset = cls.__new__(cls)
+        poset._fill(n, above, below)
+        return poset
 
     def less(self, a, b):
         return bool(self._above[a] >> b & 1)
@@ -103,11 +112,12 @@ class Poset:
         if sorted(pi) != list(self.elements()):
             raise ValueError(f"not a permutation of 1..{self.n}: {pi}")
         pos = {old: new + 1 for new, old in enumerate(pi)}
-        above = [0] * (self.n + 1)
+        above, below = [0] * (self.n + 1), [0] * (self.n + 1)
         for a in self.elements():
             for b in _bits(self._above[a]):
                 above[pos[a]] |= 1 << pos[b]
-        return Poset(self.n, above)
+                below[pos[b]] |= 1 << pos[a]
+        return Poset._from_bitsets(self.n, above, below)
 
     def canonicalized(self):
         """Naturally labeled copy, relabeled by the topological order."""
@@ -497,7 +507,7 @@ def comparability_orientations(poset):
 
     def orient(k):
         if not k:
-            results.append(Poset(n, above))
+            results.append(Poset._from_bitsets(n, above, below))
             return
         for a, b in (edges[k - 1], edges[k - 1][::-1]):
             if not (below[a] & (above[b] | ~joined[b]) or above[b] & ~joined[a]):

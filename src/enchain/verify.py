@@ -108,6 +108,11 @@ def _comparability_failure(poset):
 
     Relabeling (an isomorphism) must preserve everything once both sides
     are canonicalized, interior peaks included.
+
+    A case whose posets were compared already is skipped, as its values
+    would be the same: the orientation equal to the input, and each
+    relabeling whose natural labeling is the input or one met before.  So
+    the first failure, and its message, are those of the full list.
     """
     n = poset.n
 
@@ -122,10 +127,14 @@ def _comparability_failure(poset):
         yield "left order polynomial", partitions.order_polynomial(canon, "left")
 
     base = dict(quantities(poset, poset.canonicalized(), True))
-    cases = [(o, o, o.canonicalized(), False) for o in posets.comparability_orientations(poset)]
+    orientations = posets.comparability_orientations(poset)
+    cases = [(o, o, o.canonicalized(), False) for o in orientations if o != poset]
+    compared = {poset}
     for sigma in _relabelings(n):
         canon = poset.relabeled(sigma).canonicalized()
-        cases.append((sigma, canon, canon, True))
+        if canon not in compared:
+            compared.add(canon)
+            cases.append((sigma, canon, canon, True))
     for case, counted, canon, with_peak in cases:  # an orientation, or a relabeling's sigma
         for quantity, value in quantities(counted, canon, with_peak):
             if value != base[quantity]:

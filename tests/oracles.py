@@ -39,10 +39,14 @@ decorated permutation keeps here the blocks and the text that only the
 tests read.  The bijection
 check keeps its per-bound routine, which runs every check on every
 partition at every bound, and the comparability orientations keep their
-scan of all 2^E edge masks.  The toric ring
-variables keep their former objects here: SignedVariable, with its image
-and label, built and sorted by variables_and_map, the oracle for the id
-order of toric._sign_masks, and the antichain-keyed term-order weights.
+scan of all 2^E edge masks.  The partitions and the lattice points that
+the bijection check compares keep the one-frame backtracking walks that
+the level-by-level builds replaced, iter_partitions_oracle and
+dilation_points_oracle, which yield the same sequences in the same
+order.  The toric ring variables keep their former objects here:
+SignedVariable, with its image and label, built and sorted by
+variables_and_map, the oracle for the id order of toric._sign_masks,
+and the antichain-keyed term-order weights.
 The term order keeps its object here: TermOrder, the weight sum with
 the graded reverse lexicographic tie-break that the library no longer
 needs, as no two sides of a candidate tie in weight; it ranks the
@@ -693,6 +697,87 @@ def bijection_failure_oracle(poset, max_m):
             missing = min(points - images)
             return f"at m={m}: lattice point {missing} is phi of no partition"
     return None
+
+
+def iter_partitions_oracle(poset, m, kind="left"):
+    """partitions.iter_partitions before it built its partitions by levels:
+    yield every partition with bound m as a tuple indexed by element,
+    by backtracking along the natural order so constraints propagate.
+
+    Element e takes the largest absolute value `base` among its lower
+    covers with the nonnegative sign (condition (ii)), or any larger
+    absolute value up to m with either sign, smallest first; for the
+    enriched kind a minimal element avoids 0.  One frame walks the tree:
+    stack[e - 1] holds the values element e has left to try."""
+    partitions._check_partition_args(poset, m, kind)
+    n = poset.n
+    lowers = poset.lower_covers()
+    values = [0] * (n + 1)
+
+    def choices(e):
+        covs = lowers[e]
+        base = max((abs(values[c]) for c in covs), default=0)
+        out = [] if kind == "enriched" and not covs else [base]
+        for b in range(base + 1, m + 1):
+            out += (b, -b)
+        return iter(out)
+
+    stack = [choices(1)]
+    while stack:
+        e = len(stack)
+        for v in stack[-1]:
+            values[e] = v
+            if e == n:
+                yield tuple(values[1:])
+            else:
+                stack.append(choices(e + 1))
+                break
+        else:
+            stack.pop()
+
+
+def dilation_points_oracle(poset, m):
+    """geometry.dilation_points before it built its points by levels:
+    yield the lattice points of m E_P in lexicographic order.
+
+    Backtracks over coordinates 1..n, keeping the running |x|-sum along
+    every maximal chain; coordinate e is offered only the values with
+    |x_e| <= m minus the largest running sum through e, so every branch
+    ends in a point and every point is reached.  Membership is read off
+    the maximal chains alone, independently of psi_map's cover DP.  One
+    frame walks the tree: stack[e - 1] holds the values coordinate e has
+    left."""
+    if m < 0:
+        raise ValueError("dilation factor must be nonnegative")
+    n = poset.n
+    chains = maximal_chains(poset)
+    through = [[] for _ in range(n + 1)]
+    for c, chain in enumerate(chains):
+        for e in chain:
+            through[e].append(c)
+    sums = [0] * len(chains)
+    point = [0] * n
+
+    def choices(e):
+        room = m - max(sums[c] for c in through[e])
+        return iter(range(-room, room + 1))
+
+    stack = [choices(1)]
+    while stack:
+        e = len(stack)
+        for v in stack[-1]:
+            point[e - 1] = v
+            if e == n:
+                yield tuple(point)
+            else:
+                for c in through[e]:
+                    sums[c] += abs(v)
+                stack.append(choices(e + 1))
+                break
+        else:
+            stack.pop()  # back at coordinate e - 1, if any: take it off its chains
+            for c in through[e - 1]:
+                sums[c] -= abs(point[e - 2])
 
 
 def psi_map_oracle(poset, point, m):

@@ -361,6 +361,15 @@ class TestCommands:
         assert code == 0
         assert_matches_golden(out, f"{command}_{name}")
 
+    @pytest.mark.parametrize("kind", ["left", "enriched"])
+    def test_partitions_past_one_are_byte_identical(self, capsys, tmp_path, kind):
+        # the order of each kind at m = 3, with element 3 above two lower covers
+        path = tmp_path / "y4.poset"
+        path.write_text("4\n1 < 3\n2 < 3\n3 < 4\n")
+        code, out = run(capsys, ["partitions", str(path), "--m", "3", "--kind", kind])
+        assert code == 0 and json.loads(out)["count"] == {"left": 233, "enriched": 132}[kind]
+        assert_matches_golden(out, f"partitions_y4_m3_{kind}")
+
     def test_omitted_partitions_output_is_byte_identical(self, capsys, tmp_path):
         # 9^4 = 6561 partitions, past the 5000 that are listed
         path = tmp_path / "anti4.poset"
@@ -548,6 +557,18 @@ class TestExitCodes:
         path = tmp_path / "cycle.poset"
         path.write_text("2\n1 < 2\n2 < 1\n")
         assert main(["antichains", str(path)]) == 1
+
+    @pytest.mark.parametrize("where", ["computing", "rendering"])
+    def test_memory_error_is_one_error_line(self, capsys, monkeypatch, chain2, where):
+        def exhausted(*args):
+            raise MemoryError
+
+        if where == "computing":
+            monkeypatch.setitem(COMMANDS, "extensions", exhausted)
+        else:
+            monkeypatch.setitem(io.RENDERERS, "json", exhausted)
+        assert main(["extensions", chain2]) == 1
+        assert capsys.readouterr() == ("", "error: extensions ran out of memory\n")
 
     @pytest.mark.parametrize(
         "text", ['{"n": 1000000000, "covers": []}', "1000000000\n", '{"n": 257, "covers": []}']
@@ -806,25 +827,27 @@ HOSTILE = {
     "256-chain": stacked(1, 256),
 }
 
-# Run main on argv[1:] in a fresh interpreter that caps its own address
-# space at 1 GiB, a limit on that process alone.
+# Run main on argv[2:] in a fresh interpreter that caps its own address
+# space at argv[1] bytes, a limit on that process alone.
 CAPPED = r"""
 import resource, sys
-resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+cap = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 from enchain.cli import main
-sys.exit(main(sys.argv[1:]))
+sys.exit(main(sys.argv[2:]))
 """
 
 
-def run_capped(tmp_path, name, argv):
-    """Run argv on the hostile poset name under CAPPED, within 10 s."""
+def run_capped(tmp_path, text, argv, cap=1 << 30):
+    """Run argv on the poset file text under CAPPED, by default at 1 GiB,
+    within 10 s."""
     path = tmp_path / "hostile.poset"
-    path.write_text(HOSTILE[name])
+    path.write_text(text)
     env = {k: v for k, v in os.environ.items() if not k.startswith("ENCHAIN_")}
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", CAPPED, *argv, str(path)],
+        [sys.executable, "-c", CAPPED, str(cap), *argv, str(path)],
         capture_output=True,
         text=True,
         env=env,
@@ -836,11 +859,12 @@ class TestHostileInputs:
     """verify-all --poset on each hostile poset finishes within 10 s under
     a 1 GiB address-space cap, exiting 0 or 2; a tripped guard reads
     skipped.  Each single-poset command finishes there too, exiting 0, or
-    1 on one error line that names its guard."""
+    1 on one error line that names its guard; under a lower cap, a command
+    that runs out of memory exits 1 on one error line."""
 
     @pytest.mark.parametrize("name", list(HOSTILE))
     def test_finishes_under_a_memory_cap(self, tmp_path, name):
-        done = run_capped(tmp_path, name, ["verify-all", "--poset"])
+        done = run_capped(tmp_path, HOSTILE[name], ["verify-all", "--poset"])
         assert done.returncode in (0, 2), done.stderr
         (row,) = json.loads(done.stdout)["rows"]
         counts = row["ehrhart_equals_left_order"]
@@ -851,13 +875,20 @@ class TestHostileInputs:
     @pytest.mark.parametrize("command", list(COMMANDS))
     @pytest.mark.parametrize("name", ["256-chain", "8 parallel 32-chains", "16-element crown"])
     def test_single_commands_finish_under_a_memory_cap(self, tmp_path, name, command):
-        done = run_capped(tmp_path, name, [command])
+        done = run_capped(tmp_path, HOSTILE[name], [command])
         assert done.returncode in (0, 1), done.stderr
         if done.returncode == 0:
             json.loads(done.stdout)
         else:
             assert done.stdout == ""
             assert re.fullmatch(r"error: [^\n]+\n", done.stderr), done.stderr
+
+    def test_running_out_of_memory_is_one_error_line(self, tmp_path):
+        # the 9-antichain's 362,880 extensions: every cap from 40 to 140 MiB
+        # ran out on a 2-core Linux host with Python 3.11, 160 MiB sufficed
+        done = run_capped(tmp_path, "9\n", ["extensions"], cap=96 << 20)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == "error: extensions ran out of memory\n"
 
 
 class TestVerifyAll:

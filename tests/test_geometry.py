@@ -18,9 +18,15 @@ from enchain.geometry import (
 )
 from enchain.partitions import count_partitions, iter_partitions
 from enchain.polynomials import IntPolynomial, RatPolynomial
-from enchain.posets import all_natural_posets, antichains, poset_from_covers
+from enchain.posets import all_natural_posets, antichains, comparability_orientations, poset_from_covers
 
-from oracles import ehrhart_polynomial, in_chain_polytope, lattice_points_ep, membership_oracle
+from oracles import (
+    dilation_points_oracle,
+    ehrhart_polynomial,
+    in_chain_polytope,
+    lattice_points_ep,
+    membership_oracle,
+)
 from test_partitions import natural_posets
 
 chain2 = poset_from_covers(2, [(1, 2)])
@@ -99,6 +105,17 @@ class TestDilationPoints:
         flipped = poset_from_covers(3, [(3, 1), (3, 2)])
         for m in range(3):
             assert list(dilation_points(flipped, m)) == box_filter(flipped, m)
+
+    def test_matches_the_backtracking_oracle_in_order(self):
+        """On every natural poset, m <= 3 for n <= 4 and m <= 2 for n = 5,
+        and on every comparability orientation of those with n <= 4, whose
+        labels need not be natural."""
+        for n in range(1, 6):
+            for natural in all_natural_posets(n):
+                for poset in comparability_orientations(natural) if n <= 4 else [natural]:
+                    for m in range(4 if n <= 4 else 3):
+                        expected = list(dilation_points_oracle(poset, m))
+                        assert list(dilation_points(poset, m)) == expected, (poset, m)
 
     def test_negative_dilation(self):
         with pytest.raises(ValueError):

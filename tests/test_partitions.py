@@ -38,6 +38,7 @@ from oracles import (
     enumerate_partitions,
     frontier_count_oracle,
     is_left_partition,
+    iter_partitions_oracle,
     left_partition_oracle,
     peak_positions,
     phi_map_oracle,
@@ -105,6 +106,14 @@ class TestEnumeration:
                     for kind in ("left", "enriched"):
                         enumerated = sum(1 for _ in iter_partitions(poset, m, kind))
                         assert count_partitions(poset, m, kind) == enumerated
+
+    def test_matches_the_backtracking_oracle_in_order(self):
+        for n in range(1, 6):
+            for poset in all_natural_posets(n):
+                for m in range(4 if n <= 4 else 3):
+                    for kind in ("left", "enriched"):
+                        expected = list(iter_partitions_oracle(poset, m, kind))
+                        assert list(iter_partitions(poset, m, kind)) == expected, (poset, m, kind)
 
     def test_count_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown kind"):
@@ -620,6 +629,39 @@ class TestCountsMatchDilations:
                     assert count_partitions(poset, m, "left") == count_dilation(
                         poset, m
                     )
+
+
+class TestInvarianceReads:
+    """verify._comparability_failure reads the posets of every case it
+    would compare, and counts each one's dilations once, skipping a case
+    that it has compared already."""
+
+    def test_each_poset_is_read_and_counted_once(self, monkeypatch):
+        counted, peaked = [], []
+        count_dilation, peak_polynomials = geometry.count_dilation, partitions.peak_polynomials
+
+        def counting(poset, m):
+            counted.append(poset)
+            return count_dilation(poset, m)
+
+        def peaking(poset):
+            peaked.append(poset)
+            return peak_polynomials(poset)
+
+        monkeypatch.setattr(geometry, "count_dilation", counting)
+        monkeypatch.setattr(partitions, "peak_polynomials", peaking)
+        # every natural poset with n <= 4, and 5 elements labelled against the order
+        relabeled5 = poset_from_covers(5, [(2, 1), (2, 4), (5, 3)])
+        for poset in [*(p for n in range(1, 5) for p in all_natural_posets(n)), relabeled5]:
+            counted.clear()
+            peaked.clear()
+            assert verify._comparability_failure(poset) is None
+            orientations = posets.comparability_orientations(poset)
+            labellings = {poset.relabeled(s).canonicalized() for s in verify._relabelings(poset.n)}
+            assert set(counted) == {poset, *orientations, *labellings}
+            canonical = {poset.canonicalized(), *(o.canonicalized() for o in orientations)}
+            assert set(peaked) == canonical | labellings
+            assert Counter(counted) == dict.fromkeys(set(counted), poset.n), poset
 
 
 class TestMemo:

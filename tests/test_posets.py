@@ -146,6 +146,8 @@ class TestMaskBuilder:
 
     def same(self, poset, other):
         assert poset == other and hash(poset) == hash(other), (poset, other)
+        # relabeled and the orientations hand their below bitsets over: as derived
+        assert (poset._below, poset.naturally_labeled) == (other._below, other.naturally_labeled)
 
     def check_derived(self, poset):
         """relabeled and canonicalized against the pair set relabeled, and
